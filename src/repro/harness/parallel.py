@@ -263,7 +263,7 @@ def plan_artifact_nodes(
                     # pipeline-backed artifacts read the shared
                     # pre-decoded program (fast path); the worker
                     # no-ops when the fast path is disabled, and
-                    # backends without a decoded engine (ooo) skip the
+                    # backends that decode in-process (ooo) skip the
                     # decode node entirely
                     base_deps = (trace,)
                     if uses_decoded:

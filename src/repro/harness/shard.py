@@ -111,10 +111,9 @@ def build_cell_simulator(
             "jrs": JRSEstimator(threshold=15, enhanced=True),
             "satcnt": SaturatingCountersEstimator.for_predictor(predictor),
         }
-    # the fast path reads the shared pre-decoded artifact (warmed by
-    # the DAG scheduler; a cheap decode on a cold cache) -- only the
-    # in-order backend has a decoded engine, others fetch per
-    # instruction on the reference path
+    # the in-order fast path reads the shared pre-decoded artifact
+    # (warmed by the DAG scheduler; a cheap decode on a cold cache);
+    # other backends decode in-process when they are built
     decoded = (
         decoded_run(workload, iterations)
         if backend_uses_decoded(backend) and pipeline_fast_enabled()

@@ -51,8 +51,10 @@ class PipelineBackend(Protocol):
     in-order reference implementation of every method; a backend
     subclass overrides the timing-model subset it changes.  The
     front-end machinery guarantees the hooks are called identically on
-    the reference and decoded fetch paths (grouped fast-path entries
-    only exist for the in-order backend, which overrides nothing).
+    the reference and decoded fetch paths: a backend that overrides
+    ``_dispatch`` gets one entry per instruction from both, and only a
+    backend that does not (the in-order one) sees grouped fast-path
+    entries.
     """
 
     def wants_fetch(self) -> bool:
@@ -71,9 +73,10 @@ class PipelineBackend(Protocol):
 
     # -- backend timing hooks ------------------------------------------
 
-    def _dispatch(self, entry, inst) -> None:
-        """An instruction entered the window at fetch (may re-time
-        ``entry.ready_cycle``; the OoO backend renames/issues here)."""
+    def _dispatch(self, entry) -> None:
+        """The instruction at ``entry.pc`` entered the window at fetch
+        (may re-time ``entry.ready_cycle``; the OoO backend
+        renames/issues here)."""
 
     def _retire_entry(self, entry) -> None:
         """An instruction left the window at commit (the OoO backend
@@ -137,10 +140,13 @@ def normalize_backend(backend: Optional[str]) -> str:
 
 
 def backend_uses_decoded(backend: Optional[str]) -> bool:
-    """Whether the backend consumes ``program-decoded`` artifacts.
+    """Whether the backend reads the cached ``program-decoded`` artifact.
 
-    Only the in-order backend has a decoded fast path; the OoO backend
-    always fetches per-instruction on the reference path.
+    Every backend runs the decoded fast path, but only the in-order one
+    shares the cached artifact.  The OoO backend decodes in-process
+    instead: at the bench's ``ooo`` scale its decoded programs would
+    grow the artifact cache by a fifth, to save about a millisecond of
+    decode per simulator.
     """
     return normalize_backend(backend) == "inorder"
 

@@ -28,10 +28,10 @@ the oracle view of Figures 6/7) and the *perceived* distance (reset
 when a misprediction is detected at resolution; the implementable view
 of Figures 8/9), plus the confidence estimates made at fetch time.
 
-Two fetch engines share these semantics bit for bit:
+Two fetch engines share these semantics bit for bit, for every backend:
 
 * the **reference path** steps :meth:`Machine.step` once per fetched
-  instruction (``REPRO_PIPELINE_FAST=0``),
+  instruction (``REPRO_PIPELINE_FAST=0``) -- the test oracle,
 * the **fast path** (default) drives a
   :class:`~repro.pipeline.decode.DecodedProgram`: straight-line plain
   runs execute as pre-specialised closures in one tight inner loop,
@@ -39,7 +39,10 @@ Two fetch engines share these semantics bit for bit:
   most-recently-touched line is a guaranteed hit that cannot disturb
   LRU order, so the hit counter is bumped arithmetically), and
   non-branch instructions fetched in the same cycle share one grouped
-  in-flight entry that the commit stage drains by count.
+  in-flight entry that the commit stage drains by count.  A backend
+  that overrides ``_dispatch`` (the out-of-order one) times every
+  instruction itself, so for it the fast path emits one entry per
+  instruction and dispatches each where the reference path does.
 
 Both paths funnel every branch through the same ``_fetch_branch`` /
 ``_resolve_branch`` hooks, so predictor, estimator, record and cache
@@ -188,6 +191,11 @@ class PipelineSimulator:
             )
         else:
             self._decoded = None
+        #: The backend times each instruction in ``_dispatch``, so the
+        #: fast fetch emits one in-flight entry per instruction.
+        self._dispatches = (
+            type(self)._dispatch is not PipelineSimulator._dispatch
+        )
         self._inflight: Deque[_Inflight] = deque()
         #: Instructions currently in flight (grouped entries count for
         #: ``entry.count``); the window check everywhere.
@@ -1128,15 +1136,15 @@ class PipelineSimulator:
             self._inflight_count += 1
             if result.taken is not None:
                 self._fetch_branch(entry, result.taken, inst.imm)
-                self._dispatch(entry, inst)
+                self._dispatch(entry)
                 if entry.mispredicted:
                     break  # fetch group ends at a front-end redirect
             elif result.halted:
                 entry.is_halt = True
-                self._dispatch(entry, inst)
+                self._dispatch(entry)
                 break
             else:
-                self._dispatch(entry, inst)
+                self._dispatch(entry)
 
     def _fetch_stage_fast(self) -> None:
         """Fetch one cycle against the pre-decoded program.
@@ -1145,7 +1153,9 @@ class PipelineSimulator:
         I-cache/D-cache traffic, same hook calls, same stats -- but
         plain straight-line runs execute as specialised closures, and
         non-branch instructions fetched this cycle share one grouped
-        in-flight entry.
+        in-flight entry.  For a backend that overrides ``_dispatch``
+        every instruction gets its own entry (plain runs are cut to
+        length 1) and is dispatched where the reference loop does it.
         """
         cycle = self._cycle
         if cycle < self._fetch_stalled_until or self._fetch_faulted:
@@ -1182,6 +1192,7 @@ class PipelineSimulator:
         fetched = 0
         retired = 0
         group = None
+        dispatch = self._dispatch if self._dispatches else None
         pc = machine.pc
         while fetched < fetch_width and count < window:
             if pc < 0 or pc >= code_length:
@@ -1205,7 +1216,7 @@ class PipelineSimulator:
             run = run_len[pc]
             if run:
                 # straight-line plain run: tight inner loop, one entry
-                limit = fetch_width - fetched
+                limit = 1 if dispatch else fetch_width - fetched
                 if run > limit:
                     run = limit
                 room = window - count
@@ -1234,6 +1245,9 @@ class PipelineSimulator:
                     group = _Inflight(sequence, pc, ready)
                     group.count = run
                     inflight.append(group)
+                    if dispatch:
+                        dispatch(group)
+                        group = None
                 sequence += run
                 pc = end
                 continue
@@ -1256,6 +1270,8 @@ class PipelineSimulator:
                 self._sequence = sequence
                 self._inflight_count = count
                 self._fetch_branch(entry, taken, target)
+                if dispatch:
+                    dispatch(entry)
                 pc = machine.pc  # a mispredict hook may have redirected
                 if entry.mispredicted:
                     break
@@ -1296,6 +1312,8 @@ class PipelineSimulator:
                 entry = _Inflight(sequence, pc, ready)
                 entry.is_halt = True
                 inflight.append(entry)
+                if dispatch:
+                    dispatch(entry)
                 sequence += 1
                 group = None
                 break
@@ -1308,6 +1326,9 @@ class PipelineSimulator:
             else:
                 group = _Inflight(sequence, pc, ready)
                 inflight.append(group)
+                if dispatch:
+                    dispatch(group)
+                    group = None
             sequence += 1
             pc = next_pc
         machine.instructions_retired += retired
@@ -1321,18 +1342,23 @@ class PipelineSimulator:
         width; the dual-path simulator halves it while a fork is live)."""
         return self.config.fetch_width
 
-    def _dispatch(self, entry: _Inflight, inst) -> None:
+    def _dispatch(self, entry: _Inflight) -> None:
         """Backend hook: one instruction entered the window at fetch.
 
-        Called on the reference fetch path for every fetched
-        instruction, after branch prediction/recording has populated
-        ``entry`` (so a backend may re-time ``entry.ready_cycle``).
-        The in-order backend does nothing -- an instruction's ready
-        cycle is fixed at fetch -- which is what lets its fast path
-        group entries and skip this hook entirely.  The out-of-order
-        backend renames ``inst``'s registers, models issue-queue
-        wakeup/bandwidth, and rewrites ``entry.ready_cycle`` to the
-        data-dependent completion cycle here."""
+        Called on both fetch paths for every fetched instruction, after
+        branch prediction/recording has populated ``entry`` (so a
+        backend may re-time ``entry.ready_cycle``); ``entry.pc`` names
+        the instruction.  An override should read only ``entry``, the
+        cycle and its own state: the fast path updates the front end's
+        fetch counters once per cycle, not per instruction, and gives
+        every instruction its own entry only to a class that overrides
+        this hook.  The in-order backend does nothing -- an
+        instruction's ready cycle is fixed at fetch -- which is what
+        lets its fast path group entries and skip this hook entirely.
+        The out-of-order backend renames the instruction's registers,
+        models issue-queue wakeup/bandwidth, and rewrites
+        ``entry.ready_cycle`` to the data-dependent completion cycle
+        here."""
 
     def _fetch_branch(self, entry: _Inflight, taken: bool, target: int) -> None:
         """Predict, assess and record one fetched conditional branch.

@@ -13,9 +13,10 @@ execution model:
   ``NUM_REGISTERS + window`` (so the free list can never run dry while
   the active list bounds in-flight work); ``r0`` is never renamed,
 * **active list**: the in-flight deque itself, bounded by the
-  configurable ``window`` (instructions, not groups -- this backend
-  always fetches per-instruction on the reference path), with each
-  entry's previous mapping kept for in-order release at retire,
+  configurable ``window`` (instructions, not groups -- because this
+  backend overrides ``_dispatch``, both fetch engines give it one entry
+  per instruction), with each entry's previous mapping kept for
+  in-order release at retire,
 * **issue queue**: every dispatched instruction computes its wakeup
   cycle from its source operands' physical-register ready cycles, then
   claims the first issue slot at or after wakeup with free bandwidth
@@ -39,11 +40,14 @@ observed at every misprediction recovery is accumulated in
 ``stats.extra`` (see :data:`DEPTH_HISTOGRAM_KEY`) so reports can put
 the two backends' distance distributions side by side.
 
-The backend deliberately runs the **reference fetch path only**
-(``fast=False``): per-instruction entries are what rename and issue
-model, and with a single engine the fast/slow byte-identity question
-disappears by construction.  All timing state is plain lists/dicts, so
-the whole-simulator pickle snapshots of
+The backend runs on the shared fetch engines like any other: the
+pre-decoded fast path by default (decoded in-process -- the backend
+reads no ``program-decoded`` artifact) and the reference
+:meth:`~repro.isa.Machine.step` loop under ``fast=False`` or
+``REPRO_PIPELINE_FAST=0``, the oracle it must match bit for bit.
+Operand shapes come from a per-PC table built once per simulator, so
+dispatch never decodes an instruction.  All timing state is plain
+lists/dicts, so the whole-simulator pickle snapshots of
 :mod:`repro.pipeline.snapshot` -- and therefore segmented runs and
 ``--resume`` -- work unchanged.
 """
@@ -67,6 +71,7 @@ from ..isa.instructions import (
 from ..predictors.base import BranchPredictor
 from .config import PipelineConfig
 from .core import PipelineSimulator, _Inflight
+from .decode import DecodedProgram
 
 #: Default out-of-order active-list capacity (instructions in flight).
 OOO_WINDOW = 256
@@ -85,9 +90,8 @@ class OutOfOrderSimulator(PipelineSimulator):
     ``window``/``issue_width``/``commit_width`` size the active list,
     the issue bandwidth and the retire bandwidth; the base
     :class:`~repro.pipeline.config.PipelineConfig` supplies everything
-    else (fetch width, caches, penalties).  ``decoded``/``fast`` are
-    accepted for interface compatibility but ignored: this backend
-    always fetches on the per-instruction reference path.
+    else (fetch width, caches, penalties).  ``decoded``/``fast`` pick
+    the fetch engine exactly as for the in-order backend.
     """
 
     def __init__(
@@ -96,7 +100,7 @@ class OutOfOrderSimulator(PipelineSimulator):
         predictor: BranchPredictor,
         config: Optional[PipelineConfig] = None,
         estimators: Optional[Mapping[str, ConfidenceEstimator]] = None,
-        decoded=None,
+        decoded: Optional[DecodedProgram] = None,
         fast: Optional[bool] = None,
         window: int = OOO_WINDOW,
         issue_width: int = OOO_ISSUE_WIDTH,
@@ -116,10 +120,15 @@ class OutOfOrderSimulator(PipelineSimulator):
             predictor,
             config=replace(base, window=window, commit_width=commit_width),
             estimators=estimators,
-            decoded=None,
-            fast=False,
+            decoded=decoded,
+            fast=fast,
         )
         self.issue_width = issue_width
+        #: Per-PC operand shape: (sources without ``r0``, destination
+        #: or -1, execution latency).
+        self._operands = _operand_table(
+            program, self.config.cache_hit_latency
+        )
         num_phys = NUM_REGISTERS + window
         #: Architectural -> physical register mapping (``r0`` fixed).
         self._rename_map: List[int] = list(range(NUM_REGISTERS))
@@ -137,19 +146,16 @@ class OutOfOrderSimulator(PipelineSimulator):
     # backend hooks
     # ------------------------------------------------------------------
 
-    def _dispatch(self, entry: _Inflight, inst: Instruction) -> None:
+    def _dispatch(self, entry: _Inflight) -> None:
         """Rename + enqueue one fetched instruction; re-time its entry."""
         cycle = self._cycle
-        reads, writes, is_memory = _operand_shape(inst)
-        latency = self.config.cache_hit_latency if is_memory else 1
+        sources, dest, latency = self._operands[entry.pc]
         rename_map = self._rename_map
         phys_ready = self._phys_ready
         # wakeup: earliest cycle every source operand is available
         # (dispatch itself takes the cycle after fetch)
         wakeup = cycle + 1
-        for reg in reads:
-            if reg == ZERO_REG:
-                continue
+        for reg in sources:
             ready = phys_ready[rename_map[reg]]
             if ready > wakeup:
                 wakeup = ready
@@ -158,18 +164,20 @@ class OutOfOrderSimulator(PipelineSimulator):
         slots = self._issue_slots
         width = self.issue_width
         issue = wakeup
-        while slots.get(issue, 0) >= width:
+        claimed = slots.get(issue, 0)
+        while claimed >= width:
             issue += 1
-        slots[issue] = slots.get(issue, 0) + 1
+            claimed = slots.get(issue, 0)
+        slots[issue] = claimed + 1
         complete = issue + latency
-        if writes != ZERO_REG and writes >= 0:
+        if dest >= 0:
             new_phys = self._free_regs.popleft()
             self._rename_of[entry.sequence] = (
-                writes,
+                dest,
                 new_phys,
-                rename_map[writes],
+                rename_map[dest],
             )
-            rename_map[writes] = new_phys
+            rename_map[dest] = new_phys
             phys_ready[new_phys] = complete
         # the front end's ready cycle (resolve depth + any congestion
         # charge) is the floor; data dependences can only delay it
@@ -205,24 +213,44 @@ class OutOfOrderSimulator(PipelineSimulator):
             arch, new_phys, old_phys = info
             rename_map[arch] = old_phys
             self._free_regs.appendleft(new_phys)
-        # squashed instructions release their claimed issue ports
-        self._prune_issue_slots(self._cycle, future=True)
+        # squashed instructions release their claimed issue ports.  A
+        # committed instruction issued before it completed (so before
+        # this cycle), every later claim is squashed work, and later
+        # dispatches issue after this cycle: no claim is read again
+        self._issue_slots.clear()
         super()._recover_from(entry)
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
 
-    def _prune_issue_slots(self, cycle: int, future: bool = False) -> None:
-        """Drop spent (< ``cycle``) -- and, on squash, reserved future
-        (> ``cycle``) -- entries from the issue-port ledger."""
+    def _prune_issue_slots(self, cycle: int) -> None:
+        """Drop spent (< ``cycle``) entries from the issue-port ledger."""
         slots = self._issue_slots
-        if future:
-            stale = [c for c in slots if c > cycle]
-        else:
-            stale = [c for c in slots if c < cycle]
-        for c in stale:
+        for c in [c for c in slots if c < cycle]:
             del slots[c]
+
+
+def _operand_table(
+    program: Program, memory_latency: int
+) -> List[Tuple[Tuple[int, ...], int, int]]:
+    """Per-PC ``(sources without r0, destination or -1, latency)``.
+
+    ``r0`` reads are always ready and ``r0`` writes are discarded, so
+    neither touches the rename state; memory operations take
+    ``memory_latency`` cycles (a D-cache hit), everything else one.
+    """
+    table = []
+    for inst in program.instructions:
+        reads, writes, is_memory = _operand_shape(inst)
+        if ZERO_REG in reads:
+            reads = tuple([reg for reg in reads if reg != ZERO_REG])
+        table.append((
+            reads,
+            -1 if writes == ZERO_REG else writes,
+            memory_latency if is_memory else 1,
+        ))
+    return table
 
 
 def _operand_shape(inst: Instruction) -> Tuple[Tuple[int, ...], int, bool]:

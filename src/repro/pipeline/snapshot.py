@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 #: Bump when the snapshot payload layout changes; restores refuse
 #: mismatched schemas instead of resuming from garbage.
-SNAPSHOT_SCHEMA = "pipeline-snapshot/1"
+SNAPSHOT_SCHEMA = "pipeline-snapshot/2"
 
 
 class SnapshotError(RuntimeError):

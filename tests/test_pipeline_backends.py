@@ -8,11 +8,14 @@ Two nets, matching the frontend/backend split:
   branch-record columns, both quadrant maps, and the same final
   architectural machine state -- across Hypothesis-composed random
   programs, predictors and estimator attachments;
-* the **out-of-order** backend must be self-consistent: the same cell
-  run whole, run segmented (paused at arbitrary instruction stops), and
-  pickled/unpickled at every boundary must be indistinguishable, and
-  its committed architectural state must equal the golden functional
-  machine.
+* the **out-of-order** backend (plain, gated and eager) must be
+  bit-identical between the pre-decoded fast fetch and the reference
+  loop -- the same digest plus the rename state and the window-depth
+  histogram -- and self-consistent: the same cell run whole, run
+  segmented (paused at arbitrary instruction stops), and
+  pickled/unpickled at every boundary must be indistinguishable on
+  either fetch engine, and its committed architectural state must
+  equal the golden functional machine.
 
 Plus unit coverage for the registry surface itself
 (:func:`normalize_backend` / :func:`create_simulator` /
@@ -200,6 +203,109 @@ def test_inorder_fast_and_reference_identical_after_refactor(
 # ----------------------------------------------------------------------
 
 
+@st.composite
+def ooo_simulators(draw):
+    """(class, constructor keywords, attach estimators) over the three
+    OoO simulators; gating and forking need an estimator to act on."""
+    kind = draw(st.sampled_from(("ooo", "gated", "eager")))
+    if kind == "gated":
+        threshold = draw(st.integers(min_value=1, max_value=3))
+        return (
+            GatedOutOfOrderSimulator,
+            {"gate_on": "jrs", "gate_threshold": threshold},
+            True,
+        )
+    if kind == "eager":
+        return EagerOutOfOrderSimulator, {"fork_on": "jrs"}, True
+    geometry = {
+        "window": draw(st.sampled_from((8, 32, 256))),
+        "issue_width": draw(st.integers(min_value=1, max_value=8)),
+        "commit_width": draw(st.integers(min_value=1, max_value=8)),
+    }
+    return OutOfOrderSimulator, geometry, draw(st.booleans())
+
+
+def _ooo_state(simulator, result):
+    """The digest plus the rename state and the depth histogram."""
+    return (
+        _digest(simulator, result),
+        list(simulator._rename_map),
+        list(simulator._free_regs),
+        dict(simulator._rename_of),
+        dict(result.stats.extra.get(DEPTH_HISTOGRAM_KEY, {})),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    workload_profiles(),
+    pipeline_configs(),
+    st.sampled_from(("gshare", "mcfarling", "sag", "bimodal")),
+    ooo_simulators(),
+)
+def test_ooo_fast_and_reference_identical(
+    profile, config, predictor_name, simulator_spec
+):
+    """Random program x predictor x OoO simulator: the pre-decoded fast
+    fetch and the reference loop leave identical stats, records,
+    quadrants, machine state, rename state and depth histogram, and
+    both equal the golden functional machine."""
+    simulator_class, kwargs, with_estimators = simulator_spec
+    program = generate_program(profile)
+    states = []
+    for fast in (False, True):
+        simulator = simulator_class(
+            program,
+            make_predictor(predictor_name),
+            config=config,
+            estimators=_estimators(with_estimators),
+            fast=fast,
+            **kwargs,
+        )
+        states.append(_ooo_state(simulator, simulator.run()))
+    assert states[0] == states[1]
+    golden = Machine(program)
+    golden.run()
+    __, stats, regs, memory, *_ = states[0][0]
+    assert regs == list(golden.regs)
+    assert memory == dict(golden.memory)
+    assert stats["committed_instructions"] == golden.instructions_retired
+
+
+def test_ooo_fast_path_never_steps_the_machine(monkeypatch):
+    """``fast=True`` really runs the decoded fetch for every OoO
+    simulator: a silent fallback to the reference loop would call
+    ``Machine.step``, which the reference run below shows is seen."""
+    steps = []
+    step = Machine.step
+
+    def counting_step(machine):
+        steps.append(machine.pc)
+        return step(machine)
+
+    monkeypatch.setattr(Machine, "step", counting_step)
+    program = workload_program("compress", 30)
+    for simulator_class, kwargs in (
+        (OutOfOrderSimulator, {}),
+        (GatedOutOfOrderSimulator, {"gate_on": "jrs"}),
+        (EagerOutOfOrderSimulator, {"fork_on": "jrs"}),
+    ):
+        simulator = simulator_class(
+            program,
+            make_predictor("gshare"),
+            estimators=_estimators(True),
+            fast=True,
+            **kwargs,
+        )
+        result = simulator.run(max_instructions=3000)
+        assert result.stats.committed_instructions == 3000
+    assert steps == []
+    reference = OutOfOrderSimulator(program, make_predictor("gshare"), fast=False)
+    reference.run(max_instructions=100)
+    assert steps
+
+
+@pytest.mark.parametrize("fast", (False, True), ids=("reference", "fast"))
 @settings(max_examples=10, deadline=None)
 @given(
     workload_profiles(),
@@ -208,11 +314,12 @@ def test_inorder_fast_and_reference_identical_after_refactor(
     st.booleans(),
 )
 def test_ooo_whole_segmented_and_pickled_identical(
-    profile, config, predictor_name, with_estimators
+    fast, profile, config, predictor_name, with_estimators
 ):
     """The same OoO cell run whole, paused at instruction boundaries,
     and pickle-round-tripped at every pause produces identical digests
-    and matches the golden machine's architectural state."""
+    and matches the golden machine's architectural state, on either
+    fetch engine."""
     program = generate_program(profile)
 
     def build():
@@ -221,6 +328,7 @@ def test_ooo_whole_segmented_and_pickled_identical(
             make_predictor(predictor_name),
             config=config,
             estimators=_estimators(with_estimators),
+            fast=fast,
             window=64,
             issue_width=4,
             commit_width=4,
