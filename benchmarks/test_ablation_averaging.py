@@ -14,7 +14,7 @@ from repro.metrics import average_quadrants, metric_means
 
 
 def test_ablation_averaging_method(benchmark, results_dir):
-    result = benchmark.pedantic(
+    benchmark.pedantic(
         lambda: run_experiment("tab2", BENCH_SCALE), rounds=1, iterations=1
     )
     lines = ["predictor  estimator  metric     paper-style  naive-mean  |delta|"]

@@ -2,11 +2,11 @@
 
 The trace-driven experiments (Tables 2-4, Figures 3-5) only need the
 committed conditional-branch stream, which is independent of any
-predictor.  :func:`trace_branches` produces it with a specialised
-interpreter loop that works directly on register/memory state instead
-of going through :meth:`repro.isa.machine.Machine.step`; it is several
-times faster, which matters because the experiment harness replays
-every workload under many predictor/estimator configurations.
+predictor.  :func:`trace_branches` produces it by stepping the
+:class:`~repro.pipeline.decode.DecodedProgram` the pipeline fast path
+runs, so no opcode category is dispatched per executed instruction;
+that matters because the experiment harness replays every workload
+under many predictor/estimator configurations.
 
 Equivalence with the golden :class:`~repro.isa.Machine` semantics is
 enforced by an integration test over every workload profile.
@@ -18,15 +18,17 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..isa import Program
-from ..isa.instructions import (
-    LINK_REG,
-    WORD_MASK,
-    OpCategory,
-    Opcode,
-    branch_taken,
-    evaluate_alu,
-)
+from ..isa.instructions import LINK_REG, WORD_MASK
 from ..isa.machine import MachineFault
+from ..pipeline.decode import (
+    K_BRANCH,
+    K_JAL,
+    K_JR,
+    K_JUMP,
+    K_LOAD,
+    K_STORE,
+    decode_program,
+)
 from ..workloads.trace import BranchTrace
 
 
@@ -50,8 +52,16 @@ def trace_branches(
     max_branches: Optional[int] = None,
 ) -> "TracedRun":
     """Execute ``program`` to completion; record its branch stream."""
-    instructions = program.instructions
-    code_length = len(instructions)
+    decoded = decode_program(program)
+    kinds = decoded.kinds
+    run_len = decoded.run_len
+    plain_ops = decoded.plain_ops
+    branch_ops = decoded.branch_ops
+    rds = decoded.rd
+    rs1s = decoded.rs1
+    rs2s = decoded.rs2
+    imms = decoded.imm
+    code_length = decoded.length
     regs = [0] * 32
     memory: Dict[int, int] = dict(program.data)
     pc = program.entry
@@ -60,17 +70,6 @@ def trace_branches(
     push_pc = trace.pcs.append
     push_outcome = trace.outcomes.append
 
-    alu_rrr = OpCategory.ALU_RRR
-    alu_rri = OpCategory.ALU_RRI
-    lui = OpCategory.LUI
-    load = OpCategory.LOAD
-    store = OpCategory.STORE
-    branch = OpCategory.BRANCH
-    jump = OpCategory.JUMP
-    jump_register = OpCategory.JUMP_REGISTER
-    jal = Opcode.JAL
-    halt = Opcode.HALT
-
     steps = 0
     branches = 0
     taken_branches = 0
@@ -78,54 +77,52 @@ def trace_branches(
     while steps < max_steps:
         if pc < 0 or pc >= code_length:
             raise MachineFault(f"fetch outside program at pc={pc}")
-        inst = instructions[pc]
-        opcode = inst.opcode
-        category = opcode.category
+        run = run_len[pc]
+        if run:
+            # straight-line plain run, cut short at max_steps
+            if run > max_steps - steps:
+                run = max_steps - steps
+            end = pc + run
+            index = pc
+            while index < end:
+                op = plain_ops[index]
+                if op is not None:
+                    op(regs)
+                index += 1
+            steps += run
+            pc = end
+            continue
         steps += 1
-        if category is alu_rri:
-            if inst.rd:
-                regs[inst.rd] = evaluate_alu(
-                    opcode, regs[inst.rs1], inst.imm & WORD_MASK
-                )
-            pc += 1
-        elif category is branch:
-            taken = branch_taken(opcode, regs[inst.rs1], regs[inst.rs2])
+        kind = kinds[pc]
+        if kind == K_BRANCH:
+            taken = branch_ops[pc](regs)
             push_pc(pc)
             push_outcome(1 if taken else 0)
             branches += 1
             if taken:
                 taken_branches += 1
-                pc = inst.imm
+                pc = imms[pc]
             else:
                 pc += 1
             if max_branches is not None and branches >= max_branches:
                 break
-        elif category is alu_rrr:
-            if inst.rd:
-                regs[inst.rd] = evaluate_alu(opcode, regs[inst.rs1], regs[inst.rs2])
+        elif kind == K_LOAD:
+            if rds[pc]:
+                regs[rds[pc]] = memory.get((regs[rs1s[pc]] + imms[pc]) & WORD_MASK, 0)
             pc += 1
-        elif category is load:
-            if inst.rd:
-                regs[inst.rd] = memory.get((regs[inst.rs1] + inst.imm) & WORD_MASK, 0)
+        elif kind == K_STORE:
+            memory[(regs[rs1s[pc]] + imms[pc]) & WORD_MASK] = regs[rs2s[pc]]
             pc += 1
-        elif category is store:
-            memory[(regs[inst.rs1] + inst.imm) & WORD_MASK] = regs[inst.rs2]
-            pc += 1
-        elif category is jump:
-            if opcode is jal:
-                regs[LINK_REG] = pc + 1
-            pc = inst.imm
-        elif category is jump_register:
-            pc = regs[inst.rs1]
-        elif category is lui:
-            if inst.rd:
-                regs[inst.rd] = (inst.imm << 16) & WORD_MASK
-            pc += 1
-        else:  # SYSTEM
-            if opcode is halt:
-                halted = True
-                break
-            pc += 1
+        elif kind == K_JUMP:
+            pc = imms[pc]
+        elif kind == K_JAL:
+            regs[LINK_REG] = pc + 1
+            pc = imms[pc]
+        elif kind == K_JR:
+            pc = regs[rs1s[pc]]
+        else:  # K_HALT
+            halted = True
+            break
 
     stats = TraceRunStats(
         instructions=steps,

@@ -40,7 +40,7 @@ one predictor scan total.
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple
+from typing import Optional
 
 try:  # pragma: no cover - numpy presence is environment-dependent
     import numpy as np

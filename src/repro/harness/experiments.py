@@ -1191,7 +1191,6 @@ def experiment_boosting(scale: Scale = FULL) -> ExperimentResult:
         label = f"{estimator_kind}@{predictor_name}"
         # each analysis consumes fresh state
         workload_curves = []
-        accumulated = None
         for workload in scale.workloads:
             trace = _bank_trace(workload, scale.iterations)
             predictor = make_predictor(predictor_name)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from .instructions import Instruction
+from .instructions import WORD_MASK, Instruction
 
 
 @dataclass
@@ -31,6 +31,13 @@ class Program:
             raise ValueError("a program must contain at least one instruction")
         if not 0 <= self.entry < len(self.instructions):
             raise ValueError(f"entry point {self.entry} outside program")
+        # registers hold masked 32-bit values (the pre-decoded closures
+        # rely on it), and loads copy data words into registers unmasked
+        for address, value in self.data.items():
+            if not 0 <= value <= WORD_MASK:
+                raise ValueError(
+                    f"data word {value} at address {address} is not a 32-bit value"
+                )
 
     def __len__(self) -> int:
         return len(self.instructions)

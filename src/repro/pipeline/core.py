@@ -75,7 +75,6 @@ from .caches import Cache
 from .config import PipelineConfig
 from .decode import (
     K_BRANCH,
-    K_HALT,
     K_JAL,
     K_JR,
     K_JUMP,

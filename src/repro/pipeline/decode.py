@@ -1,4 +1,4 @@
-"""Pre-decoded program layout for the pipeline fast path.
+"""Pre-decoded program layout for the pipeline fast path and the tracer.
 
 The pipeline's per-instruction loop pays, for every fetched
 instruction, an :class:`~repro.isa.instructions.Instruction` attribute
@@ -21,6 +21,11 @@ depends on anything but the program text, so this module performs it
   category dispatch and the ``evaluate_alu``/``branch_taken`` if-chains
   from the hot loop.
 
+Two loops step this layout: the pipeline's fast fetch
+(:mod:`repro.pipeline.core`) and the functional tracer
+(:func:`repro.engine.tracer.trace_branches`), which decodes each
+program in-process.
+
 The packed arrays are picklable and cached as a first-class artifact
 kind (``program-decoded``), keyed like the ``trace`` artifact, so the
 DAG scheduler warms one per workload and every pipeline consumer
@@ -30,10 +35,14 @@ convention).
 
 Executing a plain closure is **exactly** ``Machine.step`` minus the
 bookkeeping the caller batches (``pc`` advance and
-``instructions_retired``): register values are always 32-bit-masked,
-so the specialised bodies produce bit-identical results to
-``evaluate_alu``/``branch_taken`` -- the fast/slow byte-identity tests
-and CI report gates check this end to end.
+``instructions_retired``), provided every register holds a 32-bit
+masked value.  ALU results are masked, and loads copy data words that
+:class:`~repro.isa.program.Program` requires to lie in ``[0, 2**32)``
+(stores mask on the way in), so the invariant holds and the
+specialised bodies, which skip the operand masking, produce
+bit-identical results to ``evaluate_alu``/``branch_taken`` -- the
+fast/slow byte-identity tests, the tracer equivalence tests and the
+CI report gates check this end to end.
 """
 
 from __future__ import annotations

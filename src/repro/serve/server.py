@@ -51,7 +51,7 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Dict, List, Optional, Set
 

@@ -5,7 +5,6 @@ event, SIGINT delivered to a real ``repro run-all`` process, and
 import io
 import json
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path

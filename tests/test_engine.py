@@ -10,7 +10,7 @@ from repro.engine import (
     workload_run,
 )
 from repro.confidence import JRSEstimator, SaturatingCountersEstimator
-from repro.isa import Machine, assemble
+from repro.isa import Machine, MachineFault, Opcode, assemble
 from repro.predictors import GsharePredictor
 from repro.workloads import SUITE, generate_program, get_profile
 
@@ -50,10 +50,34 @@ class TestTracerGoldenEquivalence:
 
     def test_fault_propagates(self):
         program = assemble("li r5, 999\njr r5\nhalt")
-        from repro.isa import MachineFault
 
         with pytest.raises(MachineFault):
             trace_branches(program)
+
+    def test_plain_run_off_the_end_faults_like_machine(self):
+        program = assemble("addi r1, r0, 1\naddi r2, r1, 2")
+        message = r"^fetch outside program at pc=2$"
+        with pytest.raises(MachineFault, match=message):
+            Machine(program).run()
+        with pytest.raises(MachineFault, match=message):
+            trace_branches(program)
+
+    def test_category_evaluated_at_most_once_per_static_instruction(
+        self, compress_program, monkeypatch
+    ):
+        """The opcode category is a decode-time fact, never per step."""
+        category = vars(Opcode)["category"]
+        evaluations = 0
+
+        def counted(opcode):
+            nonlocal evaluations
+            evaluations += 1
+            return category.fget(opcode)
+
+        monkeypatch.setattr(Opcode, "category", property(counted))
+        traced = trace_branches(compress_program)
+        assert traced.stats.halted
+        assert evaluations <= len(compress_program.instructions)
 
 
 class TestMeasure:

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.isa import Machine, MachineFault, assemble
+from repro.engine import trace_branches
+from repro.isa import Machine, MachineFault, Program, assemble
+from repro.pipeline import PipelineSimulator
+from repro.predictors import GsharePredictor
 
 
 def run_to_halt(source: str) -> Machine:
@@ -180,3 +183,45 @@ class TestSpeculationSupport:
         machine.step()
         machine.restore(snap)
         assert machine.instructions_retired == 0
+
+
+class TestProgramImage:
+    SOURCE = """
+        lw r1, 0(r0)
+        addi r2, r0, -1
+        beq r1, r2, yes
+        addi r3, r0, 1
+        yes: halt
+    """
+
+    def _program(self, data):
+        code = assemble(self.SOURCE)
+        return Program(instructions=code.instructions, data=data, labels=code.labels)
+
+    @pytest.mark.parametrize("value", [-1, 1 << 32])
+    def test_data_word_outside_32_bits_rejected(self, value):
+        with pytest.raises(ValueError, match="not a 32-bit value"):
+            self._program({0: value})
+
+    def test_all_ones_data_word_agrees_on_every_engine(self):
+        """The masked form of -1 loads as 0xFFFFFFFF everywhere, so the
+        Machine, the tracer and both pipeline fetch engines take the
+        branch."""
+        program = self._program({0: 0xFFFFFFFF})
+        machine = Machine(program)
+        golden = []
+        while not machine.halted:
+            result = machine.step()
+            if result.taken is not None:
+                golden.append((result.pc, result.taken))
+        assert golden == [(2, True)]
+        assert machine.regs[3] == 0
+        assert list(trace_branches(program).trace) == golden
+        for fast in (True, False):
+            simulator = PipelineSimulator(program, GsharePredictor(), fast=fast)
+            committed = [
+                (record.pc, record.actual_taken)
+                for record in simulator.run().committed_records()
+            ]
+            assert committed == golden
+            assert simulator.machine.regs == machine.regs

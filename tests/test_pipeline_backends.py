@@ -40,7 +40,6 @@ from repro.pipeline import (
     DEFAULT_BACKEND,
     DEPTH_HISTOGRAM_KEY,
     OutOfOrderSimulator,
-    PipelineConfig,
     PipelineSimulator,
     backend_uses_decoded,
     create_simulator,

@@ -119,6 +119,58 @@ def test_tracer_equals_machine_on_random_programs(profile):
     assert traced.stats.instructions == machine.instructions_retired
 
 
+def _golden_branches(program):
+    """The Machine's ``(pc, taken, steps so far)`` per branch, and its
+    total step count (the last step is the halt)."""
+    machine = Machine(program)
+    golden = []
+    while not machine.halted:
+        result = machine.step()
+        if result.taken is not None:
+            golden.append((result.pc, result.taken, machine.instructions_retired))
+    return golden, machine.instructions_retired
+
+
+@settings(max_examples=25, deadline=None)
+@given(workload_profiles(), st.data())
+def test_tracer_max_steps_cutoff_matches_machine(profile, data):
+    """A ``max_steps`` cut-off, inside a plain run or anywhere else,
+    stops the tracer exactly where the Machine would be after that
+    many steps."""
+    program = generate_program(profile)
+    golden, total = _golden_branches(program)
+    max_steps = data.draw(st.integers(min_value=0, max_value=total + 3))
+    traced = trace_branches(program, max_steps=max_steps)
+    expected = [(pc, taken) for pc, taken, steps in golden if steps <= max_steps]
+    assert list(traced.trace) == expected
+    assert traced.stats.instructions == min(max_steps, total)
+    assert traced.stats.branches == len(expected)
+    assert traced.stats.taken_branches == sum(taken for __, taken in expected)
+    assert traced.stats.halted == (max_steps >= total)
+
+
+@settings(max_examples=25, deadline=None)
+@given(workload_profiles(), st.data())
+def test_tracer_max_branches_cutoff_matches_machine(profile, data):
+    """A ``max_branches`` cut-off stops the tracer right after that
+    branch, with the Machine's step count at that point."""
+    program = generate_program(profile)
+    golden, total = _golden_branches(program)
+    max_branches = data.draw(st.integers(min_value=1, max_value=len(golden) + 3))
+    traced = trace_branches(program, max_branches=max_branches)
+    kept = golden[:max_branches]
+    expected = [(pc, taken) for pc, taken, __ in kept]
+    assert list(traced.trace) == expected
+    assert traced.stats.branches == len(expected)
+    assert traced.stats.taken_branches == sum(taken for __, taken in expected)
+    if max_branches <= len(golden):
+        assert traced.stats.instructions == kept[-1][2]
+        assert not traced.stats.halted
+    else:
+        assert traced.stats.instructions == total
+        assert traced.stats.halted
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     workload_profiles(),

@@ -52,7 +52,6 @@ class TestGshare:
         rng = random.Random(3)
         correct = 0
         total = 0
-        previous = True
         for round_number in range(600):
             lead = rng.random() < 0.5
             prediction = predictor.predict(100)
