@@ -19,14 +19,11 @@ Usage examples::
     repro cache info                   # artifact-cache contents
     repro workload gcc --iterations 50 # inspect a synthetic workload
     repro trace gcc out.rbt.gz         # dump a branch trace file
-    repro serve --port 7950 --workers 4   # streaming estimator server
-    repro load --port 7950 --clients 8 --verify  # replay traces at it
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import contextlib
 import json
 import os
@@ -50,7 +47,6 @@ from .engine import (
 from .engine import cache as artifact_cache
 from .engine import trace_branches, workload_program, workload_run
 from .harness import (
-    EXPERIMENTS,
     SCALES,
     SPECS,
     SPECULATION_BATTERY,
@@ -837,68 +833,6 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _csv(value: Optional[str]) -> tuple:
-    return tuple(part for part in (value or "").split(",") if part)
-
-
-def _command_serve(args: argparse.Namespace) -> int:
-    """Run the streaming estimator server until SIGINT/SIGTERM."""
-    from .serve import ServeConfig, run_server
-
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        workers=max(1, args.workers),
-        credits=max(1, args.credits),
-        snapshot_every=max(1, args.snapshot_every),
-        window=args.window,
-        gate_threshold=args.gate_threshold,
-        heartbeat_s=args.heartbeat,
-        heartbeat_timeout_s=args.heartbeat_timeout,
-        max_restarts=args.max_restarts,
-        restart_backoff_s=args.restart_backoff,
-        session_queue_limit=max(1, args.session_queue_limit),
-        idle_timeout_s=args.idle_timeout,
-    )
-    journal = _open_journal(args)
-    try:
-        asyncio.run(run_server(config, journal))
-    finally:
-        if journal is not None:
-            journal.close()
-    return 0
-
-
-def _command_load(args: argparse.Namespace) -> int:
-    """Replay workload traces as concurrent sessions; print a report."""
-    from .serve import LoadConfig, run_load
-
-    config = LoadConfig(
-        host=args.host,
-        port=args.port,
-        clients=max(1, args.clients),
-        sessions=max(1, args.sessions),
-        rate=args.rate,
-        batch=max(1, args.batch),
-        workloads=_csv(args.workloads),
-        predictor=args.predictor,
-        estimators=_csv(args.estimators),
-        iterations=args.iterations,
-        window=args.window,
-        verify=args.verify,
-        retries=args.retries,
-        timeout_s=args.timeout,
-    )
-    journal = _open_journal(args)
-    try:
-        report = asyncio.run(run_load(config, journal))
-    finally:
-        if journal is not None:
-            journal.close()
-    print(report.render())
-    return 1 if report.failed or report.mismatches else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -920,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one experiment (or the whole battery if omitted)"
     )
     run_parser.add_argument(
-        "experiment", nargs="?", default=None, choices=sorted(EXPERIMENTS)
+        "experiment", nargs="?", default=None, choices=sorted(SPECS)
     )
     run_parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
@@ -1022,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one experiment under cProfile"
         " (optionally with a hot-branch census)",
     )
-    profile_parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    profile_parser.add_argument("experiment", choices=sorted(SPECS))
     _add_scale_arguments(profile_parser)
     profile_parser.add_argument(
         "--sort", choices=SORT_KEYS, default="cumulative",
@@ -1072,158 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("output")
     trace_parser.add_argument("--iterations", type=int, default=None)
 
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="run the streaming confidence-estimation server"
-        " (length-prefixed JSONL sessions over TCP)",
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP port (default 0: pick a free port and print it)",
-    )
-    serve_parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="supervised estimator worker processes (default 2)",
-    )
-    serve_parser.add_argument(
-        "--credits",
-        type=int,
-        default=8,
-        help="flow-control credits: batches a client may have in flight",
-    )
-    serve_parser.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=4,
-        help="batches a worker applies between session snapshots",
-    )
-    serve_parser.add_argument(
-        "--window",
-        type=int,
-        default=256,
-        help="default metrics window in branches (hello may override)",
-    )
-    serve_parser.add_argument(
-        "--gate-threshold",
-        type=float,
-        default=0.25,
-        help="low-confidence fraction at which a window's gating"
-        " decision flips (hello may override)",
-    )
-    serve_parser.add_argument(
-        "--heartbeat",
-        type=float,
-        default=1.0,
-        help="worker heartbeat cadence in seconds",
-    )
-    serve_parser.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=15.0,
-        help="unanswered-heartbeat deadline before a worker is recycled",
-    )
-    serve_parser.add_argument(
-        "--max-restarts",
-        type=int,
-        default=3,
-        help="restarts per worker slot before degrading to in-process"
-        " serial serving",
-    )
-    serve_parser.add_argument(
-        "--restart-backoff",
-        type=float,
-        default=0.05,
-        help="base seconds of the deterministic exponential restart"
-        " backoff",
-    )
-    serve_parser.add_argument(
-        "--session-queue-limit",
-        type=int,
-        default=64,
-        help="outbound frames buffered per session before the client"
-        " is shed",
-    )
-    serve_parser.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=None,
-        help="per-session deadline (seconds) for the next client frame",
-    )
-    serve_parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="write server/session events as a JSONL run journal",
-    )
-
-    load_parser = subparsers.add_parser(
-        "load",
-        help="replay workload traces as concurrent streaming sessions"
-        " against a running server",
-    )
-    load_parser.add_argument("--host", default="127.0.0.1")
-    load_parser.add_argument("--port", type=int, required=True)
-    load_parser.add_argument(
-        "--clients", type=int, default=4, help="concurrent client tasks"
-    )
-    load_parser.add_argument(
-        "--sessions", type=int, default=8, help="total sessions to stream"
-    )
-    load_parser.add_argument(
-        "--rate",
-        type=float,
-        default=0.0,
-        help="batches/s per session (0: as fast as credits allow)",
-    )
-    load_parser.add_argument(
-        "--batch", type=int, default=512, help="branches per batch"
-    )
-    load_parser.add_argument(
-        "--workloads",
-        default=None,
-        help="comma-separated workloads (default: whole suite round-robin)",
-    )
-    load_parser.add_argument("--predictor", default="gshare")
-    load_parser.add_argument(
-        "--estimators",
-        default=None,
-        help="comma-separated estimator families (default: all bank"
-        " families)",
-    )
-    load_parser.add_argument("--iterations", type=int, default=None)
-    load_parser.add_argument(
-        "--window", type=int, default=256, help="metrics window in branches"
-    )
-    load_parser.add_argument(
-        "--verify",
-        action="store_true",
-        help="recompute each cell with batch measure_bank and require the"
-        " streamed result to be exactly equal",
-    )
-    load_parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="reconnect budget per session (fresh id, replay from start)",
-    )
-    load_parser.add_argument(
-        "--timeout",
-        type=float,
-        default=120.0,
-        help="per-session-attempt deadline in seconds",
-    )
-    load_parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="journal the load report as a server_load_report event",
-    )
-
     return parser
 
 
@@ -1239,8 +1021,6 @@ _COMMANDS = {
     "journal": _command_journal,
     "workload": _command_workload,
     "trace": _command_trace,
-    "serve": _command_serve,
-    "load": _command_load,
 }
 
 

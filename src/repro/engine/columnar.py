@@ -24,10 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Optional, Tuple
 
-try:  # numpy is a core dependency, but degrade loudly, not at import
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 #: Slots that survive pickling (the two trailing memo dicts do not).
 _STATE_SLOTS = ("name", "pcs", "taken", "targets", "sites", "site_index")
@@ -88,8 +85,6 @@ def lower_trace(trace, program=None, name: Optional[str] = None) -> ColumnarTrac
     trace is copied -- mutating it afterwards cannot corrupt the
     columns.
     """
-    if np is None:  # pragma: no cover - exercised only without numpy
-        raise RuntimeError("numpy is required to lower traces to columns")
     pcs = np.asarray(trace.pcs, dtype=np.int64)
     taken = np.frombuffer(bytes(trace.outcomes), dtype=np.uint8).astype(bool)
     if pcs.shape[0] != taken.shape[0]:
@@ -123,8 +118,6 @@ def columnar_run(name: str, iterations: Optional[int] = None) -> ColumnarTrace:
     kernel memos) and persisted in the artifact cache as kind
     ``trace-columnar``, keyed like the ``trace`` artifact it lowers.
     """
-    if np is None:  # pragma: no cover - exercised only without numpy
-        raise RuntimeError("numpy is required for columnar traces")
     # imported here: corpus -> measure -> vector -> columnar at package
     # init time, so a module-level import would be circular
     from .cache import get_cache

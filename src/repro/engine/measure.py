@@ -25,6 +25,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from ..confidence.base import ConfidenceEstimator
 from ..metrics.quadrant import QuadrantCounts
 from ..obs.registry import REGISTRY
@@ -39,11 +41,6 @@ from .vector import (
     supports_predictor,
     vector_enabled,
 )
-
-try:  # pragma: no cover - numpy presence is environment-dependent
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
 
 #: Registry metric names every *measurement replay* reports into.
 #: ``sim.branches`` counts branches actually re-measured this process

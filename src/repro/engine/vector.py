@@ -42,10 +42,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-try:  # pragma: no cover - numpy presence is environment-dependent
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 from ..predictors.gshare import GsharePredictor
 from ..predictors.mcfarling import McFarlingPredictor
@@ -64,8 +61,6 @@ class UnsupportedVectorization(Exception):
 
 def vector_enabled() -> bool:
     """True when the numpy vector engine may be used."""
-    if np is None:
-        return False
     return os.environ.get(VECTOR_ENV, "").strip().lower() not in _DISABLED_VALUES
 
 

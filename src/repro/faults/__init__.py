@@ -11,7 +11,6 @@ See ``docs/robustness.md``.
 from .injector import (
     CORRUPTION_BYTES,
     FAULTS_ENV,
-    LEGACY_CRASH_ENV,
     STATE_ENV,
     FaultRegistry,
     InjectedCrash,
@@ -35,7 +34,6 @@ from .spec import (
 __all__ = [
     "CORRUPTION_BYTES",
     "FAULTS_ENV",
-    "LEGACY_CRASH_ENV",
     "STATE_ENV",
     "FaultRegistry",
     "InjectedCrash",

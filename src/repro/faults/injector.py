@@ -9,14 +9,7 @@ sites woven into the production code paths:
   longer than any sane task timeout and ``slow`` adds bounded latency;
 * the **cache** site, hit after every artifact-cache store
   (:mod:`repro.engine.cache`), where ``corrupt`` garbles the freshly
-  written entry so the next load exercises the corrupt-artifact path;
-* the **server** sites (:mod:`repro.serve`), selected by ``server=``:
-  ``worker`` is evaluated per applied batch inside estimator-server
-  worker processes (``crash`` kills the process, ``hang`` stalls it
-  past the heartbeat deadline), ``connection`` per inbound client
-  frame in the front-end (``crash`` drops the connection, ``slow``
-  delays it), and ``frame`` garbles inbound frame payloads before
-  decoding (``corrupt``), exercising the protocol-error path.
+  written entry so the next load exercises the corrupt-artifact path.
 
 Determinism is the design constraint: firing decisions depend only on
 the spec string, the spec's position, and a monotonically claimed
@@ -47,10 +40,6 @@ from .spec import FaultSpec, parse_specs
 
 FAULTS_ENV = "REPRO_FAULTS"
 STATE_ENV = "REPRO_FAULTS_STATE"
-#: Legacy hook (PR 2): comma-separated experiment ids whose workers
-#: crash.  Subsumed by ``REPRO_FAULTS=crash:experiment=<id>`` but still
-#: honoured.
-LEGACY_CRASH_ENV = "REPRO_CRASH_EXPERIMENTS"
 
 #: Bytes written over a cache entry by a fired ``corrupt`` fault; not a
 #: valid pickle, so the next load takes the corruption path.
@@ -168,47 +157,6 @@ class FaultRegistry:
             # hang / slow
             self._sleep(spec.seconds)
 
-    def on_server(self, site_name: str) -> None:
-        """A server site (``worker``/``connection``): raise or sleep.
-
-        Mirrors :meth:`on_experiment` for ``server=`` specs.  Callers
-        decide what an :class:`InjectedCrash` means at their site (the
-        worker loop turns it into process death, the front-end into a
-        dropped connection); ``corrupt`` server specs never fire here
-        -- they go through :meth:`corrupt_server_frame`.
-        """
-        for spec in self.specs:
-            if spec.site != "server" or spec.kind == "corrupt":
-                continue
-            if not fnmatch.fnmatchcase(site_name, spec.server):
-                continue
-            if not self._fires(spec):
-                continue
-            self._record(spec, site_name)
-            if spec.kind in ("crash", "flaky"):
-                error = InjectedCrash(
-                    f"injected {spec.kind} fault at server site"
-                    f" {site_name!r} ({spec.describe()})"
-                )
-                error.kind = spec.kind
-                error.spec = spec
-                raise error
-            # hang / slow
-            self._sleep(spec.seconds)
-
-    def corrupt_server_frame(self, site_name: str, payload: bytes) -> bytes:
-        """The frame site: garble an inbound payload if a spec fires."""
-        for spec in self.specs:
-            if spec.site != "server" or spec.kind != "corrupt":
-                continue
-            if not fnmatch.fnmatchcase(site_name, spec.server):
-                continue
-            if not self._fires(spec):
-                continue
-            self._record(spec, site_name)
-            payload = CORRUPTION_BYTES
-        return payload
-
     def on_cache_store(self, artifact_kind: str, path: os.PathLike) -> bool:
         """The cache site: garble the stored entry if a corrupt spec fires."""
         corrupted = False
@@ -237,15 +185,8 @@ _ACTIVE: Optional[FaultRegistry] = None
 
 
 def specs_from_env() -> List[FaultSpec]:
-    """Parse ``REPRO_FAULTS`` plus the legacy crash hook."""
-    specs = parse_specs(os.environ.get(FAULTS_ENV, ""))
-    legacy = os.environ.get(LEGACY_CRASH_ENV, "")
-    for experiment_id in (part.strip() for part in legacy.split(",")):
-        if experiment_id:
-            specs.append(
-                FaultSpec(kind="crash", index=len(specs), experiment=experiment_id)
-            )
-    return specs
+    """Parse ``REPRO_FAULTS``."""
+    return parse_specs(os.environ.get(FAULTS_ENV, ""))
 
 
 def active_faults() -> FaultRegistry:
@@ -266,10 +207,7 @@ def reset_active_faults() -> None:
 
 def faults_configured() -> bool:
     """Is any fault spec present in the environment?"""
-    return bool(
-        os.environ.get(FAULTS_ENV, "").strip()
-        or os.environ.get(LEGACY_CRASH_ENV, "").strip()
-    )
+    return bool(os.environ.get(FAULTS_ENV, "").strip())
 
 
 def ensure_state_dir() -> Optional[str]:

@@ -15,10 +15,6 @@ Examples::
     slow:experiment=*:seconds=0.2          # every experiment is delayed
     corrupt:artifact=trace:times=2         # garble two trace cache entries
     crash:experiment=tab*:p=0.5:seed=7     # seeded coin-flip per match
-    crash:server=worker:p=0.1:seed=3       # estimator-server workers die
-    hang:server=worker:times=1             # one worker stalls (heartbeat)
-    crash:server=connection:times=2        # two client connections drop
-    corrupt:server=frame:p=0.05            # garble inbound frames
 
 Parameters (all optional):
 
@@ -28,15 +24,6 @@ Parameters (all optional):
 ``artifact=<glob>``
     Which artifact-cache *kinds* a ``corrupt`` fault garbles after a
     store (default ``*``).
-``server=<glob>``
-    Route the fault to a *serving* site instead (``repro serve``):
-    ``worker`` fires inside estimator-server worker processes (crash
-    kills the process, ``hang`` stalls it past the heartbeat deadline),
-    ``connection`` fires in the front-end per inbound frame (crash
-    drops the connection, ``slow`` delays it), and ``frame`` garbles
-    inbound frame payloads (``corrupt``).  Any kind may target a
-    server site; a spec with ``server=`` never fires at the
-    experiment or cache sites.
 ``seconds=<float>``
     Sleep duration for ``hang`` (default 3600) and ``slow``
     (default 0.5).
@@ -81,7 +68,6 @@ class FaultSpec:
     index: int
     experiment: str = "*"
     artifact: str = "*"
-    server: Optional[str] = None
     seconds: float = 0.0
     times: Optional[int] = None
     after: int = 0
@@ -91,14 +77,10 @@ class FaultSpec:
     @property
     def site(self) -> str:
         """The injection site this spec attaches to."""
-        if self.server is not None:
-            return "server"
         return "cache" if self.kind == "corrupt" else "experiment"
 
     def describe(self) -> str:
-        if self.server is not None:
-            selector = f"server={self.server}"
-        elif self.kind == "corrupt":
+        if self.kind == "corrupt":
             selector = f"artifact={self.artifact}"
         else:
             selector = f"experiment={self.experiment}"
@@ -153,7 +135,6 @@ def parse_spec(text: str, index: int) -> FaultSpec:
     known = {
         "experiment",
         "artifact",
-        "server",
         "seconds",
         "times",
         "after",
@@ -182,7 +163,6 @@ def parse_spec(text: str, index: int) -> FaultSpec:
         index=index,
         experiment=params.get("experiment", "*"),
         artifact=params.get("artifact", "*"),
-        server=params.get("server"),
         seconds=seconds,
         times=times,
         after=_parse_int("after", params["after"], text) if "after" in params else 0,

@@ -4,8 +4,7 @@ Every experiment is a plain function ``(scale) -> ExperimentResult``
 registered declaratively as an :class:`repro.harness.spec.ExperimentSpec`
 in the central :data:`repro.harness.spec.SPECS` registry, which carries
 its report section/order and its declared dependencies on shared
-artifacts.  ``EXPERIMENTS`` is a read-only ``id -> function`` view over
-that registry for legacy callers.
+artifacts.
 
 Heavy intermediate products (workload traces, pipeline branch records,
 static-estimator profiles, per-workload estimator-bank measurements)
@@ -66,7 +65,7 @@ from ..pipeline import DEPTH_HISTOGRAM_KEY, PipelineConfig, clear_decoded_cache
 from ..predictors import make_predictor
 from ..workloads import SUITE
 from . import paper_values
-from .spec import SPECS, ArtifactDep, ExperimentFunctions, ExperimentSpec
+from .spec import SPECS, ArtifactDep, ExperimentSpec
 from .tables import TextTable, pct, pct1
 
 #: Predictors compared throughout the paper's evaluation.
@@ -1441,10 +1440,6 @@ for _spec in (
     ),
 ):
     SPECS.register(_spec)
-
-#: Read-only ``id -> run function`` view over the registry, kept for
-#: callers that predate the spec refactor.
-EXPERIMENTS = ExperimentFunctions(SPECS)
 
 # Loading the speculation-control battery registers its specs in SPECS
 # (see the bottom of harness/speculation.py); the module imports the

@@ -46,8 +46,7 @@ every way a long sweep on real hardware fails:
 Every finished experiment is checkpointed through
 :mod:`repro.harness.checkpoint` as it completes, which is what
 ``repro run --resume`` replays.  Fault injection for all of the above
-lives in :mod:`repro.faults` (``REPRO_FAULTS``); the legacy
-``REPRO_CRASH_EXPERIMENTS`` hook is subsumed by it but still honoured.
+lives in :mod:`repro.faults` (``REPRO_FAULTS``).
 
 Workers ship back per-task deltas of the artifact-cache statistics and
 the metrics registry (:mod:`repro.obs.registry`); the parent folds both
@@ -77,7 +76,6 @@ from ..obs.registry import REGISTRY, MetricsSnapshot
 from ..pipeline import backend_uses_decoded, decoded_run, pipeline_fast_enabled
 from .checkpoint import store_checkpoint
 from .experiments import (
-    EXPERIMENTS,
     ExperimentResult,
     Scale,
     _pipeline_result,
@@ -95,10 +93,6 @@ Journal = Optional[object]  # RunJournal | NullJournal; kwarg convenience
 
 #: ``measurement_plan`` output: per-predictor estimator-family unions.
 MeasurementPlan = Tuple[Tuple[str, Tuple[str, ...]], ...]
-
-#: Legacy fault-injection hook, now an alias into :mod:`repro.faults`:
-#: a comma-separated list of experiment ids whose workers crash.
-CRASH_ENV = faults.LEGACY_CRASH_ENV
 
 # ----------------------------------------------------------------------
 # supervisor knobs
@@ -168,12 +162,12 @@ def classify_failure(error: BaseException) -> str:
     return "retryable"
 
 
-def _env_float(name: str, default: Optional[float]) -> Optional[float]:
+def _env_number(name: str, default, parse=float):
     raw = os.environ.get(name, "").strip()
     if not raw:
         return default
     try:
-        value = float(raw)
+        value = parse(raw)
     except ValueError:
         print(
             f"repro: ignoring unparseable {name}={raw!r}", file=sys.stderr
@@ -184,17 +178,18 @@ def _env_float(name: str, default: Optional[float]) -> Optional[float]:
 
 def task_timeout_from_env() -> Optional[float]:
     """``REPRO_TASK_TIMEOUT`` in seconds; unset, empty or <= 0 disables."""
-    value = _env_float(TIMEOUT_ENV, None)
+    value = _env_number(TIMEOUT_ENV, None)
     return value if value is not None and value > 0 else None
 
 
 def retries_from_env() -> int:
-    value = _env_float(RETRIES_ENV, float(DEFAULT_RETRIES))
-    return max(0, int(value))
+    """``REPRO_TASK_RETRIES``: an integer, so ``nan``/``inf``/``2.7`` are
+    unparseable and fall back to :data:`DEFAULT_RETRIES`."""
+    return max(0, _env_number(RETRIES_ENV, DEFAULT_RETRIES, int))
 
 
 def backoff_from_env() -> float:
-    value = _env_float(BACKOFF_ENV, DEFAULT_BACKOFF_S)
+    value = _env_number(BACKOFF_ENV, DEFAULT_BACKOFF_S)
     return max(0.0, value)
 
 
@@ -589,7 +584,8 @@ def _run_serially(
             )
             started = time.perf_counter()
             with REGISTRY.timed(f"experiment.{experiment_id}"):
-                result = EXPERIMENTS[experiment_id](scale)
+                # looked up per call: bench/layers.py rebinds spec.run
+                result = SPECS[experiment_id].run(scale)
             result.duration_s = time.perf_counter() - started
             results[experiment_id] = result
             store_checkpoint(experiment_id, scale, result)

@@ -40,7 +40,7 @@ from ..obs.journal import (
 )
 from ..obs.registry import REGISTRY
 from .checkpoint import load_checkpoint
-from .experiments import EXPERIMENTS, FULL, ExperimentResult, Scale
+from .experiments import FULL, ExperimentResult, Scale
 from .spec import SPECS, measurement_plan
 from .tables import TextTable
 
@@ -130,8 +130,8 @@ def run_all(
     ``REPRO_RETRY_BACKOFF``).
     """
     journal = coalesce(journal)
-    selected = list(only) if only is not None else list(EXPERIMENTS)
-    unknown = [experiment_id for experiment_id in selected if experiment_id not in EXPERIMENTS]
+    selected = list(only) if only is not None else list(SPECS)
+    unknown = [experiment_id for experiment_id in selected if experiment_id not in SPECS]
     if unknown:
         raise KeyError(f"unknown experiment ids: {', '.join(unknown)}")
     from .parallel import RunAborted, run_parallel

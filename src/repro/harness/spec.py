@@ -138,11 +138,10 @@ SECTIONS: Dict[str, str] = {
 class SpecRegistry(Mapping):
     """Ordered ``experiment id -> ExperimentSpec`` registry.
 
-    A mapping (so legacy ``EXPERIMENTS``-style callers keep working via
-    :class:`ExperimentFunctions`) with one extra rule: each id registers
-    exactly once.  A second registration raises a ``ValueError`` naming
-    both registrants, which turns the old silent-overwrite hazard into
-    a loud import-time failure.
+    A mapping with one extra rule: each id registers exactly once.  A
+    second registration raises a ``ValueError`` naming both registrants,
+    which turns the old silent-overwrite hazard into a loud import-time
+    failure.
     """
 
     def __init__(self) -> None:
@@ -193,27 +192,6 @@ class SpecRegistry(Mapping):
 
     def __len__(self) -> int:
         return len(self._specs)
-
-
-class ExperimentFunctions(Mapping):
-    """Read-only ``id -> run callable`` view over a :class:`SpecRegistry`.
-
-    The legacy ``EXPERIMENTS`` dict surface: iteration, membership,
-    ``[...]`` and ``.items()`` all work, but there is no ``update`` --
-    new experiments register an :class:`ExperimentSpec` instead.
-    """
-
-    def __init__(self, registry: SpecRegistry) -> None:
-        self._registry = registry
-
-    def __getitem__(self, experiment_id: str) -> Callable:
-        return self._registry[experiment_id].run
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._registry)
-
-    def __len__(self) -> int:
-        return len(self._registry)
 
 
 #: The process-wide spec registry.  ``experiments.py`` registers the

@@ -25,20 +25,6 @@ Event vocabulary (see ``docs/observability.md`` for the field tables):
 * ``run_aborted`` -- the run was interrupted (SIGINT/SIGTERM) after
   draining in-flight tasks; lists the experiments whose checkpoints
   are consistent, so ``--resume`` can continue from here;
-* ``server_started`` / ``server_stopped`` -- the streaming estimator
-  server's lifetime (:mod:`repro.serve`);
-* ``server_worker_restarted`` -- a serving worker died or stalled and
-  was recycled, with the failure-taxonomy classification;
-* ``server_degraded`` -- the worker pool was abandoned and serving
-  fell back to a single in-process serial worker;
-* ``server_load_report`` -- ``repro load``'s closing summary: batch
-  latency percentiles and session throughput;
-* ``session_opened`` / ``session_closed`` -- one client session's
-  lifetime on the estimator server;
-* ``session_recovered`` -- a session was restored from its snapshot
-  onto a recycled worker (``replayed`` = buffered batches re-sent);
-* ``session_shed`` -- a session was dropped (slow client, credit
-  violation, worker loss without a snapshot);
 * ``warning`` -- non-fatal configuration or scheduling problems (bad
   ``REPRO_JOBS``, pool-level fallback, cache store/read errors,
   corrupt artifacts);
@@ -101,26 +87,6 @@ EVENT_TYPES: Dict[str, Dict[str, Union[type, Tuple[type, ...]]]] = {
     "pool_recycled": {"reason": str},
     "run_resumed": {"journal": str, "skipped": list},
     "run_aborted": {"reason": str, "finished": list},
-    "server_started": {"port": int, "workers": int},
-    "server_stopped": {"sessions": int, "duration_s": _NUMBER},
-    "server_worker_restarted": {
-        "worker": int,
-        "reason": str,
-        "classification": str,
-        "restarts": int,
-    },
-    "server_degraded": {"reason": str},
-    "server_load_report": {
-        "clients": int,
-        "sessions": int,
-        "failed": int,
-        "latency_ms": dict,
-        "sessions_per_second": _NUMBER,
-    },
-    "session_opened": {"session": str, "worker": int},
-    "session_recovered": {"session": str, "worker": int, "replayed": int},
-    "session_shed": {"session": str, "reason": str},
-    "session_closed": {"session": str, "branches": int, "windows": int},
     "warning": {"message": str},
     "speculation_summary": {"experiment": str, "rows": list},
     "cache_stats": {
@@ -140,17 +106,14 @@ EVENT_TYPES: Dict[str, Dict[str, Union[type, Tuple[type, ...]]]] = {
 #: Events that must survive a SIGKILL immediately after being written:
 #: ``--resume`` replays ``run_finished``/``run_aborted`` ledgers, the
 #: chaos CI legs diff journals across kills, and a lost
-#: ``session_closed``/``experiment_failed`` tail would hide the very
-#: outcome the journal exists to record.  These lines are fsync'd;
-#: everything else is only flushed (per-event fsync would dominate the
-#: cost of small batteries).
+#: ``experiment_failed`` tail would hide the very outcome the journal
+#: exists to record.  These lines are fsync'd; everything else is only
+#: flushed (per-event fsync would dominate the cost of small batteries).
 TERMINAL_EVENTS = frozenset(
     {
         "run_finished",
         "run_aborted",
         "experiment_failed",
-        "session_closed",
-        "server_stopped",
     }
 )
 

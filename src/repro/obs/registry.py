@@ -1,8 +1,7 @@
 """Unified metrics registry: named counters, timers and histograms.
 
-One process-wide :data:`REGISTRY` replaces ad-hoc globals (the old
-``engine.counters.SIMULATION_COUNTERS`` facade has been removed;
-``repro.engine.measure.record_simulation`` reports straight into the
+One process-wide :data:`REGISTRY` replaces ad-hoc globals
+(``repro.engine.measure.record_simulation`` reports straight into the
 registry).  Three metric families cover everything the harness wants
 to account:
 

@@ -9,7 +9,6 @@ import pytest
 from repro.faults import (
     CORRUPTION_BYTES,
     FAULTS_ENV,
-    LEGACY_CRASH_ENV,
     STATE_ENV,
     FaultRegistry,
     FaultSpecError,
@@ -29,7 +28,6 @@ def clean_fault_env(monkeypatch):
     """No ambient fault configuration leaks into (or out of) a test."""
     monkeypatch.delenv(FAULTS_ENV, raising=False)
     monkeypatch.delenv(STATE_ENV, raising=False)
-    monkeypatch.delenv(LEGACY_CRASH_ENV, raising=False)
     reset_active_faults()
     yield
     reset_active_faults()
@@ -80,6 +78,7 @@ class TestSpecGrammar:
             "crash:times=many",  # not an integer
             "slow:seconds=-1",  # negative
             "crash:p=1.5",  # probability > 1
+            "crash:server=worker",  # server= selects no site
         ],
     )
     def test_rejects_malformed_specs(self, bad):
@@ -281,80 +280,11 @@ class TestGrammarEdgeCases:
         assert sorted(os.listdir(state)) == ["spec0.occ0", "spec0.occ1"]
 
 
-class TestServerSite:
-    def test_server_selector_parses_and_routes_site(self):
-        spec = parse_spec("crash:server=worker:times=2", index=0)
-        assert spec.site == "server"
-        assert spec.server == "worker"
-        assert spec.describe() == "crash[0]:server=worker:times=2"
-
-    def test_corrupt_with_server_selector_is_server_site(self):
-        assert parse_spec("corrupt:server=frame", index=0).site == "server"
-
-    def test_on_server_fires_matching_site_only(self):
-        registry = FaultRegistry(parse_specs("crash:server=worker"))
-        registry.on_server("connection")  # no match, never fires
-        with pytest.raises(InjectedCrash):
-            registry.on_server("worker")
-
-    def test_server_specs_never_fire_at_other_sites(self, tmp_path):
-        registry = FaultRegistry(
-            parse_specs("crash:server=worker,corrupt:server=frame")
-        )
-        registry.on_experiment("tab3")  # server spec: experiment site inert
-        path = tmp_path / "entry.pkl"
-        path.write_bytes(b"fresh")
-        assert not registry.on_cache_store("trace", path)
-        assert path.read_bytes() == b"fresh"
-
-    def test_experiment_specs_never_fire_at_server_sites(self):
-        registry = FaultRegistry(parse_specs("crash:experiment=*"))
-        registry.on_server("worker")
-        registry.on_server("connection")
-
-    def test_corrupt_server_frame_garbles_payload_within_budget(self):
-        registry = FaultRegistry(parse_specs("corrupt:server=frame:times=1"))
-        assert (
-            registry.corrupt_server_frame("frame", b"payload")
-            == CORRUPTION_BYTES
-        )
-        # budget exhausted: the next frame passes through untouched
-        assert registry.corrupt_server_frame("frame", b"payload") == b"payload"
-
-    def test_corrupt_server_spec_ignores_on_server(self):
-        """corrupt routes through the frame hook, never the raise/sleep
-        hook -- and crash never garbles frames."""
-        registry = FaultRegistry(
-            parse_specs("corrupt:server=frame,crash:server=worker")
-        )
-        registry.on_server("frame")  # corrupt spec: inert here
-        assert registry.corrupt_server_frame("worker", b"x") == b"x"
-
-    def test_server_hang_sleeps_its_seconds(self):
-        naps = []
-        registry = FaultRegistry(
-            parse_specs("hang:server=worker:seconds=7:times=1"),
-            sleep=naps.append,
-        )
-        registry.on_server("worker")
-        assert naps == [7.0]
-        registry.on_server("worker")  # consumed
-        assert naps == [7.0]
-
-
 class TestEnvironmentWiring:
     def test_specs_from_env_parses_faults(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "flaky:experiment=tab3,slow:seconds=0.1")
         specs = specs_from_env()
         assert [s.kind for s in specs] == ["flaky", "slow"]
-
-    def test_legacy_crash_env_maps_to_crash_specs(self, monkeypatch):
-        monkeypatch.setenv(LEGACY_CRASH_ENV, "tab3, fig6")
-        specs = specs_from_env()
-        assert [(s.kind, s.experiment) for s in specs] == [
-            ("crash", "tab3"),
-            ("crash", "fig6"),
-        ]
         assert faults_configured()
 
     def test_active_registry_caches_until_reset(self, monkeypatch):

@@ -3,7 +3,7 @@ scale, and the paper's qualitative shapes hold."""
 
 import pytest
 
-from repro.harness import EXPERIMENTS, Scale, run_all, run_experiment
+from repro.harness import SPECS, Scale, run_all, run_experiment
 from repro.harness.runner import render_report
 from repro.harness.tables import TextTable, pct
 
@@ -22,7 +22,7 @@ def results():
 
 class TestBattery:
     def test_all_experiments_present(self, results):
-        assert set(results) == set(EXPERIMENTS)
+        assert set(results) == set(SPECS)
 
     def test_every_experiment_renders(self, results):
         for result in results.values():

@@ -5,16 +5,17 @@ import pytest
 
 from repro.engine import cache as artifact_cache
 from repro.engine import clear_cache
+from repro.faults import FAULTS_ENV, STATE_ENV, reset_active_faults
 from repro.harness import (
-    EXPERIMENTS,
     SMOKE,
+    SPECS,
     Scale,
     clear_memoised,
     plan_warm_tasks,
     render_report,
     run_all,
 )
-from repro.harness.parallel import CRASH_ENV, default_jobs
+from repro.harness.parallel import default_jobs
 from repro.obs.journal import RunJournal, read_journal
 
 
@@ -34,7 +35,7 @@ def isolated_cache(tmp_path):
 
 class TestWarmPlan:
     def test_trace_tasks_cover_workloads(self):
-        trace_tasks, __ = plan_warm_tasks(list(EXPERIMENTS), SMOKE)
+        trace_tasks, __ = plan_warm_tasks(list(SPECS), SMOKE)
         workloads = {args[0] for kind, args in trace_tasks}
         assert workloads == set(SMOKE.workloads)
 
@@ -53,7 +54,7 @@ class TestWarmPlan:
         assert trace_tasks == [] and heavy == []
 
     def test_no_duplicate_tasks(self):
-        trace_tasks, heavy = plan_warm_tasks(list(EXPERIMENTS), SMOKE)
+        trace_tasks, heavy = plan_warm_tasks(list(SPECS), SMOKE)
         assert len(trace_tasks) == len(set(trace_tasks))
         assert len(heavy) == len(set(heavy))
 
@@ -123,9 +124,7 @@ class TestPerExperimentFallback:
     SELECTION = ["fig1", "tab3", "fig3"]
 
     def _run_with_crash(self, tmp_path, monkeypatch, crash="tab3"):
-        from repro.faults import STATE_ENV, reset_active_faults
-
-        monkeypatch.setenv(CRASH_ENV, crash)
+        monkeypatch.setenv(FAULTS_ENV, f"crash:experiment={crash}")
         monkeypatch.setenv(STATE_ENV, str(tmp_path / "fault-state"))
         reset_active_faults()
         path = tmp_path / "crash.jsonl"
@@ -177,7 +176,7 @@ class TestPerExperimentFallback:
         self, isolated_cache, tmp_path, monkeypatch
     ):
         results, __ = self._run_with_crash(tmp_path, monkeypatch)
-        monkeypatch.delenv(CRASH_ENV, raising=False)
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
         clear_memoised()
         clean = run_all(SMOKE, only=["tab3"], jobs=1)
         assert results["tab3"].to_text() == clean["tab3"].to_text()

@@ -2,8 +2,7 @@
 
 The declarative layer's guarantees, each pinned by a test:
 
-* the registry holds the whole battery, refuses duplicate ids, and the
-  legacy ``EXPERIMENTS`` surface is a read-only view over it;
+* the registry holds the whole battery and refuses duplicate ids;
 * warm-up waves derived from the declared artifact DAG reproduce the
   legacy hardcoded schedule exactly (trace wave + heavy wave);
 * one estimator-bank pass yields per-family quadrants and accuracy
@@ -25,7 +24,6 @@ from repro.engine import cache as artifact_cache
 from repro.engine import clear_cache, vector_enabled
 from repro.engine.measure import measure, measure_accuracy
 from repro.harness import (
-    EXPERIMENTS,
     SMOKE,
     SPECS,
     ArtifactDep,
@@ -84,7 +82,6 @@ def _spec(experiment_id="demo", order=1, **kwargs):
 class TestSpecRegistry:
     def test_registry_covers_the_whole_battery(self):
         assert len(SPECS) == 17
-        assert set(SPECS) == set(EXPERIMENTS)
         assert set(SPECULATION_BATTERY) <= set(SPECS)
 
     def test_iteration_is_report_order(self):
@@ -119,12 +116,6 @@ class TestSpecRegistry:
         assert "first.module" in message
         assert "second.module" in message
         assert "'demo'" in message
-
-    def test_experiments_view_is_read_only(self):
-        assert EXPERIMENTS["tab2"] is SPECS["tab2"].run
-        assert not hasattr(EXPERIMENTS, "update")
-        with pytest.raises(TypeError):
-            EXPERIMENTS["new"] = lambda scale: None
 
     def test_unknown_dep_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown artifact dependency"):
@@ -195,7 +186,7 @@ class TestWarmPlanLegacyEquivalence:
     def test_trace_wave_is_the_workload_set(self):
         # the first wave holds the dependency-free shared artifacts:
         # one trace and one pre-decoded program per workload
-        trace_tasks, __ = plan_warm_tasks(list(EXPERIMENTS), SMOKE)
+        trace_tasks, __ = plan_warm_tasks(list(SPECS), SMOKE)
         assert set(trace_tasks) == {
             (kind, (workload, SMOKE.iterations))
             for workload in SMOKE.workloads
@@ -203,7 +194,7 @@ class TestWarmPlanLegacyEquivalence:
         }
 
     def test_full_battery_heavy_wave_matches_legacy_sets(self):
-        kinds = self._heavy_by_kind(list(EXPERIMENTS))
+        kinds = self._heavy_by_kind(list(SPECS))
         iters = SMOKE.iterations
         instrs = SMOKE.pipeline_instructions
         # figures 6-9 warmed pipeline runs for gshare and mcfarling
@@ -239,7 +230,7 @@ class TestWarmPlanLegacyEquivalence:
 
     def test_dag_has_exactly_three_levels(self):
         levels = topological_levels(
-            plan_artifact_nodes(list(EXPERIMENTS), SMOKE)
+            plan_artifact_nodes(list(SPECS), SMOKE)
         )
         assert len(levels) == 3
         assert all(
@@ -252,7 +243,7 @@ class TestWarmPlanLegacyEquivalence:
         assert all(node.kind == "measurement" for node in levels[2])
 
     def test_measurement_tasks_carry_the_battery_plan(self):
-        kinds = self._heavy_by_kind(list(EXPERIMENTS))
+        kinds = self._heavy_by_kind(list(SPECS))
         plan = dict(measurement_plan(SPECS[eid] for eid in SPECS))
         for predictor, workload, __, families in kinds["measurement"]:
             assert families == plan[predictor]

@@ -9,8 +9,8 @@ import pytest
 from repro.engine import cache as artifact_cache
 from repro.engine import clear_cache
 from repro.harness import (
-    EXPERIMENTS,
     GATE_THRESHOLDS,
+    SPECS,
     SPECULATION_BATTERY,
     SPECULATION_ESTIMATORS,
     Scale,
@@ -45,7 +45,7 @@ def isolated_cache(tmp_path):
 class TestRegistration:
     def test_battery_registered_in_experiments(self):
         for experiment_id in SPECULATION_BATTERY:
-            assert experiment_id in EXPERIMENTS
+            assert experiment_id in SPECS
 
     def test_direct_import_order_also_registers(self):
         # importing the speculation module first must not break the

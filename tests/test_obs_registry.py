@@ -147,16 +147,7 @@ class TestManagement:
 
 
 class TestSimulationCountersRemoval:
-    """The legacy facade module is a shim that fails with a pointer."""
-
-    def test_import_raises_with_pointer(self):
-        import importlib
-
-        with pytest.raises(ImportError) as excinfo:
-            importlib.import_module("repro.engine.counters")
-        message = str(excinfo.value)
-        assert "SIMULATION_COUNTERS" in message
-        assert "repro.obs.registry.REGISTRY" in message
+    """Simulation throughput lives in the registry, not a facade."""
 
     def test_engine_no_longer_exports_facade(self):
         import repro.engine as engine

@@ -90,7 +90,7 @@ class TestSupervisorKnobs:
         monkeypatch.setenv(parallel_mod.TIMEOUT_ENV, "nope")
         assert parallel_mod.task_timeout_from_env() is None
 
-    def test_retries_and_backoff_env(self, monkeypatch):
+    def test_retries_and_backoff_env(self, monkeypatch, capsys):
         monkeypatch.delenv(parallel_mod.RETRIES_ENV, raising=False)
         monkeypatch.delenv(parallel_mod.BACKOFF_ENV, raising=False)
         assert parallel_mod.retries_from_env() == parallel_mod.DEFAULT_RETRIES
@@ -99,6 +99,15 @@ class TestSupervisorKnobs:
         monkeypatch.setenv(parallel_mod.BACKOFF_ENV, "0.1")
         assert parallel_mod.retries_from_env() == 5
         assert parallel_mod.backoff_from_env() == 0.1
+        # a retry count is an integer: anything else is announced and
+        # falls back to the default
+        for bad in ("nan", "inf", "2.7", "nope"):
+            monkeypatch.setenv(parallel_mod.RETRIES_ENV, bad)
+            assert parallel_mod.retries_from_env() == parallel_mod.DEFAULT_RETRIES
+            assert (
+                f"ignoring unparseable {parallel_mod.RETRIES_ENV}={bad!r}"
+                in capsys.readouterr().err
+            )
 
 
 class TestRetries:
