@@ -225,7 +225,8 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help="per-task wall-clock timeout; a hung worker is classified,"
-        " the pool recycled and the task retried"
+        " the pool recycled and the task retried; 0, a negative value or"
+        " nan means off"
         " (default: $REPRO_TASK_TIMEOUT or off)",
     )
     parser.add_argument(

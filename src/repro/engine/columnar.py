@@ -7,16 +7,15 @@ trace once into packed numpy columns -- pc / taken / branch target /
 site index -- so the vectorized kernels in :mod:`repro.engine.vector`
 can process whole workloads as array scans.
 
-The lowering is cached as a first-class artifact kind
-(``trace-columnar``) in :mod:`repro.engine.cache`, keyed exactly like
-the ``trace`` artifact it derives from, so the DAG scheduler warms it
-once per workload and every consumer (estimator bank, sweeps,
-clustering, static profiling) shares the same arrays.
+The lowering is a cheap in-process view of the cached ``trace``
+artifact: :func:`columnar_run` memoises one instance per workload, so
+every consumer in a process (estimator bank, sweeps, clustering,
+static profiling) shares the same arrays.  It is never written to the
+artifact cache; each process lowers its own copy.
 
 A :class:`ColumnarTrace` additionally carries two in-process memo
 dictionaries (predictor passes and estimator flag columns, managed by
-:mod:`repro.engine.vector`).  They are deliberately excluded from
-pickling: a cache-loaded instance starts with empty memos.
+:mod:`repro.engine.vector`).
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ from functools import lru_cache
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
-
-#: Slots that survive pickling (the two trailing memo dicts do not).
-_STATE_SLOTS = ("name", "pcs", "taken", "targets", "sites", "site_index")
 
 
 class ColumnarTrace:
@@ -48,7 +44,16 @@ class ColumnarTrace:
         ``int64[n]`` index into ``sites`` per dynamic branch.
     """
 
-    __slots__ = _STATE_SLOTS + ("_predict_memo", "_flag_memo")
+    __slots__ = (
+        "name",
+        "pcs",
+        "taken",
+        "targets",
+        "sites",
+        "site_index",
+        "_predict_memo",
+        "_flag_memo",
+    )
 
     def __init__(self, name, pcs, taken, targets, sites, site_index):
         self.name = name
@@ -66,15 +71,6 @@ class ColumnarTrace:
     def __iter__(self) -> Iterator[Tuple[int, bool]]:
         """Iterate as ``(pc, taken)`` pairs (scalar-engine compatible)."""
         return zip(self.pcs.tolist(), self.taken.tolist())
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in _STATE_SLOTS}
-
-    def __setstate__(self, state) -> None:
-        for slot in _STATE_SLOTS:
-            setattr(self, slot, state[slot])
-        self._predict_memo = {}
-        self._flag_memo = {}
 
 
 def lower_trace(trace, program=None, name: Optional[str] = None) -> ColumnarTrace:
@@ -114,29 +110,17 @@ def lower_trace(trace, program=None, name: Optional[str] = None) -> ColumnarTrac
 def columnar_run(name: str, iterations: Optional[int] = None) -> ColumnarTrace:
     """The columnar form of workload ``name``'s committed branch stream.
 
-    Memoised in process (so all consumers share one instance and its
-    kernel memos) and persisted in the artifact cache as kind
-    ``trace-columnar``, keyed like the ``trace`` artifact it lowers.
+    Memoised in process, so all consumers share one instance and its
+    kernel memos; the lowering itself is not persisted.
     """
     # imported here: corpus -> measure -> vector -> columnar at package
     # init time, so a module-level import would be circular
-    from .cache import get_cache
-    from .corpus import profile_fingerprint, workload_program, workload_run
+    from .corpus import workload_program, workload_run
 
-    def compute() -> ColumnarTrace:
-        run = workload_run(name, iterations)
-        return lower_trace(
-            run.trace,
-            program=workload_program(name, iterations),
-            name=name,
-        )
-
-    return get_cache().cached(
-        "trace-columnar",
-        compute,
-        workload=name,
-        iterations=iterations,
-        profile=profile_fingerprint(name),
+    return lower_trace(
+        workload_run(name, iterations).trace,
+        program=workload_program(name, iterations),
+        name=name,
     )
 
 

@@ -39,7 +39,6 @@ from .vector import (
     predict_columns,
     supports_estimator,
     supports_predictor,
-    vector_enabled,
 )
 
 #: Registry metric names every *measurement replay* reports into.
@@ -210,8 +209,8 @@ def measure_bank_vectorized(
     a kernel are driven per branch via :func:`fallback_flags` and
     accounted under ``sim.scalar_fallback_branches``.
     """
-    if not vector_enabled() or not isinstance(trace, ColumnarTrace):
-        raise UnsupportedVectorization("vector engine disabled")
+    if not isinstance(trace, ColumnarTrace):
+        raise UnsupportedVectorization(type(trace).__name__)
     if not supports_predictor(predictor):
         raise UnsupportedVectorization(type(predictor).__name__)
     started = time.perf_counter()
@@ -283,12 +282,13 @@ def measure_bank(
     ``metrics_snapshot`` and the report's Battery-performance section
     surface the saving.
 
-    Columnar traces dispatch to :func:`measure_bank_vectorized` when
-    the vector engine is enabled; predictors without a vector scan
-    (e.g. speculation wrapper predictors) silently take the scalar
-    loop, which iterates columnar traces just as well.
+    Columnar traces dispatch to :func:`measure_bank_vectorized`;
+    predictors without a vector scan (e.g. speculation wrapper
+    predictors) silently take the scalar loop, which iterates columnar
+    traces just as well.  Whether a trace is columnar is the caller's
+    choice (``REPRO_VECTOR`` is read where the harness picks it).
     """
-    if vector_enabled() and isinstance(trace, ColumnarTrace):
+    if isinstance(trace, ColumnarTrace):
         try:
             return measure_bank_vectorized(
                 trace, predictor, estimators, subsumes=subsumes, observers=observers

@@ -60,12 +60,14 @@ class UnsupportedVectorization(Exception):
 
 
 def vector_enabled() -> bool:
-    """True when the numpy vector engine may be used."""
+    """True when the numpy vector engine may be used.
+
+    Read once, where the harness picks the trace representation
+    (:func:`repro.harness.experiments._bank_trace`): every kernel
+    entry point below dispatches on whether it was handed a
+    :class:`ColumnarTrace`.
+    """
     return os.environ.get(VECTOR_ENV, "").strip().lower() not in _DISABLED_VALUES
-
-
-def _vector_ready(trace) -> bool:
-    return vector_enabled() and isinstance(trace, ColumnarTrace)
 
 
 # ----------------------------------------------------------------------
@@ -451,8 +453,6 @@ def predict_columns(trace: ColumnarTrace, predictor) -> PredictColumns:
     every fresh instance of the same configuration shares one scan per
     workload.
     """
-    if not vector_enabled():
-        raise UnsupportedVectorization("vector engine disabled")
     entry = _PREDICTOR_SCANS.get(type(predictor))
     if entry is None:
         raise UnsupportedVectorization(type(predictor).__name__)
@@ -709,7 +709,7 @@ def measured_flags(trace, predictor, estimator):
     state is consumed, so callers can fall back to the scalar loop with
     untouched predictor/estimator instances).
     """
-    if not _vector_ready(trace) or not supports_predictor(predictor):
+    if not isinstance(trace, ColumnarTrace) or not supports_predictor(predictor):
         return None
     if _estimator_plan(estimator) is None:
         return None
@@ -725,7 +725,7 @@ def confident_sites_vector(trace, predictor, accuracy_threshold):
     path does not apply.  Consumes the predictor like the scalar
     profiling loop.
     """
-    if not _vector_ready(trace) or not supports_predictor(predictor):
+    if not isinstance(trace, ColumnarTrace) or not supports_predictor(predictor):
         return None
     columns = predict_columns(trace, predictor)
     site_count = trace.sites.shape[0]
@@ -746,7 +746,7 @@ def jrs_value_counts(trace, predictor, table_size, counter_bits, enhanced):
     length ``2**counter_bits`` (value histogram), or None when the
     vector path does not apply.  Consumes the predictor.
     """
-    if not _vector_ready(trace) or not supports_predictor(predictor):
+    if not isinstance(trace, ColumnarTrace) or not supports_predictor(predictor):
         return None
     columns = predict_columns(trace, predictor)
     hist = columns.history
@@ -770,7 +770,7 @@ def distance_value_counts(trace, predictor, max_distance):
     Returns ``(correct_counts, incorrect_counts)`` python-int lists of
     length ``max_distance + 1``.  Consumes the predictor.
     """
-    if not _vector_ready(trace) or not supports_predictor(predictor):
+    if not isinstance(trace, ColumnarTrace) or not supports_predictor(predictor):
         return None
     columns = predict_columns(trace, predictor)
     n = columns.branches

@@ -7,16 +7,16 @@ its report section/order and its declared dependencies on shared
 artifacts.
 
 Heavy intermediate products (workload traces, pipeline branch records,
-static-estimator profiles, per-workload estimator-bank measurements)
-are memoised per scale in process *and* persisted in the
-content-addressed artifact cache (:mod:`repro.engine.cache`), so the
-whole battery costs each simulation once per machine -- warm reruns,
-pytest sessions and parallel workers (:mod:`repro.harness.parallel`)
-all share them.  The estimator bank (:func:`measurement_cell`) goes one
-step further: all estimator families a battery needs for one
-(workload, predictor) pair are evaluated in a *single* trace pass, so
-even a cold cache simulates each pair exactly once
-(``session.passes_saved`` counts the subsumed passes).
+per-workload estimator-bank measurements) are memoised per scale in
+process *and* persisted in the content-addressed artifact cache
+(:mod:`repro.engine.cache`), so the whole battery costs each
+simulation once per machine -- warm reruns, pytest sessions and
+parallel workers (:mod:`repro.harness.parallel`) all share them.  The
+estimator bank (:func:`measurement_cell`) goes one step further: all
+estimator families a battery needs for one (workload, predictor) pair
+are evaluated in a *single* trace pass, so even a cold cache
+simulates each pair exactly once (``session.passes_saved`` counts the
+subsumed passes).
 """
 
 from __future__ import annotations
@@ -216,7 +216,9 @@ def _bank_trace(workload: str, iterations: Optional[int]):
 
     Columnar (vector-engine) when enabled, the plain branch stream
     otherwise -- both replay identically through the scalar loop, so
-    callers never need to care which they got.
+    callers never need to care which they got.  This is the only place
+    ``REPRO_VECTOR`` is read: every engine entry point below dispatches
+    on the representation it is handed.
     """
     if vector_enabled():
         return columnar_run(workload, iterations)
@@ -232,21 +234,6 @@ def _compute_static_sites(
         return sites
     return frozenset(
         profile_confident_sites(trace, make_predictor(predictor_name), 0.90)
-    )
-
-
-@lru_cache(maxsize=256)
-def _static_sites(
-    workload: str, predictor_name: str, iterations: Optional[int]
-) -> frozenset:
-    return get_cache().cached(
-        "static-sites",
-        lambda: _compute_static_sites(workload, predictor_name, iterations),
-        workload=workload,
-        predictor=predictor_name,
-        iterations=iterations,
-        threshold=0.90,
-        profile=profile_fingerprint(workload),
     )
 
 
@@ -316,20 +303,6 @@ def _pipeline_result(
     )
 
 
-def standard_estimators(predictor_name: str, predictor, workload: str, scale: Scale):
-    """The paper's four estimator configurations for one predictor."""
-    return {
-        "jrs": JRSEstimator(threshold=15, enhanced=True),
-        "satcnt": SaturatingCountersEstimator.for_predictor(
-            predictor, variant=McFarlingVariant.BOTH_STRONG
-        ),
-        "pattern": PatternHistoryEstimator.for_predictor(predictor),
-        "static": StaticEstimator(
-            _static_sites(workload, predictor_name, scale.iterations), 0.90
-        ),
-    }
-
-
 # ----------------------------------------------------------------------
 # the estimator bank: one trace pass per (workload, predictor) cell
 # ----------------------------------------------------------------------
@@ -384,7 +357,7 @@ def _family_estimator(
         return PatternHistoryEstimator.for_predictor(predictor)
     if family == "static":
         return StaticEstimator(
-            _static_sites(workload, predictor_name, iterations), 0.90
+            _compute_static_sites(workload, predictor_name, iterations), 0.90
         )
     if family == "distance":
         return MispredictionDistanceEstimator(4)
@@ -551,7 +524,6 @@ def clear_memoised() -> None:
     _trace.cache_clear()
     clear_columnar_cache()
     clear_decoded_cache()
-    _static_sites.cache_clear()
     _pipeline_result.cache_clear()
     measurement_cell.cache_clear()
     clear_speculation_memoised()
@@ -1262,12 +1234,8 @@ def experiment_boosting(scale: Scale = FULL) -> ExperimentResult:
 # registry: every paper experiment declares itself as a spec
 # ----------------------------------------------------------------------
 
-#: Shorthands for the artifact dependencies the paper battery shares.
+#: Shorthand for the artifact dependency the paper battery shares.
 _TRACE = ArtifactDep(kind="trace")
-#: Columnar lowering of the trace -- declared by every experiment whose
-#: measurement passes replay through the vector engine, so checkpoint
-#: fingerprints (and the warm plan) track the representation change.
-_COLUMNAR = ArtifactDep(kind="trace-columnar")
 
 
 def _measurement_deps(
@@ -1305,7 +1273,7 @@ for _spec in (
         order=20,
         paper_ref="Table 1",
         produces=("trace", "pipeline", "measurement"),
-        deps=(_TRACE, _COLUMNAR)
+        deps=(_TRACE,)
         + _pipeline_deps(("gshare",))
         + _measurement_deps(PREDICTORS, ("accuracy",)),
     ),
@@ -1317,7 +1285,7 @@ for _spec in (
         order=30,
         paper_ref="Table 2",
         produces=("trace", "measurement"),
-        deps=(_TRACE, _COLUMNAR) + _measurement_deps(PREDICTORS, STANDARD_FAMILIES),
+        deps=(_TRACE,) + _measurement_deps(PREDICTORS, STANDARD_FAMILIES),
     ),
     ExperimentSpec(
         experiment_id="tab2d",
@@ -1327,7 +1295,7 @@ for _spec in (
         order=40,
         paper_ref="Table 2 (tech-report detail)",
         produces=("trace", "measurement"),
-        deps=(_TRACE, _COLUMNAR) + _measurement_deps(PREDICTORS, STANDARD_FAMILIES),
+        deps=(_TRACE,) + _measurement_deps(PREDICTORS, STANDARD_FAMILIES),
     ),
     ExperimentSpec(
         experiment_id="fig3",
@@ -1337,7 +1305,7 @@ for _spec in (
         order=50,
         paper_ref="Figure 3",
         produces=("trace",),
-        deps=(_TRACE, _COLUMNAR),
+        deps=(_TRACE,),
         plot=True,
     ),
     ExperimentSpec(
@@ -1348,7 +1316,7 @@ for _spec in (
         order=60,
         paper_ref="Figure 4",
         produces=("trace",),
-        deps=(_TRACE, _COLUMNAR),
+        deps=(_TRACE,),
         plot=True,
     ),
     ExperimentSpec(
@@ -1359,7 +1327,7 @@ for _spec in (
         order=70,
         paper_ref="Figure 5",
         produces=("trace",),
-        deps=(_TRACE, _COLUMNAR),
+        deps=(_TRACE,),
         plot=True,
     ),
     ExperimentSpec(
@@ -1370,7 +1338,7 @@ for _spec in (
         order=80,
         paper_ref="Table 3",
         produces=("trace", "measurement"),
-        deps=(_TRACE, _COLUMNAR)
+        deps=(_TRACE,)
         + _measurement_deps(("mcfarling",), ("satcnt", "satcnt-either")),
     ),
     ExperimentSpec(
@@ -1425,7 +1393,7 @@ for _spec in (
         order=130,
         paper_ref="Table 4",
         produces=("trace", "measurement"),
-        deps=(_TRACE, _COLUMNAR)
+        deps=(_TRACE,)
         + _measurement_deps(("gshare", "mcfarling", "sag"), STANDARD_FAMILIES),
     ),
     ExperimentSpec(
@@ -1436,7 +1404,7 @@ for _spec in (
         order=140,
         paper_ref="Section 4.2",
         produces=("trace",),
-        deps=(_TRACE, _COLUMNAR),
+        deps=(_TRACE,),
     ),
 ):
     SPECS.register(_spec)

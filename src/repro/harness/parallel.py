@@ -56,6 +56,7 @@ serial run.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import sys
@@ -67,13 +68,11 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..engine import cache as artifact_cache
-from ..engine import columnar_run, vector_enabled
 from ..engine.cache import CacheStats
 from ..faults import injector as faults
 from ..faults.injector import InjectedCrash
 from ..obs.journal import coalesce
 from ..obs.registry import REGISTRY, MetricsSnapshot
-from ..pipeline import backend_uses_decoded, decoded_run, pipeline_fast_enabled
 from .checkpoint import store_checkpoint
 from .experiments import (
     ExperimentResult,
@@ -176,10 +175,24 @@ def _env_number(name: str, default, parse=float):
     return value
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _timeout_or_off(value: Optional[float]) -> Optional[float]:
+    """A task timeout in seconds, or None (off) unless finite and > 0."""
+    if value is None or not 0 < value < math.inf:
+        return None
+    return value
+
+
 def task_timeout_from_env() -> Optional[float]:
-    """``REPRO_TASK_TIMEOUT`` in seconds; unset, empty or <= 0 disables."""
-    value = _env_number(TIMEOUT_ENV, None)
-    return value if value is not None and value > 0 else None
+    """``REPRO_TASK_TIMEOUT`` in seconds; unset, empty, unparseable or
+    not a finite number > 0 disables."""
+    return _timeout_or_off(_env_number(TIMEOUT_ENV, None))
 
 
 def retries_from_env() -> int:
@@ -189,8 +202,9 @@ def retries_from_env() -> int:
 
 
 def backoff_from_env() -> float:
-    value = _env_number(BACKOFF_ENV, DEFAULT_BACKOFF_S)
-    return max(0.0, value)
+    """``REPRO_RETRY_BACKOFF`` in seconds: ``nan``/``inf`` are
+    unparseable and fall back to :data:`DEFAULT_BACKOFF_S`."""
+    return max(0.0, _env_number(BACKOFF_ENV, DEFAULT_BACKOFF_S, _finite_float))
 
 
 WarmTask = Tuple[str, Tuple]
@@ -241,104 +255,57 @@ def plan_artifact_nodes(
         if spec is None:
             continue
         for dep in spec.deps:
-            uses_decoded = backend_uses_decoded(scale.backend)
             for workload in scale.workloads:
                 trace = add("trace", (workload, scale.iterations))
                 if dep.kind == "trace":
                     continue
-                if dep.kind == "trace-columnar":
-                    add(
-                        "trace-columnar",
-                        (workload, scale.iterations),
-                        deps=(trace,),
-                    )
-                elif dep.kind == "program-decoded":
-                    add("program-decoded", (workload, scale.iterations))
-                elif dep.kind == "pipeline":
-                    # pipeline-backed artifacts read the shared
-                    # pre-decoded program (fast path); the worker
-                    # no-ops when the fast path is disabled, and
-                    # backends that decode in-process (ooo) skip the
-                    # decode node entirely
-                    base_deps = (trace,)
-                    if uses_decoded:
-                        decoded = add(
-                            "program-decoded", (workload, scale.iterations)
-                        )
-                        base_deps = (trace, decoded)
+                if dep.kind == "pipeline":
+                    # a segmented cell is a chain of dependent segment
+                    # nodes (each resumes the previous snapshot), then
+                    # the final run reading the last snapshot;
+                    # independent cells parallelise, chains don't
+                    previous: Tuple = ()
                     chain = segment_count(
                         scale.pipeline_instructions,
                         scale.segment_instructions,
                     )
-                    if chain:
-                        # segmented cell: a chain of dependent segment
-                        # nodes (each resumes the previous snapshot),
-                        # then the final run reading the last snapshot;
-                        # independent cells parallelise, chains don't
-                        previous = base_deps
-                        for index in range(chain):
-                            segment = add(
-                                "pipeline-segment",
-                                (
-                                    workload,
-                                    dep.predictor,
-                                    scale.iterations,
-                                    scale.pipeline_instructions,
-                                    scale.segment_instructions,
-                                    index,
-                                    scale.backend,
-                                ),
-                                deps=previous,
-                            )
-                            previous = (segment,)
-                        add(
-                            "pipeline",
+                    for index in range(chain):
+                        segment = add(
+                            "pipeline-segment",
                             (
                                 workload,
                                 dep.predictor,
                                 scale.iterations,
                                 scale.pipeline_instructions,
                                 scale.segment_instructions,
+                                index,
                                 scale.backend,
                             ),
-                            deps=base_deps + previous,
+                            deps=previous or (trace,),
                         )
-                    else:
-                        add(
-                            "pipeline",
-                            (
-                                workload,
-                                dep.predictor,
-                                scale.iterations,
-                                scale.pipeline_instructions,
-                                scale.segment_instructions,
-                                scale.backend,
-                            ),
-                            deps=base_deps,
-                        )
+                        previous = (segment,)
+                    add(
+                        "pipeline",
+                        (
+                            workload,
+                            dep.predictor,
+                            scale.iterations,
+                            scale.pipeline_instructions,
+                            scale.segment_instructions,
+                            scale.backend,
+                        ),
+                        deps=(trace,) + previous,
+                    )
                 elif dep.kind == "measurement":
                     families = families_by_predictor.get(
                         dep.predictor, tuple(sorted(set(dep.families)))
                     )
-                    # the bank replays the columnar form of the trace,
-                    # so warm it between the trace and the cells
-                    columnar = add(
-                        "trace-columnar",
-                        (workload, scale.iterations),
-                        deps=(trace,),
-                    )
                     add(
                         "measurement",
                         (dep.predictor, workload, scale.iterations, families),
-                        deps=(trace, columnar),
+                        deps=(trace,),
                     )
                 elif dep.kind == "gating":
-                    base_deps = (trace,)
-                    if uses_decoded:
-                        decoded = add(
-                            "program-decoded", (workload, scale.iterations)
-                        )
-                        base_deps = (trace, decoded)
                     add(
                         "gating",
                         (
@@ -349,15 +316,9 @@ def plan_artifact_nodes(
                             scale.pipeline_instructions,
                             scale.backend,
                         ),
-                        deps=base_deps,
+                        deps=(trace,),
                     )
                 elif dep.kind == "eager":
-                    base_deps = (trace,)
-                    if uses_decoded:
-                        decoded = add(
-                            "program-decoded", (workload, scale.iterations)
-                        )
-                        base_deps = (trace, decoded)
                     add(
                         "eager",
                         (
@@ -367,7 +328,7 @@ def plan_artifact_nodes(
                             scale.pipeline_instructions,
                             scale.backend,
                         ),
-                        deps=base_deps,
+                        deps=(trace,),
                     )
                 elif dep.kind == "inversion":
                     add(
@@ -395,26 +356,6 @@ def plan_warm_levels(
         plan_artifact_nodes(selected, scale, measurement_families)
     )
     return [[node.key for node in level] for level in levels]
-
-
-def plan_warm_tasks(
-    selected: Sequence[str],
-    scale: Scale,
-    measurement_families: Optional[MeasurementPlan] = None,
-) -> Tuple[List[WarmTask], List[WarmTask]]:
-    """The artifact warm-up plan for ``selected`` at ``scale``.
-
-    Legacy two-wave view over :func:`plan_warm_levels`: returns
-    ``(trace_tasks, heavy_tasks)`` -- the first level (the shared
-    workload traces) and the flattened remaining levels.
-    """
-    levels = plan_warm_levels(selected, scale, measurement_families)
-    trace_tasks: List[WarmTask] = []
-    heavy_tasks: List[WarmTask] = []
-    for depth, level in enumerate(levels):
-        for task in level:
-            (trace_tasks if depth == 0 else heavy_tasks).append(task)
-    return trace_tasks, heavy_tasks
 
 
 # ----------------------------------------------------------------------
@@ -453,14 +394,6 @@ def _warm_worker(task: WarmTask) -> Tuple[CacheStats, MetricsSnapshot, float]:
     if kind == "trace":
         workload, iterations = args
         _trace(workload, iterations)
-    elif kind == "trace-columnar":
-        workload, iterations = args
-        if vector_enabled():
-            columnar_run(workload, iterations)
-    elif kind == "program-decoded":
-        workload, iterations = args
-        if pipeline_fast_enabled():
-            decoded_run(workload, iterations)
     elif kind == "pipeline":
         (
             workload,
@@ -958,10 +891,12 @@ def run_parallel(
     Results are merged in the order of ``selected`` and carry
     ``duration_s`` stamps.  ``task_timeout``/``retries``/``backoff_s``
     default from ``REPRO_TASK_TIMEOUT``/``REPRO_TASK_RETRIES``/
-    ``REPRO_RETRY_BACKOFF``.  ``measurement_families`` is the
-    battery-wide estimator-bank plan (defaults to the plan derived from
-    ``selected``'s specs); workers install it so every experiment
-    shares one bank cell per (workload, predictor) pair.  See the
+    ``REPRO_RETRY_BACKOFF``; a timeout from either source that is not
+    a finite number > 0 (``0``, ``-1``, ``nan``) means no timeout.
+    ``measurement_families`` is the battery-wide estimator-bank plan
+    (defaults to the plan derived from ``selected``'s specs); workers
+    install it so every experiment shares one bank cell per (workload,
+    predictor) pair.  See the
     module docstring for the failure model; the short version is that a
     failing, hanging or crashing worker costs bounded retries of its
     own experiment, and the battery completes whenever a serial run
@@ -983,7 +918,9 @@ def run_parallel(
         jobs,
         journal,
         task_timeout=(
-            task_timeout if task_timeout is not None else task_timeout_from_env()
+            _timeout_or_off(task_timeout)
+            if task_timeout is not None
+            else task_timeout_from_env()
         ),
         retries=retries if retries is not None else retries_from_env(),
         backoff_s=backoff_s if backoff_s is not None else backoff_from_env(),

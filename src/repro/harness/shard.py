@@ -38,12 +38,9 @@ from ..pipeline import (
     PipelineResult,
     PipelineSimulator,
     SnapshotError,
-    backend_uses_decoded,
     capture_snapshot,
     create_simulator,
     decoded_run,
-    normalize_backend,
-    pipeline_fast_enabled,
     restore_snapshot,
 )
 from ..predictors import make_predictor
@@ -102,7 +99,6 @@ def build_cell_simulator(
     segment chains, so both start from identical state.  ``backend``
     picks the simulator class from the pipeline backend registry.
     """
-    backend = normalize_backend(backend)
     program = workload_program(workload, iterations)
     predictor = make_predictor(predictor_name)
     estimators = {}
@@ -111,21 +107,13 @@ def build_cell_simulator(
             "jrs": JRSEstimator(threshold=15, enhanced=True),
             "satcnt": SaturatingCountersEstimator.for_predictor(predictor),
         }
-    # the in-order fast path reads the shared pre-decoded artifact
-    # (warmed by the DAG scheduler; a cheap decode on a cold cache);
-    # other backends decode in-process when they are built
-    decoded = (
-        decoded_run(workload, iterations)
-        if backend_uses_decoded(backend) and pipeline_fast_enabled()
-        else None
-    )
     return create_simulator(
         program,
         predictor,
         backend=backend,
         config=PipelineConfig(),
         estimators=estimators,
-        decoded=decoded,
+        decoded=decoded_run(workload, iterations),
     )
 
 

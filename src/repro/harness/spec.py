@@ -6,7 +6,10 @@ experiment) is described by a frozen :class:`ExperimentSpec`: its id,
 report section and order, the artifact kinds it produces, and -- most
 importantly -- the shared artifacts it **depends on**
 (:class:`ArtifactDep`): workload traces, pipeline branch streams,
-estimator-bank measurements, speculation cells.
+estimator-bank measurements, speculation cells.  Only artifacts that
+another process reads back are dependencies; cheap in-process views of
+them (the columnar lowering of a trace, a pre-decoded program) are
+memoised where they are used and never planned or persisted.
 
 Execution layers consume the specs instead of hardcoding knowledge:
 
@@ -49,8 +52,6 @@ from typing import (
 #: workload of the scale for every kind).
 DEP_KINDS = (
     "trace",
-    "trace-columnar",
-    "program-decoded",
     "pipeline",
     "pipeline-segment",
     "measurement",
@@ -68,9 +69,6 @@ class ArtifactDep:
     it (which fields apply depends on the kind):
 
     * ``trace`` -- the committed branch stream of each workload;
-    * ``program-decoded`` -- the packed pre-decoded form of each
-      workload program (the pipeline fast path's input; planned
-      implicitly under every pipeline-backed dependency);
     * ``pipeline`` -- a cycle-level pipeline run (``predictor``);
     * ``measurement`` -- an estimator-bank measurement (``predictor``,
       ``families``; see :data:`repro.harness.experiments.BANK_FAMILIES`);

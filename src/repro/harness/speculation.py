@@ -46,10 +46,8 @@ from ..engine import get_cache, profile_fingerprint, workload_program
 from ..obs.registry import REGISTRY
 from ..pipeline import (
     PipelineConfig,
-    backend_uses_decoded,
     decoded_run,
     normalize_backend,
-    pipeline_fast_enabled,
 )
 from ..predictors import make_predictor
 from ..speculation import (
@@ -274,11 +272,6 @@ def _compute_gating_cell(
     backend: str = "inorder",
 ) -> GatingCell:
     config = PipelineConfig()
-    decoded = (
-        decoded_run(workload, iterations)
-        if backend_uses_decoded(backend) and pipeline_fast_enabled()
-        else None
-    )
     comparison = compare_gating(
         workload_program(workload, iterations),
         _predictor_factory,
@@ -286,7 +279,7 @@ def _compute_gating_cell(
         gate_threshold=threshold,
         config=config,
         max_instructions=max_instructions,
-        decoded=decoded,
+        decoded=decoded_run(workload, iterations),
         backend=backend,
     )
     baseline, gated = comparison.baseline.stats, comparison.gated.stats
@@ -351,18 +344,13 @@ def _compute_eager_cell(
     max_instructions: int,
     backend: str = "inorder",
 ) -> EagerCell:
-    decoded = (
-        decoded_run(workload, iterations)
-        if backend_uses_decoded(backend) and pipeline_fast_enabled()
-        else None
-    )
     comparison = compare_eager_execution(
         workload_program(workload, iterations),
         _predictor_factory,
         _estimator_factory(estimator_name),
         config=PipelineConfig(),
         max_instructions=max_instructions,
-        decoded=decoded,
+        decoded=decoded_run(workload, iterations),
         backend=backend,
     )
     cell = EagerCell(

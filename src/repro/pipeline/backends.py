@@ -139,18 +139,6 @@ def normalize_backend(backend: Optional[str]) -> str:
     return name
 
 
-def backend_uses_decoded(backend: Optional[str]) -> bool:
-    """Whether the backend reads the cached ``program-decoded`` artifact.
-
-    Every backend runs the decoded fast path, but only the in-order one
-    shares the cached artifact.  The OoO backend decodes in-process
-    instead: at the bench's ``ooo`` scale its decoded programs would
-    grow the artifact cache by a fifth, to save about a millisecond of
-    decode per simulator.
-    """
-    return normalize_backend(backend) == "inorder"
-
-
 def create_simulator(
     program: Program,
     predictor: BranchPredictor,

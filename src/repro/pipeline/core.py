@@ -161,7 +161,8 @@ class PipelineSimulator:
     ``REPRO_PIPELINE_FAST`` environment gate, ``True``/``False`` force
     the pre-decoded fast path / the reference per-instruction loop.
     ``decoded`` may supply a shared :class:`DecodedProgram` (e.g. the
-    ``program-decoded`` artifact) to skip the in-process decode.
+    per-workload :func:`~repro.pipeline.decode.decoded_run` memo) to
+    skip the decode; the reference loop ignores it.
     """
 
     def __init__(

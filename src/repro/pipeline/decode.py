@@ -26,12 +26,13 @@ Two loops step this layout: the pipeline's fast fetch
 (:func:`repro.engine.tracer.trace_branches`), which decodes each
 program in-process.
 
-The packed arrays are picklable and cached as a first-class artifact
-kind (``program-decoded``), keyed like the ``trace`` artifact, so the
-DAG scheduler warms one per workload and every pipeline consumer
-shares it.  The closures are process-local: a cache-loaded instance
-rebuilds them lazily from the arrays (the :class:`ColumnarTrace` memo
-convention).
+Decoding is cheap next to a pipeline run, so it is never written to
+the artifact cache: :func:`decoded_run` memoises one instance per
+workload in process, and every simulator of that workload, whatever
+its backend, shares it.  The packed arrays are picklable because
+segment snapshots pickle the simulator together with its decoded
+program; the closures are process-local, so an unpickled instance
+rebuilds them lazily from the arrays.
 
 Executing a plain closure is **exactly** ``Machine.step`` minus the
 bookkeeping the caller batches (``pc`` advance and
@@ -395,22 +396,14 @@ def decode_program(program: Program) -> DecodedProgram:
 def decoded_run(name: str, iterations: Optional[int] = None) -> DecodedProgram:
     """The pre-decoded form of workload ``name``'s program.
 
-    Memoised in process (so all pipeline consumers share one instance
-    and its closure tables) and persisted in the artifact cache as kind
-    ``program-decoded``, keyed like the ``trace`` artifact.
+    Memoised in process, so every simulator of the workload shares one
+    instance and its closure tables; the decode itself is not persisted.
     """
-    # imported here: corpus -> measure -> vector -> columnar at package
-    # init time, so a module-level import would be circular
-    from ..engine.cache import get_cache
-    from ..engine.corpus import profile_fingerprint, workload_program
+    # imported here: the corpus imports the tracer, which imports this
+    # module, so a module-level import would be circular
+    from ..engine.corpus import workload_program
 
-    return get_cache().cached(
-        "program-decoded",
-        lambda: decode_program(workload_program(name, iterations)),
-        workload=name,
-        iterations=iterations,
-        profile=profile_fingerprint(name),
-    )
+    return decode_program(workload_program(name, iterations))
 
 
 def clear_decoded_cache() -> None:

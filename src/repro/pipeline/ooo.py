@@ -41,8 +41,8 @@ observed at every misprediction recovery is accumulated in
 the two backends' distance distributions side by side.
 
 The backend runs on the shared fetch engines like any other: the
-pre-decoded fast path by default (decoded in-process -- the backend
-reads no ``program-decoded`` artifact) and the reference
+pre-decoded fast path by default (on the same per-workload decoded
+program the in-order backend uses) and the reference
 :meth:`~repro.isa.Machine.step` loop under ``fast=False`` or
 ``REPRO_PIPELINE_FAST=0``, the oracle it must match bit for bit.
 Operand shapes come from a per-PC table built once per simulator, so

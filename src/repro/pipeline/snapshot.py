@@ -22,7 +22,10 @@ The simulator's ``fast``/``decoded`` machinery cooperates:
 :class:`~repro.pipeline.decode.DecodedProgram` drops its closures on
 pickling and rebuilds them lazily, ``BranchRecordStore`` resets its
 materialise memo, and the machine's undo-log ``_MISSING`` sentinel is
-pickle-stable (see :mod:`repro.isa.machine`).
+pickle-stable (see :mod:`repro.isa.machine`).  A snapshot is the only
+place a decoded program is pickled: a restored simulator carries its
+own copy, not the restoring process's shared
+:func:`~repro.pipeline.decode.decoded_run` memo.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from repro.harness import (
     SPECS,
     Scale,
     clear_memoised,
-    plan_warm_tasks,
+    plan_warm_levels,
     render_report,
     run_all,
 )
@@ -35,12 +35,12 @@ def isolated_cache(tmp_path):
 
 class TestWarmPlan:
     def test_trace_tasks_cover_workloads(self):
-        trace_tasks, __ = plan_warm_tasks(list(SPECS), SMOKE)
+        trace_tasks, __ = plan_warm_levels(list(SPECS), SMOKE)
         workloads = {args[0] for kind, args in trace_tasks}
         assert workloads == set(SMOKE.workloads)
 
     def test_heavy_tasks_cover_pipeline_and_measurement(self):
-        __, heavy = plan_warm_tasks(["tab1", "fig7", "tab2"], SMOKE)
+        __, heavy = plan_warm_levels(["tab1", "fig7", "tab2"], SMOKE)
         kinds = {}
         for kind, args in heavy:
             kinds.setdefault(kind, []).append(args)
@@ -50,11 +50,10 @@ class TestWarmPlan:
         assert measurement_predictors == {"gshare", "mcfarling", "sag"}
 
     def test_fig1_needs_nothing(self):
-        trace_tasks, heavy = plan_warm_tasks(["fig1"], SMOKE)
-        assert trace_tasks == [] and heavy == []
+        assert plan_warm_levels(["fig1"], SMOKE) == []
 
     def test_no_duplicate_tasks(self):
-        trace_tasks, heavy = plan_warm_tasks(list(SPECS), SMOKE)
+        trace_tasks, heavy = plan_warm_levels(list(SPECS), SMOKE)
         assert len(trace_tasks) == len(set(trace_tasks))
         assert len(heavy) == len(set(heavy))
 
@@ -106,6 +105,19 @@ class TestDiskCacheIntegration:
         run_all(other, only=["tab2"], jobs=1)
         delta = isolated_cache.stats.since(before)
         assert delta.misses > 0
+
+    def test_cold_battery_persists_no_in_process_views(self, isolated_cache):
+        # the columnar lowering, the decoded program and the static-site
+        # profile are rebuilt in each process: none reaches the disk
+        one_workload = Scale(
+            iterations=SMOKE.iterations,
+            pipeline_instructions=SMOKE.pipeline_instructions,
+            workloads=("compress",),
+        )
+        run_all(one_workload, only=["tab2", "fig6", "speculation-gating"], jobs=1)
+        kinds = set(artifact_cache.get_cache().info()["kinds"])
+        assert {"trace", "measurement", "pipeline", "spec-gating"} <= kinds
+        assert not kinds & {"trace-columnar", "program-decoded", "static-sites"}
 
     def test_report_contains_performance_section(self, isolated_cache):
         results = run_all(SMOKE, only=["fig1", "tab3"], jobs=1)

@@ -33,7 +33,7 @@ from repro.harness import (
     measurement_cell,
     measurement_plan,
     plan_artifact_nodes,
-    plan_warm_tasks,
+    plan_warm_levels,
     run_all,
     spec_fingerprint,
     topological_levels,
@@ -118,8 +118,11 @@ class TestSpecRegistry:
         assert "'demo'" in message
 
     def test_unknown_dep_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown artifact dependency"):
-            ArtifactDep(kind="nope")
+        # the columnar lowering and the decoded program are in-process
+        # views, not artifacts an experiment can depend on
+        for kind in ("nope", "trace-columnar", "program-decoded"):
+            with pytest.raises(ValueError, match="unknown artifact dependency"):
+                ArtifactDep(kind=kind)
 
 
 class TestTopologicalLevels:
@@ -177,7 +180,7 @@ class TestWarmPlanLegacyEquivalence:
     """The DAG-derived schedule equals the old hardcoded waves."""
 
     def _heavy_by_kind(self, selected):
-        __, heavy = plan_warm_tasks(selected, SMOKE)
+        __, heavy = plan_warm_levels(selected, SMOKE)
         kinds = {}
         for kind, args in heavy:
             kinds.setdefault(kind, set()).add(args)
@@ -185,13 +188,12 @@ class TestWarmPlanLegacyEquivalence:
 
     def test_trace_wave_is_the_workload_set(self):
         # the first wave holds the dependency-free shared artifacts:
-        # one trace and one pre-decoded program per workload
-        trace_tasks, __ = plan_warm_tasks(list(SPECS), SMOKE)
-        assert set(trace_tasks) == {
-            (kind, (workload, SMOKE.iterations))
+        # exactly one trace per workload
+        trace_tasks, __ = plan_warm_levels(list(SPECS), SMOKE)
+        assert sorted(trace_tasks) == sorted(
+            ("trace", (workload, SMOKE.iterations))
             for workload in SMOKE.workloads
-            for kind in ("trace", "program-decoded")
-        }
+        )
 
     def test_full_battery_heavy_wave_matches_legacy_sets(self):
         kinds = self._heavy_by_kind(list(SPECS))
@@ -228,19 +230,13 @@ class TestWarmPlanLegacyEquivalence:
             for estimator in SPECULATION_ESTIMATORS
         }
 
-    def test_dag_has_exactly_three_levels(self):
+    def test_dag_has_exactly_two_levels(self):
         levels = topological_levels(
             plan_artifact_nodes(list(SPECS), SMOKE)
         )
-        assert len(levels) == 3
-        assert all(
-            node.kind in ("trace", "program-decoded") for node in levels[0]
-        )
+        assert len(levels) == 2
+        assert all(node.kind == "trace" for node in levels[0])
         assert all(node.kind != "trace" for node in levels[1])
-        # the columnar lowering sits between the trace and everything
-        # that replays it
-        assert any(node.kind == "trace-columnar" for node in levels[1])
-        assert all(node.kind == "measurement" for node in levels[2])
 
     def test_measurement_tasks_carry_the_battery_plan(self):
         kinds = self._heavy_by_kind(list(SPECS))

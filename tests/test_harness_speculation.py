@@ -15,7 +15,7 @@ from repro.harness import (
     SPECULATION_ESTIMATORS,
     Scale,
     clear_memoised,
-    plan_warm_tasks,
+    plan_warm_levels,
     render_report,
     render_speculation_control,
     run_all,
@@ -110,7 +110,7 @@ class TestEagerAndInversionExperiments:
 
 class TestWarmPlan:
     def test_speculation_kinds_planned(self):
-        __, heavy = plan_warm_tasks(list(SPECULATION_BATTERY), TINY)
+        __, heavy = plan_warm_levels(list(SPECULATION_BATTERY), TINY)
         kinds = {}
         for kind, args in heavy:
             kinds.setdefault(kind, []).append(args)
@@ -125,7 +125,7 @@ class TestWarmPlan:
         )
 
     def test_trace_still_warmed(self):
-        trace_tasks, __ = plan_warm_tasks(["speculation-inversion"], TINY)
+        trace_tasks, __ = plan_warm_levels(["speculation-inversion"], TINY)
         assert {args[0] for __kind, args in trace_tasks} == set(TINY.workloads)
 
 

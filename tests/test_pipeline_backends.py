@@ -41,7 +41,6 @@ from repro.pipeline import (
     DEPTH_HISTOGRAM_KEY,
     OutOfOrderSimulator,
     PipelineSimulator,
-    backend_uses_decoded,
     create_simulator,
     normalize_backend,
     register_backend,
@@ -96,9 +95,16 @@ class TestBackendRegistry:
         with pytest.raises(TypeError, match="PipelineSimulator"):
             register_backend("bogus", object)
 
-    def test_backend_uses_decoded(self):
-        assert backend_uses_decoded("inorder")
-        assert not backend_uses_decoded("ooo")
+    def test_backends_share_the_decoded_program(self):
+        # every backend reads the per-workload decoded memo: an ooo cell
+        # does not decode its own copy of the program
+        from repro.harness.shard import build_cell_simulator
+
+        inorder = build_cell_simulator("compress", "gshare", 5, False, "inorder")
+        ooo = build_cell_simulator("compress", "gshare", 5, False, "ooo")
+        assert type(ooo) is OutOfOrderSimulator
+        assert inorder._decoded is not None
+        assert ooo._decoded is inorder._decoded
 
     def test_ooo_rejects_degenerate_geometry(self):
         program = workload_program("compress", 5)

@@ -85,10 +85,10 @@ class TestSupervisorKnobs:
         assert parallel_mod.task_timeout_from_env() is None
         monkeypatch.setenv(parallel_mod.TIMEOUT_ENV, "30")
         assert parallel_mod.task_timeout_from_env() == 30.0
-        monkeypatch.setenv(parallel_mod.TIMEOUT_ENV, "0")
-        assert parallel_mod.task_timeout_from_env() is None  # <=0 disables
-        monkeypatch.setenv(parallel_mod.TIMEOUT_ENV, "nope")
-        assert parallel_mod.task_timeout_from_env() is None
+        # anything but a finite number > 0 disables
+        for off in ("0", "-1", "nan", "nope"):
+            monkeypatch.setenv(parallel_mod.TIMEOUT_ENV, off)
+            assert parallel_mod.task_timeout_from_env() is None, off
 
     def test_retries_and_backoff_env(self, monkeypatch, capsys):
         monkeypatch.delenv(parallel_mod.RETRIES_ENV, raising=False)
@@ -106,6 +106,15 @@ class TestSupervisorKnobs:
             assert parallel_mod.retries_from_env() == parallel_mod.DEFAULT_RETRIES
             assert (
                 f"ignoring unparseable {parallel_mod.RETRIES_ENV}={bad!r}"
+                in capsys.readouterr().err
+            )
+        # a backoff is a finite number of seconds: sleeping for inf
+        # raises OverflowError at the battery's first retry
+        for bad in ("inf", "nan"):
+            monkeypatch.setenv(parallel_mod.BACKOFF_ENV, bad)
+            assert parallel_mod.backoff_from_env() == parallel_mod.DEFAULT_BACKOFF_S
+            assert (
+                f"ignoring unparseable {parallel_mod.BACKOFF_ENV}={bad!r}"
                 in capsys.readouterr().err
             )
 
@@ -240,6 +249,21 @@ class TestTimeoutAndRecycle:
         }
         assert finished == {"fig1": "parallel", "tab3": "parallel"}
         assert list(results) == ["fig1", "tab3"]
+
+
+    def test_zero_timeout_means_off(self, isolated_cache, tmp_path, monkeypatch):
+        """``task_timeout=0`` is off, as ``REPRO_TASK_TIMEOUT=0`` is: no
+        task times out the moment it is submitted."""
+        monkeypatch.delenv(parallel_mod.TIMEOUT_ENV, raising=False)
+        path = tmp_path / "zero-timeout.jsonl"
+        with RunJournal(path) as journal:
+            results = run_all(
+                SMOKE, only=["fig1"], jobs=2, task_timeout=0, journal=journal
+            )
+        events = read_journal(path)
+        assert not [e for e in events if e.get("classification") == "timeout"]
+        assert not [e for e in events if e["event"] == "pool_recycled"]
+        assert list(results) == ["fig1"]
 
 
 class TestPoolLevelDegradation:
