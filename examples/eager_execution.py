@@ -71,6 +71,10 @@ def dual_path_pipeline() -> None:
     print("\nfull dual-path pipeline (fork on LC, per-path history):")
     print(f"{'estimator':14s} {'speedup':>8s} {'forks':>7s} {'precision':>10s} {'coverage':>9s}")
     program = workload_program("go")
+    # one single-path baseline serves all four estimators
+    baseline = PipelineSimulator(program, GsharePredictor()).run(
+        max_instructions=60_000
+    )
     for name, factory in (
         ("satcnt", lambda p: SaturatingCountersEstimator.for_predictor(p)),
         ("JRS >=15", lambda p: JRSEstimator(threshold=15, enhanced=True)),
@@ -78,7 +82,7 @@ def dual_path_pipeline() -> None:
         ("never fork", lambda p: JRSEstimator(threshold=0)),
     ):
         comparison = compare_eager_execution(
-            program, GsharePredictor, factory, max_instructions=60_000
+            program, GsharePredictor, factory, max_instructions=60_000, baseline=baseline
         )
         print(
             f"{name:14s} {comparison.speedup:+8.1%} {comparison.forks:7,d}"

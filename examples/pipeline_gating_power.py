@@ -14,6 +14,7 @@ little -- the trade-off the companion pipeline-gating paper explores.
 
 from repro.confidence import JRSEstimator, SaturatingCountersEstimator
 from repro.engine import workload_program
+from repro.pipeline import PipelineSimulator
 from repro.predictors import GsharePredictor
 from repro.speculation import compare_gating
 
@@ -26,8 +27,14 @@ def main() -> None:
     print("(gshare predictor, enhanced JRS estimator, threshold >= 15)\n")
     header = f"{'workload':10s} {'gate':>5s} {'baseline waste':>15s} {'work cut':>9s} {'slowdown':>9s} {'gated cycles':>13s}"
     print(header)
+    # no estimator steers the ungated run, so one baseline per workload
+    # serves the whole threshold sweep and the estimator pair below
+    baselines = {}
     for workload in WORKLOADS:
         program = workload_program(workload)
+        baselines[workload] = PipelineSimulator(program, GsharePredictor()).run(
+            max_instructions=BUDGET
+        )
         for gate_threshold in (1, 2, 3):
             comparison = compare_gating(
                 program,
@@ -35,6 +42,7 @@ def main() -> None:
                 lambda p: JRSEstimator(threshold=15, enhanced=True),
                 gate_threshold=gate_threshold,
                 max_instructions=BUDGET,
+                baseline=baselines[workload],
             )
             print(
                 f"{workload:10s} {'>' + str(gate_threshold):>5s}"
@@ -56,6 +64,7 @@ def main() -> None:
             factory,
             gate_threshold=2,
             max_instructions=BUDGET,
+            baseline=baselines["gcc"],
         )
         print(
             f"  {label:7s} work cut {comparison.extra_work_reduction:6.1%},"

@@ -22,7 +22,9 @@ Each (workload, estimator, threshold) cell is memoised in process and
 persisted in the artifact cache as a compact picklable dataclass, so
 the parallel scheduler's warm waves (:mod:`repro.harness.parallel`)
 fan the pipeline simulations out exactly like the figure experiments,
-and warm reruns are cache reads.  Registry metrics
+and warm reruns are cache reads.  The ungated baseline the gating and
+eager cells compare against is memoised in process only, one run per
+workload and backend.  Registry metrics
 (``speculation.gated_cycles``, ``speculation.wrong_path_instructions``,
 ``speculation.wrong_path_saved``, ``speculation.recovery_cycles``,
 ``speculation.eager_*``, ``speculation.inversion_flips``) are counted
@@ -46,6 +48,7 @@ from ..engine import get_cache, profile_fingerprint, workload_program
 from ..obs.registry import REGISTRY
 from ..pipeline import (
     PipelineConfig,
+    PipelineResult,
     decoded_run,
     normalize_backend,
 )
@@ -56,12 +59,13 @@ from ..speculation import (
     evaluate_inversion,
 )
 from .experiments import FULL, ExperimentResult, Scale, _trace
+from .shard import build_cell_simulator
 from .spec import SPECS, ArtifactDep, ExperimentSpec
 from .tables import TextTable, pct1, spct1
 
 #: Estimator configurations the speculation battery sweeps.  The
 #: factories take the (fresh) predictor the comparison runs against, so
-#: each gated/ungated/eager run gets independent estimator state.
+#: each gated/eager run gets independent estimator state.
 SPECULATION_ESTIMATORS: Dict[str, Callable] = {
     "jrs": lambda predictor: JRSEstimator(threshold=15, enhanced=True),
     "distance": lambda predictor: MispredictionDistanceEstimator(4),
@@ -263,6 +267,21 @@ def _estimator_factory(name: str) -> Callable:
         ) from None
 
 
+@lru_cache(maxsize=64)
+def _ungated_baseline(
+    workload: str,
+    iterations: Optional[int],
+    max_instructions: int,
+    backend: str = "inorder",
+) -> PipelineResult:
+    """The ungated run the gating and eager cells of ``workload``
+    compare against: it consults no estimator, so one shared, read-only
+    run per (workload, budget, normalised backend) serves them all."""
+    return build_cell_simulator(
+        workload, SPECULATION_PREDICTOR, iterations, False, backend
+    ).run(max_instructions=max_instructions)
+
+
 def _compute_gating_cell(
     workload: str,
     estimator_name: str,
@@ -281,6 +300,7 @@ def _compute_gating_cell(
         max_instructions=max_instructions,
         decoded=decoded_run(workload, iterations),
         backend=backend,
+        baseline=_ungated_baseline(workload, iterations, max_instructions, backend),
     )
     baseline, gated = comparison.baseline.stats, comparison.gated.stats
     cell = GatingCell(
@@ -352,6 +372,7 @@ def _compute_eager_cell(
         max_instructions=max_instructions,
         decoded=decoded_run(workload, iterations),
         backend=backend,
+        baseline=_ungated_baseline(workload, iterations, max_instructions, backend),
     )
     cell = EagerCell(
         workload=workload,
@@ -433,6 +454,7 @@ def inversion_cell(
 
 def clear_speculation_memoised() -> None:
     """Drop the in-process memo tier of the speculation cells."""
+    _ungated_baseline.cache_clear()
     gating_cell.cache_clear()
     eager_cell.cache_clear()
     inversion_cell.cache_clear()

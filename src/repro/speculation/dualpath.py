@@ -227,7 +227,7 @@ class EagerComparison:
 
     @property
     def coverage(self) -> float:
-        """Covered fraction of the baseline's mispredictions (~SPEC)."""
+        """Covered fraction of the eager run's mispredictions (~SPEC)."""
         total = self.eager.stats.committed_mispredictions
         return self.covered_mispredictions / total if total else 0.0
 
@@ -241,22 +241,20 @@ def compare_eager_execution(
     fork_switch_penalty: int = 1,
     decoded: Optional[DecodedProgram] = None,
     backend: Optional[str] = None,
+    baseline: Optional[PipelineResult] = None,
 ) -> EagerComparison:
     """Run the same workload single-path and dual-path and compare.
 
     ``decoded`` optionally shares one pre-decoded program between runs.
     ``backend`` selects the pipeline backend for both runs.
+    ``baseline`` is a finished single-path run of the same program,
+    budget and backend; without one, it is run here.
     """
     backend = normalize_backend(backend)
-    baseline_predictor = predictor_factory()
-    baseline = create_simulator(
-        program,
-        baseline_predictor,
-        backend=backend,
-        config=config,
-        estimators={"fork": estimator_factory(baseline_predictor)},
-        decoded=decoded,
-    ).run(max_instructions=max_instructions)
+    if baseline is None:
+        baseline = create_simulator(
+            program, predictor_factory(), backend=backend, config=config, decoded=decoded
+        ).run(max_instructions=max_instructions)
 
     eager_predictor = predictor_factory()
     eager_simulator = EAGER_SIMULATORS[backend](

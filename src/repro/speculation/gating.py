@@ -160,6 +160,7 @@ def compare_gating(
     max_instructions: Optional[int] = None,
     decoded: Optional[DecodedProgram] = None,
     backend: Optional[str] = None,
+    baseline: Optional[PipelineResult] = None,
 ) -> GatingComparison:
     """Run the same workload gated and ungated and compare.
 
@@ -167,17 +168,15 @@ def compare_gating(
     need independent predictor/estimator state.  ``decoded`` optionally
     shares one pre-decoded program between both runs.  ``backend``
     selects the pipeline backend for *both* runs (default in-order).
+    ``baseline`` is a finished ungated run of the same program, budget
+    and backend; without one, it is run here.  No estimator steers an
+    ungated run, so one baseline serves every estimator and threshold.
     """
     backend = normalize_backend(backend)
-    baseline_predictor = predictor_factory()
-    baseline = create_simulator(
-        program,
-        baseline_predictor,
-        backend=backend,
-        config=config,
-        estimators={"gate": estimator_factory(baseline_predictor)},
-        decoded=decoded,
-    ).run(max_instructions=max_instructions)
+    if baseline is None:
+        baseline = create_simulator(
+            program, predictor_factory(), backend=backend, config=config, decoded=decoded
+        ).run(max_instructions=max_instructions)
 
     gated_predictor = predictor_factory()
     gated_simulator = GATED_SIMULATORS[backend](

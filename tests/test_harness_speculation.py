@@ -2,12 +2,14 @@
 cell caching, parallel equivalence, report section, journal events and
 the ``repro speculate`` CLI entry point."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.confidence import SaturatingCountersEstimator
 from repro.engine import cache as artifact_cache
-from repro.engine import clear_cache
+from repro.engine import clear_cache, workload_program
 from repro.harness import (
     GATE_THRESHOLDS,
     SPECS,
@@ -21,8 +23,18 @@ from repro.harness import (
     run_all,
     run_experiment,
 )
+from repro.harness.experiments import _pipeline_result
+from repro.harness.speculation import SPECULATION_PREDICTOR, _ungated_baseline
 from repro.obs.journal import RunJournal, read_journal
 from repro.obs.registry import REGISTRY
+from repro.pipeline import (
+    OutOfOrderSimulator,
+    PipelineConfig,
+    PipelineSimulator,
+    create_simulator,
+    decoded_run,
+)
+from repro.predictors import make_predictor
 
 #: Small enough for unit tests, big enough to gate/fork at least once.
 TINY = Scale(iterations=40, pipeline_instructions=4000, workloads=("compress",))
@@ -106,6 +118,68 @@ class TestEagerAndInversionExperiments:
             assert 0.0 <= cell.base_accuracy <= 1.0
             assert cell.flips_helped + cell.flips_hurt <= cell.flips
         json.dumps(result.data["journal_rows"])
+
+
+#: Every estimator a speculation cell attaches, plus the saturating
+#: counters the examples gate on.
+ATTACHED_ESTIMATORS = {
+    **SPECULATION_ESTIMATORS,
+    "satcnt": SaturatingCountersEstimator.for_predictor,
+}
+
+#: The base simulator class of each backend (the ungated baseline's).
+BASE_SIMULATORS = {"inorder": PipelineSimulator, "ooo": OutOfOrderSimulator}
+
+
+class TestUngatedBaseline:
+    """One ungated run serves every gating and eager cell of a workload:
+    an attached estimator only observes it, never steers it."""
+
+    @pytest.mark.parametrize("workload", ("compress", "go"))
+    @pytest.mark.parametrize("estimator", sorted(ATTACHED_ESTIMATORS))
+    @pytest.mark.parametrize("backend", sorted(BASE_SIMULATORS))
+    def test_attached_estimator_leaves_stats_unchanged(
+        self, isolated_cache, backend, estimator, workload
+    ):
+        iterations, budget = TINY.iterations, TINY.pipeline_instructions
+        predictor = make_predictor(SPECULATION_PREDICTOR)
+        observed = create_simulator(
+            workload_program(workload, iterations),
+            predictor,
+            backend=backend,
+            config=PipelineConfig(),
+            estimators={"probe": ATTACHED_ESTIMATORS[estimator](predictor)},
+            decoded=decoded_run(workload, iterations),
+        ).run(max_instructions=budget)
+        memoised = _ungated_baseline(workload, iterations, budget, backend)
+        artifact = _pipeline_result(
+            workload, SPECULATION_PREDICTOR, iterations, budget, backend=backend
+        )
+        # PipelineStats is a dataclass: == compares it field by field
+        assert observed.stats == memoised.stats
+        assert observed.stats == artifact.stats
+
+    @pytest.mark.parametrize("backend", sorted(BASE_SIMULATORS))
+    def test_one_baseline_run_per_workload(
+        self, isolated_cache, monkeypatch, backend
+    ):
+        runs = []
+        run = PipelineSimulator.run
+
+        def counting_run(simulator, *args, **kwargs):
+            runs.append(type(simulator))
+            return run(simulator, *args, **kwargs)
+
+        monkeypatch.setattr(PipelineSimulator, "run", counting_run)
+        scale = dataclasses.replace(
+            TINY, workloads=("compress", "go"), backend=backend
+        )
+        run_all(scale, only=["speculation-gating", "speculation-eager"], jobs=1)
+        base = BASE_SIMULATORS[backend]
+        assert sum(kind is base for kind in runs) == len(scale.workloads)
+        # every other run is one gated or eager cell
+        cells = len(SPECULATION_ESTIMATORS) * (len(GATE_THRESHOLDS) + 1)
+        assert len(runs) == len(scale.workloads) * (cells + 1)
 
 
 class TestWarmPlan:

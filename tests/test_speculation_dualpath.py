@@ -4,6 +4,7 @@ import pytest
 
 from repro.confidence import JRSEstimator, SaturatingCountersEstimator
 from repro.isa import Machine
+from repro.pipeline import PipelineSimulator
 from repro.predictors import GsharePredictor, SAgPredictor
 from repro.speculation import EagerPipelineSimulator, compare_eager_execution
 from repro.workloads import generate_program, get_profile
@@ -19,6 +20,27 @@ def always_lc_factory(predictor):
 
 def jrs_factory(predictor):
     return JRSEstimator(threshold=15, enhanced=True)
+
+
+def compare_eager_both_ways(prog, estimator_factory):
+    """``compare_eager_execution`` on its own and handed a finished
+    baseline.  The given baseline is used as is and the eager side does
+    not notice; the comparison returned carries the given baseline.
+    """
+    own = compare_eager_execution(prog, GsharePredictor, estimator_factory)
+    baseline = PipelineSimulator(prog, GsharePredictor()).run()
+    given = compare_eager_execution(
+        prog, GsharePredictor, estimator_factory, baseline=baseline
+    )
+    assert given.baseline is baseline
+    assert given.baseline.stats == own.baseline.stats
+    assert given.eager.stats == own.eager.stats
+    assert (given.forks, given.covered_mispredictions, given.wasted_slots) == (
+        own.forks,
+        own.covered_mispredictions,
+        own.wasted_slots,
+    )
+    return given
 
 
 class TestCorrectness:
@@ -45,7 +67,7 @@ class TestCorrectness:
         """Per-path history forking must leave the predictor exactly as
         accurate as in the single-path baseline."""
         prog = program("go", iterations=40)
-        comparison = compare_eager_execution(prog, GsharePredictor, jrs_factory)
+        comparison = compare_eager_both_ways(prog, jrs_factory)
         assert comparison.eager.stats.committed_accuracy == pytest.approx(
             comparison.baseline.stats.committed_accuracy, abs=0.01
         )
@@ -68,9 +90,7 @@ class TestCorrectness:
 class TestMechanism:
     def test_covered_mispredictions_skip_the_flush(self):
         prog = program("go", iterations=40)
-        comparison = compare_eager_execution(
-            prog, GsharePredictor, always_lc_factory
-        )
+        comparison = compare_eager_both_ways(prog, always_lc_factory)
         assert comparison.covered_mispredictions > 0
         # covered forks avoid squash work relative to the baseline
         assert (
@@ -80,15 +100,13 @@ class TestMechanism:
 
     def test_forks_dilute_fetch(self):
         prog = program("go", iterations=40)
-        comparison = compare_eager_execution(
-            prog, GsharePredictor, always_lc_factory
-        )
+        comparison = compare_eager_both_ways(prog, always_lc_factory)
         assert comparison.wasted_slots > 0
 
     def test_high_confidence_only_estimator_never_forks(self):
         prog = program("go", iterations=20)
-        comparison = compare_eager_execution(
-            prog, GsharePredictor, lambda p: JRSEstimator(threshold=0)
+        comparison = compare_eager_both_ways(
+            prog, lambda p: JRSEstimator(threshold=0)
         )
         assert comparison.forks == 0
         assert comparison.speedup == pytest.approx(0.0, abs=0.02)
@@ -119,16 +137,14 @@ class TestMechanism:
         """The application-level claim: on a misprediction-heavy
         workload with a decent estimator, dual path wins cycles."""
         prog = program("go", iterations=50)
-        comparison = compare_eager_execution(
-            prog,
-            GsharePredictor,
-            lambda p: SaturatingCountersEstimator.for_predictor(p),
+        comparison = compare_eager_both_ways(
+            prog, lambda p: SaturatingCountersEstimator.for_predictor(p)
         )
         assert comparison.speedup > 0.02
 
     def test_fork_precision_and_coverage_ledger(self):
         prog = program("go", iterations=40)
-        comparison = compare_eager_execution(prog, GsharePredictor, jrs_factory)
+        comparison = compare_eager_both_ways(prog, jrs_factory)
         assert 0.0 <= comparison.fork_precision <= 1.0
         assert 0.0 <= comparison.coverage <= 1.0
         assert comparison.covered_mispredictions <= comparison.forks
