@@ -7,7 +7,6 @@ from .backends import (
     PipelineBackend,
     create_simulator,
     normalize_backend,
-    register_backend,
 )
 from .caches import Cache
 from .config import CacheConfig, PipelineConfig
@@ -48,7 +47,6 @@ __all__ = [
     "PipelineBackend",
     "create_simulator",
     "normalize_backend",
-    "register_backend",
     "Cache",
     "CacheConfig",
     "PipelineConfig",

@@ -1,8 +1,8 @@
 """Pipeline backend registry: the execution model as a dimension.
 
 The speculative *front end* -- fetch, branch prediction, confidence
-tagging, wrong-path execution, the gating/eager hooks, the decoded
-fast path -- lives in :class:`~repro.pipeline.core.PipelineSimulator`
+tagging, wrong-path execution, fetch gating and dual-path forking, and
+both engines -- lives in :class:`~repro.pipeline.core.PipelineSimulator`
 and is shared by every backend.  A **backend** supplies the execution
 model behind it: how instructions occupy the in-flight window, when
 branches resolve, and how squash recovery restores machine state.
@@ -30,7 +30,7 @@ exactly like predictor choice.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Protocol, Tuple, Type
+from typing import Dict, Mapping, Optional, Protocol, Sequence, Tuple, Type
 
 from ..confidence.base import ConfidenceEstimator
 from ..isa import Program
@@ -48,20 +48,21 @@ class PipelineBackend(Protocol):
     """The surface a pipeline backend implements.
 
     :class:`~repro.pipeline.core.PipelineSimulator` provides the
-    in-order reference implementation of every method; a backend
-    subclass overrides the timing-model subset it changes.  The
-    front-end machinery guarantees the hooks are called identically on
-    the reference and decoded fetch paths: a backend that overrides
-    ``_dispatch`` gets one entry per instruction from both, and only a
-    backend that does not (the in-order one) sees grouped fast-path
-    entries.
+    in-order implementation of every method; a backend subclass
+    overrides the timing hooks it changes.  Both engines -- the fused
+    ``run()`` loop and the reference ``step_cycle()`` -- call the hooks
+    at the same points with the same arguments: a backend that
+    overrides ``_dispatch`` gets one in-flight entry per instruction
+    from both, and only a backend that does not (the in-order one) has
+    its non-branch instructions grouped by the fused engine.
     """
 
     def wants_fetch(self) -> bool:
         """Would the pipeline accept a fetch slot this cycle?"""
 
     def step_cycle(self, fetch_allowed: bool = True) -> None:
-        """Advance one cycle: commit/resolve, then optionally fetch."""
+        """Advance one reference-engine cycle: commit/resolve, then
+        optionally fetch."""
 
     def run(self, max_cycles: int = 10_000_000,
             max_instructions: Optional[int] = None,
@@ -73,35 +74,19 @@ class PipelineBackend(Protocol):
 
     # -- backend timing hooks ------------------------------------------
 
-    def _dispatch(self, entry) -> None:
-        """The instruction at ``entry.pc`` entered the window at fetch
-        (may re-time ``entry.ready_cycle``; the OoO backend
-        renames/issues here)."""
+    def _dispatch(self, sequence: int, pc: int, ready_cycle: int, cycle: int) -> int:
+        """Instruction ``sequence`` at ``pc`` entered the window at
+        fetch ``cycle``; return its ready cycle, never below
+        ``ready_cycle`` (the OoO backend renames/issues here)."""
 
-    def _retire_entry(self, entry) -> None:
-        """An instruction left the window at commit (the OoO backend
-        releases rename resources here)."""
+    def _retire_entry(self, sequence: int) -> None:
+        """Instruction ``sequence`` left the window at commit (the OoO
+        backend releases rename resources here)."""
 
-    def _recover_from(self, entry) -> None:
-        """Squash younger work after a detected misprediction and
-        restart fetch on the correct path."""
-
-    # -- front-end hooks backends may also refine ----------------------
-
-    def _fetch_width(self) -> int:
-        """Instructions fetchable this cycle."""
-
-    def _fetch_branch(self, entry, taken: bool, target: int) -> None:
-        """Predict, assess and record one fetched branch."""
-
-    def _front_end_mispredict(self, entry, target: int) -> None:
-        """Steer fetch at a mispredicted branch."""
-
-    def _resolve_branch(self, entry) -> None:
-        """Train predictor/estimators for one committed branch."""
-
-    def _after_mispredicted_resolve(self, entry) -> None:
-        """Apply the cost of a detected misprediction."""
+    def _rollback(self, depth: int, squashed: Sequence[int]) -> None:
+        """A misprediction squashes the ``depth`` instructions in
+        flight, whose sequences ``squashed`` lists youngest first (the
+        OoO backend undoes their renames here)."""
 
 
 #: Registered backend name -> simulator class.
@@ -112,22 +97,6 @@ BACKENDS: Dict[str, Type[PipelineSimulator]] = {
 
 #: Stable listing order for CLI choices and documentation.
 BACKEND_NAMES: Tuple[str, ...] = tuple(sorted(BACKENDS))
-
-
-def register_backend(name: str, simulator: Type[PipelineSimulator]) -> None:
-    """Register an additional backend (scenario packs, tests)."""
-    if not name or not name.isidentifier():
-        raise ValueError(f"backend name must be an identifier, got {name!r}")
-    existing = BACKENDS.get(name)
-    if existing is not None and existing is not simulator:
-        raise ValueError(f"backend {name!r} is already registered")
-    if not (isinstance(simulator, type)
-            and issubclass(simulator, PipelineSimulator)):
-        raise TypeError(
-            f"backend {name!r} must be a PipelineSimulator subclass, "
-            f"got {simulator!r}"
-        )
-    BACKENDS[name] = simulator
 
 
 def normalize_backend(backend: Optional[str]) -> str:

@@ -28,41 +28,46 @@ the oracle view of Figures 6/7) and the *perceived* distance (reset
 when a misprediction is detected at resolution; the implementable view
 of Figures 8/9), plus the confidence estimates made at fetch time.
 
-Two fetch engines share these semantics bit for bit, for every backend:
+Two engines share these semantics bit for bit, for every simulator
+class:
 
-* the **reference path** steps :meth:`Machine.step` once per fetched
-  instruction (``REPRO_PIPELINE_FAST=0``) -- the test oracle,
-* the **fast path** (default) drives a
-  :class:`~repro.pipeline.decode.DecodedProgram`: straight-line plain
-  runs execute as pre-specialised closures in one tight inner loop,
-  consecutive same-line I-cache accesses are batched (an access to the
-  most-recently-touched line is a guaranteed hit that cannot disturb
-  LRU order, so the hit counter is bumped arithmetically), and
-  non-branch instructions fetched in the same cycle share one grouped
-  in-flight entry that the commit stage drains by count.  A backend
-  that overrides ``_dispatch`` (the out-of-order one) times every
-  instruction itself, so for it the fast path emits one entry per
-  instruction and dispatches each where the reference path does.
+* the **reference engine** steps :meth:`Machine.step` once per fetched
+  instruction.  :meth:`PipelineSimulator.step_cycle` always runs it,
+  and so does ``run()`` under ``REPRO_PIPELINE_FAST=0``: it is the test
+  oracle;
+* the **fused engine** (``run()`` by default) drives a
+  :class:`~repro.pipeline.decode.DecodedProgram` in one loop that
+  inlines commit, resolve, recovery and fetch: straight-line plain
+  runs execute as pre-specialised closures, consecutive same-line
+  I-cache accesses are batched (an access to the most-recently-touched
+  line is a guaranteed hit that cannot disturb LRU order, so the hit
+  counter is bumped arithmetically), and non-branch instructions
+  fetched in the same cycle share one grouped in-flight entry that
+  commit drains by count.  A backend that overrides ``_dispatch`` (the
+  out-of-order one) times every instruction itself, so for it the loop
+  emits one entry per instruction and dispatches each where the
+  reference engine does.
 
-Both paths funnel every branch through the same ``_fetch_branch`` /
-``_resolve_branch`` hooks, so predictor, estimator, record and cache
-state evolve identically -- the byte-identity tests and the CI golden
-report legs compare the two engines end to end.
+The byte-identity tests and the CI golden report legs compare the two
+engines end to end.
 
-The front end above (fetch, branch prediction, confidence tagging, the
-gating/eager hooks, the decoded fast path) is shared by every pipeline
-*backend*; the execution model behind it is pluggable through the
-backend hook surface (``_dispatch``, ``_retire_entry``,
-``_recover_from`` and friends -- the :class:`PipelineBackend` protocol
-in :mod:`repro.pipeline.backends`).  This class is itself the
-``inorder`` backend; :class:`repro.pipeline.ooo.OutOfOrderSimulator`
-swaps an R10K-style out-of-order window in behind the same front end.
+The front end -- fetch, branch prediction, confidence tagging, and the
+two speculation-control decisions, fetch gating (``gate_on``) and
+dual-path forking (``fork_on``) -- is state of this class that both
+engines read; the gated and eager simulators of
+:mod:`repro.speculation` only validate and set it.  The execution model
+behind the front end is pluggable through three backend hooks
+(``_dispatch``, ``_retire_entry`` and ``_rollback``; the
+:class:`PipelineBackend` protocol in :mod:`repro.pipeline.backends`).
+This class is itself the ``inorder`` backend;
+:class:`repro.pipeline.ooo.OutOfOrderSimulator` swaps an R10K-style
+out-of-order window in behind the same front end.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..confidence.base import ConfidenceEstimator
 from ..isa import Machine, MachineFault, Program
@@ -88,8 +93,8 @@ from .records import BranchRecord, BranchRecordStore, PipelineStats
 
 
 class _Inflight:
-    """One in-flight unit: a single instruction, or -- on the fast
-    path -- a *group* of ``count`` non-branch instructions fetched in
+    """One in-flight unit: a single instruction, or -- in the fused
+    engine -- a *group* of ``count`` non-branch instructions fetched in
     the same cycle (they share one ready cycle, so commit can drain
     them arithmetically)."""
 
@@ -121,6 +126,28 @@ class _Inflight:
         self.snapshot = None
         self.ready_cycle = ready_cycle
         self.record_index = -1
+
+
+def count_low_confidence_inflight(simulator: PipelineSimulator, name: str) -> int:
+    """Unresolved branches currently tagged low-confidence by ``name``."""
+    count = 0
+    for entry in simulator._inflight:
+        if entry.is_branch:
+            for estimator_name, __, assessment in entry.assessments:
+                if estimator_name == name:
+                    if not assessment.high_confidence:
+                        count += 1
+                    break
+    return count
+
+
+def _forked_history(predictor: BranchPredictor):
+    """The speculative global history register a fork splits per path,
+    or ``None`` when the predictor keeps none."""
+    history = getattr(predictor, "history", None)
+    if history is not None and getattr(predictor, "speculative_history", False):
+        return history
+    return None
 
 
 class PipelineResult:
@@ -157,13 +184,32 @@ class PipelineSimulator:
     branch (wrong-path included, as in hardware) and resolved in order
     for committed branches only.
 
-    ``fast`` selects the fetch engine: ``None`` (default) follows the
-    ``REPRO_PIPELINE_FAST`` environment gate, ``True``/``False`` force
-    the pre-decoded fast path / the reference per-instruction loop.
+    ``fast`` selects the engine ``run()`` takes: ``None`` (default)
+    follows the ``REPRO_PIPELINE_FAST`` environment gate,
+    ``True``/``False`` force the fused engine / the reference loop.
     ``decoded`` may supply a shared :class:`DecodedProgram` (e.g. the
     per-workload :func:`~repro.pipeline.decode.decoded_run` memo) to
     skip the decode; the reference loop ignores it.
+
+    Speculation control is front-end state whose class defaults leave
+    it off.  While ``gate_on`` names an attached estimator, fetch
+    stalls in every cycle that has at least ``gate_threshold``
+    unresolved branches that estimator tagged low-confidence
+    (``gated_cycles`` counts those cycles).  While ``fork_on`` does, a
+    low-confidence branch fetched on the known-good path forks both
+    paths (see :mod:`repro.speculation.dualpath`).
     """
+
+    # speculation control (class docstring); off while a name is None
+    gate_on: Optional[str] = None
+    gate_threshold = 1
+    fork_on: Optional[str] = None
+    fork_switch_penalty = 1  # fetch-stall cycles of a path switch
+    gated_cycles = 0
+    eager_forks = 0
+    eager_covered = 0  # forks that hid a misprediction
+    eager_wasted_slots = 0  # fetch slots fed to losing paths
+    _active_fork = None  # the in-flight forked branch (one at a time)
 
     def __init__(
         self,
@@ -191,11 +237,6 @@ class PipelineSimulator:
             )
         else:
             self._decoded = None
-        #: The backend times each instruction in ``_dispatch``, so the
-        #: fast fetch emits one in-flight entry per instruction.
-        self._dispatches = (
-            type(self)._dispatch is not PipelineSimulator._dispatch
-        )
         self._inflight: Deque[_Inflight] = deque()
         #: Instructions currently in flight (grouped entries count for
         #: ``entry.count``); the window check everywhere.
@@ -214,7 +255,7 @@ class PipelineSimulator:
         self._precise_counter = 0
         #: Branches fetched since the last *detected* misprediction.
         self._perceived_counter = 0
-        #: I-cache line of the most recent fetch access (fast path): a
+        #: I-cache line of the most recent fused-engine fetch access: a
         #: repeat access is a guaranteed hit with LRU order unchanged.
         self._icache_line = -1
         self._program_done = False  # halt committed
@@ -257,10 +298,11 @@ class PipelineSimulator:
         )
 
     def step_cycle(self, fetch_allowed: bool = True) -> None:
-        """Advance one cycle: commit/resolve, then (optionally) fetch.
+        """Advance one cycle of the reference engine: commit/resolve,
+        then (optionally) fetch.
 
         ``fetch_allowed=False`` models losing the fetch slot to another
-        thread or a gating decision; the back end still progresses.
+        thread; the back end still progresses.
         """
         self._commit_stage()
         if not self._program_done and fetch_allowed:
@@ -293,8 +335,7 @@ class PipelineSimulator:
         boundary by up to ``commit_width - 1`` instructions; only the
         hard ``max_instructions`` budget truncates exactly.
         """
-        if self._decoded is not None and type(self) is PipelineSimulator:
-            # no subclass hooks to honour: run the fused fast loop
+        if self._decoded is not None:
             return self._run_fast(max_cycles, max_instructions, stop_instructions)
         self._max_instructions = max_instructions
         try:
@@ -314,31 +355,39 @@ class PipelineSimulator:
             self._max_instructions = None
         return self.result()
 
+    def _hook(self, name: str):
+        """This simulator's bound backend hook ``name``, or ``None``
+        when its class keeps the in-order no-op."""
+        if getattr(type(self), name) is getattr(PipelineSimulator, name):
+            return None
+        return getattr(self, name)
+
     def _run_fast(
         self,
         max_cycles: int,
         max_instructions: Optional[int],
         stop_instructions: Optional[int] = None,
     ) -> PipelineResult:
-        """Fused cycle loop over the pre-decoded program.
+        """The fused engine: one cycle loop over the pre-decoded program.
 
-        Cycle-for-cycle identical to ``step_cycle`` +
-        ``_fetch_stage_fast``, but commit and fetch are inlined in one
-        loop so per-cycle hook dispatch and local re-hoisting (the
-        dominant cost at ~3 fetched instructions per cycle) happen once
-        per *run* instead of once per cycle, and the per-branch
-        ``_fetch_branch`` / ``_resolve_branch`` / ``_recover_from``
-        bodies are inlined with the record-store column appends hoisted
-        to bound methods (the workloads average one branch per ~5
-        instructions, so per-branch call frames are the next cost after
-        per-cycle ones).  Every piece of simulator state this loop
-        touches -- stat counters, congestion, stall deadlines, the
-        misprediction-distance counters -- lives in locals and is
-        written back in the ``finally`` block; that is only sound
-        because *every* mutator of that state is inlined here, which is
-        why this loop is engaged only for the exact base class
-        (subclasses override the stage hooks and take the per-cycle
-        path).
+        Cycle-for-cycle identical to ``step_cycle``, but commit and
+        fetch are inlined in one loop so per-cycle hook dispatch and
+        local re-hoisting (the dominant cost at ~3 fetched instructions
+        per cycle) happen once per *run* instead of once per cycle, and
+        the per-branch ``_fetch_branch`` / ``_resolve_branch`` /
+        ``_recover_from`` bodies are inlined with the record-store
+        column appends hoisted to bound methods (the workloads average
+        one branch per ~5 instructions, so per-branch call frames are
+        the next cost after per-cycle ones).  Every piece of simulator
+        state this loop touches -- stat counters, congestion, stall
+        deadlines, the misprediction-distance counters, the gating and
+        fork state -- lives in locals and is written back in the
+        ``finally`` block; that is only sound because *every* mutator
+        of that state is inlined here.  The backend hooks a class
+        overrides are called where the reference engine calls them, and
+        touch only the backend's own state.  The gate counts the
+        low-confidence branches in flight (+1 at fetch, -1 at commit, 0
+        at squash) where the reference engine rescans the window.
 
         Inside this loop, in-flight entries are plain lists (a Python
         class instantiation costs ~4x a list literal and entries are
@@ -353,27 +402,47 @@ class PipelineSimulator:
         ``max_instructions``/``max_cycles`` stop) are converted back to
         ``_Inflight`` objects in the ``finally`` block, so external
         inspection and a later ``step_cycle()`` see the normal
-        representation.  ``machine.regs`` is re-hoisted every cycle
+        representation; both conversions keep ``_active_fork`` aliased
+        to its queue entry.  ``machine.regs`` is re-hoisted every cycle
         because misprediction recovery rebinds it, and
         ``machine.instructions_retired`` is flushed before every
         snapshot and zeroed after every restore so checkpoints stay
         exact.
         """
         self._max_instructions = max_instructions
-        # a resumed run (earlier soft stop, or an unpickled snapshot)
-        # holds _Inflight objects; convert them back to the list layout
-        # this loop indexes by slot (inverse of the finally block below)
+        records = self.records
+        stats = self.stats
+        machine = self.machine
+        icache = self.icache
+        dcache = self.dcache
+        predictor = self.predictor
+        estimator_items = tuple(self.estimators.items())
+        # speculation control: each decision reads one assessment slot
+        names = list(self.estimators)
+        gate_slot = -1 if self.gate_on is None else names.index(self.gate_on)
+        fork_slot = -1 if self.fork_on is None else names.index(self.fork_on)
+        low_confidence = (
+            count_low_confidence_inflight(self, self.gate_on) if gate_slot >= 0 else 0
+        )
+        active_fork = self._active_fork
+        # a resumed run (earlier soft stop, step_cycle() calls, or an
+        # unpickled snapshot) holds _Inflight objects; convert them to
+        # the list layout this loop indexes by slot (inverse of the
+        # finally block below).  Without estimators this loop resolves
+        # compact prediction tokens, so full records a step_cycle()
+        # fetch made are converted too.
         queue = self._inflight
         for position, entry in enumerate(queue):
-            if type(entry) is not _Inflight:
-                continue
-            queue[position] = [
+            prediction = entry.prediction
+            if not estimator_items and isinstance(prediction, Prediction):
+                prediction = predictor.compact_token(prediction)
+            converted = [
                 entry.sequence,
                 entry.pc,
                 entry.count,
                 entry.is_branch,
                 entry.is_halt,
-                entry.prediction,
+                prediction,
                 entry.assessments or None,
                 entry.actual_taken,
                 entry.mispredicted,
@@ -381,11 +450,9 @@ class PipelineSimulator:
                 entry.ready_cycle,
                 entry.record_index,
             ]
-        records = self.records
-        stats = self.stats
-        machine = self.machine
-        icache = self.icache
-        dcache = self.dcache
+            if entry is active_fork:
+                active_fork = converted
+            queue[position] = converted
         # run-local simulator state (flushed in the finally block)
         icache_hits = icache.hits
         icache_misses = icache.misses
@@ -403,6 +470,10 @@ class PipelineSimulator:
         program_done = self._program_done
         cycle = self._cycle
         retired = 0
+        gated_cycles = self.gated_cycles
+        eager_forks = self.eager_forks
+        eager_covered = self.eager_covered
+        eager_wasted_slots = self.eager_wasted_slots
         # run-local stat counters (absolute values, assigned back)
         fetched_instructions = stats.fetched_instructions
         committed_instructions = stats.committed_instructions
@@ -414,8 +485,15 @@ class PipelineSimulator:
         try:
             config = self.config
             decoded = self._decoded
+            # backend hooks this class overrides (None: in-order no-op)
+            dispatch = self._hook("_dispatch")
+            retire = self._hook("_retire_entry")
+            rollback = self._hook("_rollback")
             kinds = decoded.kinds
             run_len = decoded.run_len
+            if dispatch is not None:
+                # the backend times every instruction: one entry each
+                run_len = [1 if length else 0 for length in run_len]
             plain_ops = decoded.plain_ops
             branch_ops = decoded.branch_ops
             imms = decoded.imm
@@ -437,17 +515,20 @@ class PipelineSimulator:
             dcache_miss_penalty = config.dcache.miss_penalty
             congestion_cap = config.congestion_cap
             fetch_width = config.fetch_width
+            # a live fork's alternate path takes the other half
+            diluted_width = max(1, fetch_width // 2)
             commit_width = config.commit_width
             window = config.window
             resolve_stage = config.resolve_stage
             mispredict_penalty = config.mispredict_penalty
+            gate_threshold = self.gate_threshold
+            fork_switch_penalty = self.fork_switch_penalty
+            fork_history = _forked_history(predictor) if fork_slot >= 0 else None
             memory = machine.memory
             store_word = machine.store_word
             inflight = self._inflight
             inflight_append = inflight.append
             inflight_popleft = inflight.popleft
-            estimator_items = tuple(self.estimators.items())
-            predictor = self.predictor
             predictor_predict = predictor.predict
             # 0 = call through the predictor protocol, 1/2 = the two
             # paper predictors inlined below (token layouts match their
@@ -540,6 +621,8 @@ class PipelineSimulator:
                         inflight_count -= 1
                         committed += 1
                         committed_instructions += 1
+                        if retire is not None:
+                            retire(entry[0])
                         if entry[4]:  # is_halt
                             program_done = True
                             break
@@ -553,6 +636,13 @@ class PipelineSimulator:
                         prediction = entry[5]
                         actual = entry[7]
                         entry_pc = entry[1]
+                        forked = entry is active_fork
+                        if forked:
+                            active_fork = None
+                            if entry[8] and fork_history is not None:
+                                # the surviving path's history must
+                                # outlive the single-path repair below
+                                preserved = fork_history.value
                         if inline_kind == 1:
                             # inline GsharePredictor.resolve_compact
                             index = prediction[1]
@@ -617,11 +707,31 @@ class PipelineSimulator:
                                 quadrants_committed[name].record(
                                     correct, assessment.high_confidence
                                 )
+                            if (
+                                gate_slot >= 0
+                                and not assessments[gate_slot][2].high_confidence
+                            ):
+                                low_confidence -= 1
                         if entry[8]:  # mispredicted
                             committed_mispredictions += 1
                             perceived = 0  # detection event
+                            if forked:
+                                # the fork already fetched the correct
+                                # path: switch to it, no squash/refill
+                                eager_covered += 1
+                                if fork_history is not None:
+                                    fork_history.set(preserved)
+                                stall = cycle + fork_switch_penalty
+                                if stall > fetch_stalled_until:
+                                    fetch_stalled_until = stall
+                                break
                             # inline _recover_from; pending retired are
                             # all wrong-path, the restore discards them
+                            if rollback is not None:
+                                rollback(
+                                    inflight_count,
+                                    [younger[0] for younger in reversed(inflight)],
+                                )
                             machine.restore(entry[9])
                             retired = 0
                             squashed_instructions += inflight_count
@@ -631,6 +741,7 @@ class PipelineSimulator:
                                     rec_committed[squashed_index] = False
                             inflight.clear()
                             inflight_count = 0
+                            low_confidence = 0
                             machine.trim_journal()
                             unresolved = 0
                             fetch_faulted = False
@@ -638,11 +749,18 @@ class PipelineSimulator:
                             if stall > fetch_stalled_until:
                                 fetch_stalled_until = stall
                             break  # redirect consumed the commit group
-                # ---- fetch stage (mirrors _fetch_stage_fast) ----
+                # ---- fetch stage (mirrors _fetch_stage) ----
+                fetch_limit = 0
+                if not program_done:
+                    if gate_slot >= 0 and low_confidence >= gate_threshold:
+                        gated_cycles += 1
+                    elif cycle >= fetch_stalled_until and not fetch_faulted:
+                        fetch_limit = fetch_width
+                        if active_fork is not None:
+                            fetch_limit = diluted_width
+                            eager_wasted_slots += fetch_width - diluted_width
                 if (
-                    not program_done
-                    and cycle >= fetch_stalled_until
-                    and not fetch_faulted
+                    fetch_limit
                     and not machine.halted
                     and inflight_count < window
                 ):
@@ -651,7 +769,7 @@ class PipelineSimulator:
                     ready = cycle + resolve_stage
                     fetched = 0
                     group = None
-                    while fetched < fetch_width and inflight_count < window:
+                    while fetched < fetch_limit and inflight_count < window:
                         if pc < 0 or pc >= code_length:
                             if unresolved:
                                 # runaway wrong-path fetch (stale jr)
@@ -683,12 +801,14 @@ class PipelineSimulator:
                             icache_hits += 1
                         run = run_len[pc]
                         if run:
-                            slots = fetch_width - fetched
+                            slots = fetch_limit - fetched
                             if run > slots:
                                 run = slots
                             room = window - inflight_count
                             if run > room:
                                 run = room
+                            # stay on this I-cache line so the batched
+                            # hit count stays exact
                             line_end = (line + 1) << line_shift
                             if pc + run > line_end:
                                 run = line_end - pc
@@ -711,6 +831,11 @@ class PipelineSimulator:
                                     None, False, False, None, ready, -1,
                                 ]
                                 inflight_append(group)
+                                if dispatch is not None:
+                                    group[10] = dispatch(
+                                        sequence, pc, ready, cycle
+                                    )
+                                    group = None
                             sequence += run
                             pc = end
                             continue
@@ -797,9 +922,26 @@ class PipelineSimulator:
                                     assessment_flags[name] = (
                                         assessment.high_confidence
                                     )
+                                if (
+                                    gate_slot >= 0
+                                    and not entry_assessments[gate_slot][2].high_confidence
+                                ):
+                                    low_confidence += 1
+                                # fork only from the known-good path
+                                fork = (
+                                    fork_slot >= 0
+                                    and active_fork is None
+                                    and not unresolved
+                                    and not entry_assessments[fork_slot][2].high_confidence
+                                )
                             else:
                                 assessment_flags = None
                                 entry_assessments = None
+                                fork = False
+                            if dispatch is not None:
+                                branch_ready = dispatch(
+                                    sequence, pc, branch_ready, cycle
+                                )
                             entry = [
                                 sequence, pc, 1, True, False, prediction,
                                 entry_assessments, taken, mispredicted,
@@ -821,12 +963,24 @@ class PipelineSimulator:
                             sequence += 1
                             fetched_branches += 1
                             perceived += 1
+                            if fork:
+                                active_fork = entry
+                                eager_forks += 1
                             if mispredicted:
                                 fetched_mispredictions += 1
                                 precise = 0
-                                # inline _front_end_mispredict: the
-                                # snapshot sees the actual-path state,
-                                # then fetch redirects down the
+                                if fork:
+                                    # fetch stays on the correct path;
+                                    # the surviving context's history
+                                    # carries the actual direction bit
+                                    if fork_history is not None:
+                                        fork_history.set(
+                                            fork_history.value ^ 1
+                                        )
+                                    pc = actual_next
+                                    break
+                                # the snapshot sees the actual-path
+                                # state, then fetch redirects down the
                                 # predicted (wrong) path
                                 unresolved += 1
                                 machine.instructions_retired += retired
@@ -890,15 +1044,18 @@ class PipelineSimulator:
                             next_pc = regs[rs1s[pc]]
                         else:  # K_HALT
                             machine.halted = True
-                            pc = pc + 1
                             retired += 1
                             fetched += 1
                             inflight_count += 1
                             inflight_append([
-                                sequence, pc - 1, 1, False, True, None,
-                                None, False, False, None, ready, -1,
+                                sequence, pc, 1, False, True, None,
+                                None, False, False, None,
+                                ready if dispatch is None
+                                else dispatch(sequence, pc, ready, cycle),
+                                -1,
                             ])
                             sequence += 1
+                            pc = pc + 1
                             group = None
                             break
                         retired += 1
@@ -912,6 +1069,11 @@ class PipelineSimulator:
                                 None, False, False, None, ready, -1,
                             ]
                             inflight_append(group)
+                            if dispatch is not None:
+                                group[10] = dispatch(
+                                    sequence, pc, ready, cycle
+                                )
+                                group = None
                         sequence += 1
                         pc = next_pc
                     machine.pc = pc
@@ -944,14 +1106,14 @@ class PipelineSimulator:
             stats.fetched_mispredictions = fetched_mispredictions
             stats.committed_branches = committed_branches
             stats.committed_mispredictions = committed_mispredictions
+            if gate_slot >= 0:
+                self.gated_cycles = gated_cycles
             records._stamp += 1  # invalidate the materialize memo
             # convert surviving list entries back to _Inflight objects
             # so external inspection / a later step_cycle() see the
             # normal representation
             queue = self._inflight
             for position, entry in enumerate(queue):
-                if type(entry) is not list:
-                    continue
                 survivor = _Inflight(entry[0], entry[1], entry[10])
                 survivor.count = entry[2]
                 survivor.is_branch = entry[3]
@@ -963,7 +1125,14 @@ class PipelineSimulator:
                 survivor.mispredicted = entry[8]
                 survivor.snapshot = entry[9]
                 survivor.record_index = entry[11]
+                if entry is active_fork:
+                    active_fork = survivor
                 queue[position] = survivor
+            if fork_slot >= 0:
+                self._active_fork = active_fork
+                self.eager_forks = eager_forks
+                self.eager_covered = eager_covered
+                self.eager_wasted_slots = eager_wasted_slots
         return self.result()
 
     def result(self) -> PipelineResult:
@@ -979,7 +1148,7 @@ class PipelineSimulator:
         )
 
     # ------------------------------------------------------------------
-    # commit/resolve stage
+    # reference engine: commit/resolve stage
     # ------------------------------------------------------------------
 
     def _commit_stage(self) -> None:
@@ -1017,7 +1186,7 @@ class PipelineSimulator:
             self._inflight_count -= 1
             committed += 1
             stats.committed_instructions += 1
-            self._retire_entry(entry)
+            self._retire_entry(entry.sequence)
             if entry.is_halt:
                 self._program_done = True
                 return
@@ -1027,16 +1196,18 @@ class PipelineSimulator:
             if entry.mispredicted:
                 return  # redirect consumed the rest of this commit group
 
-    def _retire_entry(self, entry: _Inflight) -> None:
-        """Backend hook: one in-flight entry left the window at commit.
-
-        Called for every individually committed (``count == 1``) entry
-        before halt/branch handling; grouped fast-path drains never see
-        it because only the in-order backend groups entries.  The
-        out-of-order backend frees the retiring instruction's previous
-        physical-register mapping here."""
-
     def _resolve_branch(self, entry: _Inflight) -> None:
+        forked = entry is self._active_fork
+        history = None
+        if forked:
+            self._active_fork = None
+            if entry.mispredicted:
+                # the surviving path's history was set at fork time and
+                # the younger branches in flight are that path: the
+                # predictor's single-path repair must not rewind it
+                history = _forked_history(self.predictor)
+                if history is not None:
+                    preserved = history.value
         self.stats.committed_branches += 1
         self.records.resolve(entry.record_index, self._cycle)
         correct = not entry.mispredicted
@@ -1058,16 +1229,25 @@ class PipelineSimulator:
         if entry.mispredicted:
             self.stats.committed_mispredictions += 1
             self._perceived_counter = 0  # detection event
-            self._after_mispredicted_resolve(entry)
-
-    def _after_mispredicted_resolve(self, entry: _Inflight) -> None:
-        """Hook: what a detected misprediction costs (default: full
-        squash-and-refill recovery; the dual-path simulator overrides
-        this for forked branches whose alternate path already ran)."""
-        self._recover_from(entry)
+            if forked:
+                # the fork already fetched the correct path: switch to
+                # it for the cost of a switch, not a flush
+                self.eager_covered += 1
+                self._fetch_stalled_until = max(
+                    self._fetch_stalled_until,
+                    self._cycle + self.fork_switch_penalty,
+                )
+            else:
+                self._recover_from(entry)
+        if history is not None:
+            history.set(preserved)
 
     def _recover_from(self, entry: _Inflight) -> None:
         """Squash younger work and restart fetch on the correct path."""
+        self._rollback(
+            self._inflight_count,
+            [younger.sequence for younger in reversed(self._inflight)],
+        )
         self.machine.restore(entry.snapshot)
         self.stats.squashed_instructions += self._inflight_count
         records = self.records
@@ -1085,20 +1265,33 @@ class PipelineSimulator:
         )
 
     # ------------------------------------------------------------------
-    # fetch/decode/execute stage
+    # reference engine: fetch/decode/execute stage
     # ------------------------------------------------------------------
 
     def _fetch_stage(self) -> None:
-        if self._decoded is not None:
-            return self._fetch_stage_fast()
+        # this fetch moves I-cache lines under the fused engine's
+        # repeat-line shortcut: make that engine's next access a full one
+        self._icache_line = -1
+        if (
+            self.gate_on is not None
+            and count_low_confidence_inflight(self, self.gate_on)
+            >= self.gate_threshold
+        ):
+            self.gated_cycles += 1
+            return
         config = self.config
         if self._cycle < self._fetch_stalled_until or self._fetch_faulted:
             return
+        fetch_width = config.fetch_width
+        if self._active_fork is not None:
+            # the alternate path consumes the other half of the port
+            diluted = max(1, fetch_width // 2)
+            self.eager_wasted_slots += fetch_width - diluted
+            fetch_width = diluted
         machine = self.machine
         instructions = self.program.instructions
         code_length = len(instructions)
         fetched = 0
-        fetch_width = self._fetch_width()
         while (
             fetched < fetch_width
             and self._inflight_count < config.window
@@ -1136,232 +1329,18 @@ class PipelineSimulator:
             self._inflight_count += 1
             if result.taken is not None:
                 self._fetch_branch(entry, result.taken, inst.imm)
-                self._dispatch(entry)
-                if entry.mispredicted:
-                    break  # fetch group ends at a front-end redirect
             elif result.halted:
                 entry.is_halt = True
-                self._dispatch(entry)
-                break
-            else:
-                self._dispatch(entry)
-
-    def _fetch_stage_fast(self) -> None:
-        """Fetch one cycle against the pre-decoded program.
-
-        Semantically identical to the reference loop above -- same
-        I-cache/D-cache traffic, same hook calls, same stats -- but
-        plain straight-line runs execute as specialised closures, and
-        non-branch instructions fetched this cycle share one grouped
-        in-flight entry.  For a backend that overrides ``_dispatch``
-        every instruction gets its own entry (plain runs are cut to
-        length 1) and is dispatched where the reference loop does it.
-        """
-        cycle = self._cycle
-        if cycle < self._fetch_stalled_until or self._fetch_faulted:
-            return
-        machine = self.machine
-        config = self.config
-        # _fetch_width() is a subclass hook with observable side effects
-        # (eager dilution accounting), so it must be consulted exactly
-        # when the reference loop consults it: before the halted check
-        fetch_width = self._fetch_width()
-        if machine.halted:
-            return
-        window = config.window
-        count = self._inflight_count
-        decoded = self._decoded
-        regs = machine.regs
-        memory = machine.memory
-        kinds = decoded.kinds
-        run_len = decoded.run_len
-        plain_ops = decoded.plain_ops
-        branch_ops = decoded.branch_ops
-        imms = decoded.imm
-        rs1s = decoded.rs1
-        rs2s = decoded.rs2
-        rds = decoded.rd
-        code_length = decoded.length
-        icache = self.icache
-        dcache = self.dcache
-        line_shift = icache._line_shift
-        last_line = self._icache_line
-        inflight = self._inflight
-        ready = cycle + config.resolve_stage
-        sequence = self._sequence
-        fetched = 0
-        retired = 0
-        group = None
-        dispatch = self._dispatch if self._dispatches else None
-        pc = machine.pc
-        while fetched < fetch_width and count < window:
-            if pc < 0 or pc >= code_length:
-                # runaway fetch (stale jr target on a wrong path)
-                if self._unresolved_mispredictions:
-                    self._fetch_faulted = True
-                    break
-                raise MachineFault(f"fetch outside program at pc={pc}")
-            line = pc >> line_shift
-            if line != last_line:
-                last_line = line
-                if not icache.access(pc):
-                    self._fetch_stalled_until = (
-                        cycle + config.icache.miss_penalty
-                    )
-                    break
-            else:
-                # repeat access to the most recent line: guaranteed hit,
-                # already most-recently-used, LRU order unchanged
-                icache.hits += 1
-            run = run_len[pc]
-            if run:
-                # straight-line plain run: tight inner loop, one entry
-                limit = 1 if dispatch else fetch_width - fetched
-                if run > limit:
-                    run = limit
-                room = window - count
-                if run > room:
-                    run = room
-                # stay on this I-cache line so the batched hit count
-                # stays exact; the next line is accessed next iteration
-                line_end = (line + 1) << line_shift
-                if pc + run > line_end:
-                    run = line_end - pc
-                end = pc + run
-                index = pc
-                while index < end:
-                    op = plain_ops[index]
-                    if op is not None:
-                        op(regs)
-                    index += 1
-                icache.hits += run - 1
-                machine.pc = end
-                retired += run
-                fetched += run
-                count += run
-                if group is not None:
-                    group.count += run
-                else:
-                    group = _Inflight(sequence, pc, ready)
-                    group.count = run
-                    inflight.append(group)
-                    if dispatch:
-                        dispatch(group)
-                        group = None
-                sequence += run
-                pc = end
-                continue
-            kind = kinds[pc]
-            if kind == K_BRANCH:
-                taken = branch_ops[pc](regs)
-                target = imms[pc]
-                machine.pc = target if taken else pc + 1
-                retired += 1
-                fetched += 1
-                count += 1
-                entry = _Inflight(sequence, pc, ready)
-                inflight.append(entry)
-                sequence += 1
-                group = None
-                # keep shared state exact around the hook: overrides
-                # (and snapshots) observe the true machine/pipeline
-                machine.instructions_retired += retired
-                retired = 0
-                self._sequence = sequence
-                self._inflight_count = count
-                self._fetch_branch(entry, taken, target)
-                if dispatch:
-                    dispatch(entry)
-                pc = machine.pc  # a mispredict hook may have redirected
-                if entry.mispredicted:
-                    break
-                continue
-            if kind == K_LOAD:
-                address = (regs[rs1s[pc]] + imms[pc]) & WORD_MASK
-                if not dcache.access(address):
-                    self._congestion = min(
-                        config.congestion_cap,
-                        self._congestion + config.dcache.miss_penalty,
-                    )
-                rd = rds[pc]
-                if rd:
-                    regs[rd] = memory.get(address, 0)
-                next_pc = pc + 1
-            elif kind == K_STORE:
-                address = (regs[rs1s[pc]] + imms[pc]) & WORD_MASK
-                if not dcache.access(address):
-                    self._congestion = min(
-                        config.congestion_cap,
-                        self._congestion + config.dcache.miss_penalty,
-                    )
-                machine.store_word(address, regs[rs2s[pc]])
-                next_pc = pc + 1
-            elif kind == K_JUMP:
-                next_pc = imms[pc]
-            elif kind == K_JAL:
-                regs[31] = pc + 1
-                next_pc = imms[pc]
-            elif kind == K_JR:
-                next_pc = regs[rs1s[pc]]
-            else:  # K_HALT
-                machine.halted = True
-                machine.pc = pc + 1
-                retired += 1
-                fetched += 1
-                count += 1
-                entry = _Inflight(sequence, pc, ready)
-                entry.is_halt = True
-                inflight.append(entry)
-                if dispatch:
-                    dispatch(entry)
-                sequence += 1
-                group = None
-                break
-            machine.pc = next_pc
-            retired += 1
-            fetched += 1
-            count += 1
-            if group is not None:
-                group.count += 1
-            else:
-                group = _Inflight(sequence, pc, ready)
-                inflight.append(group)
-                if dispatch:
-                    dispatch(group)
-                    group = None
-            sequence += 1
-            pc = next_pc
-        machine.instructions_retired += retired
-        self._sequence = sequence
-        self._inflight_count = count
-        self._icache_line = last_line
-        self.stats.fetched_instructions += fetched
-
-    def _fetch_width(self) -> int:
-        """Hook: instructions fetchable this cycle (default: config
-        width; the dual-path simulator halves it while a fork is live)."""
-        return self.config.fetch_width
-
-    def _dispatch(self, entry: _Inflight) -> None:
-        """Backend hook: one instruction entered the window at fetch.
-
-        Called on both fetch paths for every fetched instruction, after
-        branch prediction/recording has populated ``entry`` (so a
-        backend may re-time ``entry.ready_cycle``); ``entry.pc`` names
-        the instruction.  An override should read only ``entry``, the
-        cycle and its own state: the fast path updates the front end's
-        fetch counters once per cycle, not per instruction, and gives
-        every instruction its own entry only to a class that overrides
-        this hook.  The in-order backend does nothing -- an
-        instruction's ready cycle is fixed at fetch -- which is what
-        lets its fast path group entries and skip this hook entirely.
-        The out-of-order backend renames the instruction's registers,
-        models issue-queue wakeup/bandwidth, and rewrites
-        ``entry.ready_cycle`` to the data-dependent completion cycle
-        here."""
+            entry.ready_cycle = self._dispatch(
+                entry.sequence, pc, entry.ready_cycle, self._cycle
+            )
+            if entry.mispredicted or entry.is_halt:
+                break  # fetch group ends at a front-end redirect or halt
 
     def _fetch_branch(self, entry: _Inflight, taken: bool, target: int) -> None:
-        """Predict, assess and record one fetched conditional branch.
+        """Predict, assess and record one fetched conditional branch,
+        then steer fetch: fork both paths, follow the predicted (wrong)
+        path, or carry on.
 
         ``taken`` is the evaluated direction in the context the branch
         executed in; ``target`` its taken-target PC.
@@ -1404,25 +1383,60 @@ class PipelineSimulator:
         )
         self.stats.fetched_branches += 1
         self._perceived_counter += 1
-        if mispredicted:
-            self.stats.fetched_mispredictions += 1
-            self._precise_counter = 0
-            self._front_end_mispredict(entry, target)
-        else:
+        # fork only from the known-good path, one fork at a time
+        fork = (
+            self.fork_on is not None
+            and self._active_fork is None
+            and not wrong_path
+            and not assessment_flags[self.fork_on]
+        )
+        if fork:
+            self._active_fork = entry
+            self.eager_forks += 1
+        if not mispredicted:
             self._precise_counter += 1
-
-    def _front_end_mispredict(self, entry: _Inflight, target: int) -> None:
-        """Hook: steer the front end at a mispredicted fetch (default:
-        follow the wrong, predicted path until resolution; the dual-path
-        simulator keeps the correct path when it forks instead).
-        ``target`` is the branch's taken-target PC."""
-        machine = self.machine
+            return
+        self.stats.fetched_mispredictions += 1
+        self._precise_counter = 0
+        if fork:
+            # the alternate context fetches the *correct* path, which
+            # the journaled machine already follows -- no redirect and
+            # no snapshot; the predicted (wrong) path is the diluted
+            # half of the port.  Hardware forks the history register
+            # per path: the surviving context carries the complement
+            # direction bit, so flip it for the stream simulated here
+            history = _forked_history(self.predictor)
+            if history is not None:
+                history.set(history.value ^ 1)
+            return
         self._unresolved_mispredictions += 1
         # state right after the branch went its *actual* way: the
         # recovery point if/when this branch resolves
-        entry.snapshot = machine.snapshot()
+        entry.snapshot = self.machine.snapshot()
         # redirect the front end down the predicted (wrong) path
-        if entry.prediction.taken:
-            machine.pc = target
-        else:
-            machine.pc = entry.pc + 1
+        self.machine.pc = target if prediction.taken else pc + 1
+
+    # ------------------------------------------------------------------
+    # backend hooks (both engines; the in-order backend's are no-ops)
+    # ------------------------------------------------------------------
+
+    def _dispatch(self, sequence: int, pc: int, ready_cycle: int, cycle: int) -> int:
+        """Backend hook: instruction ``sequence`` at ``pc`` entered the
+        window at fetch ``cycle``, after branch prediction and
+        recording; return its ready (commit) cycle, never below the
+        front end's ``ready_cycle``.  An override should read only its
+        arguments and its own state (the fused engine keeps the front
+        end's in locals).  The in-order backend keeps ``ready_cycle``,
+        which lets the fused engine group entries and skip the call."""
+        return ready_cycle
+
+    def _retire_entry(self, sequence: int) -> None:
+        """Backend hook: instruction ``sequence`` left the window at
+        commit, before halt/branch handling (grouped in-order drains
+        never call it)."""
+
+    def _rollback(self, depth: int, squashed: Sequence[int]) -> None:
+        """Backend hook: a resolving misprediction squashes the
+        ``depth`` instructions in flight, whose sequences ``squashed``
+        lists youngest first; called before the machine snapshot is
+        restored."""

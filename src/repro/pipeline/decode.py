@@ -14,14 +14,14 @@ depends on anything but the program text, so this module performs it
   flat per-PC lists,
 * ``run_len[pc]`` holds the length of the straight-line *plain* run
   (no memory, no control flow, no halt) starting at ``pc`` -- the
-  basic-block prefix the fast fetch path steps in one tight loop,
+  basic-block prefix the fused pipeline engine steps in one tight loop,
 * per-PC execution closures are specialised per opcode with their
   operands bound (``plain_ops`` mutate the register file directly;
   ``branch_ops`` evaluate the branch condition), eliminating the
   category dispatch and the ``evaluate_alu``/``branch_taken`` if-chains
   from the hot loop.
 
-Two loops step this layout: the pipeline's fast fetch
+Two loops step this layout: the pipeline's fused engine
 (:mod:`repro.pipeline.core`) and the functional tracer
 (:func:`repro.engine.tracer.trace_branches`), which decodes each
 program in-process.
@@ -68,7 +68,7 @@ def pipeline_fast_enabled() -> bool:
     return value not in _DISABLED_VALUES
 
 
-#: Instruction kinds the fast fetch loop dispatches on.
+#: Instruction kinds the fused pipeline loop dispatches on.
 K_PLAIN = 0  # ALU_RRR / ALU_RRI / LUI / NOP: straight-line, no memory
 K_LOAD = 1
 K_STORE = 2

@@ -4,9 +4,10 @@
 of :class:`~repro.pipeline.core.PipelineSimulator` -- fetch through the
 I-cache, functional execution at decode on the journaled machine,
 branch prediction + confidence tagging, wrong-path fetch until
-resolution, the gating/eager hooks -- and replaces the fixed
-5-stage *back end* timing with a MIPS R10000-flavoured out-of-order
-execution model:
+resolution, fetch gating and dual-path forking -- and replaces the
+fixed 5-stage *back end* timing with a MIPS R10000-flavoured
+out-of-order execution model, through the three backend hooks
+(``_dispatch``, ``_retire_entry``, ``_rollback``):
 
 * **register rename**: a 32-entry rename map carries architectural ->
   physical mappings over a physical register file sized
@@ -14,9 +15,9 @@ execution model:
   the active list bounds in-flight work); ``r0`` is never renamed,
 * **active list**: the in-flight deque itself, bounded by the
   configurable ``window`` (instructions, not groups -- because this
-  backend overrides ``_dispatch``, both fetch engines give it one entry
-  per instruction), with each entry's previous mapping kept for
-  in-order release at retire,
+  backend overrides ``_dispatch``, both engines give it one entry per
+  instruction), with each entry's previous mapping kept for in-order
+  release at retire,
 * **issue queue**: every dispatched instruction computes its wakeup
   cycle from its source operands' physical-register ready cycles, then
   claims the first issue slot at or after wakeup with free bandwidth
@@ -26,10 +27,11 @@ execution model:
   from the head of the window when the head's ``ready_cycle`` has
   passed, up to ``commit_width`` per cycle, so completion out of order
   never commits out of order,
-* **squash on mispredict**: recovery walks the active list youngest ->
-  oldest undoing rename-map updates and returning freshly allocated
-  physical registers (the R10K's exception-rollback walk, applied to
-  branches), then defers to the front end's machine-snapshot restore.
+* **squash on mispredict**: the shared recovery hands the squashed
+  instructions to ``_rollback`` youngest -> oldest, which undoes their
+  rename-map updates and returns their freshly allocated physical
+  registers (the R10K's exception-rollback walk, applied to branches)
+  before the front end restores the machine snapshot.
 
 Because branches now *resolve at their data-dependent completion
 cycle* rather than a fixed ``resolve_stage`` after fetch, wrong-path
@@ -40,23 +42,24 @@ observed at every misprediction recovery is accumulated in
 ``stats.extra`` (see :data:`DEPTH_HISTOGRAM_KEY`) so reports can put
 the two backends' distance distributions side by side.
 
-The backend runs on the shared fetch engines like any other: the
-pre-decoded fast path by default (on the same per-workload decoded
-program the in-order backend uses) and the reference
-:meth:`~repro.isa.Machine.step` loop under ``fast=False`` or
-``REPRO_PIPELINE_FAST=0``, the oracle it must match bit for bit.
-Operand shapes come from a per-PC table built once per simulator, so
-dispatch never decodes an instruction.  All timing state is plain
-lists/dicts, so the whole-simulator pickle snapshots of
-:mod:`repro.pipeline.snapshot` -- and therefore segmented runs and
-``--resume`` -- work unchanged.
+The backend runs on the two shared engines like any other: the fused
+``run()`` loop by default (on the same per-workload decoded program the
+in-order backend uses) and the reference :meth:`~repro.isa.Machine.step`
+loop under ``fast=False``, ``REPRO_PIPELINE_FAST=0`` or ``step_cycle()``,
+the oracle it must match bit for bit.  The hooks take the fields they
+read (sequence, pc, cycles), not in-flight entries, so both engines'
+entry layouts call the same methods.  Operand shapes come from a per-PC
+table built once per simulator, so dispatch never decodes an
+instruction.  All timing state is plain lists/dicts, so the
+whole-simulator pickle snapshots of :mod:`repro.pipeline.snapshot` --
+and therefore segmented runs and ``--resume`` -- work unchanged.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..confidence.base import ConfidenceEstimator
 from ..isa import Program
@@ -70,7 +73,7 @@ from ..isa.instructions import (
 )
 from ..predictors.base import BranchPredictor
 from .config import PipelineConfig
-from .core import PipelineSimulator, _Inflight
+from .core import PipelineSimulator
 from .decode import DecodedProgram
 
 #: Default out-of-order active-list capacity (instructions in flight).
@@ -91,7 +94,7 @@ class OutOfOrderSimulator(PipelineSimulator):
     the issue bandwidth and the retire bandwidth; the base
     :class:`~repro.pipeline.config.PipelineConfig` supplies everything
     else (fetch width, caches, penalties).  ``decoded``/``fast`` pick
-    the fetch engine exactly as for the in-order backend.
+    the engine exactly as for the in-order backend.
     """
 
     def __init__(
@@ -146,10 +149,11 @@ class OutOfOrderSimulator(PipelineSimulator):
     # backend hooks
     # ------------------------------------------------------------------
 
-    def _dispatch(self, entry: _Inflight) -> None:
-        """Rename + enqueue one fetched instruction; re-time its entry."""
-        cycle = self._cycle
-        sources, dest, latency = self._operands[entry.pc]
+    def _dispatch(self, sequence: int, pc: int, ready_cycle: int, cycle: int) -> int:
+        """Rename + enqueue one fetched instruction; return its
+        completion cycle (never earlier than the front end's
+        ``ready_cycle``)."""
+        sources, dest, latency = self._operands[pc]
         rename_map = self._rename_map
         phys_ready = self._phys_ready
         # wakeup: earliest cycle every source operand is available
@@ -172,42 +176,36 @@ class OutOfOrderSimulator(PipelineSimulator):
         complete = issue + latency
         if dest >= 0:
             new_phys = self._free_regs.popleft()
-            self._rename_of[entry.sequence] = (
-                dest,
-                new_phys,
-                rename_map[dest],
-            )
+            self._rename_of[sequence] = (dest, new_phys, rename_map[dest])
             rename_map[dest] = new_phys
             phys_ready[new_phys] = complete
-        # the front end's ready cycle (resolve depth + any congestion
-        # charge) is the floor; data dependences can only delay it
-        if complete > entry.ready_cycle:
-            entry.ready_cycle = complete
         if len(slots) > 4 * self.config.window:
             self._prune_issue_slots(cycle)
+        # the front end's ready cycle (resolve depth + any congestion
+        # charge) is the floor; data dependences can only delay it
+        return complete if complete > ready_cycle else ready_cycle
 
-    def _retire_entry(self, entry: _Inflight) -> None:
+    def _retire_entry(self, sequence: int) -> None:
         """Free the retiring writer's previous physical register."""
-        info = self._rename_of.pop(entry.sequence, None)
+        info = self._rename_of.pop(sequence, None)
         if info is not None:
             self._free_regs.append(info[2])
 
-    def _recover_from(self, entry: _Inflight) -> None:
-        """Roll the rename state back, then run front-end recovery.
+    def _rollback(self, depth: int, squashed: Sequence[int]) -> None:
+        """Record the window depth, then roll the rename state back.
 
-        The active list is walked youngest -> oldest (the R10K
-        exception-rollback walk): each squashed writer's map entry is
-        restored to its previous mapping and its freshly allocated
+        The squashed instructions are walked youngest -> oldest (the
+        R10K exception-rollback walk): each squashed writer's map entry
+        is restored to its previous mapping and its freshly allocated
         physical register is returned to the free list, leaving the
         rename state exactly as the mispredicted branch saw it.
         """
         histogram = self.stats.extra.setdefault(DEPTH_HISTOGRAM_KEY, {})
-        depth = self._inflight_count
         histogram[depth] = histogram.get(depth, 0) + 1
         rename_map = self._rename_map
         rename_of = self._rename_of
-        for younger in reversed(self._inflight):
-            info = rename_of.pop(younger.sequence, None)
+        for sequence in squashed:
+            info = rename_of.pop(sequence, None)
             if info is None:
                 continue
             arch, new_phys, old_phys = info
@@ -218,7 +216,6 @@ class OutOfOrderSimulator(PipelineSimulator):
         # this cycle), every later claim is squashed work, and later
         # dispatches issue after this cycle: no claim is read again
         self._issue_slots.clear()
-        super()._recover_from(entry)
 
     # ------------------------------------------------------------------
     # helpers

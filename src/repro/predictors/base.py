@@ -111,6 +111,12 @@ class BranchPredictor(abc.ABC):
         """Resolve a branch predicted via :meth:`predict_compact`."""
         self.resolve(pc, taken, token)
 
+    def compact_token(self, prediction: Prediction) -> object:
+        """The :meth:`predict_compact` token equivalent to a
+        :meth:`predict` record, so a branch predicted through one
+        protocol can resolve through the other."""
+        return prediction
+
     def reset(self) -> None:
         """Restore power-on state (re-creating the object also works)."""
         raise NotImplementedError

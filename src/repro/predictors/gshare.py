@@ -95,6 +95,9 @@ class GsharePredictor(BranchPredictor):
                 (history.value << 1) | (1 if taken else 0)
             ) & history.mask
 
+    def compact_token(self, prediction: Prediction):
+        return prediction.taken, prediction.index, prediction.snapshot
+
     def reset(self) -> None:
         self.table = CounterTable(self.table.size, bits=self.table.bits)
         self.history = GlobalHistory(self.history.bits)

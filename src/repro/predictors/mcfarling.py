@@ -160,6 +160,16 @@ class McFarlingPredictor(BranchPredictor):
                 (history.value << 1) | (1 if taken else 0)
             ) & history.mask
 
+    def compact_token(self, prediction: Prediction):
+        gshare_counter, bimodal_counter, __ = prediction.counters
+        return (
+            prediction.taken,
+            prediction.index,
+            gshare_counter >= self.gshare_table.midpoint,
+            bimodal_counter >= self.bimodal_table.midpoint,
+            prediction.snapshot,
+        )
+
     def reset(self) -> None:
         size = self.gshare_table.size
         bits = self.gshare_table.bits

@@ -1,9 +1,11 @@
 """Dual-path (eager) execution pipeline (paper §2.2, refs [16, 9, 15, 6, 8]).
 
-A selective dual-path front end on top of the speculative pipeline:
-when a branch is tagged **low confidence** (and no fork is already
-live), the machine *forks* -- both targets are fetched until the branch
-resolves.  Concretely in this model:
+Selective dual-path fetch, a front-end mode of the speculative
+pipeline (:class:`~repro.pipeline.core.PipelineSimulator`) that
+:class:`EagerPipelineSimulator` switches on: when a branch is tagged
+**low confidence** (and no fork is already live), the machine *forks*
+-- both targets are fetched until the branch resolves.  Concretely in
+this model:
 
 * while a fork is live the fetch bandwidth is halved (the alternate
   path consumes the other half -- its instructions are pure overhead
@@ -43,7 +45,15 @@ from ..predictors.base import BranchPredictor
 
 
 class EagerPipelineSimulator(PipelineSimulator):
-    """Pipeline with selective dual-path execution on LC branches."""
+    """Pipeline with selective dual-path execution on LC branches.
+
+    Forking is front-end state of the base simulator (the fork
+    decision at fetch, the fetch dilution while a fork is live, and the
+    path switch at resolution), so this class only validates and sets
+    ``fork_on`` and ``fork_switch_penalty``.  ``eager_forks``,
+    ``eager_covered`` and ``eager_wasted_slots`` count the forks, the
+    mispredictions they hid and the fetch slots fed to losing paths.
+    """
 
     def __init__(
         self,
@@ -74,125 +84,14 @@ class EagerPipelineSimulator(PipelineSimulator):
             raise ValueError("fork_switch_penalty must be non-negative")
         self.fork_on = fork_on
         self.fork_switch_penalty = fork_switch_penalty
-        self._active_fork = None  # the in-flight forked branch entry
-        #: Branch predictions made since the fork (= how deep the
-        #: forked branch's speculative-history bit has shifted).
-        self._branches_since_fork = 0
-        self.eager_forks = 0
-        self.eager_covered = 0  # forks that hid a misprediction
-        self.eager_wasted_slots = 0  # fetch slots fed to losing paths
-
-    # ------------------------------------------------------------------
-    # fork bookkeeping
-    # ------------------------------------------------------------------
-
-    def _entry_low_confidence(self, entry) -> bool:
-        for name, __, assessment in entry.assessments:
-            if name == self.fork_on:
-                return not assessment.high_confidence
-        return False
-
-    def _fork_eligible(self, entry) -> bool:
-        return (
-            self._active_fork is None
-            and self._unresolved_mispredictions == 0
-            and self._entry_low_confidence(entry)
-        )
-
-    def _activate_fork(self, entry) -> None:
-        self._active_fork = entry
-        self._branches_since_fork = 0
-        self.eager_forks += 1
-
-    # ------------------------------------------------------------------
-    # pipeline hooks
-    # ------------------------------------------------------------------
-
-    def _fetch_width(self) -> int:
-        width = self.config.fetch_width
-        if self._active_fork is not None:
-            # the alternate path consumes the other half of the port
-            diluted = max(1, width // 2)
-            self.eager_wasted_slots += width - diluted
-            return diluted
-        return width
-
-    def _front_end_mispredict(self, entry, target) -> None:
-        if self._fork_eligible(entry):
-            # fork: the alternate context is fetching the *correct*
-            # path, which is the one the journaled machine already
-            # follows -- so no redirect and no snapshot are needed;
-            # the predicted (wrong) path is the one we model as the
-            # diluted half of the port
-            self._activate_fork(entry)
-            # hardware forks the history register per path: the
-            # alternate (surviving) context carries the complement
-            # direction bit, so flip it for the stream we simulate
-            history = getattr(self.predictor, "history", None)
-            if history is not None and getattr(
-                self.predictor, "speculative_history", False
-            ):
-                history.set(history.value ^ 1)
-            return
-        super()._front_end_mispredict(entry, target)
-
-    def _fetch_branch(self, entry, taken, target) -> None:
-        already_forked = self._active_fork is not None
-        super()._fetch_branch(entry, taken, target)
-        if already_forked and entry is not self._active_fork:
-            self._branches_since_fork += 1
-        elif (
-            entry.is_branch
-            and not entry.mispredicted
-            and self._fork_eligible(entry)
-        ):
-            # correctly predicted LC branch: fork anyway (hardware
-            # cannot know), paying dilution for nothing
-            self._activate_fork(entry)
-
-    def _after_mispredicted_resolve(self, entry) -> None:
-        if entry is self._active_fork:
-            # the alternate (correct) path wins: swap it in for the
-            # cost of a switch, not a flush
-            self._active_fork = None
-            self.eager_covered += 1
-            self._fetch_stalled_until = max(
-                self._fetch_stalled_until,
-                self._cycle + self.fork_switch_penalty,
-            )
-            return
-        super()._after_mispredicted_resolve(entry)
-
-    def _resolve_branch(self, entry) -> None:
-        fork = entry is self._active_fork
-        if fork and entry.mispredicted:
-            # The surviving path's history was already corrected at fork
-            # time (per-path history registers), and the younger branches
-            # in flight are the surviving path -- so the single-path
-            # *repair* inside the predictor's resolve, which rewinds to
-            # the fork's snapshot, must be a no-op here: preserve the
-            # register across the table-training call.
-            history = getattr(self.predictor, "history", None)
-            speculative = getattr(self.predictor, "speculative_history", False)
-            if history is not None and speculative:
-                preserved = history.value
-                super()._resolve_branch(entry)  # tables train; repair clobbers
-                history.set(preserved)
-            else:
-                super()._resolve_branch(entry)  # non-speculative: nothing to fix
-        else:
-            super()._resolve_branch(entry)
-        if fork and entry is self._active_fork:
-            # correctly predicted fork: the insurance expires unused
-            self._active_fork = None
 
 
 class EagerOutOfOrderSimulator(EagerPipelineSimulator, OutOfOrderSimulator):
     """Selective dual-path front end over the out-of-order backend.
 
-    The eager overrides (fetch width/steering/resolution) and the OoO
-    backend hooks (``_dispatch``/``_retire_entry``/``_recover_from``)
-    are disjoint, so cooperative inheritance composes them.
+    The fork settings and the OoO backend hooks
+    (``_dispatch``/``_retire_entry``/``_rollback``) are disjoint, so
+    cooperative inheritance composes them.
     """
 
 

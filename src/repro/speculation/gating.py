@@ -1,17 +1,18 @@
 """Pipeline gating for power conservation (paper §2.2, reference [11]).
 
 The companion application the authors describe (Manne et al., "Pipeline
-Gating: Speculation Control for Energy Reduction"): stop fetching when
-the number of *unresolved low-confidence branches* in flight exceeds a
-gating threshold.  Wrong-path instructions cost energy but can never
-help performance, so a good estimator (high SPEC to catch most
+Gating: Speculation Control for Energy Reduction"): stop fetching while
+the number of *unresolved low-confidence branches* in flight is at
+least a gating threshold.  Wrong-path instructions cost energy but can
+never help performance, so a good estimator (high SPEC to catch most
 mispredictions, decent PVN to avoid false alarms) trades a tiny
 slowdown for a large cut in wasted (squashed) work.
 
-:class:`GatedPipelineSimulator` implements the mechanism on top of the
-speculative pipeline; :func:`compare_gating` runs gated vs. ungated
-configurations and reports the paper's figures of merit: extra-work
-reduction and performance loss.
+:class:`GatedPipelineSimulator` switches on the gate that the
+speculative pipeline's front end carries
+(:class:`~repro.pipeline.core.PipelineSimulator`); :func:`compare_gating`
+runs gated vs. ungated configurations and reports the paper's figures
+of merit: extra-work reduction and performance loss.
 """
 
 from __future__ import annotations
@@ -24,30 +25,20 @@ from ..isa import Program
 from ..pipeline.backends import create_simulator, normalize_backend
 from ..pipeline.config import PipelineConfig
 from ..pipeline.core import PipelineResult, PipelineSimulator
+from ..pipeline.core import count_low_confidence_inflight  # noqa: F401 - re-exported
 from ..pipeline.decode import DecodedProgram
 from ..pipeline.ooo import OutOfOrderSimulator
 from ..predictors.base import BranchPredictor
 
 
-def count_low_confidence_inflight(simulator: PipelineSimulator, name: str) -> int:
-    """Unresolved branches currently tagged low-confidence by ``name``."""
-    count = 0
-    for entry in simulator._inflight:
-        if not entry.is_branch:
-            continue
-        for estimator_name, __, assessment in entry.assessments:
-            if estimator_name == name and not assessment.high_confidence:
-                count += 1
-                break
-    return count
-
-
 class GatedPipelineSimulator(PipelineSimulator):
     """Pipeline whose front end gates on low-confidence branch count.
 
-    Fetch is suppressed in any cycle where more than ``gate_threshold``
+    Fetch is suppressed in any cycle where at least ``gate_threshold``
     unresolved low-confidence branches (as judged by the estimator
-    named ``gate_on``) are in flight.
+    named ``gate_on``) are in flight; ``gated_cycles`` counts those
+    cycles.  The gate is front-end state of the base simulator, so
+    this class only validates and sets it.
     """
 
     def __init__(
@@ -83,24 +74,14 @@ class GatedPipelineSimulator(PipelineSimulator):
             )
         self.gate_on = gate_on
         self.gate_threshold = gate_threshold
-        self.gated_cycles = 0
-
-    def _fetch_stage(self) -> None:
-        if (
-            count_low_confidence_inflight(self, self.gate_on)
-            >= self.gate_threshold
-        ):
-            self.gated_cycles += 1
-            return
-        super()._fetch_stage()
 
 
 class GatedOutOfOrderSimulator(GatedPipelineSimulator, OutOfOrderSimulator):
     """Gated front end over the out-of-order backend.
 
-    The gating override (``_fetch_stage``) and the OoO backend hooks
-    (``_dispatch``/``_retire_entry``/``_recover_from``) are disjoint,
-    so plain cooperative inheritance composes them.
+    The gate settings and the OoO backend hooks
+    (``_dispatch``/``_retire_entry``/``_rollback``) are disjoint, so
+    plain cooperative inheritance composes them.
     """
 
 

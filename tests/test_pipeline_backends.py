@@ -9,8 +9,8 @@ Two nets, matching the frontend/backend split:
   architectural machine state -- across Hypothesis-composed random
   programs, predictors and estimator attachments;
 * the **out-of-order** backend (plain, gated and eager) must be
-  bit-identical between the pre-decoded fast fetch and the reference
-  loop -- the same digest plus the rename state and the window-depth
+  bit-identical between the fused engine and the reference loop --
+  the same digest plus the rename state and the window-depth
   histogram -- and self-consistent: the same cell run whole, run
   segmented (paused at arbitrary instruction stops), and
   pickled/unpickled at every boundary must be indistinguishable on
@@ -18,10 +18,9 @@ Two nets, matching the frontend/backend split:
   equal the golden functional machine.
 
 Plus unit coverage for the registry surface itself
-(:func:`normalize_backend` / :func:`create_simulator` /
-:func:`register_backend`), the OoO rename free-list conservation
-invariant, and the window-depth histogram contract behind the report's
-figure 8/9 extension.
+(:func:`normalize_backend` / :func:`create_simulator`), the OoO rename
+free-list conservation invariant, and the window-depth histogram
+contract behind the report's figure 8/9 extension.
 """
 
 import dataclasses
@@ -43,10 +42,14 @@ from repro.pipeline import (
     PipelineSimulator,
     create_simulator,
     normalize_backend,
-    register_backend,
 )
 from repro.predictors import make_predictor
-from repro.speculation import EagerOutOfOrderSimulator, GatedOutOfOrderSimulator
+from repro.speculation import (
+    EagerOutOfOrderSimulator,
+    EagerPipelineSimulator,
+    GatedOutOfOrderSimulator,
+    GatedPipelineSimulator,
+)
 from repro.speculation.dualpath import EAGER_SIMULATORS
 from repro.speculation.gating import GATED_SIMULATORS
 from repro.workloads.generator import generate_program
@@ -84,16 +87,6 @@ class TestBackendRegistry:
             program, make_predictor("gshare"), backend="ooo"
         )
         assert type(ooo) is OutOfOrderSimulator
-
-    def test_register_backend_validates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("inorder", OutOfOrderSimulator)
-        # re-registering the same class is a harmless no-op
-        register_backend("inorder", PipelineSimulator)
-        with pytest.raises(ValueError, match="identifier"):
-            register_backend("not a name!", PipelineSimulator)
-        with pytest.raises(TypeError, match="PipelineSimulator"):
-            register_backend("bogus", object)
 
     def test_backends_share_the_decoded_program(self):
         # every backend reads the per-workload decoded memo: an ooo cell
@@ -278,21 +271,32 @@ def test_ooo_fast_and_reference_identical(
 
 
 def test_ooo_fast_path_never_steps_the_machine(monkeypatch):
-    """``fast=True`` really runs the decoded fetch for every OoO
-    simulator: a silent fallback to the reference loop would call
-    ``Machine.step``, which the reference run below shows is seen."""
+    """``fast=True`` really runs the fused engine for every simulator
+    class: a fallback to the reference engine would call
+    ``PipelineSimulator.step_cycle`` and ``Machine.step``, which the
+    reference run below shows are seen."""
     steps = []
+    cycles = []
     step = Machine.step
+    step_cycle = PipelineSimulator.step_cycle
 
     def counting_step(machine):
         steps.append(machine.pc)
         return step(machine)
 
+    def counting_step_cycle(simulator, fetch_allowed=True):
+        cycles.append(simulator.cycle)
+        return step_cycle(simulator, fetch_allowed)
+
     monkeypatch.setattr(Machine, "step", counting_step)
+    monkeypatch.setattr(PipelineSimulator, "step_cycle", counting_step_cycle)
     program = workload_program("compress", 30)
     for simulator_class, kwargs in (
+        (PipelineSimulator, {}),
         (OutOfOrderSimulator, {}),
+        (GatedPipelineSimulator, {"gate_on": "jrs"}),
         (GatedOutOfOrderSimulator, {"gate_on": "jrs"}),
+        (EagerPipelineSimulator, {"fork_on": "jrs"}),
         (EagerOutOfOrderSimulator, {"fork_on": "jrs"}),
     ):
         simulator = simulator_class(
@@ -305,9 +309,11 @@ def test_ooo_fast_path_never_steps_the_machine(monkeypatch):
         result = simulator.run(max_instructions=3000)
         assert result.stats.committed_instructions == 3000
     assert steps == []
+    assert cycles == []
     reference = OutOfOrderSimulator(program, make_predictor("gshare"), fast=False)
     reference.run(max_instructions=100)
     assert steps
+    assert cycles
 
 
 @pytest.mark.parametrize("fast", (False, True), ids=("reference", "fast"))

@@ -2,13 +2,12 @@
 
 Three groups of guarantees:
 
-* **byte identity** -- the fast engine (pre-decoded programs, fused
+* **byte identity** -- the fused engine (pre-decoded programs, fused
   cycle loop, compact predictor protocol, columnar records) must leave
   *exactly* the state the reference per-instruction engine leaves:
   stats, every branch-record field, architectural machine state, cache
-  hit/miss counters, estimator quadrants -- for the base simulator and
-  for the gating/eager subclasses (which ride the per-cycle fast fetch
-  stage);
+  hit/miss counters, estimator quadrants -- for every simulator class,
+  and for runs that switch between the two engines mid-flight;
 * **accounting fixes** -- ``max_instructions`` commits exactly N, and a
   congestion window delays exactly one branch (no double charge across
   a fetch group);
@@ -24,10 +23,13 @@ import pickle
 import pytest
 
 from repro.confidence import JRSEstimator
+from repro.engine import workload_program
 from repro.pipeline import (
     PIPELINE_FAST_ENV,
     BranchRecordStore,
+    CacheConfig,
     DecodedProgram,
+    OutOfOrderSimulator,
     PipelineConfig,
     PipelineSimulator,
     PipelineStats,
@@ -36,7 +38,12 @@ from repro.pipeline import (
 )
 from repro.isa import assemble
 from repro.predictors import GsharePredictor, McFarlingPredictor, make_predictor
-from repro.speculation import EagerPipelineSimulator, GatedPipelineSimulator
+from repro.speculation import (
+    EagerOutOfOrderSimulator,
+    EagerPipelineSimulator,
+    GatedOutOfOrderSimulator,
+    GatedPipelineSimulator,
+)
 from repro.workloads import generate_program, get_profile
 
 RECORD_FIELDS = (
@@ -56,6 +63,68 @@ RECORD_FIELDS = (
 
 def small_program(name="compress", iterations=40):
     return generate_program(get_profile(name), iterations=iterations)
+
+
+#: Every simulator class, with the keywords that switch its gate or fork
+#: on; those two need the estimator they name.
+SIMULATOR_KINDS = {
+    "inorder": (PipelineSimulator, {}),
+    "ooo": (OutOfOrderSimulator, {}),
+    "gated": (GatedPipelineSimulator, {"gate_on": "jrs"}),
+    "gated-ooo": (GatedOutOfOrderSimulator, {"gate_on": "jrs"}),
+    "eager": (EagerPipelineSimulator, {"fork_on": "jrs"}),
+    "eager-ooo": (EagerOutOfOrderSimulator, {"fork_on": "jrs"}),
+}
+
+
+def build_simulator(kind, program, config, fast):
+    simulator_class, kwargs = SIMULATOR_KINDS[kind]
+    estimators = {"jrs": JRSEstimator(threshold=15)} if kwargs else {}
+    return simulator_class(
+        program,
+        GsharePredictor(),
+        config=config,
+        estimators=estimators,
+        fast=fast,
+        **kwargs,
+    )
+
+
+def full_digest(simulator, result):
+    """Everything a run leaves behind: stats, record columns, machine
+    and cache state, quadrants, gating/fork counters, rename state."""
+    machine = simulator.machine
+    digest = {
+        "stats": dataclasses.asdict(result.stats),
+        "records": [list(getattr(result.records, name)) for name in RECORD_FIELDS],
+        "machine": (
+            list(machine.regs),
+            dict(machine.memory),
+            machine.pc,
+            machine.instructions_retired,
+        ),
+        "caches": [
+            (cache.hits, cache.misses)
+            for cache in (simulator.icache, simulator.dcache)
+        ],
+        "quadrants": [
+            {name: vars(counts).copy() for name, counts in table.items()}
+            for table in (result.quadrants_committed, result.quadrants_all)
+        ],
+        "speculation": (
+            simulator.gated_cycles,
+            simulator.eager_forks,
+            simulator.eager_covered,
+            simulator.eager_wasted_slots,
+        ),
+    }
+    if isinstance(simulator, OutOfOrderSimulator):
+        digest["rename"] = (
+            list(simulator._rename_map),
+            list(simulator._free_regs),
+            dict(simulator._rename_of),
+        )
+    return digest
 
 
 def assert_equivalent(slow_sim, slow_result, fast_sim, fast_result):
@@ -143,8 +212,8 @@ class TestFastSlowIdentity:
             runs.append((simulator, simulator.run(max_instructions=6_000)))
         assert_equivalent(*runs[0], *runs[1])
         # the fork counters live on the simulator, not the result; the
-        # wasted-slot count in particular depends on _fetch_width()
-        # being consulted on exactly the same cycles in both engines
+        # wasted-slot count in particular depends on the fetch dilution
+        # being charged on exactly the same cycles in both engines
         slow_sim, fast_sim = runs[0][0], runs[1][0]
         assert slow_sim.eager_forks == fast_sim.eager_forks
         assert slow_sim.eager_covered == fast_sim.eager_covered
@@ -161,7 +230,7 @@ class TestFastSlowIdentity:
 
     def test_early_stop_then_step_cycle_continues_identically(self):
         # an early-stopped fused run leaves normal _Inflight entries
-        # (compact prediction tokens included) that the per-cycle
+        # (compact prediction tokens included) that the reference
         # engine can drain to the same final state
         program = small_program()
         fast_sim = PipelineSimulator(program, GsharePredictor(), fast=True)
@@ -176,6 +245,59 @@ class TestFastSlowIdentity:
             fast_sim.stats.committed_instructions
             == slow_sim.stats.committed_instructions
         )
+        # every simulator class, on a one-line I-cache where every line
+        # change misses: soft stops of the fused engine interleaved with
+        # one to three reference step_cycle() calls end exactly where
+        # the reference engine alone ends.  A reference fetch that
+        # evicts the fused engine's last line must void its repeat-line
+        # shortcut.  Stepping stays well below the hard budget, which
+        # step_cycle() does not enforce.
+        program = small_program(iterations=15)
+        config = PipelineConfig(
+            icache=CacheConfig(size_words=8, line_words=8, associativity=1)
+        )
+        budget = 3_000
+        for kind in SIMULATOR_KINDS:
+            reference = build_simulator(kind, program, config, fast=False)
+            expected = full_digest(
+                reference, reference.run(max_instructions=budget)
+            )
+            mixed = build_simulator(kind, program, config, fast=True)
+            for round_, stop in enumerate(range(13, budget - 200, 13)):
+                mixed.run(max_instructions=budget, stop_instructions=stop)
+                for __ in range(1 + round_ % 3):
+                    mixed.step_cycle()
+            result = mixed.run(max_instructions=budget)
+            assert full_digest(mixed, result) == expected, kind
+
+    @pytest.mark.parametrize("predictor_name", ("gshare", "mcfarling"))
+    def test_run_after_step_cycle_matches_reference(self, predictor_name):
+        # step_cycle() fetches full Prediction records, while a fused
+        # run without estimators resolves compact tokens: run() after
+        # step_cycle(), and run() -> step_cycle() -> run(), must both
+        # end where the reference engine ends
+        program = workload_program("compress", 10)
+        budget = 3_000
+
+        def build(fast):
+            return PipelineSimulator(
+                program, make_predictor(predictor_name), fast=fast
+            )
+
+        reference = build(False)
+        expected = full_digest(reference, reference.run(max_instructions=budget))
+        for steps in range(100, 400, 21):
+            stepped = build(True)
+            for __ in range(steps):
+                stepped.step_cycle()
+            result = stepped.run(max_instructions=budget)
+            assert full_digest(stepped, result) == expected, steps
+            chained = build(True)
+            chained.run(max_instructions=budget, stop_instructions=4 * steps)
+            for __ in range(steps):
+                chained.step_cycle()
+            result = chained.run(max_instructions=budget)
+            assert full_digest(chained, result) == expected, steps
 
 
 CONGESTION_PROGRAM = """
