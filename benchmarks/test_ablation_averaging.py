@@ -21,7 +21,7 @@ def test_ablation_averaging_method(benchmark, results_dir):
     max_delta = 0.0
     for predictor in ("gshare", "mcfarling", "sag"):
         per_workload, __ = _table2_measurements(
-            predictor, BENCH_SCALE.key(), BENCH_SCALE.workloads
+            predictor, BENCH_SCALE.iterations, BENCH_SCALE.workloads
         )
         for estimator in ("jrs", "satcnt", "pattern", "static"):
             quadrants = [per_workload[w][estimator] for w in BENCH_SCALE.workloads]

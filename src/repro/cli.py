@@ -120,16 +120,16 @@ def _scale_from_args(
     ):
         # --resume with no explicit sizing: reuse the prior run's scale
         return fallback
-    preset = SCALES[preset_name or "full"]
+    # explicit flags override single fields of the named preset, else of
+    # the resumed run's scale, else of the full preset
+    preset = SCALES[preset_name] if preset_name else fallback or SCALES["full"]
     iterations = args.iterations if args.iterations is not None else preset.iterations
     pipeline_instructions = (
         args.pipeline_instructions
         if args.pipeline_instructions is not None
         else preset.pipeline_instructions
     )
-    workloads = (
-        tuple(args.workloads.split(",")) if args.workloads else preset.workloads
-    )
+    workloads = tuple(args.workloads) if args.workloads else preset.workloads
     # flag beats environment beats preset; 0 explicitly disables
     if segment_flag is not None:
         segment_instructions = segment_flag if segment_flag > 0 else None
@@ -146,6 +146,26 @@ def _scale_from_args(
         segment_instructions=segment_instructions,
         backend=normalize_backend(backend),
     )
+
+
+def _name_list(known, what: str):
+    """An argparse type: a comma-separated list of names from ``known``.
+
+    An unknown name is a usage error (exit status 2) that names every
+    unknown value, before any work starts.
+    """
+
+    def parse(raw: str) -> List[str]:
+        names = [name for name in raw.split(",") if name]
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what}: {', '.join(unknown)}"
+                f" (available: {', '.join(known)})"
+            )
+        return names
+
+    return parse
 
 
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
@@ -170,6 +190,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workloads",
+        type=_name_list(SUITE, "workload"),
         default=None,
         help="comma-separated workload subset (default: preset suite)",
     )
@@ -456,7 +477,7 @@ def _run_battery_command(
 
 def _command_run_all(args: argparse.Namespace) -> int:
     plan = _resume_plan(args)
-    only = args.only.split(",") if args.only else None
+    only = args.only or None
     if only is None and plan and plan.selection:
         only = plan.selection
     return _run_battery_command(args, only)
@@ -606,7 +627,7 @@ def _command_bench(args: argparse.Namespace) -> int:
         return _bench_compare(args)
     jobs = _resolve_execution(args)
     scale = _scale_from_args(args)
-    only = args.only.split(",") if args.only else None
+    only = args.only or None
     cache = artifact_cache.get_cache()
     cache_baseline = cache.stats.snapshot()
     metrics_baseline = REGISTRY.snapshot()
@@ -834,6 +855,9 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+_experiment_ids = _name_list(list(SPECS), "experiment ids")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -864,7 +888,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_execution_arguments(run_parser)
 
     run_all_parser = subparsers.add_parser("run-all", help="run the whole battery")
-    run_all_parser.add_argument("--only", default=None, help="comma-separated ids")
+    run_all_parser.add_argument(
+        "--only", type=_experiment_ids, default=None, help="comma-separated ids"
+    )
     run_all_parser.add_argument("--out", default=None, help="write report to a file")
     _add_scale_arguments(run_all_parser)
     _add_execution_arguments(run_all_parser)
@@ -893,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON summary to PATH instead of stdout",
     )
     bench_parser.add_argument(
-        "--only", default=None, help="comma-separated experiment ids"
+        "--only", type=_experiment_ids, default=None, help="comma-separated experiment ids"
     )
     bench_parser.add_argument(
         "--compare",

@@ -119,18 +119,9 @@ class Scale:
     #: Pipeline backend every cycle-level cell runs on (``inorder``
     #: is the paper-validated 5-stage core; ``ooo`` the R10K-style
     #: out-of-order core).  A spec-level dimension like predictor
-    #: choice: it flows into artifact cache keys, DAG node arguments
+    #: choice: it flows into artifact cache keys, warm task arguments
     #: and checkpoint fingerprints.
     backend: str = "inorder"
-
-    def key(self) -> Tuple:
-        return (
-            self.iterations,
-            self.pipeline_instructions,
-            self.workloads,
-            self.segment_instructions,
-            self.backend,
-        )
 
 
 # the pre-decoded pipeline fast path (~5x branches/s) pays for 5x
@@ -206,11 +197,6 @@ class ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _trace(workload: str, iterations: Optional[int]):
-    return workload_run(workload, iterations).trace
-
-
 def _bank_trace(workload: str, iterations: Optional[int]):
     """The trace representation measurement passes should replay.
 
@@ -222,7 +208,7 @@ def _bank_trace(workload: str, iterations: Optional[int]):
     """
     if vector_enabled():
         return columnar_run(workload, iterations)
-    return _trace(workload, iterations)
+    return workload_run(workload, iterations).trace
 
 
 def _compute_static_sites(
@@ -242,9 +228,8 @@ def _compute_pipeline_result(
     predictor_name: str,
     iterations: Optional[int],
     max_instructions: int,
-    with_estimators: bool,
-    segment_instructions: Optional[int] = None,
-    backend: str = "inorder",
+    segment_instructions: Optional[int],
+    backend: str,
 ):
     # simulator construction and the (optionally segmented) run both
     # live in repro.harness.shard so segment chains start from state
@@ -257,7 +242,6 @@ def _compute_pipeline_result(
         predictor_name,
         iterations,
         max_instructions,
-        with_estimators,
         segment_instructions,
         backend,
     )
@@ -273,7 +257,6 @@ def _pipeline_result(
     predictor_name: str,
     iterations: Optional[int],
     max_instructions: int,
-    with_estimators: bool = False,
     segment_instructions: Optional[int] = None,
     backend: str = "inorder",
 ):
@@ -288,7 +271,6 @@ def _pipeline_result(
             predictor_name,
             iterations,
             max_instructions,
-            with_estimators,
             segment_instructions,
             backend,
         ),
@@ -296,7 +278,6 @@ def _pipeline_result(
         predictor=predictor_name,
         iterations=iterations,
         max_instructions=max_instructions,
-        with_estimators=with_estimators,
         profile=profile_fingerprint(workload),
         config=repr(PipelineConfig()),
         backend=backend,
@@ -314,7 +295,7 @@ class MeasurementCell:
 
     ``quadrants`` is keyed by family name; ``accuracy`` is the
     predictor's committed-branch accuracy from the same pass.  Cells
-    are the cacheable unit the DAG's ``measurement`` artifacts map to.
+    are the cacheable unit the ``measurement`` artifacts map to.
     """
 
     predictor: str
@@ -429,7 +410,7 @@ def measurement_cell(
 ) -> MeasurementCell:
     """The estimator-bank measurement of one (predictor, workload) pair.
 
-    This is the unit the DAG's ``measurement`` artifacts map to and the
+    This is the unit the ``measurement`` artifacts map to and the
     parallel warm waves fan out over; memoised in process and persisted
     in the artifact cache keyed by the exact family set.
     """
@@ -500,9 +481,10 @@ def table2_workload(
     return quadrants, cell.accuracy
 
 
-def _table2_measurements(predictor_name: str, scale_key, workloads: Tuple[str, ...]):
+def _table2_measurements(
+    predictor_name: str, iterations: Optional[int], workloads: Tuple[str, ...]
+):
     """Per-workload quadrant tables for the four standard estimators."""
-    iterations = scale_key[0]
     per_workload: Dict[str, Dict[str, QuadrantCounts]] = {}
     accuracies: Dict[str, float] = {}
     for workload in workloads:
@@ -521,7 +503,6 @@ def clear_memoised() -> None:
     from ..engine import clear_columnar_cache
     from .speculation import clear_speculation_memoised
 
-    _trace.cache_clear()
     clear_columnar_cache()
     clear_decoded_cache()
     _pipeline_result.cache_clear()
@@ -588,8 +569,8 @@ def experiment_table1(scale: Scale = FULL) -> ExperimentResult:
             "gshare",
             scale.iterations,
             scale.pipeline_instructions,
-            segment_instructions=scale.segment_instructions,
-            backend=scale.backend,
+            scale.segment_instructions,
+            scale.backend,
         )
         # metric_or_none policy: an empty pipeline run renders as n/a,
         # never as a fabricated 0.00 ratio
@@ -629,7 +610,7 @@ def experiment_table2(scale: Scale = FULL) -> ExperimentResult:
     averages: Dict[Tuple[str, str], QuadrantCounts] = {}
     for predictor_name in PREDICTORS:
         per_workload, accuracies = _table2_measurements(
-            predictor_name, scale.key(), scale.workloads
+            predictor_name, scale.iterations, scale.workloads
         )
         table = TextTable(
             title=f"Table 2 ({predictor_name} predictor)",
@@ -669,7 +650,7 @@ def experiment_table2_detail(scale: Scale = FULL) -> ExperimentResult:
     per_application: Dict[Tuple[str, str, str], QuadrantCounts] = {}
     for predictor_name in PREDICTORS:
         per_workload, accuracies = _table2_measurements(
-            predictor_name, scale.key(), scale.workloads
+            predictor_name, scale.iterations, scale.workloads
         )
         table = TextTable(
             title=f"Per-application detail ({predictor_name} predictor)",
@@ -907,8 +888,8 @@ def _distance_figure(
             predictor_name,
             scale.iterations,
             scale.pipeline_instructions,
-            segment_instructions=scale.segment_instructions,
-            backend=scale.backend,
+            scale.segment_instructions,
+            scale.backend,
         )
         records = pipe.branch_records
         all_curves.append(curve_fn(records, population="all"))
@@ -1049,7 +1030,7 @@ def experiment_table4(scale: Scale = FULL) -> ExperimentResult:
 
     def add_reference_rows(predictor_name: str) -> None:
         per_workload, __ = _table2_measurements(
-            predictor_name, scale.key(), scale.workloads
+            predictor_name, scale.iterations, scale.workloads
         )
         for estimator, threshold_label in (
             ("jrs", ">= 15"),
@@ -1105,7 +1086,7 @@ def experiment_table4(scale: Scale = FULL) -> ExperimentResult:
             )
 
     # the SAg pattern-history row the paper closes the table with
-    sag_per_workload, __ = _table2_measurements("sag", scale.key(), scale.workloads)
+    sag_per_workload, __ = _table2_measurements("sag", scale.iterations, scale.workloads)
     sag_pattern = average_quadrants(
         [sag_per_workload[w]["pattern"] for w in scale.workloads]
     )
@@ -1261,7 +1242,6 @@ for _spec in (
         section="paper",
         order=10,
         paper_ref="Figure 1",
-        produces=(),
         deps=(),
         plot=True,
     ),
@@ -1272,7 +1252,6 @@ for _spec in (
         section="paper",
         order=20,
         paper_ref="Table 1",
-        produces=("trace", "pipeline", "measurement"),
         deps=(_TRACE,)
         + _pipeline_deps(("gshare",))
         + _measurement_deps(PREDICTORS, ("accuracy",)),
@@ -1284,7 +1263,6 @@ for _spec in (
         section="paper",
         order=30,
         paper_ref="Table 2",
-        produces=("trace", "measurement"),
         deps=(_TRACE,) + _measurement_deps(PREDICTORS, STANDARD_FAMILIES),
     ),
     ExperimentSpec(
@@ -1294,7 +1272,6 @@ for _spec in (
         section="paper",
         order=40,
         paper_ref="Table 2 (tech-report detail)",
-        produces=("trace", "measurement"),
         deps=(_TRACE,) + _measurement_deps(PREDICTORS, STANDARD_FAMILIES),
     ),
     ExperimentSpec(
@@ -1304,7 +1281,6 @@ for _spec in (
         section="paper",
         order=50,
         paper_ref="Figure 3",
-        produces=("trace",),
         deps=(_TRACE,),
         plot=True,
     ),
@@ -1315,7 +1291,6 @@ for _spec in (
         section="paper",
         order=60,
         paper_ref="Figure 4",
-        produces=("trace",),
         deps=(_TRACE,),
         plot=True,
     ),
@@ -1326,7 +1301,6 @@ for _spec in (
         section="paper",
         order=70,
         paper_ref="Figure 5",
-        produces=("trace",),
         deps=(_TRACE,),
         plot=True,
     ),
@@ -1337,7 +1311,6 @@ for _spec in (
         section="paper",
         order=80,
         paper_ref="Table 3",
-        produces=("trace", "measurement"),
         deps=(_TRACE,)
         + _measurement_deps(("mcfarling",), ("satcnt", "satcnt-either")),
     ),
@@ -1348,7 +1321,6 @@ for _spec in (
         section="paper",
         order=90,
         paper_ref="Figure 6",
-        produces=("trace", "pipeline"),
         deps=(_TRACE,) + _pipeline_deps(("gshare",)),
         plot=True,
     ),
@@ -1359,7 +1331,6 @@ for _spec in (
         section="paper",
         order=100,
         paper_ref="Figure 7",
-        produces=("trace", "pipeline"),
         deps=(_TRACE,) + _pipeline_deps(("mcfarling",)),
         plot=True,
     ),
@@ -1370,7 +1341,6 @@ for _spec in (
         section="paper",
         order=110,
         paper_ref="Figure 8",
-        produces=("trace", "pipeline"),
         deps=(_TRACE,) + _pipeline_deps(("gshare",)),
         plot=True,
     ),
@@ -1381,7 +1351,6 @@ for _spec in (
         section="paper",
         order=120,
         paper_ref="Figure 9",
-        produces=("trace", "pipeline"),
         deps=(_TRACE,) + _pipeline_deps(("mcfarling",)),
         plot=True,
     ),
@@ -1392,7 +1361,6 @@ for _spec in (
         section="paper",
         order=130,
         paper_ref="Table 4",
-        produces=("trace", "measurement"),
         deps=(_TRACE,)
         + _measurement_deps(("gshare", "mcfarling", "sag"), STANDARD_FAMILIES),
     ),
@@ -1403,7 +1371,6 @@ for _spec in (
         section="paper",
         order=140,
         paper_ref="Section 4.2",
-        produces=("trace",),
         deps=(_TRACE,),
     ),
 ):

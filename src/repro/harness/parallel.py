@@ -8,9 +8,10 @@ stacks.  This module fans ``run_all`` out over a
 1. **trace warm-up** -- one task per workload generates/executes the
    program and persists its branch trace in the artifact cache;
 2. **heavy-artifact warm-up** -- one task per (workload, predictor)
-   cell runs the pipeline simulations and standard-estimator
-   measurements the selected experiments will need, again into the
-   persistent cache;
+   cell runs the pipeline simulations, estimator-bank measurements and
+   speculation cells the selected experiments will need, again into
+   the persistent cache (a segmented pipeline cell takes one wave per
+   link of its chain, see :func:`plan_warm_levels`);
 3. **experiments** -- one task per experiment, which now mostly reads
    cached artifacts.
 
@@ -65,9 +66,10 @@ import time
 import traceback
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..engine import cache as artifact_cache
+from ..engine import workload_run
 from ..engine.cache import CacheStats
 from ..faults import injector as faults
 from ..faults.injector import InjectedCrash
@@ -78,14 +80,13 @@ from .experiments import (
     ExperimentResult,
     Scale,
     _pipeline_result,
-    _trace,
     activate_measurement_plan,
     deactivate_measurement_plan,
     measurement_cell,
     run_experiment,
 )
 from .shard import segment_count, warm_segment
-from .spec import SPECS, ArtifactNode, measurement_plan, topological_levels
+from .spec import SPECS, measurement_plan
 from .speculation import eager_cell, gating_cell, inversion_cell
 
 Journal = Optional[object]  # RunJournal | NullJournal; kwarg convenience
@@ -207,7 +208,21 @@ def backoff_from_env() -> float:
     return max(0.0, _env_number(BACKOFF_ENV, DEFAULT_BACKOFF_S, _finite_float))
 
 
+#: A warm task ``(kind, args)``: the call ``_WARM_FUNCTIONS[kind](*args)``.
 WarmTask = Tuple[str, Tuple]
+
+#: The memoised function behind each warm task kind -- the same ones the
+#: experiments call, with the same positional arguments, so a warm call
+#: and the experiment's later call share one cache (and memo) entry.
+_WARM_FUNCTIONS: Dict[str, Callable] = {
+    "trace": workload_run,
+    "pipeline": _pipeline_result,
+    "pipeline-segment": warm_segment,
+    "measurement": measurement_cell,
+    "gating": gating_cell,
+    "eager": eager_cell,
+    "inversion": inversion_cell,
+}
 
 
 def _plan_families(
@@ -225,30 +240,36 @@ def _plan_families(
     }
 
 
-def plan_artifact_nodes(
+def plan_warm_levels(
     selected: Sequence[str],
     scale: Scale,
     measurement_families: Optional[MeasurementPlan] = None,
-) -> List[ArtifactNode]:
-    """The artifact-dependency DAG ``selected`` needs at ``scale``.
+) -> List[List[WarmTask]]:
+    """The artifact warm-up schedule: waves of independent warm tasks.
 
     Every spec's declared :class:`~repro.harness.spec.ArtifactDep` list
-    is expanded over the scale's workloads into concrete
-    :class:`~repro.harness.spec.ArtifactNode` keys (the exact argument
-    tuples the warm workers run), deduplicated across experiments.
-    Measurement nodes carry the battery-wide per-predictor family union
+    is expanded over the scale's workloads into warm tasks,
+    deduplicated across experiments.  Traces go in wave 0 and every
+    other task in wave 1, except that a segmented ``pipeline`` cell is
+    a chain: segment ``i`` goes in wave ``i + 1`` (it resumes segment
+    ``i - 1``'s snapshot) and the final run in wave ``chain + 1``.  So
+    a task only ever runs after every artifact it reads exists, while
+    independent (workload, predictor) cells shard across the pool.
+    Within a wave, tasks keep the order they were planned in.
+
+    Measurement tasks carry the battery-wide per-predictor family union
     (``measurement_families``, computed from the selection when not
     given), so every consumer of a (workload, predictor) pair shares
     one estimator-bank cell.
     """
     families_by_predictor = _plan_families(selected, measurement_families)
-    nodes: Dict[Tuple[str, Tuple], ArtifactNode] = {}
+    chain = segment_count(scale.pipeline_instructions, scale.segment_instructions)
+    # the trailing arguments of every speculation cell
+    budget = (scale.iterations, scale.pipeline_instructions, scale.backend)
+    waves: Dict[WarmTask, int] = {}
 
-    def add(kind: str, args: Tuple, deps: Tuple = ()) -> Tuple[str, Tuple]:
-        key = (kind, args)
-        if key not in nodes:
-            nodes[key] = ArtifactNode(key=key, deps=deps)
-        return key
+    def add(wave: int, kind: str, *args) -> None:
+        waves.setdefault((kind, args), wave)
 
     for experiment_id in selected:
         spec = SPECS.get(experiment_id)
@@ -256,106 +277,33 @@ def plan_artifact_nodes(
             continue
         for dep in spec.deps:
             for workload in scale.workloads:
-                trace = add("trace", (workload, scale.iterations))
-                if dep.kind == "trace":
-                    continue
+                add(0, "trace", workload, scale.iterations)
                 if dep.kind == "pipeline":
-                    # a segmented cell is a chain of dependent segment
-                    # nodes (each resumes the previous snapshot), then
-                    # the final run reading the last snapshot;
-                    # independent cells parallelise, chains don't
-                    previous: Tuple = ()
-                    chain = segment_count(
+                    cell = (
+                        workload,
+                        dep.predictor,
+                        scale.iterations,
                         scale.pipeline_instructions,
                         scale.segment_instructions,
                     )
                     for index in range(chain):
-                        segment = add(
-                            "pipeline-segment",
-                            (
-                                workload,
-                                dep.predictor,
-                                scale.iterations,
-                                scale.pipeline_instructions,
-                                scale.segment_instructions,
-                                index,
-                                scale.backend,
-                            ),
-                            deps=previous or (trace,),
-                        )
-                        previous = (segment,)
-                    add(
-                        "pipeline",
-                        (
-                            workload,
-                            dep.predictor,
-                            scale.iterations,
-                            scale.pipeline_instructions,
-                            scale.segment_instructions,
-                            scale.backend,
-                        ),
-                        deps=(trace,) + previous,
-                    )
+                        add(index + 1, "pipeline-segment", *cell, index, scale.backend)
+                    add(chain + 1, "pipeline", *cell, scale.backend)
                 elif dep.kind == "measurement":
                     families = families_by_predictor.get(
                         dep.predictor, tuple(sorted(set(dep.families)))
                     )
-                    add(
-                        "measurement",
-                        (dep.predictor, workload, scale.iterations, families),
-                        deps=(trace,),
-                    )
+                    add(1, "measurement", dep.predictor, workload, scale.iterations, families)
                 elif dep.kind == "gating":
-                    add(
-                        "gating",
-                        (
-                            workload,
-                            dep.estimator,
-                            dep.threshold,
-                            scale.iterations,
-                            scale.pipeline_instructions,
-                            scale.backend,
-                        ),
-                        deps=(trace,),
-                    )
+                    add(1, "gating", workload, dep.estimator, dep.threshold, *budget)
                 elif dep.kind == "eager":
-                    add(
-                        "eager",
-                        (
-                            workload,
-                            dep.estimator,
-                            scale.iterations,
-                            scale.pipeline_instructions,
-                            scale.backend,
-                        ),
-                        deps=(trace,),
-                    )
+                    add(1, "eager", workload, dep.estimator, *budget)
                 elif dep.kind == "inversion":
-                    add(
-                        "inversion",
-                        (workload, dep.estimator, scale.iterations),
-                        deps=(trace,),
-                    )
-    return list(nodes.values())
-
-
-def plan_warm_levels(
-    selected: Sequence[str],
-    scale: Scale,
-    measurement_families: Optional[MeasurementPlan] = None,
-) -> List[List[WarmTask]]:
-    """The artifact warm-up schedule, one task wave per DAG level.
-
-    A task only ever runs after every artifact it depends on exists;
-    tasks within one wave are independent and run concurrently.  This
-    is what keeps a segmented cell's ``pipeline-segment`` chain ordered
-    (segment ``i`` sits one level below segment ``i + 1``) while
-    independent (workload, predictor) cells shard across the pool.
-    """
-    levels = topological_levels(
-        plan_artifact_nodes(selected, scale, measurement_families)
-    )
-    return [[node.key for node in level] for level in levels]
+                    add(1, "inversion", workload, dep.estimator, scale.iterations)
+    levels: List[List[WarmTask]] = [[] for _ in range(max(waves.values(), default=-1) + 1)]
+    for task, wave in waves.items():
+        levels[wave].append(task)
+    return levels
 
 
 # ----------------------------------------------------------------------
@@ -391,57 +339,7 @@ def _warm_worker(task: WarmTask) -> Tuple[CacheStats, MetricsSnapshot, float]:
     baseline = _task_baseline()
     started = time.perf_counter()
     kind, args = task
-    if kind == "trace":
-        workload, iterations = args
-        _trace(workload, iterations)
-    elif kind == "pipeline":
-        (
-            workload,
-            predictor,
-            iterations,
-            max_instructions,
-            segment_instructions,
-            backend,
-        ) = args
-        _pipeline_result(
-            workload,
-            predictor,
-            iterations,
-            max_instructions,
-            segment_instructions=segment_instructions,
-            backend=backend,
-        )
-    elif kind == "pipeline-segment":
-        (
-            workload,
-            predictor,
-            iterations,
-            max_instructions,
-            segment_instructions,
-            segment,
-            backend,
-        ) = args
-        warm_segment(
-            workload,
-            predictor,
-            iterations,
-            max_instructions,
-            False,
-            segment_instructions,
-            segment,
-            backend,
-        )
-    elif kind == "measurement":
-        predictor, workload, iterations, families = args
-        measurement_cell(predictor, workload, iterations, tuple(families))
-    elif kind == "gating":
-        gating_cell(*args)
-    elif kind == "eager":
-        eager_cell(*args)
-    elif kind == "inversion":
-        inversion_cell(*args)
-    else:  # pragma: no cover - plan and worker are defined together
-        raise ValueError(f"unknown warm task kind {kind!r}")
+    _WARM_FUNCTIONS[kind](*args)
     duration = time.perf_counter() - started
     stats, metrics = _task_deltas(baseline)
     return stats, metrics, duration
@@ -497,16 +395,10 @@ def _merge_worker_state(stats: CacheStats, metrics: MetricsSnapshot) -> None:
 def _run_serially(
     selected: Iterable[str],
     scale: Scale,
-    journal: Journal = None,
-    measurement_families: Optional[MeasurementPlan] = None,
+    journal: Journal,
+    measurement_families: MeasurementPlan,
 ) -> Dict[str, ExperimentResult]:
-    journal = coalesce(journal)
     results: Dict[str, ExperimentResult] = {}
-    selected = list(selected)
-    if measurement_families is None:
-        measurement_families = measurement_plan(
-            SPECS[eid] for eid in selected if eid in SPECS
-        )
     activate_measurement_plan(measurement_families)
     try:
         for experiment_id in selected:
@@ -861,10 +753,7 @@ class _Supervisor:
                 try:
                     self.results.update(
                         _run_serially(
-                            unresolved,
-                            self.scale,
-                            self.journal,
-                            measurement_families=self.plan,
+                            unresolved, self.scale, self.journal, self.plan
                         )
                     )
                 except RunAborted as aborted:
@@ -909,9 +798,7 @@ def run_parallel(
             SPECS[eid] for eid in selected if eid in SPECS
         )
     if jobs == 1 or len(selected) == 0:
-        return _run_serially(
-            selected, scale, journal, measurement_families=measurement_families
-        )
+        return _run_serially(selected, scale, journal, measurement_families)
     supervisor = _Supervisor(
         selected,
         scale,

@@ -188,7 +188,10 @@ def run_all(
     started = time.perf_counter()
     try:
         remaining = [eid for eid in selected if eid not in restored]
-        plan = measurement_plan(SPECS[eid] for eid in remaining)
+        # planned over the whole selection, not just the remainder: a
+        # resumed battery then keys its estimator-bank cells exactly as
+        # the interrupted run did, and reuses the ones it stored
+        plan = measurement_plan(SPECS[eid] for eid in selected)
         fresh = run_parallel(
             remaining,
             scale,

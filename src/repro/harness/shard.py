@@ -10,8 +10,8 @@ as a content-addressed ``pipeline-segment`` artifact, so
 
 * a killed run resumes from the furthest stored segment instead of
   from zero (``--resume`` restarts *mid-cell*),
-* the DAG scheduler (:mod:`repro.harness.parallel`) can walk a cell's
-  segment chain as dependent nodes while independent cells run
+* the warm-up waves (:mod:`repro.harness.parallel`) walk a cell's
+  segment chain one link per wave while independent cells run
   concurrently in other processes -- sharding the pipeline grid.
 
 Segment boundaries are *soft* (``stop_instructions``): the run loop
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..confidence import JRSEstimator, SaturatingCountersEstimator
 from ..engine import get_cache, profile_fingerprint, workload_program
 from ..pipeline import (
     SNAPSHOT_SCHEMA,
@@ -89,7 +88,6 @@ def build_cell_simulator(
     workload: str,
     predictor_name: str,
     iterations: Optional[int],
-    with_estimators: bool,
     backend: str = "inorder",
 ) -> PipelineSimulator:
     """A fresh pipeline simulator for one (workload, predictor) cell.
@@ -99,20 +97,11 @@ def build_cell_simulator(
     segment chains, so both start from identical state.  ``backend``
     picks the simulator class from the pipeline backend registry.
     """
-    program = workload_program(workload, iterations)
-    predictor = make_predictor(predictor_name)
-    estimators = {}
-    if with_estimators:
-        estimators = {
-            "jrs": JRSEstimator(threshold=15, enhanced=True),
-            "satcnt": SaturatingCountersEstimator.for_predictor(predictor),
-        }
     return create_simulator(
-        program,
-        predictor,
+        workload_program(workload, iterations),
+        make_predictor(predictor_name),
         backend=backend,
         config=PipelineConfig(),
-        estimators=estimators,
         decoded=decoded_run(workload, iterations),
     )
 
@@ -122,7 +111,6 @@ def segment_parts(
     predictor_name: str,
     iterations: Optional[int],
     max_instructions: int,
-    with_estimators: bool,
     segment_instructions: int,
     segment: int,
     backend: str = "inorder",
@@ -133,7 +121,6 @@ def segment_parts(
         predictor=predictor_name,
         iterations=iterations,
         max_instructions=max_instructions,
-        with_estimators=with_estimators,
         segment_instructions=segment_instructions,
         segment=segment,
         schema=SNAPSHOT_SCHEMA,
@@ -148,7 +135,6 @@ def _simulator_at(
     predictor_name: str,
     iterations: Optional[int],
     max_instructions: int,
-    with_estimators: bool,
     segment_instructions: int,
     upto: int,
     backend: str = "inorder",
@@ -163,24 +149,25 @@ def _simulator_at(
     targets = segment_targets(max_instructions, segment_instructions)
     boundaries = targets[:-1]
     cache = get_cache()
+
+    def key(index: int) -> str:
+        return cache.key(
+            "pipeline-segment",
+            **segment_parts(
+                workload,
+                predictor_name,
+                iterations,
+                max_instructions,
+                segment_instructions,
+                index,
+                backend,
+            ),
+        )
+
     simulator: Optional[PipelineSimulator] = None
     start = 0
     for index in range(upto, -1, -1):
-        hit, snapshot = cache.load(
-            cache.key(
-                "pipeline-segment",
-                **segment_parts(
-                    workload,
-                    predictor_name,
-                    iterations,
-                    max_instructions,
-                    with_estimators,
-                    segment_instructions,
-                    index,
-                    backend,
-                ),
-            )
-        )
+        hit, snapshot = cache.load(key(index))
         if not hit:
             continue
         try:
@@ -190,30 +177,13 @@ def _simulator_at(
         start = index + 1
         break
     if simulator is None:
-        simulator = build_cell_simulator(
-            workload, predictor_name, iterations, with_estimators, backend
-        )
+        simulator = build_cell_simulator(workload, predictor_name, iterations, backend)
     for index in range(start, upto + 1):
         simulator.run(
             max_instructions=max_instructions,
             stop_instructions=boundaries[index],
         )
-        cache.store(
-            cache.key(
-                "pipeline-segment",
-                **segment_parts(
-                    workload,
-                    predictor_name,
-                    iterations,
-                    max_instructions,
-                    with_estimators,
-                    segment_instructions,
-                    index,
-                    backend,
-                ),
-            ),
-            capture_snapshot(simulator),
-        )
+        cache.store(key(index), capture_snapshot(simulator))
     return simulator
 
 
@@ -222,12 +192,11 @@ def warm_segment(
     predictor_name: str,
     iterations: Optional[int],
     max_instructions: int,
-    with_estimators: bool,
     segment_instructions: int,
     segment: int,
     backend: str = "inorder",
 ) -> dict:
-    """DAG warm task: materialise segments ``0..segment`` of one cell.
+    """Warm task: materialise segments ``0..segment`` of one cell.
 
     Returns a small progress summary (the snapshot itself stays in the
     artifact cache; shipping megabytes of machine state through the
@@ -238,7 +207,6 @@ def warm_segment(
         predictor_name,
         iterations,
         max_instructions,
-        with_estimators,
         segment_instructions,
         segment,
         backend,
@@ -255,7 +223,6 @@ def run_segmented(
     predictor_name: str,
     iterations: Optional[int],
     max_instructions: int,
-    with_estimators: bool,
     segment_instructions: Optional[int],
     backend: str = "inorder",
 ) -> PipelineResult:
@@ -267,9 +234,7 @@ def run_segmented(
     byte-identical to the unsegmented run either way.
     """
     if not segmentation_active(max_instructions, segment_instructions):
-        simulator = build_cell_simulator(
-            workload, predictor_name, iterations, with_estimators, backend
-        )
+        simulator = build_cell_simulator(workload, predictor_name, iterations, backend)
         return simulator.run(max_instructions=max_instructions)
     last = segment_count(max_instructions, segment_instructions) - 1
     simulator = _simulator_at(
@@ -277,7 +242,6 @@ def run_segmented(
         predictor_name,
         iterations,
         max_instructions,
-        with_estimators,
         segment_instructions,
         last,
         backend,

@@ -1,10 +1,10 @@
-"""Declarative experiment specs and the shared-artifact dependency DAG.
+"""Declarative experiment specs and their shared-artifact dependencies.
 
 This module is the harness's single source of truth about *what* the
 battery contains.  Each paper table/figure (and each speculation-control
 experiment) is described by a frozen :class:`ExperimentSpec`: its id,
-report section and order, the artifact kinds it produces, and -- most
-importantly -- the shared artifacts it **depends on**
+report section and order, and -- most importantly -- the shared
+artifacts it **depends on**
 (:class:`ArtifactDep`): workload traces, pipeline branch streams,
 estimator-bank measurements, speculation cells.  Only artifacts that
 another process reads back are dependencies; cheap in-process views of
@@ -13,9 +13,8 @@ memoised where they are used and never planned or persisted.
 
 Execution layers consume the specs instead of hardcoding knowledge:
 
-* :mod:`repro.harness.parallel` expands the declared deps into an
-  :class:`ArtifactNode` graph and derives its warm-up waves by
-  topological level (:func:`topological_levels`);
+* :mod:`repro.harness.parallel` expands the declared deps into warm
+  tasks and places each in its warm-up wave;
 * :func:`measurement_plan` unions the measurement families every
   selected experiment wants per predictor, which is what lets the
   estimator bank (:func:`repro.engine.measure.measure_bank`) simulate
@@ -35,25 +34,16 @@ silently overwrite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 #: Dependency kinds the planner knows how to expand (one artifact per
-#: workload of the scale for every kind).
+#: workload of the scale for every kind).  A segmented ``pipeline`` dep
+#: also expands into its ``pipeline-segment`` chain, which no spec
+#: declares itself.
 DEP_KINDS = (
     "trace",
     "pipeline",
-    "pipeline-segment",
     "measurement",
     "gating",
     "eager",
@@ -115,9 +105,7 @@ class ExperimentSpec:
     order: int
     #: Human label of the reproduced paper artifact (README table).
     paper_ref: str = ""
-    #: Artifact-cache kinds this experiment's cold execution writes.
-    produces: Tuple[str, ...] = ()
-    #: Shared artifacts the experiment reads (drives the warm-up DAG).
+    #: Shared artifacts the experiment reads (drives the warm-up waves).
     deps: Tuple[ArtifactDep, ...] = ()
     #: Whether ``repro plot`` can chart it.
     plot: bool = False
@@ -195,57 +183,6 @@ class SpecRegistry(Mapping):
 #: The process-wide spec registry.  ``experiments.py`` registers the
 #: paper battery, ``speculation.py`` the speculation battery.
 SPECS = SpecRegistry()
-
-
-# ----------------------------------------------------------------------
-# the artifact dependency graph
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ArtifactNode:
-    """One concrete artifact instance in the warm-up DAG.
-
-    ``key`` is ``(kind, args)`` -- exactly the warm-task tuple the
-    parallel workers execute -- and ``deps`` names the keys of
-    prerequisite nodes.  Dep keys absent from the planned node set are
-    treated as already satisfied (the artifact pre-exists or is cheap).
-    """
-
-    key: Tuple[str, Tuple]
-    deps: Tuple[Tuple[str, Tuple], ...] = field(default_factory=tuple)
-
-    @property
-    def kind(self) -> str:
-        return self.key[0]
-
-
-def topological_levels(
-    nodes: Sequence[ArtifactNode],
-) -> List[List[ArtifactNode]]:
-    """Group ``nodes`` into dependency levels (Kahn's algorithm).
-
-    Level ``i`` contains every node whose in-graph dependencies all sit
-    in levels ``< i``; input order is preserved within a level, so the
-    schedule is deterministic.  Raises ``ValueError`` on a cycle.
-    """
-    known = {node.key for node in nodes}
-    placed: set = set()
-    remaining = list(nodes)
-    levels: List[List[ArtifactNode]] = []
-    while remaining:
-        level = [
-            node
-            for node in remaining
-            if all(dep not in known or dep in placed for dep in node.deps)
-        ]
-        if not level:
-            cycle = ", ".join(repr(node.key) for node in remaining)
-            raise ValueError(f"artifact dependency cycle among: {cycle}")
-        levels.append(level)
-        placed.update(node.key for node in level)
-        remaining = [node for node in remaining if node.key not in placed]
-    return levels
 
 
 def measurement_plan(

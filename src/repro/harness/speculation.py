@@ -44,7 +44,7 @@ from ..confidence import (
     JRSEstimator,
     MispredictionDistanceEstimator,
 )
-from ..engine import get_cache, profile_fingerprint, workload_program
+from ..engine import get_cache, profile_fingerprint, workload_program, workload_run
 from ..obs.registry import REGISTRY
 from ..pipeline import (
     PipelineConfig,
@@ -58,7 +58,7 @@ from ..speculation import (
     compare_gating,
     evaluate_inversion,
 )
-from .experiments import FULL, ExperimentResult, Scale, _trace
+from .experiments import FULL, ExperimentResult, Scale
 from .shard import build_cell_simulator
 from .spec import SPECS, ArtifactDep, ExperimentSpec
 from .tables import TextTable, pct1, spct1
@@ -278,7 +278,7 @@ def _ungated_baseline(
     compare against: it consults no estimator, so one shared, read-only
     run per (workload, budget, normalised backend) serves them all."""
     return build_cell_simulator(
-        workload, SPECULATION_PREDICTOR, iterations, False, backend
+        workload, SPECULATION_PREDICTOR, iterations, backend
     ).run(max_instructions=max_instructions)
 
 
@@ -421,7 +421,7 @@ def _compute_inversion_cell(
 ) -> InversionCell:
     predictor = _predictor_factory()
     result = evaluate_inversion(
-        _trace(workload, iterations),
+        workload_run(workload, iterations).trace,
         predictor,
         _estimator_factory(estimator_name)(predictor),
     )
@@ -617,12 +617,6 @@ def experiment_speculation_inversion(scale: Scale = FULL) -> ExperimentResult:
     return result
 
 
-SPECULATION_EXPERIMENTS: Dict[str, Callable[[Scale], ExperimentResult]] = {
-    "speculation-gating": experiment_speculation_gating,
-    "speculation-eager": experiment_speculation_eager,
-    "speculation-inversion": experiment_speculation_inversion,
-}
-
 # Self-registration keeps the import order flexible: whichever of
 # experiments.py / speculation.py loads first, the central SPECS
 # registry ends up complete once both have executed.  Each spec
@@ -636,7 +630,6 @@ SPECS.register(
         section="speculation",
         order=150,
         paper_ref="Section 2.2 (Manne et al.)",
-        produces=("trace", "gating"),
         deps=(ArtifactDep(kind="trace"),)
         + tuple(
             ArtifactDep(kind="gating", estimator=estimator, threshold=threshold)
@@ -653,7 +646,6 @@ SPECS.register(
         section="speculation",
         order=160,
         paper_ref="Section 2.2",
-        produces=("trace", "eager"),
         deps=(ArtifactDep(kind="trace"),)
         + tuple(
             ArtifactDep(kind="eager", estimator=estimator)
@@ -669,7 +661,6 @@ SPECS.register(
         section="speculation",
         order=170,
         paper_ref="Section 2.2",
-        produces=("trace", "inversion"),
         deps=(ArtifactDep(kind="trace"),)
         + tuple(
             ArtifactDep(kind="inversion", estimator=estimator)

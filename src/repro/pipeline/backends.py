@@ -23,7 +23,7 @@ Two ship with the repository:
     configurable in-flight window, squash-on-mispredict).
 
 The backend name travels with :class:`~repro.harness.experiments.Scale`
-through the CLI (``--backend``), the artifact cache keys, the DAG
+through the CLI (``--backend``), the artifact cache keys, the warm-up
 planner, segment snapshots and checkpoint fingerprints -- sweepable
 exactly like predictor choice.
 """

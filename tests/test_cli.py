@@ -18,6 +18,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["workload", "specfp"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run-all", "--only", "tab1,tab9"], "unknown experiment ids: tab9 ("),
+            (["bench", "--only", "tab9,boost"], "unknown experiment ids: tab9 ("),
+            (
+                ["run-all", "--workloads", "compress,specfp,spice"],
+                "unknown workload: specfp, spice (",
+            ),
+            (["run", "tab2", "--workloads", "gcc,specfp"], "unknown workload: specfp ("),
+            (["speculate", "--workloads", "specfp"], "unknown workload: specfp ("),
+        ],
+    )
+    def test_unknown_names_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -96,6 +115,27 @@ class TestScaleAndJobs:
         scale = _scale_from_args(args)
         assert scale.iterations == 99
         assert scale.workloads == ("compress", "vortex")
+
+    @pytest.mark.parametrize(
+        "flags, changed",
+        [
+            (["--backend", "inorder"], {"backend": "inorder"}),
+            (["--segment-instructions", "2000"], {"segment_instructions": 2000}),
+            (["--backend", "ooo"], {"backend": "ooo"}),
+        ],
+    )
+    def test_resume_flags_override_the_resumed_scale(
+        self, flags, changed, monkeypatch
+    ):
+        from dataclasses import replace
+
+        from repro.cli import BACKEND_ENV, SEGMENT_ENV, _scale_from_args
+        from repro.harness import SMOKE
+
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        monkeypatch.delenv(SEGMENT_ENV, raising=False)
+        args = build_parser().parse_args(["run-all", "--resume", "j", *flags])
+        assert _scale_from_args(args, fallback=SMOKE) == replace(SMOKE, **changed)
 
     def test_run_without_experiment_runs_battery(self, capsys):
         code = main(

@@ -1,12 +1,16 @@
 """Parallel scheduler tests: warm-up planning, serial equivalence,
 disk-cache integration of the experiment intermediates."""
 
+import inspect
+from dataclasses import replace
+
 import pytest
 
 from repro.engine import cache as artifact_cache
 from repro.engine import clear_cache
 from repro.faults import FAULTS_ENV, STATE_ENV, reset_active_faults
 from repro.harness import (
+    PAPER,
     SMOKE,
     SPECS,
     Scale,
@@ -15,7 +19,8 @@ from repro.harness import (
     render_report,
     run_all,
 )
-from repro.harness.parallel import default_jobs
+from repro.harness.parallel import _WARM_FUNCTIONS, default_jobs
+from repro.harness.spec import DEP_KINDS
 from repro.obs.journal import RunJournal, read_journal
 
 
@@ -56,6 +61,34 @@ class TestWarmPlan:
         trace_tasks, heavy = plan_warm_levels(list(SPECS), SMOKE)
         assert len(trace_tasks) == len(set(trace_tasks))
         assert len(heavy) == len(set(heavy))
+
+    def test_segment_chain_takes_one_wave_per_link(self):
+        scale = replace(SMOKE, segment_instructions=2000)
+        cells = [
+            (workload, "gshare", scale.iterations, scale.pipeline_instructions, 2000)
+            for workload in scale.workloads
+        ]
+        assert plan_warm_levels(["fig6"], scale) == [
+            [("trace", (workload, scale.iterations)) for workload in scale.workloads],
+            *(
+                [("pipeline-segment", cell + (index, "inorder")) for cell in cells]
+                for index in range(3)
+            ),
+            [("pipeline", cell + ("inorder",)) for cell in cells],
+        ]
+
+    def test_every_kind_has_a_warm_function(self):
+        assert set(_WARM_FUNCTIONS) == set(DEP_KINDS) | {"pipeline-segment"}
+
+    @pytest.mark.parametrize(
+        "scale",
+        [SMOKE, PAPER, replace(SMOKE, backend="ooo", segment_instructions=3000)],
+        ids=["smoke", "paper", "ooo-segmented"],
+    )
+    def test_every_task_binds_to_its_function(self, scale):
+        for wave in plan_warm_levels(list(SPECS), scale):
+            for kind, args in wave:
+                inspect.signature(_WARM_FUNCTIONS[kind]).bind(*args)
 
 
 class TestSerialParallelEquivalence:

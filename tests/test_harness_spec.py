@@ -21,29 +21,25 @@ import pytest
 
 from repro.cli import battery_table_markdown, main
 from repro.engine import cache as artifact_cache
-from repro.engine import clear_cache, vector_enabled
+from repro.engine import clear_cache, vector_enabled, workload_run
 from repro.engine.measure import measure, measure_accuracy
 from repro.harness import (
     SMOKE,
     SPECS,
     ArtifactDep,
-    ArtifactNode,
     ExperimentSpec,
     clear_memoised,
     measurement_cell,
     measurement_plan,
-    plan_artifact_nodes,
     plan_warm_levels,
     run_all,
     spec_fingerprint,
-    topological_levels,
 )
 from repro.harness.experiments import (
     BANK_FAMILIES,
     PREDICTORS,
     STANDARD_FAMILIES,
     _family_estimator,
-    _trace,
 )
 from repro.harness.spec import SECTIONS, SpecRegistry
 from repro.harness.speculation import (
@@ -125,42 +121,6 @@ class TestSpecRegistry:
                 ArtifactDep(kind=kind)
 
 
-class TestTopologicalLevels:
-    def _node(self, name, *deps):
-        return ArtifactNode(
-            key=(name, ()), deps=tuple((dep, ()) for dep in deps)
-        )
-
-    def test_diamond_levels(self):
-        nodes = [
-            self._node("d", "b", "c"),
-            self._node("b", "a"),
-            self._node("c", "a"),
-            self._node("a"),
-        ]
-        levels = topological_levels(nodes)
-        assert [[n.key[0] for n in level] for level in levels] == [
-            ["a"],
-            ["b", "c"],
-            ["d"],
-        ]
-
-    def test_input_order_preserved_within_a_level(self):
-        nodes = [self._node("z"), self._node("a"), self._node("m")]
-        (level,) = topological_levels(nodes)
-        assert [n.key[0] for n in level] == ["z", "a", "m"]
-
-    def test_absent_deps_count_as_satisfied(self):
-        levels = topological_levels([self._node("only", "not-planned")])
-        assert len(levels) == 1
-
-    def test_cycle_raises(self):
-        with pytest.raises(ValueError, match="cycle"):
-            topological_levels(
-                [self._node("a", "b"), self._node("b", "a")]
-            )
-
-
 class TestMeasurementPlan:
     def test_full_battery_unions_per_predictor(self):
         plan = dict(measurement_plan(SPECS[eid] for eid in SPECS))
@@ -231,12 +191,10 @@ class TestWarmPlanLegacyEquivalence:
         }
 
     def test_dag_has_exactly_two_levels(self):
-        levels = topological_levels(
-            plan_artifact_nodes(list(SPECS), SMOKE)
-        )
+        levels = plan_warm_levels(list(SPECS), SMOKE)
         assert len(levels) == 2
-        assert all(node.kind == "trace" for node in levels[0])
-        assert all(node.kind != "trace" for node in levels[1])
+        assert all(kind == "trace" for kind, __ in levels[0])
+        assert all(kind != "trace" for kind, __ in levels[1])
 
     def test_measurement_tasks_carry_the_battery_plan(self):
         kinds = self._heavy_by_kind(list(SPECS))
@@ -257,7 +215,7 @@ class TestBankEquivalence:
             cell = measurement_cell(
                 predictor_name, workload, iterations, BANK_FAMILIES
             )
-            trace = _trace(workload, iterations)
+            trace = workload_run(workload, iterations).trace
             baseline = measure_accuracy(trace, make_predictor(predictor_name))
             assert cell.accuracy == baseline.accuracy
             assert cell.branches == baseline.branches

@@ -62,9 +62,12 @@ class TestRegistration:
     def test_direct_import_order_also_registers(self):
         # importing the speculation module first must not break the
         # bottom-of-module self-registration
-        from repro.harness.speculation import SPECULATION_EXPERIMENTS
+        from repro.harness import speculation
 
-        assert set(SPECULATION_EXPERIMENTS) == set(SPECULATION_BATTERY)
+        registered = {
+            eid for eid in SPECS if SPECS.registrant(eid) == speculation.__name__
+        }
+        assert registered == set(SPECULATION_BATTERY)
 
 
 class TestGatingExperiment:

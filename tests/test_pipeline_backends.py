@@ -93,8 +93,8 @@ class TestBackendRegistry:
         # does not decode its own copy of the program
         from repro.harness.shard import build_cell_simulator
 
-        inorder = build_cell_simulator("compress", "gshare", 5, False, "inorder")
-        ooo = build_cell_simulator("compress", "gshare", 5, False, "ooo")
+        inorder = build_cell_simulator("compress", "gshare", 5, "inorder")
+        ooo = build_cell_simulator("compress", "gshare", 5, "ooo")
         assert type(ooo) is OutOfOrderSimulator
         assert inorder._decoded is not None
         assert ooo._decoded is inorder._decoded

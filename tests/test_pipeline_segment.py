@@ -290,7 +290,7 @@ class TestSegmentPlanning:
         assert not segmentation_active(None, 30)
 
     def test_segment_parts_cover_the_inputs(self):
-        parts = segment_parts("compress", "gshare", 40, 5000, False, 1000, 2)
+        parts = segment_parts("compress", "gshare", 40, 5000, 1000, 2)
         assert parts["schema"] == SNAPSHOT_SCHEMA
         assert parts["segment"] == 2
         assert parts["segment_instructions"] == 1000
@@ -316,7 +316,7 @@ def _segment_files(cache):
 
 
 class TestRunSegmented:
-    CELL = ("compress", "gshare", ITERATIONS, TOTAL, False)
+    CELL = ("compress", "gshare", ITERATIONS, TOTAL)
 
     def test_matches_whole_run_and_stores_chain(self, isolated_cache):
         whole = run_segmented(*self.CELL, None)
@@ -402,7 +402,7 @@ class TestRunSegmented:
         assert summary["done"] is False
 
     def test_build_cell_simulator_matches_direct_build(self):
-        simulator = build_cell_simulator("compress", "gshare", ITERATIONS, False)
+        simulator = build_cell_simulator("compress", "gshare", ITERATIONS)
         result = simulator.run(max_instructions=TOTAL)
         assert digest(simulator, result) == run_whole()
 
@@ -446,7 +446,6 @@ class TestBatteryLevelResume:
             "gshare",
             segmented.iterations,
             segmented.pipeline_instructions,
-            False,
             segmented.segment_instructions,
             1,
         )

@@ -534,6 +534,34 @@ class TestResume:
         assert started == ["tab3", "fig3"]
         assert list(resumed) == self.SELECTION
 
+    def test_resume_reuses_the_bank_cells_the_killed_run_stored(
+        self, isolated_cache, tmp_path
+    ):
+        """The estimator-bank plan spans the whole selection, not just
+        the remainder: tab1 finished with mcfarling's union cell, and
+        the resumed tab3 reads it back instead of measuring its own."""
+        selection = ["tab1", "tab3"]
+        path = tmp_path / "first.jsonl"
+        with RunJournal(path) as journal:
+            run_all(SMOKE, only=selection, jobs=1, journal=journal)
+        keep = []
+        for event, line in zip(read_journal(path), path.read_text().splitlines()):
+            keep.append(line)
+            if event["event"] == "experiment_finished":
+                break  # the kill lands right after tab1 completes
+        path.write_text("\n".join(keep) + "\n")
+
+        clear_memoised()
+        resumed_path = tmp_path / "resumed.jsonl"
+        with RunJournal(resumed_path) as journal:
+            run_all(SMOKE, only=selection, jobs=1, journal=journal, resume=path)
+        events = read_journal(resumed_path)
+        assert [
+            e["experiment"] for e in events if e["event"] == "experiment_started"
+        ] == ["tab3"]
+        (stats,) = [e for e in events if e["event"] == "cache_stats"]
+        assert stats["misses"] == 0
+
     def test_missing_checkpoint_demotes_to_rerun(self, isolated_cache, tmp_path):
         path, first = self._first_run(tmp_path)
         isolated_cache.clear()  # checkpoints gone; journal still says finished
