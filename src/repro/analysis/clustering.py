@@ -26,12 +26,14 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Tuple
 
+import numpy as np
+
 from ..confidence.base import ConfidenceEstimator
 from ..confidence.boosting import BoostingAccumulator, BoostingResult
 from ..engine import boosting_counts, misestimation_pairs, record_simulation
 from ..engine.measure import measure
 from ..predictors.base import BranchPredictor
-from .distance import DistanceCurve, _curve_from_pairs
+from .distance import DistanceCurve, _curve_from_columns
 
 #: Estimator slot the single-estimator convenience wrappers use.
 DEFAULT_SLOT = "est"
@@ -101,13 +103,17 @@ def misestimation_distance(
     behind boosting.
     """
     started = time.perf_counter()
-    pairs = misestimation_pairs(trace, predictor, estimator)
-    if pairs is not None:
-        record_simulation(len(pairs), time.perf_counter() - started)
-        return _curve_from_pairs(pairs, "mis-estimation", max_distance)
+    columns = misestimation_pairs(trace, predictor, estimator)
+    if columns is not None:
+        distance, misestimated = columns
+        record_simulation(len(distance), time.perf_counter() - started)
+        return _curve_from_columns(distance, misestimated, "mis-estimation", max_distance)
     observer = MisestimationDistanceObserver(DEFAULT_SLOT)
     measure(trace, predictor, {DEFAULT_SLOT: estimator}, observers=[observer])
-    return _curve_from_pairs(observer.pairs, "mis-estimation", max_distance)
+    pairs = np.array(observer.pairs, dtype=np.int64).reshape(-1, 2)
+    return _curve_from_columns(
+        pairs[:, 0], pairs[:, 1].astype(bool), "mis-estimation", max_distance
+    )
 
 
 def measure_boosting(

@@ -1,6 +1,6 @@
 """Misprediction-distance analysis (paper §4.1, Figures 6-9).
 
-Given the pipeline's per-branch records, build "misprediction rate vs.
+Given the pipeline's branch record store, build "misprediction rate vs.
 distance since the previous misprediction" curves -- the presentation
 the paper prefers over Heil & Smith's PDF plot.  If branch outcomes
 were independent the curve would be flat at the average misprediction
@@ -19,14 +19,22 @@ Each curve can be computed over **all** fetched branches or only the
 precise curve is recomputed from scratch over the committed sub-stream
 so that distances are counted in committed branches, exactly as a
 trace-based analysis would.
+
+Curves are counted from the store's memoised numpy columns
+(:meth:`~repro.pipeline.records.BranchRecordStore.distance_columns`):
+every curve is one :func:`numpy.bincount` over a distance column,
+clamped into the tail bucket, with no per-branch python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..pipeline.records import BranchRecord
+import numpy as np
+
+from ..engine import branches_since_flagged
+from ..pipeline.records import BranchRecordStore
 
 
 @dataclass(frozen=True)
@@ -75,71 +83,60 @@ class DistanceCurve:
         return (misses / branches) / self.average_rate if branches else 0.0
 
 
-def _curve_from_pairs(
-    pairs: Iterable[Tuple[int, bool]], label: str, max_distance: int
+def _curve_from_columns(
+    distance: np.ndarray, flags: np.ndarray, label: str, max_distance: int
 ) -> DistanceCurve:
-    branches = [0] * (max_distance + 1)
-    misses = [0] * (max_distance + 1)
-    total = 0
-    total_misses = 0
-    for distance, mispredicted in pairs:
-        bucket = min(distance, max_distance)
-        branches[bucket] += 1
-        total += 1
-        if mispredicted:
-            misses[bucket] += 1
-            total_misses += 1
+    """Bucket ``distance`` (clamped to ``max_distance``) and count the
+    branches and the ``flags``-marked ones in each bucket."""
+    bucket = np.minimum(distance, max_distance)
+    length = max_distance + 1
+    branches = np.bincount(bucket, minlength=length).tolist()
+    misses = np.bincount(bucket[flags], minlength=length).tolist()
     buckets = tuple(
         DistanceBucket(distance=d, branches=branches[d], mispredictions=misses[d])
-        for d in range(max_distance + 1)
+        for d in range(length)
     )
     return DistanceCurve(
         label=label,
         buckets=buckets,
-        total_branches=total,
-        total_mispredictions=total_misses,
+        total_branches=len(bucket),
+        total_mispredictions=int(np.count_nonzero(flags)),
     )
 
 
 def precise_distance_curve(
-    records: Sequence[BranchRecord],
+    records: BranchRecordStore,
     population: str = "all",
     max_distance: int = 15,
 ) -> DistanceCurve:
     """Figures 6/7: precise distances, over all or committed branches."""
+    precise, _, mispredicted, committed = records.distance_columns()
     if population == "all":
-        pairs = (
-            (record.precise_distance, record.mispredicted) for record in records
-        )
-        return _curve_from_pairs(pairs, "precise/all", max_distance)
+        return _curve_from_columns(precise, mispredicted, "precise/all", max_distance)
     if population == "committed":
         # recount distances within the committed sub-stream (trace view)
-        def committed_pairs():
-            distance = 0
-            for record in records:
-                if not record.committed:
-                    continue
-                yield distance, record.mispredicted
-                distance = 0 if record.mispredicted else distance + 1
-
-        return _curve_from_pairs(committed_pairs(), "precise/committed", max_distance)
+        flags = mispredicted[committed]
+        return _curve_from_columns(
+            branches_since_flagged(flags), flags, "precise/committed", max_distance
+        )
     raise ValueError("population must be 'all' or 'committed'")
 
 
 def perceived_distance_curve(
-    records: Sequence[BranchRecord],
+    records: BranchRecordStore,
     population: str = "all",
     max_distance: int = 15,
 ) -> DistanceCurve:
     """Figures 8/9: distances from the last *detected* misprediction."""
-    if population == "all":
-        selected: Iterable[BranchRecord] = records
-    elif population == "committed":
-        selected = (record for record in records if record.committed)
-    else:
+    _, perceived, mispredicted, committed = records.distance_columns()
+    if population == "committed":
+        perceived = perceived[committed]
+        mispredicted = mispredicted[committed]
+    elif population != "all":
         raise ValueError("population must be 'all' or 'committed'")
-    pairs = ((record.perceived_distance, record.mispredicted) for record in selected)
-    return _curve_from_pairs(pairs, f"perceived/{population}", max_distance)
+    return _curve_from_columns(
+        perceived, mispredicted, f"perceived/{population}", max_distance
+    )
 
 
 def distance_pdf(curve: DistanceCurve) -> List[float]:

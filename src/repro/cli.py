@@ -168,6 +168,21 @@ def _name_list(known, what: str):
     return parse
 
 
+def _positive_int(raw: str) -> int:
+    """An argparse type: an integer of at least 1.
+
+    Anything else is a usage error (exit status 2) naming the flag,
+    before any work starts.
+    """
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
+
+
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale",
@@ -178,13 +193,13 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--iterations",
-        type=int,
+        type=_positive_int,
         default=None,
         help="outer-loop iterations per workload (default: preset/profile value)",
     )
     parser.add_argument(
         "--pipeline-instructions",
-        type=int,
+        type=_positive_int,
         default=None,
         help="committed-instruction budget for pipeline experiments",
     )
@@ -1021,7 +1036,7 @@ def build_parser() -> argparse.ArgumentParser:
         "workload", help="inspect a synthetic workload"
     )
     workload_parser.add_argument("name", choices=SUITE)
-    workload_parser.add_argument("--iterations", type=int, default=None)
+    workload_parser.add_argument("--iterations", type=_positive_int, default=None)
     workload_parser.add_argument(
         "--source", action="store_true", help="print the generated assembly"
     )
@@ -1031,7 +1046,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument("name", choices=SUITE)
     trace_parser.add_argument("output")
-    trace_parser.add_argument("--iterations", type=int, default=None)
+    trace_parser.add_argument("--iterations", type=_positive_int, default=None)
 
     return parser
 

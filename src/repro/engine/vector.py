@@ -530,18 +530,34 @@ def _stateless_apply(estimator, final):
     return None
 
 
+def branches_since_flagged(flagged, start=0):
+    """Branches since the last flagged one, before each position.
+
+    ``distance[i]`` is the number of positions strictly between ``i``
+    and the latest ``j < i`` with ``flagged[j]``.  With no such ``j``
+    it is ``start + i``: ``start`` branches had already passed since
+    the last flag when position 0 arrived.  This is the prefix-maximum
+    form of the scalar recurrence ``d = 0 if flagged else d + 1``,
+    read before each update.
+    """
+    n = flagged.shape[0]
+    pos = np.arange(n, dtype=np.int64)
+    if n == 0:
+        return pos
+    run_max = np.maximum.accumulate(np.where(flagged, pos, -start - 1))
+    previous = np.empty(n, dtype=np.int64)
+    previous[0] = -start - 1
+    previous[1:] = run_max[:-1]
+    return pos - previous - 1
+
+
 def _distance_flags(columns, estimator):
     n = columns.branches
     start = estimator.branches_since_misprediction
     if n == 0:
         return np.empty(0, dtype=bool), start
     mispredicted = ~columns.correct
-    pos = np.arange(n, dtype=np.int64)
-    run_max = np.maximum.accumulate(np.where(mispredicted, pos, -start - 1))
-    previous = np.empty(n, dtype=np.int64)
-    previous[0] = -start - 1
-    previous[1:] = run_max[:-1]
-    distance = pos - previous - 1
+    distance = branches_since_flagged(mispredicted, start)
     flags = distance > estimator.distance_threshold
     final = 0 if bool(mispredicted[-1]) else int(distance[-1]) + 1
     return flags, final
@@ -773,42 +789,28 @@ def distance_value_counts(trace, predictor, max_distance):
     if not isinstance(trace, ColumnarTrace) or not supports_predictor(predictor):
         return None
     columns = predict_columns(trace, predictor)
-    n = columns.branches
     length = max_distance + 1
-    if n == 0:
-        return [0] * length, [0] * length
     mispredicted = ~columns.correct
-    pos = np.arange(n, dtype=np.int64)
-    previous = np.empty(n, dtype=np.int64)
-    previous[0] = -1
-    previous[1:] = np.maximum.accumulate(np.where(mispredicted, pos, -1))[:-1]
-    bucket = np.minimum(pos - previous - 1, max_distance)
+    bucket = np.minimum(branches_since_flagged(mispredicted), max_distance)
     correct_counts = np.bincount(bucket[columns.correct], minlength=length)[:length]
     incorrect_counts = np.bincount(bucket[mispredicted], minlength=length)[:length]
     return correct_counts.tolist(), incorrect_counts.tolist()
 
 
 def misestimation_pairs(trace, predictor, estimator):
-    """Per-branch (distance-since-misestimation, misestimated) pairs.
+    """Per-branch distance-since-misestimation and misestimated columns.
 
     Vector equivalent of :class:`MisestimationDistanceObserver`'s pair
-    stream; returns a python list of tuples, or None if unsupported.
-    Consumes predictor and estimator state.
+    stream, as two arrays ``(distance, misestimated)`` (int64, bool) in
+    trace order; None if unsupported.  Consumes predictor and estimator
+    state.
     """
     result = measured_flags(trace, predictor, estimator)
     if result is None:
         return None
     flags, correct = result
-    n = flags.shape[0]
-    if n == 0:
-        return []
     misestimated = flags != correct
-    pos = np.arange(n, dtype=np.int64)
-    previous = np.empty(n, dtype=np.int64)
-    previous[0] = -1
-    previous[1:] = np.maximum.accumulate(np.where(misestimated, pos, -1))[:-1]
-    distance = pos - previous - 1
-    return list(zip(distance.tolist(), misestimated.tolist()))
+    return branches_since_flagged(misestimated), misestimated
 
 
 def boosting_counts(trace, predictor, estimator, ks):

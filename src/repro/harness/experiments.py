@@ -891,9 +891,8 @@ def _distance_figure(
             scale.segment_instructions,
             scale.backend,
         )
-        records = pipe.branch_records
-        all_curves.append(curve_fn(records, population="all"))
-        committed_curves.append(curve_fn(records, population="committed"))
+        all_curves.append(curve_fn(pipe.records, population="all"))
+        committed_curves.append(curve_fn(pipe.records, population="committed"))
         # backends with a real in-flight window (ooo) record the window
         # depth seen at every misprediction recovery; aggregate it so
         # the report can put backend distance distributions side by side

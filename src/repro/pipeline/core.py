@@ -1108,7 +1108,7 @@ class PipelineSimulator:
             stats.committed_mispredictions = committed_mispredictions
             if gate_slot >= 0:
                 self.gated_cycles = gated_cycles
-            records._stamp += 1  # invalidate the materialize memo
+            records._stamp += 1  # invalidate the view and column memos
             # convert surviving list entries back to _Inflight objects
             # so external inspection / a later step_cycle() see the
             # normal representation

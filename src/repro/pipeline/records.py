@@ -9,19 +9,24 @@ Records live in a :class:`BranchRecordStore`: append-only columnar
 buffers (one flat python list per field, the
 :class:`~repro.engine.columnar.ColumnarTrace` convention), because the
 pipeline hot loop appends one record per fetched branch and a
-dataclass allocation per branch is measurable there.  Consumers that
-want objects call :meth:`BranchRecordStore.materialize`, which builds
-:class:`BranchRecord` views on demand and memoises them against a
-mutation stamp, so analysis code and tests keep the ergonomic
-attribute API.
+dataclass allocation per branch is measurable there.
+
+The distance analysis (Figures 6-9) reads the store as numpy columns:
+:meth:`BranchRecordStore.distance_columns` converts the four fields it
+needs once and memoises them against a mutation stamp.  Tests and
+examples that want objects call :meth:`BranchRecordStore.materialize`,
+which builds :class:`BranchRecord` views on demand, memoised the same
+way; the experiment battery never builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-#: Store slots that survive pickling (the view memo does not).
+import numpy as np
+
+#: Store slots that survive pickling (the view and column memos do not).
 _STORE_SLOTS = (
     "sequence",
     "pc",
@@ -91,7 +96,7 @@ class BranchRecordStore:
     plain dict otherwise; views materialise ``None`` as ``{}``.
     """
 
-    __slots__ = _STORE_SLOTS + ("_views", "_stamp")
+    __slots__ = _STORE_SLOTS + ("_views", "_columns", "_stamp")
 
     def __init__(self):
         self.sequence: List[int] = []
@@ -106,6 +111,7 @@ class BranchRecordStore:
         self.wrong_path: List[bool] = []
         self.assessments: List[Optional[Dict[str, bool]]] = []
         self._views = None  # (stamp, [BranchRecord, ...]) memo
+        self._columns = None  # (stamp, distance_columns()) memo
         self._stamp = 0
 
     def __len__(self) -> int:
@@ -174,6 +180,30 @@ class BranchRecordStore:
         self._views = (self._stamp, views)
         return views
 
+    def distance_columns(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(precise, perceived, mispredicted, committed)`` columns.
+
+        int64 distances and bool flags in fetch order, with
+        ``mispredicted = predicted_taken != actual_taken``.  Read-only
+        arrays, memoised per mutation like :meth:`materialize`.
+        """
+        memo = self._columns
+        if memo is not None and memo[0] == self._stamp:
+            return memo[1]
+        columns = (
+            np.array(self.precise_distance, dtype=np.int64),
+            np.array(self.perceived_distance, dtype=np.int64),
+            np.array(self.predicted_taken, dtype=bool)
+            != np.array(self.actual_taken, dtype=bool),
+            np.array(self.committed, dtype=bool),
+        )
+        for column in columns:
+            column.flags.writeable = False
+        self._columns = (self._stamp, columns)
+        return columns
+
     def __getstate__(self):
         return {slot: getattr(self, slot) for slot in _STORE_SLOTS}
 
@@ -181,6 +211,7 @@ class BranchRecordStore:
         for slot in _STORE_SLOTS:
             setattr(self, slot, state[slot])
         self._views = None
+        self._columns = None
         self._stamp = 0
 
 

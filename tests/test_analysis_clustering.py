@@ -14,8 +14,9 @@ from repro.confidence import (
     MispredictionDistanceEstimator,
     boosted_pvn,
 )
-from repro.engine import measure
+from repro.engine import lower_trace, measure, misestimation_pairs
 from repro.predictors import GsharePredictor
+from test_analysis_distance import _curve_from_pairs, columns_curve
 
 
 class TestMisestimationDistance:
@@ -37,6 +38,27 @@ class TestMisestimationDistance:
         )
         # once the predictor warms up every branch is correct yet LC
         assert curve.buckets[0].misprediction_rate > 0.9
+
+    def test_vector_and_scalar_curves_match_loop_reference(self, compress_trace):
+        """Both paths count the observer's pair stream exactly as the
+        per-pair loop does."""
+        observer = MisestimationDistanceObserver()
+        measure(
+            compress_trace,
+            GsharePredictor(),
+            {observer.estimator_name: JRSEstimator(threshold=15)},
+            observers=[observer],
+        )
+        expected = _curve_from_pairs(observer.pairs, "mis-estimation", 12)
+        columnar = lower_trace(compress_trace)
+        assert misestimation_pairs(
+            columnar, GsharePredictor(), JRSEstimator(threshold=15)
+        ) is not None
+        for trace in (compress_trace, columnar):
+            curve = misestimation_distance(
+                trace, GsharePredictor(), JRSEstimator(threshold=15)
+            )
+            assert curve == expected
 
 
 class TestMultiEstimatorObservers:
@@ -60,9 +82,7 @@ class TestMultiEstimatorObservers:
         solo = misestimation_distance(
             compress_trace, GsharePredictor(), JRSEstimator(threshold=15)
         )
-        from repro.analysis.distance import _curve_from_pairs
-
-        paired = _curve_from_pairs(observer.pairs, "mis-estimation", 12)
+        paired = columns_curve(observer.pairs, "mis-estimation", 12)
         assert paired.buckets == solo.buckets
 
     def test_boosting_observer_with_two_estimators(self, compress_trace):

@@ -37,6 +37,35 @@ class TestParser:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag, raw",
+        [
+            (["run-all", "--pipeline-instructions", "-5"], "--pipeline-instructions", "-5"),
+            (["run-all", "--pipeline-instructions", "0"], "--pipeline-instructions", "0"),
+            (["speculate", "--pipeline-instructions", "0"], "--pipeline-instructions", "0"),
+            (["run", "tab1", "--pipeline-instructions", "x"], "--pipeline-instructions", "x"),
+            (["run-all", "--iterations", "0"], "--iterations", "0"),
+            (["run-all", "--iterations", "-1"], "--iterations", "-1"),
+            (["bench", "--iterations", "0"], "--iterations", "0"),
+            (["profile", "--iterations", "0"], "--iterations", "0"),
+            (["plot", "fig6", "--pipeline-instructions", "0"], "--pipeline-instructions", "0"),
+            (["workload", "gcc", "--iterations", "0"], "--iterations", "0"),
+            (["trace", "gcc", "out.trace", "--iterations", "-3"], "--iterations", "-3"),
+        ],
+    )
+    def test_non_positive_sizes_are_usage_errors(self, argv, flag, raw, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        message = f"argument {flag}: expected a positive integer, got '{raw}'"
+        assert message in capsys.readouterr().err
+
+    def test_positive_sizes_parse(self):
+        args = build_parser().parse_args(
+            ["run-all", "--iterations", "1", "--pipeline-instructions", "2000"]
+        )
+        assert (args.iterations, args.pipeline_instructions) == (1, 2000)
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -1,6 +1,5 @@
 """Tests for the ASCII chart renderer."""
 
-from repro.analysis.distance import _curve_from_pairs
 from repro.analysis.sweeps import SweepLine, SweepPoint
 from repro.harness.plot import (
     distance_chart,
@@ -9,6 +8,7 @@ from repro.harness.plot import (
     sweep_chart,
 )
 from repro.metrics import QuadrantCounts, figure1_family
+from test_analysis_distance import columns_curve
 
 
 class TestLineChart:
@@ -44,7 +44,7 @@ class TestLineChart:
 
 class TestDomainCharts:
     def test_distance_chart(self):
-        curve = _curve_from_pairs(
+        curve = columns_curve(
             [(0, True), (1, False), (2, False)], "t", max_distance=4
         )
         chart = distance_chart({"all": curve}, "demo distances")

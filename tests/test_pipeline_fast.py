@@ -392,6 +392,23 @@ class TestBranchRecordStore:
         assert fresh is not views
         assert fresh[0].resolve_cycle == 5
 
+    def test_distance_columns_are_memoised_until_mutation(self):
+        store, first, second = self.build()
+        columns = store.distance_columns()
+        assert store.distance_columns() is columns
+        precise, perceived, mispredicted, committed = columns
+        assert precise.dtype == perceived.dtype == "int64"
+        assert mispredicted.tolist() == [False, True]
+        assert committed.tolist() == [False, False]
+        assert not any(column.flags.writeable for column in columns)
+        store.resolve(first, 5)
+        fresh = store.distance_columns()
+        assert fresh is not columns
+        assert fresh[3].tolist() == [True, False]
+        clone = pickle.loads(pickle.dumps(store))
+        for left, right in zip(fresh, clone.distance_columns()):
+            assert left.tolist() == right.tolist()
+
     def test_pickle_round_trip(self):
         store, first, __ = self.build()
         store.resolve(first, 7)
