@@ -30,8 +30,10 @@ import os
 import signal
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
+from . import settings
 from .engine import (
     BANK_PASSES_METRIC,
     BRANCHES_METRIC,
@@ -53,7 +55,6 @@ from .harness import (
     RunAborted,
     Scale,
     clear_abort,
-    default_jobs,
     plan_resume,
     render_report,
     request_abort,
@@ -70,81 +71,42 @@ from .obs.profile import SORT_KEYS, hot_branches, profile_experiment
 from .workloads import SUITE, generate_source, get_profile
 
 
-#: Environment fallback for ``--segment-instructions`` (CI shard jobs
-#: set it once instead of threading the flag through every command).
-SEGMENT_ENV = "REPRO_SEGMENT_INSTRUCTIONS"
-
-#: Environment fallback for ``--backend`` (CI backend jobs set it once
-#: instead of threading the flag through every command).
-BACKEND_ENV = "REPRO_BACKEND"
-
-
-def _backend_from_env() -> Optional[str]:
-    raw = os.environ.get(BACKEND_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        return normalize_backend(raw)
-    except ValueError as error:
-        raise SystemExit(f"invalid {BACKEND_ENV}={raw!r}: {error}")
-
-
-def _segment_instructions_from_env() -> Optional[int]:
-    raw = os.environ.get(SEGMENT_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(
-            f"invalid {SEGMENT_ENV}={raw!r}: expected an integer"
-            " instruction count (0 disables segmentation)"
-        )
-    return value if value > 0 else None
-
-
 def _scale_from_args(
     args: argparse.Namespace, fallback: Optional[Scale] = None
 ) -> Scale:
-    preset_name = getattr(args, "scale", None)
-    segment_flag = getattr(args, "segment_instructions", None)
-    backend_flag = getattr(args, "backend", None)
-    if (
-        preset_name is None
-        and fallback is not None
-        and args.iterations is None
-        and args.pipeline_instructions is None
-        and args.workloads is None
-        and segment_flag is None
-        and backend_flag is None
-    ):
-        # --resume with no explicit sizing: reuse the prior run's scale
-        return fallback
-    # explicit flags override single fields of the named preset, else of
-    # the resumed run's scale, else of the full preset
-    preset = SCALES[preset_name] if preset_name else fallback or SCALES["full"]
-    iterations = args.iterations if args.iterations is not None else preset.iterations
-    pipeline_instructions = (
-        args.pipeline_instructions
-        if args.pipeline_instructions is not None
-        else preset.pipeline_instructions
-    )
-    workloads = tuple(args.workloads) if args.workloads else preset.workloads
-    # flag beats environment beats preset; 0 explicitly disables
-    if segment_flag is not None:
-        segment_instructions = segment_flag if segment_flag > 0 else None
+    """The battery's scale: explicit flags over one base scale.
+
+    The base is the ``--scale`` preset, else the resumed run's recorded
+    scale (``fallback``), else ``full``.  A preset's backend and segment
+    size are filled from ``REPRO_BACKEND`` and
+    ``REPRO_SEGMENT_INSTRUCTIONS``; a resumed scale never is.  An
+    explicit flag always wins, and a segment size of 0 disables
+    segmentation.
+    """
+    if args.scale is None and fallback is not None:
+        base, filled = fallback, {}
     else:
-        segment_instructions = (
-            _segment_instructions_from_env() or preset.segment_instructions
-        )
-    # same precedence for the backend dimension
-    backend = backend_flag or _backend_from_env() or preset.backend
-    return Scale(
-        iterations=iterations,
-        pipeline_instructions=pipeline_instructions,
-        workloads=workloads,
-        segment_instructions=segment_instructions,
-        backend=normalize_backend(backend),
+        record = settings.current()
+        base = SCALES[args.scale or "full"]
+        filled = {
+            "backend": record.backend,
+            "segment_instructions": record.segment_instructions,
+        }
+    flags = {
+        "iterations": args.iterations,
+        "pipeline_instructions": args.pipeline_instructions,
+        "workloads": tuple(args.workloads) if args.workloads else None,
+        "segment_instructions": args.segment_instructions,
+        "backend": args.backend,
+    }
+    changes = {}
+    for layer in (filled, flags):
+        changes.update((name, value) for name, value in layer.items() if value is not None)
+    scale = replace(base, **changes)
+    return replace(
+        scale,
+        segment_instructions=scale.segment_instructions or None,
+        backend=normalize_backend(scale.backend),
     )
 
 
@@ -168,19 +130,27 @@ def _name_list(known, what: str):
     return parse
 
 
-def _positive_int(raw: str) -> int:
-    """An argparse type: an integer of at least 1.
+def _int_at_least(minimum: int, expected: str):
+    """An argparse type: an integer of at least ``minimum``.
 
     Anything else is a usage error (exit status 2) naming the flag,
     before any work starts.
     """
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
-    return value
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
 
 
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
@@ -211,27 +181,28 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--segment-instructions",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="N",
         help="shard pipeline simulations into checkpointable segments of"
-        " N committed instructions (0 disables; default:"
-        " $REPRO_SEGMENT_INSTRUCTIONS or the preset's value; see"
-        " docs/performance.md)",
+        " N committed instructions (0 disables; default: the resumed"
+        " run's value, else $REPRO_SEGMENT_INSTRUCTIONS or the preset's;"
+        " see docs/performance.md)",
     )
     parser.add_argument(
         "--backend",
         choices=list(BACKEND_NAMES),
         default=None,
-        help="pipeline backend for cycle-level experiments (default:"
-        " $REPRO_BACKEND or inorder; see docs/pipeline-backends.md)",
+        help="pipeline backend for cycle-level experiments (default: the"
+        " resumed run's, else $REPRO_BACKEND or inorder; see"
+        " docs/pipeline-backends.md)",
     )
 
 
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker processes for the battery (default: $REPRO_JOBS or 1)",
     )
@@ -267,7 +238,7 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="N",
         help="extra attempts for a failed experiment before serial"
@@ -286,14 +257,22 @@ def _open_journal(args: argparse.Namespace) -> Optional[RunJournal]:
     return RunJournal(path) if path else None
 
 
-def _resolve_execution(
-    args: argparse.Namespace, journal: Optional[RunJournal] = None
-) -> int:
-    """Apply --no-cache and resolve the worker count."""
-    if getattr(args, "no_cache", False):
-        artifact_cache.configure(enabled=False)
-    jobs = getattr(args, "jobs", None)
-    return max(1, jobs) if jobs is not None else default_jobs(journal)
+def _jobs(args: argparse.Namespace) -> int:
+    """Worker processes: ``--jobs``, else ``REPRO_JOBS``, else 1."""
+    return args.jobs if args.jobs is not None else settings.current().jobs
+
+
+def _run_all(args: argparse.Namespace, scale: Scale, only, journal):
+    """``run_all`` under the execution flags of ``args``."""
+    return run_all(
+        scale,
+        only=only,
+        jobs=_jobs(args),
+        journal=journal,
+        resume=args.resume,
+        task_timeout=args.task_timeout,
+        retries=args.retries,
+    )
 
 
 #: Dependency kinds that run the cycle-level pipeline simulator and
@@ -421,35 +400,16 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _run_command_body(args: argparse.Namespace, journal) -> int:
-    jobs = _resolve_execution(args, journal)
     plan = _resume_plan(args)
     scale = _scale_from_args(args, fallback=plan.scale if plan else None)
     if args.experiment is None:
         # no experiment named: run the whole battery as a report
         # (with --resume, the prior run's selection)
         only = plan.selection if plan and plan.selection else None
-        results = run_all(
-            scale,
-            only=only,
-            jobs=jobs,
-            journal=journal,
-            resume=args.resume,
-            task_timeout=args.task_timeout,
-            retries=args.retries,
-        )
-        print(_render(results, scale, journal, args))
+        print(_render(_run_all(args, scale, only, journal), scale, journal, args))
         return 0
-    if jobs > 1 or journal is not None or args.resume:
-        results = run_all(
-            scale,
-            only=[args.experiment],
-            jobs=jobs,
-            journal=journal,
-            resume=args.resume,
-            task_timeout=args.task_timeout,
-            retries=args.retries,
-        )
-        result = results[args.experiment]
+    if _jobs(args) > 1 or journal is not None or args.resume:
+        result = _run_all(args, scale, [args.experiment], journal)[args.experiment]
     else:
         result = run_experiment(args.experiment, scale)
     print(result.to_json() if args.json else result.to_text())
@@ -459,22 +419,17 @@ def _run_command_body(args: argparse.Namespace, journal) -> int:
 def _run_battery_command(
     args: argparse.Namespace, only: Optional[List[str]]
 ) -> int:
-    """Shared run-all/speculate body: battery -> rendered report."""
+    """Shared run-all/speculate body: battery -> rendered report.
+
+    With ``--resume`` and no ``only``, the prior run's selection runs.
+    """
     journal = _open_journal(args)
     try:
-        jobs = _resolve_execution(args, journal)
         plan = _resume_plan(args)
         scale = _scale_from_args(args, fallback=plan.scale if plan else None)
+        only = only or (plan and plan.selection) or None
         with _graceful_interrupts():
-            results = run_all(
-                scale,
-                only=only,
-                jobs=jobs,
-                journal=journal,
-                resume=args.resume,
-                task_timeout=args.task_timeout,
-                retries=args.retries,
-            )
+            results = _run_all(args, scale, only, journal)
         report = _render(results, scale, journal, args)
     except RunAborted as aborted:
         return _report_abort(aborted, args)
@@ -491,11 +446,7 @@ def _run_battery_command(
 
 
 def _command_run_all(args: argparse.Namespace) -> int:
-    plan = _resume_plan(args)
-    only = args.only or None
-    if only is None and plan and plan.selection:
-        only = plan.selection
-    return _run_battery_command(args, only)
+    return _run_battery_command(args, args.only)
 
 
 def _command_speculate(args: argparse.Namespace) -> int:
@@ -640,7 +591,7 @@ def _command_bench(args: argparse.Namespace) -> int:
     """Run a battery and emit a machine-readable benchmark summary."""
     if args.compare:
         return _bench_compare(args)
-    jobs = _resolve_execution(args)
+    jobs = _jobs(args)
     scale = _scale_from_args(args)
     only = args.only or None
     cache = artifact_cache.get_cache()
@@ -759,8 +710,12 @@ def _command_journal(args: argparse.Namespace) -> int:
     """Validate journal files against the event schema."""
     status = 0
     for path in args.paths:
-        print(obs_journal.summarize(path))
-        __, errors = obs_journal.validate_journal(path)
+        try:
+            print(obs_journal.summarize(path))
+            __, errors = obs_journal.validate_journal(path)
+        except OSError as error:
+            print(f"journal: {path}\nINVALID: cannot read ({error.strerror})")
+            errors = [error]
         if errors:
             status = 1
     return status
@@ -972,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_arguments(bench_parser)
     bench_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker processes for the battery (default: $REPRO_JOBS or 1)",
     )
@@ -1066,9 +1021,36 @@ _COMMANDS = {
 }
 
 
+def _missing_path(args: argparse.Namespace) -> Optional[str]:
+    """The usage error for a missing input file or output directory."""
+    for flag, dest in (("--out", "out"), ("--journal", "journal"), ("--json", "json_path")):
+        path = getattr(args, dest, None)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            return f"argument {flag}: no such directory for {path!r}"
+    inputs = [("--resume", getattr(args, "resume", None))]
+    inputs += [("--compare", path) for path in getattr(args, "compare", None) or ()]
+    for flag, path in inputs:
+        if path and not os.path.isfile(path):
+            return f"argument {flag}: no such file: {path!r}"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # like a bad flag value: exit status 2 naming the flag, before any work
+    missing = _missing_path(args)
+    if missing:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {missing}\n")
+    try:
+        record = settings.current()
+    except settings.SettingsError as error:
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
+    if getattr(args, "no_cache", False):
+        record = replace(record, cache_enabled=False)
+    with settings.installed(record):
+        return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

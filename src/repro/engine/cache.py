@@ -15,14 +15,12 @@ salt that is bumped whenever simulator semantics change.  A stale or
 corrupt cache entry can therefore never be confused with a valid one;
 unreadable files are treated as misses and recomputed.
 
-Environment knobs:
-
-* ``REPRO_CACHE=0`` (or ``off``/``false``/``no``) disables the cache.
-* ``REPRO_CACHE_DIR`` overrides the cache directory (default
-  ``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``).
-
-The CLI exposes the same controls as ``repro cache {info,clear}`` and
-``repro --no-cache ...``.
+The active cache follows the installed :mod:`repro.settings` record:
+``REPRO_CACHE=0`` (or ``--no-cache``) disables it and
+``REPRO_CACHE_DIR`` moves it (default ``$XDG_CACHE_HOME/repro`` or
+``~/.cache/repro``).  :func:`configure` changes those two fields of the
+installed record, and pool workers receive the parent's record from
+their initializer.  ``repro cache {info,clear,verify}`` inspects it.
 """
 
 from __future__ import annotations
@@ -33,10 +31,11 @@ import os
 import pickle
 import tempfile
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
+from .. import settings
 from ..obs.registry import REGISTRY
 
 T = TypeVar("T")
@@ -44,11 +43,6 @@ T = TypeVar("T")
 #: Bump whenever a change to the generator/tracer/pipeline/estimator
 #: code alters what any cached artifact would contain.
 CODE_SALT = "repro-artifacts-v2"
-
-ENABLE_ENV = "REPRO_CACHE"
-DIR_ENV = "REPRO_CACHE_DIR"
-
-_FALSE_VALUES = {"0", "off", "false", "no"}
 
 
 @dataclass
@@ -133,20 +127,6 @@ def _json_representable(value: Any) -> bool:
     except (TypeError, ValueError):
         return False
     return True
-
-
-def default_cache_dir() -> Path:
-    """Resolve the cache directory from the environment."""
-    override = os.environ.get(DIR_ENV)
-    if override:
-        return Path(override)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro"
-
-
-def cache_enabled_by_env() -> bool:
-    return os.environ.get(ENABLE_ENV, "1").strip().lower() not in _FALSE_VALUES
 
 
 @dataclass
@@ -387,36 +367,32 @@ _ACTIVE: Optional[ArtifactCache] = None
 
 
 def get_cache() -> ArtifactCache:
-    """The process-wide cache (created lazily from the environment)."""
+    """The process-wide cache for the installed settings record.
+
+    Rebuilt, with fresh stats, only when the record's cache directory or
+    enablement changes.
+    """
     global _ACTIVE
-    if _ACTIVE is None:
-        _ACTIVE = ArtifactCache(
-            root=default_cache_dir(), enabled=cache_enabled_by_env()
-        )
+    record = settings.current()
+    wanted = (record.cache_dir, record.cache_enabled)
+    if _ACTIVE is None or (_ACTIVE.root, _ACTIVE.enabled) != wanted:
+        _ACTIVE = ArtifactCache(root=record.cache_dir, enabled=record.cache_enabled)
     return _ACTIVE
 
 
 def configure(
     root: Optional[os.PathLike] = None, enabled: Optional[bool] = None
 ) -> ArtifactCache:
-    """Replace the active cache (tests and the CLI use this).
-
-    The environment is updated to match so that worker processes
-    spawned afterwards (see :mod:`repro.harness.parallel`) agree with
-    the parent about location and enablement.
-    """
-    global _ACTIVE
-    current = get_cache()
-    new_root = Path(root) if root is not None else current.root
-    new_enabled = current.enabled if enabled is None else enabled
-    os.environ[DIR_ENV] = str(new_root)
-    os.environ[ENABLE_ENV] = "1" if new_enabled else "0"
-    _ACTIVE = ArtifactCache(root=new_root, enabled=new_enabled)
-    return _ACTIVE
+    """Change the installed record's cache fields (tests use this)."""
+    record = settings.current()
+    root = record.cache_dir if root is None else Path(root)
+    enabled = record.cache_enabled if enabled is None else enabled
+    settings.install(replace(record, cache_dir=root, cache_enabled=enabled))
+    return get_cache()
 
 
 def reset_active_cache() -> None:
-    """Forget the active cache; the next use re-reads the environment."""
+    """Forget the active cache; the next use rebuilds it with fresh stats."""
     global _ACTIVE
     _ACTIVE = None
 

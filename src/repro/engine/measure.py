@@ -286,7 +286,7 @@ def measure_bank(
     predictors without a vector scan (e.g. speculation wrapper
     predictors) silently take the scalar loop, which iterates columnar
     traces just as well.  Whether a trace is columnar is the caller's
-    choice (``REPRO_VECTOR`` is read where the harness picks it).
+    choice (the ``REPRO_VECTOR`` setting is consulted where the harness picks it).
     """
     if isinstance(trace, ColumnarTrace):
         try:

@@ -39,7 +39,6 @@ one predictor scan total.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
@@ -49,25 +48,8 @@ from ..predictors.mcfarling import McFarlingPredictor
 from ..predictors.sag import SAgPredictor
 from .columnar import ColumnarTrace
 
-#: Environment switch: set to 0/false/no/off to force the scalar engine.
-VECTOR_ENV = "REPRO_VECTOR"
-
-_DISABLED_VALUES = {"0", "false", "no", "off"}
-
-
 class UnsupportedVectorization(Exception):
     """No vector kernel exists for this predictor/estimator combination."""
-
-
-def vector_enabled() -> bool:
-    """True when the numpy vector engine may be used.
-
-    Read once, where the harness picks the trace representation
-    (:func:`repro.harness.experiments._bank_trace`): every kernel
-    entry point below dispatches on whether it was handed a
-    :class:`ColumnarTrace`.
-    """
-    return os.environ.get(VECTOR_ENV, "").strip().lower() not in _DISABLED_VALUES
 
 
 # ----------------------------------------------------------------------

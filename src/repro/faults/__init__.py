@@ -10,16 +10,11 @@ See ``docs/robustness.md``.
 
 from .injector import (
     CORRUPTION_BYTES,
-    FAULTS_ENV,
-    STATE_ENV,
     FaultRegistry,
     InjectedCrash,
     InjectedFault,
     active_faults,
-    ensure_state_dir,
-    faults_configured,
     reset_active_faults,
-    specs_from_env,
 )
 from .spec import (
     DEFAULT_HANG_SECONDS,
@@ -33,16 +28,11 @@ from .spec import (
 
 __all__ = [
     "CORRUPTION_BYTES",
-    "FAULTS_ENV",
-    "STATE_ENV",
     "FaultRegistry",
     "InjectedCrash",
     "InjectedFault",
     "active_faults",
-    "ensure_state_dir",
-    "faults_configured",
     "reset_active_faults",
-    "specs_from_env",
     "DEFAULT_HANG_SECONDS",
     "DEFAULT_SLOW_SECONDS",
     "KINDS",

@@ -16,8 +16,10 @@ the spec string, the spec's position, and a monotonically claimed
 *occurrence number* -- never on wall-clock time or shared RNG state.
 Occurrences are claimed atomically across processes through marker
 files in the state directory (``REPRO_FAULTS_STATE``; the supervisor
-creates one automatically for parallel runs), so "fail once, then
-succeed" keeps its meaning when the retry lands on a different worker.
+creates one for a parallel battery when none is set), so "fail once,
+then succeed" keeps its meaning when the retry lands on a different
+worker.  Specs and state directory come from the :mod:`repro.settings`
+record.
 
 Experiment-level faults fire only inside *supervised* workers: the
 serial path is the recovery mechanism of last resort, and injecting a
@@ -30,16 +32,13 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from .. import settings
 from ..obs.registry import REGISTRY
-from .spec import FaultSpec, parse_specs
-
-FAULTS_ENV = "REPRO_FAULTS"
-STATE_ENV = "REPRO_FAULTS_STATE"
+from .spec import FaultSpec
 
 #: Bytes written over a cache entry by a fired ``corrupt`` fault; not a
 #: valid pickle, so the next load takes the corruption path.
@@ -184,85 +183,44 @@ class FaultRegistry:
 _ACTIVE: Optional[FaultRegistry] = None
 
 
-def specs_from_env() -> List[FaultSpec]:
-    """Parse ``REPRO_FAULTS``."""
-    return parse_specs(os.environ.get(FAULTS_ENV, ""))
-
-
 def active_faults() -> FaultRegistry:
-    """The process-wide registry (created lazily from the environment)."""
+    """The process-wide registry for the installed settings record.
+
+    Rebuilt, with fresh occurrence counters, only when the record's
+    fault specs or state directory change.
+    """
     global _ACTIVE
-    if _ACTIVE is None:
-        _ACTIVE = FaultRegistry(
-            specs_from_env(), state_dir=os.environ.get(STATE_ENV) or None
-        )
+    record = settings.current()
+    wanted = (record.faults, record.faults_state)
+    if _ACTIVE is None or (tuple(_ACTIVE.specs), _ACTIVE.state_dir) != wanted:
+        _ACTIVE = FaultRegistry(record.faults, state_dir=record.faults_state)
     return _ACTIVE
 
 
 def reset_active_faults() -> None:
-    """Forget the active registry; the next use re-reads the environment."""
+    """Forget the active registry; the next use rebuilds it."""
     global _ACTIVE
     _ACTIVE = None
 
 
-def faults_configured() -> bool:
-    """Is any fault spec present in the environment?"""
-    return bool(os.environ.get(FAULTS_ENV, "").strip())
-
-
-def ensure_state_dir() -> Optional[str]:
-    """Guarantee a shared occurrence-state directory for worker processes.
-
-    Called by the supervisor before spinning up a pool: when faults are
-    configured but ``REPRO_FAULTS_STATE`` is not set, a fresh temp
-    directory is created and exported so every worker (fork or spawn)
-    counts occurrences against the same ledger.  Returns the state dir
-    in use, or ``None`` when no faults are configured.
-    """
-    if not faults_configured():
-        return None
-    state = os.environ.get(STATE_ENV)
-    if not state:
-        state = tempfile.mkdtemp(prefix="repro-faults-")
-        os.environ[STATE_ENV] = state
-        reset_active_faults()
-    else:
-        Path(state).mkdir(parents=True, exist_ok=True)
-    return state
-
-
 def release_state_dir(state: str) -> None:
-    """Tear down a supervisor-*owned* occurrence-state directory.
+    """Tear down an occurrence-state directory the supervisor created.
 
-    The inverse of :func:`ensure_state_dir`'s auto-creation branch.
-    Without this, the exported ``REPRO_FAULTS_STATE`` tempdir -- and
-    every ``spec<i>.occ<n>`` claim marker in it -- outlived the battery
-    that created it, so a second supervised battery in the same process
-    inherited stale occurrence numbers: a ``times=1`` fault that had
-    already fired (plus its retry claim) would never fire again, and
-    ``after=N`` windows shifted arbitrarily.  Callers that *inherited*
-    an externally-set state dir (CI chaos legs sharing a ledger across
-    a kill/resume pair) must not call this; the supervisor only
-    releases directories it created.
-
-    Best-effort: only this module's claim markers are removed, the
-    directory is deleted only if that leaves it empty, and the
-    environment export is dropped only if it still points here.  The
-    active registry is reset either way so the next use re-reads the
-    environment.
+    A leaked ledger made a second supervised battery in the same process
+    inherit stale occurrence numbers, so a ``times=1`` fault that had
+    already fired never fired again.  A ``REPRO_FAULTS_STATE`` ledger
+    (CI chaos legs share one across a kill/resume pair) is never
+    released.  Best-effort: only claim markers are removed, and the
+    directory only if that empties it.  The registry needs no reset: it
+    follows the record the supervisor restores.
     """
     root = Path(state)
-    try:
-        for marker in root.glob("spec*.occ*"):
-            try:
-                marker.unlink()
-            except OSError:
-                pass
+    for marker in root.glob("spec*.occ*"):
         try:
-            root.rmdir()
+            marker.unlink()
         except OSError:
             pass
-    finally:
-        if os.environ.get(STATE_ENV) == state:
-            os.environ.pop(STATE_ENV, None)
-        reset_active_faults()
+    try:
+        root.rmdir()
+    except OSError:
+        pass

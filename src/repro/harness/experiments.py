@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import settings
 from ..analysis.clustering import measure_boosting, misestimation_distance
 from ..analysis.distance import (
     DistanceBucket,
@@ -57,7 +58,6 @@ from ..engine import (
     measure_bank,
     profile_fingerprint,
     record_pipeline_simulation,
-    vector_enabled,
     workload_run,
 )
 from ..metrics import QuadrantCounts, average_quadrants, figure1_family
@@ -203,10 +203,10 @@ def _bank_trace(workload: str, iterations: Optional[int]):
     Columnar (vector-engine) when enabled, the plain branch stream
     otherwise -- both replay identically through the scalar loop, so
     callers never need to care which they got.  This is the only place
-    ``REPRO_VECTOR`` is read: every engine entry point below dispatches
-    on the representation it is handed.
+    the ``REPRO_VECTOR`` setting is consulted: every engine entry point
+    below dispatches on the representation it is handed.
     """
-    if vector_enabled():
+    if settings.current().vector:
         return columnar_run(workload, iterations)
     return workload_run(workload, iterations).trace
 

@@ -47,7 +47,10 @@ every way a long sweep on real hardware fails:
 Every finished experiment is checkpointed through
 :mod:`repro.harness.checkpoint` as it completes, which is what
 ``repro run --resume`` replays.  Fault injection for all of the above
-lives in :mod:`repro.faults` (``REPRO_FAULTS``).
+lives in :mod:`repro.faults` (``REPRO_FAULTS``).  The pool initializer
+installs the parent's :mod:`repro.settings` record in every worker, so
+workers agree with the parent about cache, engines and faults without
+reading the environment.
 
 Workers ship back per-task deltas of the artifact-cache statistics and
 the metrics registry (:mod:`repro.obs.registry`); the parent folds both
@@ -57,17 +60,18 @@ serial run.
 
 from __future__ import annotations
 
-import math
-import os
 import pickle
 import sys
+import tempfile
 import threading
 import time
 import traceback
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import settings
 from ..engine import cache as artifact_cache
 from ..engine import workload_run
 from ..engine.cache import CacheStats
@@ -93,19 +97,6 @@ Journal = Optional[object]  # RunJournal | NullJournal; kwarg convenience
 
 #: ``measurement_plan`` output: per-predictor estimator-family unions.
 MeasurementPlan = Tuple[Tuple[str, Tuple[str, ...]], ...]
-
-# ----------------------------------------------------------------------
-# supervisor knobs
-# ----------------------------------------------------------------------
-
-TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-RETRIES_ENV = "REPRO_TASK_RETRIES"
-BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
-
-#: Additional attempts after the first failure of an experiment.
-DEFAULT_RETRIES = 2
-#: Base of the deterministic exponential backoff (seconds).
-DEFAULT_BACKOFF_S = 0.25
 
 #: The failure taxonomy.  Everything except ``fatal`` is retryable.
 FAILURE_CLASSES = ("timeout", "crash", "corrupt_artifact", "retryable", "fatal")
@@ -160,52 +151,6 @@ def classify_failure(error: BaseException) -> str:
     if isinstance(error, _CORRUPT_TYPES):
         return "corrupt_artifact"
     return "retryable"
-
-
-def _env_number(name: str, default, parse=float):
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = parse(raw)
-    except ValueError:
-        print(
-            f"repro: ignoring unparseable {name}={raw!r}", file=sys.stderr
-        )
-        return default
-    return value
-
-
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {raw!r}")
-    return value
-
-
-def _timeout_or_off(value: Optional[float]) -> Optional[float]:
-    """A task timeout in seconds, or None (off) unless finite and > 0."""
-    if value is None or not 0 < value < math.inf:
-        return None
-    return value
-
-
-def task_timeout_from_env() -> Optional[float]:
-    """``REPRO_TASK_TIMEOUT`` in seconds; unset, empty, unparseable or
-    not a finite number > 0 disables."""
-    return _timeout_or_off(_env_number(TIMEOUT_ENV, None))
-
-
-def retries_from_env() -> int:
-    """``REPRO_TASK_RETRIES``: an integer, so ``nan``/``inf``/``2.7`` are
-    unparseable and fall back to :data:`DEFAULT_RETRIES`."""
-    return max(0, _env_number(RETRIES_ENV, DEFAULT_RETRIES, int))
-
-
-def backoff_from_env() -> float:
-    """``REPRO_RETRY_BACKOFF`` in seconds: ``nan``/``inf`` are
-    unparseable and fall back to :data:`DEFAULT_BACKOFF_S`."""
-    return max(0.0, _env_number(BACKOFF_ENV, DEFAULT_BACKOFF_S, _finite_float))
 
 
 #: A warm task ``(kind, args)``: the call ``_WARM_FUNCTIONS[kind](*args)``.
@@ -311,10 +256,11 @@ def plan_warm_levels(
 # ----------------------------------------------------------------------
 
 
-def _init_worker(cache_root: str, cache_enabled: bool) -> None:
-    artifact_cache.configure(root=cache_root, enabled=cache_enabled)
-    # re-read REPRO_FAULTS/REPRO_FAULTS_STATE in this process so forked
-    # workers do not reuse the parent's in-memory occurrence counters
+def _init_worker(record: settings.Settings) -> None:
+    settings.install(record)
+    # forked workers inherit the parent's cache stats and fault
+    # occurrence counters; each worker starts its own
+    artifact_cache.reset_active_cache()
     faults.reset_active_faults()
 
 
@@ -364,27 +310,6 @@ def _experiment_worker(
 # ----------------------------------------------------------------------
 # parent-side supervisor
 # ----------------------------------------------------------------------
-
-
-def default_jobs(journal: Journal = None) -> int:
-    """``REPRO_JOBS`` from the environment, else 1 (serial).
-
-    An unparseable value is *not* silently swallowed: the degradation
-    to serial execution is announced on stderr and, when a journal is
-    active, as a ``warning`` event naming the bad value.
-    """
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            message = (
-                f"repro: ignoring unparseable REPRO_JOBS={raw!r};"
-                " running serially (jobs=1)"
-            )
-            print(message, file=sys.stderr)
-            coalesce(journal).emit("warning", message=message, context="REPRO_JOBS")
-    return 1
 
 
 def _merge_worker_state(stats: CacheStats, metrics: MetricsSnapshot) -> None:
@@ -476,12 +401,11 @@ class _Supervisor:
     def _ensure_pool(self) -> bool:
         if self.pool is not None:
             return True
-        cache = artifact_cache.get_cache()
         try:
             self.pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_init_worker,
-                initargs=(str(cache.root), cache.enabled),
+                initargs=(settings.current(),),
             )
         except Exception as error:  # noqa: BLE001 - degrade, never die
             self._pool_failed(error)
@@ -713,13 +637,14 @@ class _Supervisor:
         return retry
 
     def run(self) -> Dict[str, ExperimentResult]:
-        # a state dir this supervisor creates is released when the
-        # battery ends: leaking the exported tempdir (and its claim
-        # markers) made a second battery in the same process inherit
-        # stale occurrence numbers, so its `times=1` faults never fired
-        inherited_state = os.environ.get(faults.STATE_ENV)
-        state_dir = faults.ensure_state_dir()
-        owns_state = state_dir is not None and not inherited_state
+        # armed faults need one occurrence ledger for the workers and the
+        # serial fallback; one created here is released when the battery
+        # ends, or the next battery's `times=1` faults would never fire
+        record = settings.current()
+        ledger = None
+        if record.faults and not record.faults_state:
+            ledger = tempfile.mkdtemp(prefix="repro-faults-")
+            settings.install(replace(record, faults_state=ledger))
         try:
             pending = list(self.selected)
             round_number = 0
@@ -761,8 +686,9 @@ class _Supervisor:
                     raise RunAborted(dict(self.results)) from None
             return {eid: self.results[eid] for eid in self.selected}
         finally:
-            if owns_state:
-                faults.release_state_dir(state_dir)
+            if ledger is not None:
+                settings.install(record)
+                faults.release_state_dir(ledger)
 
 
 def run_parallel(
@@ -779,9 +705,10 @@ def run_parallel(
 
     Results are merged in the order of ``selected`` and carry
     ``duration_s`` stamps.  ``task_timeout``/``retries``/``backoff_s``
-    default from ``REPRO_TASK_TIMEOUT``/``REPRO_TASK_RETRIES``/
-    ``REPRO_RETRY_BACKOFF``; a timeout from either source that is not
-    a finite number > 0 (``0``, ``-1``, ``nan``) means no timeout.
+    default from the installed :mod:`repro.settings` record
+    (``REPRO_TASK_TIMEOUT``/``REPRO_TASK_RETRIES``/``REPRO_RETRY_BACKOFF``);
+    a timeout from either source that is not a finite number > 0
+    (``0``, ``-1``, ``nan``) means no timeout.
     ``measurement_families`` is the battery-wide estimator-bank plan
     (defaults to the plan derived from ``selected``'s specs); workers
     install it so every experiment shares one bank cell per (workload,
@@ -799,18 +726,19 @@ def run_parallel(
         )
     if jobs == 1 or len(selected) == 0:
         return _run_serially(selected, scale, journal, measurement_families)
+    record = settings.current()
     supervisor = _Supervisor(
         selected,
         scale,
         jobs,
         journal,
         task_timeout=(
-            _timeout_or_off(task_timeout)
+            settings.timeout_or_off(task_timeout)
             if task_timeout is not None
-            else task_timeout_from_env()
+            else record.task_timeout
         ),
-        retries=retries if retries is not None else retries_from_env(),
-        backoff_s=backoff_s if backoff_s is not None else backoff_from_env(),
+        retries=retries if retries is not None else record.retries,
+        backoff_s=backoff_s if backoff_s is not None else record.backoff_s,
         measurement_families=measurement_families,
     )
     return supervisor.run()

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
+from .. import settings
 from ..engine import (
     BRANCHES_METRIC,
     PASSES_SAVED_METRIC,
@@ -126,8 +127,9 @@ def run_all(
     never produce different output than a fresh one.
 
     ``task_timeout``/``retries``/``backoff_s`` tune the supervisor
-    (default from ``REPRO_TASK_TIMEOUT``/``REPRO_TASK_RETRIES``/
-    ``REPRO_RETRY_BACKOFF``).
+    (default from the installed :mod:`repro.settings` record).  Each
+    malformed ``REPRO_*`` value that record ignored becomes a ``warning``
+    event with the variable as ``context``.
     """
     journal = coalesce(journal)
     selected = list(only) if only is not None else list(SPECS)
@@ -159,6 +161,8 @@ def run_all(
             "workloads": list(scale.workloads),
         },
     )
+    for variable, message in settings.current().warnings():
+        journal.emit("warning", message=message, context=variable)
     if resume is not None:
         journal.emit(
             "run_resumed",

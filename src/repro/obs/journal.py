@@ -25,9 +25,9 @@ Event vocabulary (see ``docs/observability.md`` for the field tables):
 * ``run_aborted`` -- the run was interrupted (SIGINT/SIGTERM) after
   draining in-flight tasks; lists the experiments whose checkpoints
   are consistent, so ``--resume`` can continue from here;
-* ``warning`` -- non-fatal configuration or scheduling problems (bad
-  ``REPRO_JOBS``, pool-level fallback, cache store/read errors,
-  corrupt artifacts);
+* ``warning`` -- non-fatal configuration or scheduling problems (a
+  malformed ``REPRO_*`` value that fell back on its default, pool-level
+  fallback, cache store/read errors, corrupt artifacts);
 * ``speculation_summary`` -- per speculation-control experiment, the
   per-workload result rows (wrong-path savings, IPC delta, ...) the
   report's "Speculation control" section is built from;

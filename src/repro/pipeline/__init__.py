@@ -12,12 +12,10 @@ from .caches import Cache
 from .config import CacheConfig, PipelineConfig
 from .core import PipelineResult, PipelineSimulator
 from .decode import (
-    PIPELINE_FAST_ENV,
     DecodedProgram,
     clear_decoded_cache,
     decode_program,
     decoded_run,
-    pipeline_fast_enabled,
 )
 from .ooo import (
     DEPTH_HISTOGRAM_KEY,
@@ -56,11 +54,9 @@ __all__ = [
     "BranchRecordStore",
     "PipelineStats",
     "DecodedProgram",
-    "PIPELINE_FAST_ENV",
     "clear_decoded_cache",
     "decode_program",
     "decoded_run",
-    "pipeline_fast_enabled",
     "SNAPSHOT_SCHEMA",
     "PipelineSnapshot",
     "SnapshotError",

@@ -69,6 +69,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .. import settings
 from ..confidence.base import ConfidenceEstimator
 from ..isa import Machine, MachineFault, Program
 from ..isa.instructions import WORD_MASK, OpCategory
@@ -87,7 +88,6 @@ from .decode import (
     K_STORE,
     DecodedProgram,
     decode_program,
-    pipeline_fast_enabled,
 )
 from .records import BranchRecord, BranchRecordStore, PipelineStats
 
@@ -185,7 +185,7 @@ class PipelineSimulator:
     for committed branches only.
 
     ``fast`` selects the engine ``run()`` takes: ``None`` (default)
-    follows the ``REPRO_PIPELINE_FAST`` environment gate,
+    follows the installed ``REPRO_PIPELINE_FAST`` setting,
     ``True``/``False`` force the fused engine / the reference loop.
     ``decoded`` may supply a shared :class:`DecodedProgram` (e.g. the
     per-workload :func:`~repro.pipeline.decode.decoded_run` memo) to
@@ -230,7 +230,7 @@ class PipelineSimulator:
         self.stats = PipelineStats()
         self.records = BranchRecordStore()
         if fast is None:
-            fast = pipeline_fast_enabled()
+            fast = settings.current().pipeline_fast
         if fast:
             self._decoded = decoded if decoded is not None else decode_program(
                 program

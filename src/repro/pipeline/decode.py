@@ -48,25 +48,11 @@ CI report gates check this end to end.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Callable, List, Optional
 
 from ..isa.instructions import SIGN_BIT, WORD_MASK, Instruction, OpCategory, Opcode
 from ..isa.program import Program
-
-#: Environment switch: set to 0/false/no/off to force the reference
-#: per-instruction pipeline loop (mirrors ``REPRO_VECTOR``).
-PIPELINE_FAST_ENV = "REPRO_PIPELINE_FAST"
-
-_DISABLED_VALUES = {"0", "false", "no", "off"}
-
-
-def pipeline_fast_enabled() -> bool:
-    """True when the pre-decoded pipeline fast path may be used."""
-    value = os.environ.get(PIPELINE_FAST_ENV, "").strip().lower()
-    return value not in _DISABLED_VALUES
-
 
 #: Instruction kinds the fused pipeline loop dispatches on.
 K_PLAIN = 0  # ALU_RRR / ALU_RRI / LUI / NOP: straight-line, no memory

@@ -1,9 +1,11 @@
 """Shared fixtures: small, cached workload runs for fast tests."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
+from repro import settings
 from repro.engine import cache as artifact_cache
 from repro.engine import trace_branches, workload_program
 from repro.isa import assemble
@@ -20,11 +22,31 @@ def _hermetic_artifact_cache(tmp_path_factory):
     never read artifacts left behind by other runs or other checkouts.
     An explicitly exported ``REPRO_CACHE_DIR`` is honoured.
     """
-    if not os.environ.get(artifact_cache.DIR_ENV):
+    if not os.environ.get("REPRO_CACHE_DIR"):
         artifact_cache.configure(
             root=tmp_path_factory.mktemp("artifact-cache"), enabled=True
         )
     yield
+
+
+@pytest.fixture()
+def knobs():
+    """Arm ``REPRO_*`` knobs by installing a settings record.
+
+    ``knobs(field=value, ...)`` installs the current record with those
+    fields changed; every field a test changed is restored afterwards.
+    """
+    saved = {}
+
+    def arm(**changes):
+        record = settings.current()
+        for name in changes:
+            saved.setdefault(name, getattr(record, name))
+        settings.install(replace(record, **changes))
+
+    yield arm
+    if saved:
+        settings.install(replace(settings.current(), **saved))
 
 
 @pytest.fixture(scope="session")

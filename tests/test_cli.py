@@ -51,6 +51,10 @@ class TestParser:
             (["plot", "fig6", "--pipeline-instructions", "0"], "--pipeline-instructions", "0"),
             (["workload", "gcc", "--iterations", "0"], "--iterations", "0"),
             (["trace", "gcc", "out.trace", "--iterations", "-3"], "--iterations", "-3"),
+            (["run", "--jobs", "0"], "--jobs", "0"),
+            (["run-all", "--jobs", "-3"], "--jobs", "-3"),
+            (["speculate", "--jobs", "0"], "--jobs", "0"),
+            (["bench", "--jobs", "0"], "--jobs", "0"),
         ],
     )
     def test_non_positive_sizes_are_usage_errors(self, argv, flag, raw, capsys):
@@ -59,6 +63,58 @@ class TestParser:
         assert excinfo.value.code == 2
         message = f"argument {flag}: expected a positive integer, got '{raw}'"
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag, raw",
+        [
+            (["run-all", "--retries", "-4"], "--retries", "-4"),
+            (["run-all", "--segment-instructions", "-5"], "--segment-instructions", "-5"),
+            (["bench", "--segment-instructions", "x"], "--segment-instructions", "x"),
+        ],
+    )
+    def test_negative_counts_are_usage_errors(self, argv, flag, raw, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        message = f"argument {flag}: expected a non-negative integer, got '{raw}'"
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag, missing",
+        [
+            (["run-all", "--only", "fig1", "--out", "{tmp}/no/report.txt"], "--out", "{tmp}/no"),
+            (["run", "fig1", "--journal", "{tmp}/no/j.jsonl"], "--journal", "{tmp}/no"),
+            (["run-all", "--resume", "{tmp}/absent.jsonl"], "--resume", "{tmp}/absent.jsonl"),
+            (
+                ["bench", "--compare", "{tmp}/absent.json", "{tmp}/absent.json"],
+                "--compare",
+                "{tmp}/absent.json",
+            ),
+        ],
+    )
+    def test_missing_paths_are_usage_errors(self, argv, flag, missing, tmp_path, capsys):
+        from repro.engine.cache import get_cache
+
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        before = get_cache().stats.snapshot()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and missing.format(tmp=tmp_path) in err
+        # refused before any work: not one cache lookup
+        assert get_cache().stats.since(before) == type(before)()
+
+    def test_journal_of_missing_file_is_invalid(self, tmp_path, capsys):
+        missing = tmp_path / "absent.jsonl"
+        assert main(["journal", str(missing)]) == 1
+        assert f"journal: {missing}\nINVALID: cannot read" in capsys.readouterr().out
+
+    def test_retries_and_segment_zero_parse(self):
+        args = build_parser().parse_args(
+            ["run-all", "--retries", "0", "--segment-instructions", "0", "--jobs", "1"]
+        )
+        assert (args.retries, args.segment_instructions, args.jobs) == (0, 0, 1)
 
     def test_positive_sizes_parse(self):
         args = build_parser().parse_args(
@@ -154,17 +210,59 @@ class TestScaleAndJobs:
         ],
     )
     def test_resume_flags_override_the_resumed_scale(
-        self, flags, changed, monkeypatch
+        self, flags, changed, knobs
     ):
         from dataclasses import replace
 
-        from repro.cli import BACKEND_ENV, SEGMENT_ENV, _scale_from_args
+        from repro.cli import _scale_from_args
         from repro.harness import SMOKE
 
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.delenv(SEGMENT_ENV, raising=False)
+        knobs(backend=None, segment_instructions=None)
         args = build_parser().parse_args(["run-all", "--resume", "j", *flags])
         assert _scale_from_args(args, fallback=SMOKE) == replace(SMOKE, **changed)
+
+    @pytest.mark.parametrize(
+        "flags, changed",
+        [
+            ([], {}),
+            (["--iterations", "30"], {"iterations": 30}),
+            (["--workloads", "gcc"], {"workloads": ("gcc",)}),
+        ],
+    )
+    def test_resume_ignores_backend_and_segment_knobs(self, flags, changed, knobs):
+        """The resumed run's backend and segment size hold whatever
+        other flag is given: the environment never overrides them."""
+        from dataclasses import replace
+
+        from repro.cli import _scale_from_args
+        from repro.harness import SMOKE
+
+        knobs(backend="ooo", segment_instructions=2000)
+        args = build_parser().parse_args(["run-all", "--resume", "j", *flags])
+        assert _scale_from_args(args, fallback=SMOKE) == replace(SMOKE, **changed)
+
+    @pytest.mark.parametrize(
+        "argv, knob, segment, backend",
+        [
+            (["run-all", "--scale", "smoke"], 2000, 2000, "ooo"),
+            (["run-all"], 2000, 2000, "ooo"),
+            (["run-all", "--resume", "j", "--scale", "smoke"], 2000, 2000, "ooo"),
+            (["run-all", "--scale", "smoke", "--segment-instructions", "0"], 2000, None, "ooo"),
+            (["run-all", "--scale", "smoke", "--backend", "inorder"], 2000, 2000, "inorder"),
+            (["run-all", "--scale", "paper"], 0, None, "ooo"),
+            (["run-all", "--scale", "paper"], None, 750_000, "ooo"),
+        ],
+    )
+    def test_knobs_fill_the_preset_and_flags_win(
+        self, argv, knob, segment, backend, knobs
+    ):
+        from repro.cli import _scale_from_args
+        from repro.harness import SMOKE
+
+        knobs(backend="ooo", segment_instructions=knob)
+        args = build_parser().parse_args(argv)
+        scale = _scale_from_args(args, fallback=SMOKE if args.resume else None)
+        assert (scale.segment_instructions, scale.backend) == (segment, backend)
 
     def test_run_without_experiment_runs_battery(self, capsys):
         code = main(

@@ -1,15 +1,15 @@
 """Tests for the content-addressed artifact cache."""
 
+import os
 import pickle
 
 import pytest
 
+from repro import settings
 from repro.engine.cache import (
     ArtifactCache,
     CacheStats,
-    cache_enabled_by_env,
     configure,
-    default_cache_dir,
     get_cache,
     set_warning_sink,
 )
@@ -287,15 +287,30 @@ class TestManagement:
 
 
 class TestEnvironment:
-    def test_configure_updates_env_and_singleton(self, tmp_path, monkeypatch):
+    def test_configure_changes_the_installed_record(self, tmp_path):
         previous = get_cache()
+        environment = dict(os.environ)
         configured = configure(root=tmp_path / "c", enabled=True)
         try:
             assert get_cache() is configured
-            assert cache_enabled_by_env()
+            assert settings.current().cache_dir == tmp_path / "c"
+            assert settings.current().cache_enabled
             configure(enabled=False)
-            assert not cache_enabled_by_env()
-            assert str(default_cache_dir()) == str(tmp_path / "c")
+            assert not settings.current().cache_enabled
+            assert not get_cache().enabled
+            assert get_cache().root == tmp_path / "c"
+            assert dict(os.environ) == environment
+        finally:
+            configure(root=previous.root, enabled=previous.enabled)
+
+    def test_an_unchanged_record_keeps_the_cache_and_its_stats(self, tmp_path):
+        previous = get_cache()
+        configured = configure(root=tmp_path / "c", enabled=True)
+        try:
+            configured.stats.hits += 3
+            settings.install(settings.current())
+            assert configure(root=tmp_path / "c") is configured
+            assert get_cache().stats.hits == 3
         finally:
             configure(root=previous.root, enabled=previous.enabled)
 

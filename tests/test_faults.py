@@ -6,28 +6,25 @@ import os
 
 import pytest
 
+from repro import settings
 from repro.faults import (
     CORRUPTION_BYTES,
-    FAULTS_ENV,
-    STATE_ENV,
     FaultRegistry,
     FaultSpecError,
     InjectedCrash,
     active_faults,
-    ensure_state_dir,
-    faults_configured,
     parse_spec,
     parse_specs,
     reset_active_faults,
-    specs_from_env,
 )
+
+FAULTS_ENV = "REPRO_FAULTS"
 
 
 @pytest.fixture(autouse=True)
-def clean_fault_env(monkeypatch):
+def clean_fault_env(knobs):
     """No ambient fault configuration leaks into (or out of) a test."""
-    monkeypatch.delenv(FAULTS_ENV, raising=False)
-    monkeypatch.delenv(STATE_ENV, raising=False)
+    knobs(faults=(), faults_state=None)
     reset_active_faults()
     yield
     reset_active_faults()
@@ -264,54 +261,46 @@ class TestGrammarEdgeCases:
             registry.on_experiment("tab3")
 
     def test_shared_exported_ledger_survives_registry_reset(
-        self, monkeypatch, tmp_path
+        self, knobs, tmp_path
     ):
         """A kill/resume pair sharing REPRO_FAULTS_STATE: the second
-        process (modelled by reset + re-read of the environment) sees
-        the first one's claims, so ``times=1`` stays once-per-ledger."""
+        process (modelled by a registry reset under the same record)
+        sees the first one's claims, so ``times=1`` stays
+        once-per-ledger."""
         state = tmp_path / "ledger"
-        monkeypatch.setenv(FAULTS_ENV, "flaky:experiment=tab3")
-        monkeypatch.setenv(STATE_ENV, str(state))
+        knobs(faults=tuple(parse_specs("flaky:experiment=tab3")), faults_state=str(state))
         reset_active_faults()
         with pytest.raises(InjectedCrash):
             active_faults().on_experiment("tab3")
-        reset_active_faults()  # "new process": same env, fresh registry
+        reset_active_faults()  # "new process": same record, fresh registry
         active_faults().on_experiment("tab3")  # already consumed
         assert sorted(os.listdir(state)) == ["spec0.occ0", "spec0.occ1"]
 
 
 class TestEnvironmentWiring:
-    def test_specs_from_env_parses_faults(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "flaky:experiment=tab3,slow:seconds=0.1")
-        specs = specs_from_env()
+    def test_specs_from_env_parses_faults(self):
+        record = settings.from_env({FAULTS_ENV: "flaky:experiment=tab3,slow:seconds=0.1"})
+        specs = record.faults
         assert [s.kind for s in specs] == ["flaky", "slow"]
-        assert faults_configured()
+        assert record.faults
 
-    def test_active_registry_caches_until_reset(self, monkeypatch):
+    def test_active_registry_caches_until_reset(self, monkeypatch, knobs):
         assert not active_faults()
         monkeypatch.setenv(FAULTS_ENV, "crash")
-        assert not active_faults()  # stale: env read once
-        reset_active_faults()
+        assert not active_faults()  # stale: the installed record wins
+        knobs(faults=settings.from_env().faults)
         assert active_faults()
 
-    def test_ensure_state_dir_only_when_configured(self, monkeypatch):
-        assert ensure_state_dir() is None
-        monkeypatch.setenv(FAULTS_ENV, "crash:experiment=tab3")
-        state = ensure_state_dir()
-        try:
-            assert state is not None and os.path.isdir(state)
-            assert os.environ[STATE_ENV] == state
-            # idempotent: a second call reuses the exported directory
-            assert ensure_state_dir() == state
-        finally:
-            monkeypatch.delenv(STATE_ENV, raising=False)
-            import shutil
-
-            shutil.rmtree(state, ignore_errors=True)
-
-    def test_ensure_state_dir_honours_existing_env(self, monkeypatch, tmp_path):
-        wanted = tmp_path / "chaos-state"
-        monkeypatch.setenv(FAULTS_ENV, "crash")
-        monkeypatch.setenv(STATE_ENV, str(wanted))
-        assert ensure_state_dir() == str(wanted)
-        assert wanted.is_dir()
+    def test_registry_follows_record_and_keeps_counters(self, knobs, tmp_path):
+        """A record with new fault fields rebuilds the registry; an equal
+        one keeps it, occurrence counters included."""
+        knobs(faults=tuple(parse_specs("flaky:experiment=tab3")))
+        registry = active_faults()
+        with pytest.raises(InjectedCrash):
+            registry.on_experiment("tab3")
+        settings.install(settings.current())
+        assert active_faults() is registry
+        active_faults().on_experiment("tab3")  # times=1: already fired
+        knobs(faults_state=str(tmp_path / "ledger"))
+        assert active_faults() is not registry
+        assert active_faults().state_dir == str(tmp_path / "ledger")

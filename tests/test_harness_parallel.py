@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro import settings
 from repro.engine import cache as artifact_cache
 from repro.engine import clear_cache
-from repro.faults import FAULTS_ENV, STATE_ENV, reset_active_faults
+from repro.faults import parse_specs
 from repro.harness import (
     PAPER,
     SMOKE,
@@ -19,7 +20,7 @@ from repro.harness import (
     render_report,
     run_all,
 )
-from repro.harness.parallel import _WARM_FUNCTIONS, default_jobs
+from repro.harness.parallel import _WARM_FUNCTIONS
 from repro.harness.spec import DEP_KINDS
 from repro.obs.journal import RunJournal, read_journal
 
@@ -168,24 +169,22 @@ class TestPerExperimentFallback:
 
     SELECTION = ["fig1", "tab3", "fig3"]
 
-    def _run_with_crash(self, tmp_path, monkeypatch, crash="tab3"):
-        monkeypatch.setenv(FAULTS_ENV, f"crash:experiment={crash}")
-        monkeypatch.setenv(STATE_ENV, str(tmp_path / "fault-state"))
-        reset_active_faults()
+    def _run_with_crash(self, tmp_path, knobs, crash="tab3"):
+        knobs(
+            faults=tuple(parse_specs(f"crash:experiment={crash}")),
+            faults_state=str(tmp_path / "fault-state"),
+        )
         path = tmp_path / "crash.jsonl"
-        try:
-            with RunJournal(path) as journal:
-                results = run_all(
-                    SMOKE, only=self.SELECTION, jobs=2, journal=journal, retries=0
-                )
-        finally:
-            reset_active_faults()
+        with RunJournal(path) as journal:
+            results = run_all(
+                SMOKE, only=self.SELECTION, jobs=2, journal=journal, retries=0
+            )
         return results, read_journal(path)
 
     def test_only_failed_experiment_reruns_serially(
-        self, isolated_cache, tmp_path, monkeypatch
+        self, isolated_cache, tmp_path, knobs
     ):
-        results, events = self._run_with_crash(tmp_path, monkeypatch)
+        results, events = self._run_with_crash(tmp_path, knobs)
 
         failed = [e for e in events if e["event"] == "experiment_failed"]
         assert [e["experiment"] for e in failed] == ["tab3"]
@@ -208,9 +207,9 @@ class TestPerExperimentFallback:
         assert finished == {"fig1": "parallel", "fig3": "parallel", "tab3": "serial"}
 
     def test_battery_still_complete_and_ordered(
-        self, isolated_cache, tmp_path, monkeypatch
+        self, isolated_cache, tmp_path, knobs
     ):
-        results, __ = self._run_with_crash(tmp_path, monkeypatch)
+        results, __ = self._run_with_crash(tmp_path, knobs)
         assert list(results) == self.SELECTION
         assert all(result.duration_s is not None for result in results.values())
         report = render_report(results, SMOKE)
@@ -218,10 +217,10 @@ class TestPerExperimentFallback:
             assert results[experiment_id].to_text() in report
 
     def test_crashed_result_matches_clean_serial_run(
-        self, isolated_cache, tmp_path, monkeypatch
+        self, isolated_cache, tmp_path, knobs
     ):
-        results, __ = self._run_with_crash(tmp_path, monkeypatch)
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        results, __ = self._run_with_crash(tmp_path, knobs)
+        knobs(faults=())
         clear_memoised()
         clean = run_all(SMOKE, only=["tab3"], jobs=1)
         assert results["tab3"].to_text() == clean["tab3"].to_text()
@@ -232,27 +231,25 @@ class TestRunAllContract:
         with pytest.raises(KeyError):
             run_all(SMOKE, only=["nope"], jobs=4)
 
-    def test_default_jobs_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert default_jobs() == 1
-        monkeypatch.setenv("REPRO_JOBS", "6")
-        assert default_jobs() == 6
-        monkeypatch.setenv("REPRO_JOBS", "garbage")
-        assert default_jobs() == 1
+    def test_default_jobs_env(self):
+        assert settings.from_env({}).jobs == 1
+        assert settings.from_env({"REPRO_JOBS": "6"}).jobs == 6
+        assert settings.from_env({"REPRO_JOBS": "garbage"}).jobs == 1
 
-    def test_default_jobs_warns_on_unparseable_value(self, monkeypatch, capsys):
+    def test_default_jobs_warns_on_unparseable_value(self, knobs, capsys):
         """The bugfix: a bad REPRO_JOBS is announced, not swallowed."""
-        monkeypatch.setenv("REPRO_JOBS", "four")
+        record = settings.from_env({"REPRO_JOBS": "four"})
         import io
 
         stream = io.StringIO()
-        assert default_jobs(journal=RunJournal(stream)) == 1
+        knobs(ignored=record.ignored)
+        run_all(SMOKE, only=[], journal=RunJournal(stream))
+        assert record.jobs == 1
         assert "'four'" in capsys.readouterr().err
         assert '"context": "REPRO_JOBS"' in stream.getvalue()
 
-    def test_default_jobs_quiet_on_valid_value(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        assert default_jobs() == 2
+    def test_default_jobs_quiet_on_valid_value(self, capsys):
+        assert settings.from_env({"REPRO_JOBS": "2"}).jobs == 2
         assert capsys.readouterr().err == ""
 
 

@@ -21,7 +21,8 @@ import pytest
 
 from repro.cli import battery_table_markdown, main
 from repro.engine import cache as artifact_cache
-from repro.engine import clear_cache, vector_enabled, workload_run
+from repro import settings
+from repro.engine import clear_cache, workload_run
 from repro.engine.measure import measure, measure_accuracy
 from repro.harness import (
     SMOKE,
@@ -312,7 +313,7 @@ class TestBenchCli:
         assert payload["simulation"]["branches"] > 0
         assert payload["simulation"]["branches_per_second"] > 0
         assert payload["simulation"]["scalar_fallback_branches"] >= 0
-        if vector_enabled():
+        if settings.current().vector:
             assert payload["simulation"]["vector_branches"] > 0
         # trace generation is accounted separately from replay
         assert payload["trace_generation"]["branches"] > 0

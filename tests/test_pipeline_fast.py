@@ -22,10 +22,10 @@ import pickle
 
 import pytest
 
+from repro import settings
 from repro.confidence import JRSEstimator
 from repro.engine import workload_program
 from repro.pipeline import (
-    PIPELINE_FAST_ENV,
     BranchRecordStore,
     CacheConfig,
     DecodedProgram,
@@ -34,7 +34,6 @@ from repro.pipeline import (
     PipelineSimulator,
     PipelineStats,
     decode_program,
-    pipeline_fast_enabled,
 )
 from repro.isa import assemble
 from repro.predictors import GsharePredictor, McFarlingPredictor, make_predictor
@@ -514,12 +513,12 @@ class TestDecodedProgram:
             reference, reference.run(), simulator, simulator.run()
         )
 
-    def test_env_gate_disables_fast_path(self, monkeypatch):
-        monkeypatch.setenv(PIPELINE_FAST_ENV, "0")
-        assert not pipeline_fast_enabled()
+    def test_env_gate_disables_fast_path(self, knobs):
+        knobs(pipeline_fast=False)
+        assert not settings.current().pipeline_fast
         simulator = PipelineSimulator(small_program(iterations=5), GsharePredictor())
         assert simulator._decoded is None
-        monkeypatch.setenv(PIPELINE_FAST_ENV, "1")
-        assert pipeline_fast_enabled()
+        knobs(pipeline_fast=True)
+        assert settings.current().pipeline_fast
         simulator = PipelineSimulator(small_program(iterations=5), GsharePredictor())
         assert isinstance(simulator._decoded, DecodedProgram)

@@ -505,7 +505,7 @@ class TestSigkillChaosLeg:
             + os.pathsep
             + env.get("PYTHONPATH", "")
         )
-        env[artifact_cache.DIR_ENV] = str(tmp_path / f"{name}-cache")
+        env["REPRO_CACHE_DIR"] = str(tmp_path / f"{name}-cache")
         env.pop("REPRO_FAULTS", None)
         if env_extra:
             env.update(env_extra)

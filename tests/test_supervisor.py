@@ -10,9 +10,10 @@ import pytest
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
+from repro import settings
 from repro.engine import cache as artifact_cache
 from repro.engine import clear_cache
-from repro.faults import FAULTS_ENV, STATE_ENV, InjectedCrash, reset_active_faults
+from repro.faults import InjectedCrash, parse_specs
 from repro.harness import (
     SMOKE,
     Scale,
@@ -44,19 +45,17 @@ def isolated_cache(tmp_path):
 
 
 @pytest.fixture()
-def fault_env(tmp_path, monkeypatch):
+def fault_env(tmp_path, knobs):
     """Arm REPRO_FAULTS per test with an isolated occurrence-state dir."""
 
     def arm(spec):
-        monkeypatch.setenv(FAULTS_ENV, spec)
-        monkeypatch.setenv(STATE_ENV, str(tmp_path / "fault-state"))
-        reset_active_faults()
+        knobs(
+            faults=tuple(parse_specs(spec)),
+            faults_state=str(tmp_path / "fault-state"),
+        )
 
-    monkeypatch.delenv(FAULTS_ENV, raising=False)
-    monkeypatch.delenv(STATE_ENV, raising=False)
-    reset_active_faults()
+    knobs(faults=(), faults_state=None)
     yield arm
-    reset_active_faults()
 
 
 class TestFailureTaxonomy:
@@ -79,42 +78,40 @@ class TestFailureTaxonomy:
         assert classify_failure(error) == expected
 
 
+TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
+RETRIES_ENV = "REPRO_TASK_RETRIES"
+BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
+
+
 class TestSupervisorKnobs:
-    def test_task_timeout_env(self, monkeypatch):
-        monkeypatch.delenv(parallel_mod.TIMEOUT_ENV, raising=False)
-        assert parallel_mod.task_timeout_from_env() is None
-        monkeypatch.setenv(parallel_mod.TIMEOUT_ENV, "30")
-        assert parallel_mod.task_timeout_from_env() == 30.0
+    def test_task_timeout_env(self):
+        assert settings.from_env({}).task_timeout is None
+        assert settings.from_env({TIMEOUT_ENV: "30"}).task_timeout == 30.0
         # anything but a finite number > 0 disables
         for off in ("0", "-1", "nan", "nope"):
-            monkeypatch.setenv(parallel_mod.TIMEOUT_ENV, off)
-            assert parallel_mod.task_timeout_from_env() is None, off
+            assert settings.from_env({TIMEOUT_ENV: off}).task_timeout is None, off
 
-    def test_retries_and_backoff_env(self, monkeypatch, capsys):
-        monkeypatch.delenv(parallel_mod.RETRIES_ENV, raising=False)
-        monkeypatch.delenv(parallel_mod.BACKOFF_ENV, raising=False)
-        assert parallel_mod.retries_from_env() == parallel_mod.DEFAULT_RETRIES
-        assert parallel_mod.backoff_from_env() == parallel_mod.DEFAULT_BACKOFF_S
-        monkeypatch.setenv(parallel_mod.RETRIES_ENV, "5")
-        monkeypatch.setenv(parallel_mod.BACKOFF_ENV, "0.1")
-        assert parallel_mod.retries_from_env() == 5
-        assert parallel_mod.backoff_from_env() == 0.1
+    def test_retries_and_backoff_env(self, capsys):
+        record = settings.from_env({})
+        assert record.retries == settings.DEFAULT_RETRIES
+        assert record.backoff_s == settings.DEFAULT_BACKOFF_S
+        record = settings.from_env({RETRIES_ENV: "5", BACKOFF_ENV: "0.1"})
+        assert record.retries == 5
+        assert record.backoff_s == 0.1
         # a retry count is an integer: anything else is announced and
         # falls back to the default
         for bad in ("nan", "inf", "2.7", "nope"):
-            monkeypatch.setenv(parallel_mod.RETRIES_ENV, bad)
-            assert parallel_mod.retries_from_env() == parallel_mod.DEFAULT_RETRIES
+            assert settings.from_env({RETRIES_ENV: bad}).retries == settings.DEFAULT_RETRIES
             assert (
-                f"ignoring unparseable {parallel_mod.RETRIES_ENV}={bad!r}"
+                f"ignoring unparseable {RETRIES_ENV}={bad!r}"
                 in capsys.readouterr().err
             )
         # a backoff is a finite number of seconds: sleeping for inf
         # raises OverflowError at the battery's first retry
         for bad in ("inf", "nan"):
-            monkeypatch.setenv(parallel_mod.BACKOFF_ENV, bad)
-            assert parallel_mod.backoff_from_env() == parallel_mod.DEFAULT_BACKOFF_S
+            assert settings.from_env({BACKOFF_ENV: bad}).backoff_s == settings.DEFAULT_BACKOFF_S
             assert (
-                f"ignoring unparseable {parallel_mod.BACKOFF_ENV}={bad!r}"
+                f"ignoring unparseable {BACKOFF_ENV}={bad!r}"
                 in capsys.readouterr().err
             )
 
@@ -251,10 +248,10 @@ class TestTimeoutAndRecycle:
         assert list(results) == ["fig1", "tab3"]
 
 
-    def test_zero_timeout_means_off(self, isolated_cache, tmp_path, monkeypatch):
+    def test_zero_timeout_means_off(self, isolated_cache, tmp_path, knobs):
         """``task_timeout=0`` is off, as ``REPRO_TASK_TIMEOUT=0`` is: no
         task times out the moment it is submitted."""
-        monkeypatch.delenv(parallel_mod.TIMEOUT_ENV, raising=False)
+        knobs(task_timeout=None)
         path = tmp_path / "zero-timeout.jsonl"
         with RunJournal(path) as journal:
             results = run_all(
@@ -396,55 +393,50 @@ class TestFaultStateLifecycle:
     occurrence-state ledger it auto-created.  Before the fix the
     exported ``REPRO_FAULTS_STATE`` tempdir (and its claim markers)
     leaked into the next battery in the same process, so a ``times=1``
-    fault could fire twice or never."""
+    fault could fire twice or never.  Neither battery touches the
+    environment: the ledger reaches the workers in the settings record."""
 
     def test_times_one_fault_fires_once_per_battery(
-        self, isolated_cache, tmp_path, monkeypatch
+        self, isolated_cache, tmp_path, knobs
     ):
-        monkeypatch.setenv(FAULTS_ENV, "flaky:experiment=tab3")
-        monkeypatch.delenv(STATE_ENV, raising=False)
-        reset_active_faults()
-        try:
-            for battery in range(2):
-                clear_memoised()
-                path = tmp_path / f"battery{battery}.jsonl"
-                with RunJournal(path) as journal:
-                    run_all(
-                        SMOKE,
-                        only=["tab3"],
-                        jobs=2,
-                        journal=journal,
-                        backoff_s=0.01,
-                    )
-                events = read_journal(path)
-                failed = [
-                    (e["experiment"], e["classification"])
-                    for e in events
-                    if e["event"] == "experiment_failed"
-                ]
-                assert failed == [("tab3", "crash")], (
-                    f"battery {battery}: a times=1 fault must fire exactly"
-                    f" once per supervised battery, saw {failed}"
+        knobs(faults=tuple(parse_specs("flaky:experiment=tab3")), faults_state=None)
+        environment = dict(os.environ)
+        for battery in range(2):
+            clear_memoised()
+            path = tmp_path / f"battery{battery}.jsonl"
+            with RunJournal(path) as journal:
+                run_all(
+                    SMOKE,
+                    only=["tab3"],
+                    jobs=2,
+                    journal=journal,
+                    backoff_s=0.01,
                 )
-                # the ledger the supervisor created is gone again
-                assert STATE_ENV not in os.environ
-        finally:
-            reset_active_faults()
+            events = read_journal(path)
+            failed = [
+                (e["experiment"], e["classification"])
+                for e in events
+                if e["event"] == "experiment_failed"
+            ]
+            assert failed == [("tab3", "crash")], (
+                f"battery {battery}: a times=1 fault must fire exactly"
+                f" once per supervised battery, saw {failed}"
+            )
+            # the ledger the supervisor created is gone again
+            assert settings.current().faults_state is None
+            assert dict(os.environ) == environment
 
     def test_inherited_state_dir_is_preserved(
-        self, isolated_cache, tmp_path, monkeypatch
+        self, isolated_cache, tmp_path, knobs
     ):
         """An externally exported ledger (CI chaos legs share one across
         a kill/resume pair) must survive the battery untouched."""
         state = tmp_path / "shared-ledger"
-        monkeypatch.setenv(FAULTS_ENV, "flaky:experiment=tab3")
-        monkeypatch.setenv(STATE_ENV, str(state))
-        reset_active_faults()
-        try:
-            run_all(SMOKE, only=["tab3"], jobs=2, backoff_s=0.01)
-        finally:
-            reset_active_faults()
-        assert os.environ.get(STATE_ENV) == str(state)
+        knobs(faults=tuple(parse_specs("flaky:experiment=tab3")), faults_state=str(state))
+        environment = dict(os.environ)
+        run_all(SMOKE, only=["tab3"], jobs=2, backoff_s=0.01)
+        assert settings.current().faults_state == str(state)
+        assert dict(os.environ) == environment
         assert state.is_dir()
         # the claimed occurrences persist for the next leg of the pair
         assert list(state.glob("spec*.occ*"))

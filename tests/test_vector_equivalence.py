@@ -32,12 +32,12 @@ from repro.confidence import (
     SaturatingCountersEstimator,
     StaticEstimator,
 )
+from repro import settings as repro_settings
 from repro.engine import (
     UnsupportedVectorization,
     lower_trace,
     measure_bank,
     measure_bank_vectorized,
-    vector_enabled,
 )
 from repro.engine.measure import measure
 from repro.predictors import make_predictor
@@ -47,7 +47,7 @@ from repro.predictors.sag import SAgPredictor
 from repro.workloads.trace import BranchTrace
 
 pytestmark = pytest.mark.skipif(
-    not vector_enabled(), reason="vector engine disabled (REPRO_VECTOR=0)"
+    not repro_settings.current().vector, reason="vector engine disabled (REPRO_VECTOR=0)"
 )
 
 #: Tiny tables so short random traces still hit aliasing and wrap.
