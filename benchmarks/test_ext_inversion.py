@@ -37,26 +37,27 @@ CONFIGS = {
 
 
 def run_sweep():
-    rows = []
+    totals = {}
     for predictor_name in ("gshare", "mcfarling"):
-        for config_name, factory in CONFIGS.items():
-            helped = 0
-            hurt = 0
-            branches = 0
-            wins = 0
-            for workload in WORKLOADS:
-                trace = workload_run(workload, BENCH_SCALE.iterations).trace
-                predictor = make_predictor(predictor_name)
-                result = evaluate_inversion(trace, predictor, factory(predictor))
-                helped += result.flips_helped
-                hurt += result.flips_hurt
-                branches += result.branches
-                if result.accuracy_delta > 0:
-                    wins += 1
-            rows.append(
-                (predictor_name, config_name, helped, hurt, branches, wins)
+        for workload in WORKLOADS:
+            trace = workload_run(workload, BENCH_SCALE.iterations).trace
+            predictor = make_predictor(predictor_name)
+            # one pass per predictor x workload measures every config
+            results = evaluate_inversion(
+                trace,
+                predictor,
+                {name: factory(predictor) for name, factory in CONFIGS.items()},
             )
-    return rows
+            for config_name, result in results.items():
+                row = totals.setdefault((predictor_name, config_name), [0, 0, 0, 0])
+                row[0] += result.flips_helped
+                row[1] += result.flips_hurt
+                row[2] += result.branches
+                row[3] += result.accuracy_delta > 0
+    return [
+        (predictor_name, config_name, helped, hurt, branches, wins)
+        for (predictor_name, config_name), (helped, hurt, branches, wins) in totals.items()
+    ]
 
 
 def test_ext_inversion_negative_result(benchmark, results_dir):
@@ -67,8 +68,10 @@ def test_ext_inversion_negative_result(benchmark, results_dir):
     ]
     for predictor_name, config_name, helped, hurt, branches, wins in rows:
         flips = helped + hurt
-        flip_pvn = helped / flips if flips else 0.0
-        delta = (helped - hurt) / branches if branches else 0.0
+        # an estimator that flags nothing has no flip PVN to compare
+        assert flips > 0, (predictor_name, config_name)
+        flip_pvn = helped / flips
+        delta = (helped - hurt) / branches
         lines.append(
             f"{predictor_name:10s} {config_name:16s} {flip_pvn:9.1%}"
             f" {delta:+15.2%} {wins:15d}/8"

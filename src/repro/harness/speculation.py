@@ -22,9 +22,12 @@ Each (workload, estimator, threshold) cell is memoised in process and
 persisted in the artifact cache as a compact picklable dataclass, so
 the parallel scheduler's warm waves (:mod:`repro.harness.parallel`)
 fan the pipeline simulations out exactly like the figure experiments,
-and warm reruns are cache reads.  The ungated baseline the gating and
-eager cells compare against is memoised in process only, one run per
-workload and backend.  Registry metrics
+and warm reruns are cache reads.  Two per-workload results are
+memoised in process only: the ungated baseline the gating and eager
+cells compare against (one run per workload and backend), and the
+inversion pass (one :func:`evaluate_inversion` call per workload over
+every estimator, whose ledgers the inversion cells read).  Registry
+metrics
 (``speculation.gated_cycles``, ``speculation.wrong_path_instructions``,
 ``speculation.wrong_path_saved``, ``speculation.recovery_cycles``,
 ``speculation.eager_*``, ``speculation.inversion_flips``) are counted
@@ -54,6 +57,7 @@ from ..pipeline import (
 )
 from ..predictors import make_predictor
 from ..speculation import (
+    InversionResult,
     compare_eager_execution,
     compare_gating,
     evaluate_inversion,
@@ -416,15 +420,30 @@ def eager_cell(
     )
 
 
+@lru_cache(maxsize=64)
+def _inversion_pass(
+    workload: str, iterations: Optional[int]
+) -> Dict[str, InversionResult]:
+    """Every battery estimator's inversion ledger over ``workload``'s
+    trace, from one :func:`evaluate_inversion` pass: the inversion
+    cells of a workload read their ledgers from it.  Memoised in
+    process only, like the ungated baseline."""
+    predictor = _predictor_factory()
+    return evaluate_inversion(
+        workload_run(workload, iterations).trace,
+        predictor,
+        {
+            name: factory(predictor)
+            for name, factory in SPECULATION_ESTIMATORS.items()
+        },
+    )
+
+
 def _compute_inversion_cell(
     workload: str, estimator_name: str, iterations: Optional[int]
 ) -> InversionCell:
-    predictor = _predictor_factory()
-    result = evaluate_inversion(
-        workload_run(workload, iterations).trace,
-        predictor,
-        _estimator_factory(estimator_name)(predictor),
-    )
+    _estimator_factory(estimator_name)  # an unknown name raises here
+    result = _inversion_pass(workload, iterations)[estimator_name]
     REGISTRY.count("speculation.inversion_flips", result.flips)
     return InversionCell(
         workload=workload,
@@ -455,6 +474,7 @@ def inversion_cell(
 def clear_speculation_memoised() -> None:
     """Drop the in-process memo tier of the speculation cells."""
     _ungated_baseline.cache_clear()
+    _inversion_pass.cache_clear()
     gating_cell.cache_clear()
     eager_cell.cache_clear()
     inversion_cell.cache_clear()

@@ -15,16 +15,29 @@ be measured rather than asserted:
   predictor trains on actual outcomes exactly as before (the inversion
   is an override stage after prediction, as hardware would do it);
 * :func:`evaluate_inversion` measures base vs inverted accuracy and
-  the flip ledger, making the PVN-50% break-even explicit.
+  the flip ledger of every estimator in a name -> estimator mapping,
+  driving the predictor once for all of them.  A speculative-history
+  gshare with JRS, misprediction-distance and boosted estimators (the
+  speculation battery's mix) takes an inlined pass: gshare runs once
+  with its table and history in locals, then one inlined loop per
+  estimator reads the recorded per-branch columns.  Any other mix runs
+  the ordinary predict/estimate/resolve loop.  Both leave every object
+  in the state the protocol loop would.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..confidence.base import ConfidenceEstimator
+from ..confidence.boosting import BoostedEstimator
+from ..confidence.distance import MispredictionDistanceEstimator
+from ..confidence.jrs import JRSEstimator
 from ..predictors.base import BranchPredictor, Prediction
+from ..predictors.gshare import GsharePredictor
+from ..workloads.trace import BranchTrace
 
 
 class InvertingPredictor(BranchPredictor):
@@ -100,48 +113,245 @@ class InversionResult:
         return self.inverted_accuracy - self.base_accuracy
 
     @property
-    def flip_pvn(self) -> float:
-        """PVN of the flipped population -- the break-even is 50%."""
-        return self.flips_helped / self.flips if self.flips else 0.0
+    def flip_pvn(self) -> Optional[float]:
+        """PVN of the flipped population -- the break-even is 50%.
+
+        ``None`` when nothing flipped: an estimator that flags nothing
+        has no PVN, and a made-up 0.0 would read as "below break-even".
+        """
+        return self.flips_helped / self.flips if self.flips else None
 
 
 def evaluate_inversion(
     trace: Iterable[Tuple[int, bool]],
     predictor: BranchPredictor,
-    estimator: ConfidenceEstimator,
-) -> InversionResult:
-    """Measure what LC-inversion would do over ``trace``.
+    estimators: Mapping[str, ConfidenceEstimator],
+) -> Dict[str, InversionResult]:
+    """Measure what LC-inversion would do over ``trace``, per estimator.
 
-    Runs the ordinary predict/estimate/resolve loop (no behavioural
-    change to the substrate) and accounts each low-confidence branch as
-    a flip that either fixed a misprediction or broke a correct one.
+    Drives ``predictor`` once over ``trace`` with every estimator of
+    ``estimators`` attached (no behavioural change to the substrate)
+    and accounts each estimator's low-confidence branches as flips that
+    either fixed a misprediction or broke a correct one.  Returns one
+    :class:`InversionResult` per name.  The predictor and estimators
+    are consumed exactly as by the predict/estimate/resolve loop; pass
+    fresh instances for independent measurements.
     """
+    if isinstance(estimators, ConfidenceEstimator):
+        raise TypeError(
+            "evaluate_inversion takes a name -> estimator mapping, "
+            "e.g. {'jrs': estimator}"
+        )
+    if _inlinable(predictor, estimators):
+        return _inlined_pass(trace, predictor, estimators)
+    return _protocol_pass(trace, predictor, estimators)
+
+
+def _protocol_pass(
+    trace: Iterable[Tuple[int, bool]],
+    predictor: BranchPredictor,
+    estimators: Mapping[str, ConfidenceEstimator],
+) -> Dict[str, InversionResult]:
+    """The reference pass: predict, estimate with each estimator,
+    resolve the predictor, then resolve each estimator, per branch."""
+    attached = list(estimators.values())
+    flips = [0] * len(attached)
+    hurt = [0] * len(attached)
     branches = 0
     base_correct = 0
-    flips = 0
-    helped = 0
-    hurt = 0
     predict = predictor.predict
     resolve = predictor.resolve
     for pc, taken in trace:
         prediction = predict(pc)
-        assessment = estimator.estimate(pc, prediction)
+        assessments = [estimator.estimate(pc, prediction) for estimator in attached]
         correct = prediction.taken == taken
         branches += 1
         if correct:
             base_correct += 1
-        if not assessment.high_confidence:
-            flips += 1
-            if correct:
-                hurt += 1
-            else:
-                helped += 1
+        for slot, assessment in enumerate(assessments):
+            if not assessment.high_confidence:
+                flips[slot] += 1
+                if correct:
+                    hurt[slot] += 1
         resolve(pc, taken, prediction)
-        estimator.resolve(pc, prediction, taken, assessment)
-    return InversionResult(
-        branches=branches,
-        base_correct=base_correct,
-        flips=flips,
-        flips_helped=helped,
-        flips_hurt=hurt,
+        for estimator, assessment in zip(attached, assessments):
+            estimator.resolve(pc, prediction, taken, assessment)
+    return _results(estimators, branches, base_correct, zip(flips, hurt))
+
+
+def _results(
+    names: Iterable[str],
+    branches: int,
+    base_correct: int,
+    tallies: Iterable[Tuple[int, int]],
+) -> Dict[str, InversionResult]:
+    """One ledger per name from its ``(flips, flips_hurt)`` tally."""
+    return {
+        name: InversionResult(
+            branches=branches,
+            base_correct=base_correct,
+            flips=flips,
+            flips_helped=flips - hurt,
+            flips_hurt=hurt,
+        )
+        for name, (flips, hurt) in zip(names, tallies)
+    }
+
+
+#: Estimator classes the inlined pass reproduces (exact types: a
+#: subclass may override ``estimate``/``resolve``).
+_INLINED_ESTIMATORS = (JRSEstimator, MispredictionDistanceEstimator)
+
+
+def _inlinable(
+    predictor: BranchPredictor, estimators: Mapping[str, ConfidenceEstimator]
+) -> bool:
+    """Whether :func:`_inlined_pass` reproduces the protocol loop for
+    this predictor and estimator mix."""
+    if not (
+        type(predictor) is GsharePredictor
+        and predictor.speculative_history
+        # the pushed history must fit the unsigned 64-bit column
+        and predictor.history.bits < 64
+    ):
+        return False
+    state = []
+    for estimator in estimators.values():
+        state.append(estimator)
+        if type(estimator) is BoostedEstimator:
+            estimator = estimator.base
+            state.append(estimator)
+        if type(estimator) not in _INLINED_ESTIMATORS:
+            return False
+    # the inlined pass runs the estimators one after another, so none
+    # may share state with another (the protocol loop interleaves them)
+    return len({id(estimator) for estimator in state}) == len(state)
+
+
+def _inlined_pass(
+    trace: Iterable[Tuple[int, bool]],
+    predictor: GsharePredictor,
+    estimators: Mapping[str, ConfidenceEstimator],
+) -> Dict[str, InversionResult]:
+    """gshare once over ``trace``, then one inlined loop per estimator.
+
+    In the trace engine every branch resolves right after it is
+    predicted, so no estimator ever reads the predictor's state: each
+    one needs only the per-branch columns the gshare pass records.
+    """
+    if not isinstance(trace, BranchTrace):
+        trace = BranchTrace.from_records(trace)
+    pcs = trace.pcs
+    pushed, correct = _gshare_columns(pcs, trace.outcomes, predictor)
+    return _results(
+        estimators,
+        len(correct),
+        correct.count(1),
+        [
+            _inlined_flips(estimator, pcs, pushed, correct)
+            for estimator in estimators.values()
+        ],
     )
+
+
+def _gshare_columns(
+    pcs: array, outcomes: bytearray, predictor: GsharePredictor
+) -> Tuple[array, bytearray]:
+    """Run ``predictor`` over the branch stream with its table and
+    history in locals, and write its final state back.
+
+    Returns two columns: each branch's history with its predicted
+    direction shifted in, unmasked (what the enhanced JRS index reads;
+    ``>> 1`` gives the history the prediction used, ``& 1`` the
+    direction), and whether the prediction was correct (0/1).
+    """
+    table = predictor.table
+    values = table.values
+    index_mask = table.index_mask
+    midpoint = table.midpoint
+    max_value = table.max_value
+    register = predictor.history
+    history_mask = register.mask
+    history = register.value
+    pushed = array("Q")
+    correct = bytearray()
+    pushed_append = pushed.append
+    correct_append = correct.append
+    for pc, taken in zip(pcs, outcomes):
+        index = (pc ^ history) & index_mask
+        counter = values[index]
+        predicted = counter >= midpoint
+        pushed_append((history << 1) | predicted)
+        correct_append(predicted == taken)
+        # resolve: the counter moves toward the outcome, and the repair
+        # of a misprediction leaves the history exactly as pushing the
+        # outcome would have
+        if taken:
+            if counter < max_value:
+                values[index] = counter + 1
+            history = ((history << 1) | 1) & history_mask
+        else:
+            if counter > 0:
+                values[index] = counter - 1
+            history = (history << 1) & history_mask
+    register.value = history
+    return pushed, correct
+
+
+def _inlined_flips(
+    estimator: ConfidenceEstimator,
+    pcs: array,
+    pushed: array,
+    correct: bytearray,
+) -> Tuple[int, int]:
+    """``(flips, flips_hurt)`` of one estimator over the gshare columns,
+    with its table or counter in locals and its final state written
+    back.
+
+    A plain estimator runs as a boost with ``k = 1``: its run of
+    consecutive LC estimates reaches 1 exactly at each LC estimate.
+    """
+    if type(estimator) is BoostedEstimator:
+        base, k, run = estimator.base, estimator.k, estimator._lc_run
+    else:
+        base, k, run = estimator, 1, 0
+    flips = 0
+    hurt = 0
+    if type(base) is JRSEstimator:
+        table = base.table
+        values = table.values
+        index_mask = table.index_mask
+        max_value = table.max_value
+        threshold = base.threshold
+        shift = 0 if base.enhanced else 1
+        for pc, history, hit in zip(pcs, pushed, correct):
+            index = (pc ^ (history >> shift)) & index_mask
+            value = values[index]
+            if value >= threshold:
+                run = 0
+            else:
+                run += 1
+                if run >= k:
+                    flips += 1
+                    hurt += hit
+            if hit:
+                if value < max_value:
+                    values[index] = value + 1
+            else:
+                values[index] = 0
+    else:
+        threshold = base.distance_threshold
+        distance = base.branches_since_misprediction
+        for hit in correct:
+            if distance > threshold:
+                run = 0
+            else:
+                run += 1
+                if run >= k:
+                    flips += 1
+                    hurt += hit
+            distance = distance + 1 if hit else 0
+        base.branches_since_misprediction = distance
+    if base is not estimator:
+        estimator._lc_run = run
+    return flips, hurt

@@ -24,6 +24,7 @@ from repro.harness import (
     run_experiment,
 )
 from repro.harness.experiments import _pipeline_result
+from repro.harness import speculation
 from repro.harness.speculation import SPECULATION_PREDICTOR, _ungated_baseline
 from repro.obs.journal import RunJournal, read_journal
 from repro.obs.registry import REGISTRY
@@ -35,6 +36,7 @@ from repro.pipeline import (
     decoded_run,
 )
 from repro.predictors import make_predictor
+from repro.speculation import evaluate_inversion
 
 #: Small enough for unit tests, big enough to gate/fork at least once.
 TINY = Scale(iterations=40, pipeline_instructions=4000, workloads=("compress",))
@@ -119,8 +121,35 @@ class TestEagerAndInversionExperiments:
         for cell in result.data["cells"]:
             assert cell.branches > 0
             assert 0.0 <= cell.base_accuracy <= 1.0
-            assert cell.flips_helped + cell.flips_hurt <= cell.flips
+            assert cell.flips_helped + cell.flips_hurt == cell.flips
         json.dumps(result.data["journal_rows"])
+
+    def test_one_inversion_pass_per_workload(self, isolated_cache, monkeypatch):
+        passes = []
+
+        def counting_pass(trace, predictor, estimators):
+            passes.append(sorted(estimators))
+            return evaluate_inversion(trace, predictor, estimators)
+
+        monkeypatch.setattr(speculation, "evaluate_inversion", counting_pass)
+        scale = dataclasses.replace(TINY, workloads=("compress", "go"))
+        before = REGISTRY.snapshot()
+        results = run_all(scale, only=["speculation-inversion"], jobs=1)
+        flips = REGISTRY.since(before).counters["speculation.inversion_flips"]
+        cells = results["speculation-inversion"].data["cells"]
+        assert len(cells) == len(scale.workloads) * len(SPECULATION_ESTIMATORS)
+        assert passes == [sorted(SPECULATION_ESTIMATORS)] * len(scale.workloads)
+        assert flips == sum(cell.flips for cell in cells)
+        # a warm rerun reads every cell from disk and runs no pass
+        clear_memoised()
+        clear_cache()
+        before = isolated_cache.stats.snapshot()
+        warm = run_all(scale, only=["speculation-inversion"], jobs=1)
+        delta = isolated_cache.stats.since(before)
+        assert len(passes) == len(scale.workloads)
+        assert delta.misses == 0
+        assert delta.hits == len(cells)
+        assert warm["speculation-inversion"].data["cells"] == cells
 
 
 #: Every estimator a speculation cell attaches, plus the saturating
