@@ -6,23 +6,24 @@ array scans over a :class:`~repro.engine.columnar.ColumnarTrace`:
 
 * **Predictor passes** (:func:`predict_columns`): the serial chain of
   saturating-counter updates is broken per table entry by a stable
-  sort-by-index segmentation, then each segment's update chain is
-  played as a segmented inclusive scan of *clamp-shift maps*
-  ``x -> clip(x + s, lo, hi)``.  Such maps are closed and **exact**
-  under composition, so every branch recovers the precise counter value
-  it consulted, and the table's final state falls out of the last map
-  per segment.  History registers (global or per-site) are serial but
-  cheap: their columns are built with ``O(history_bits)`` shifted-OR
-  passes, not per-branch python.
+  sort-by-index segmentation (a radix sort for keys below 2**16), then
+  each segment's update chain is played as a segmented inclusive scan
+  of *clamp-shift maps* ``x -> clip(x + s, lo, hi)``.  Such maps are
+  closed and **exact** under composition, so every branch recovers the
+  precise counter value it consulted, and the table's final state falls
+  out of the last map per segment.  The doubling stops early once every
+  unfinished prefix map is constant.  History registers (global or
+  per-site) are serial but cheap: their columns are built with
+  ``O(history_bits)`` shifted-OR passes, not per-branch python.
 * **Estimator kernels**: each estimator family that the scalar bank
-  supports has a matching array kernel (JRS tables reuse the clamped
-  scan with reset expressed as a ``-max`` shift; saturating-counters,
-  pattern and static families are pure masked ops; distance and
-  boosting are prefix-maximum recurrences).  A small registry maps
-  estimator *types* to kernels; anything unknown raises
-  :class:`UnsupportedVectorization` so callers can fall back to the
-  scalar loop -- either wholesale or per estimator via
-  :func:`fallback_flags`, which drives the ordinary ``estimate`` /
+  supports has a matching array kernel (JRS tables in closed form: a
+  resetting counter reads ``min(max, branches since its entry's last
+  misprediction)``; saturating-counters, pattern and static families
+  are pure masked ops; distance and boosting are prefix-maximum
+  recurrences).  A small registry maps estimator *types* to kernels;
+  anything unknown raises :class:`UnsupportedVectorization` so callers
+  can fall back to the scalar loop -- either wholesale or per estimator
+  via :func:`fallback_flags`, which drives the ordinary ``estimate`` /
   ``resolve`` protocol from the precomputed prediction columns.
 
 Every kernel consumes predictor/estimator state exactly like the scalar
@@ -53,13 +54,22 @@ class UnsupportedVectorization(Exception):
 
 
 # ----------------------------------------------------------------------
-# segmented saturating-counter scan
+# per-entry counter chains
 # ----------------------------------------------------------------------
 
 
 def _segments(keys):
-    """Stable sort ``keys`` and describe the equal-key segments."""
-    order = np.argsort(keys, kind="stable")
+    """Stable sort ``keys`` and describe the equal-key segments.
+
+    ``keys`` are non-negative table indices.  Keys below 2**16 sort as
+    ``uint16``, for which numpy's stable argsort is a radix sort; a
+    stable sort's permutation is unique, so the order is the one the
+    int64 sort gives.
+    """
+    if int(keys.max()) < 1 << 16:
+        order = np.argsort(keys.astype(np.uint16), kind="stable")
+    else:
+        order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     n = keys.shape[0]
     pos = np.arange(n, dtype=np.int64)
@@ -78,52 +88,87 @@ def _saturating_scan(indices, deltas, values, max_value):
 
     ``values`` (an int64 table) is updated in place to its final state;
     the returned int64 array holds, in trace order, the counter value
-    each branch *observed* (before its own update).
+    each branch *observed* (before its own update).  It serves the
+    predictors' up/down counters (``d = +-1``) and McFarling's meta
+    counter (``d`` in ``{-1, 0, +1}``); JRS tables take the closed form
+    of :func:`_jrs_counters` instead.
 
-    Every update is the monotone map ``x -> clip(x + d, 0, M)`` with
-    ``d`` the signed delta (``-M`` expresses reset-to-zero).  Writing a
-    single update as the clamp-shift triple ``(s, lo, hi) =
+    Every update is the monotone map ``x -> clip(x + d, 0, M)``.
+    Writing a single update as the clamp-shift triple ``(s, lo, hi) =
     (d, clip(d, 0, M), clip(d + M, 0, M))``, composition stays in the
     family: ``b after a`` is ``(s_a + s_b, clip(lo_a + s_b, lo_b, hi_b),
     clip(hi_a + s_b, lo_b, hi_b))`` -- exactly, for any inputs in
     ``[0, M]``.  A Hillis-Steele doubling pass over each same-index
-    segment therefore yields every prefix map, and applying prefix
-    ``i-1``'s map to the segment's initial value gives branch ``i``'s
-    observed counter.
+    segment composes ``x[offset:]`` after ``x[:-offset]`` and so yields
+    every prefix map; applying prefix ``i-1``'s map to the segment's
+    initial value gives branch ``i``'s observed counter.  ``lo`` and
+    ``hi`` are the images of 0 and ``M``, so a map with ``lo == hi`` is
+    constant and absorbs whatever is composed before it: the doubling
+    stops as soon as every prefix map still missing a part is constant.
     """
     n = indices.shape[0]
     before = np.empty(n, dtype=np.int64)
     if n == 0:
         return before
     order, sorted_keys, pos, seg_start, is_last = _segments(indices)
+    depth = pos - seg_start
     shift = deltas[order].astype(np.int64)
     lo = np.clip(shift, 0, max_value)
     hi = np.clip(shift + max_value, 0, max_value)
-    longest = int((pos - seg_start).max()) + 1
+    longest = int(depth.max()) + 1
     offset = 1
     while offset < longest:
-        prev = pos - offset
-        valid = prev >= seg_start
-        source = np.where(valid, prev, 0)
-        prev_shift = shift[source]
-        prev_lo = lo[source]
-        prev_hi = hi[source]
-        new_shift = prev_shift + shift
-        new_lo = np.minimum(hi, np.maximum(lo, prev_lo + shift))
-        new_hi = np.minimum(hi, np.maximum(lo, prev_hi + shift))
-        shift = np.where(valid, new_shift, shift)
-        lo = np.where(valid, new_lo, lo)
-        hi = np.where(valid, new_hi, hi)
+        valid = depth[offset:] >= offset
+        later_shift = shift[offset:]
+        later_lo = lo[offset:]
+        later_hi = hi[offset:]
+        new_shift = shift[:-offset] + later_shift
+        new_lo = np.minimum(later_hi, np.maximum(later_lo, lo[:-offset] + later_shift))
+        new_hi = np.minimum(later_hi, np.maximum(later_lo, hi[:-offset] + later_shift))
+        np.copyto(later_shift, new_shift, where=valid)
+        np.copyto(later_lo, new_lo, where=valid)
+        np.copyto(later_hi, new_hi, where=valid)
         offset <<= 1
+        # positions with depth >= offset still miss their segment's head
+        if not np.any((lo != hi) & (depth >= offset)):
+            break
     initial = values[sorted_keys]
     after = np.minimum(hi, np.maximum(lo, initial + shift))
     observed = np.empty(n, dtype=np.int64)
-    first = seg_start == pos
+    observed[1:] = after[:-1]
+    first = depth == 0
     observed[first] = initial[first]
-    rest = ~first
-    observed[rest] = after[np.flatnonzero(rest) - 1]
     before[order] = observed
     values[sorted_keys[is_last]] = after[is_last]
+    return before
+
+
+def _jrs_counters(indices, correct, values, max_value):
+    """Play resetting miss-distance-counter chains in closed form.
+
+    A JRS counter counts correct predictions up to ``M`` and resets to
+    0 on a misprediction, so branch ``i`` observes ``min(M, branches
+    since its entry's last misprediction)`` -- or, before the entry's
+    first misprediction, ``min(M, initial + rank)`` with ``rank`` the
+    number of the entry's earlier branches.  One stable sort by entry
+    and one prefix maximum (:func:`branches_since_flagged` over the
+    entry segments) give every value.  ``values`` is updated in place:
+    an entry ends at ``min(last + 1, M)`` when its last branch was
+    predicted correctly, else at 0.  Returns the observed values in
+    trace order, like :func:`_saturating_scan`.
+    """
+    n = indices.shape[0]
+    before = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return before
+    order, sorted_keys, __, seg_start, is_last = _segments(indices)
+    sorted_correct = correct[order]
+    since = branches_since_flagged(~sorted_correct, values[sorted_keys], seg_start)
+    observed = np.minimum(since, max_value)
+    before[order] = observed
+    values[sorted_keys[is_last]] = np.where(
+        sorted_correct[is_last], np.minimum(observed[is_last] + 1, max_value), 0
+    )
     return before
 
 
@@ -461,11 +506,8 @@ def _jrs_flags(columns, estimator):
     if estimator.enhanced:
         hist = (hist << 1) | columns.pred.astype(np.int64)
     index = (columns.pcs ^ hist) & estimator.table.index_mask
-    max_value = estimator.table.max_value
-    # correct -> saturating +1; mispredict -> reset, i.e. clip(x - M)
-    deltas = np.where(columns.correct, 1, -max_value)
     values = np.asarray(estimator.table.values, dtype=np.int64)
-    before = _saturating_scan(index, deltas, values, max_value)
+    before = _jrs_counters(index, columns.correct, values, estimator.table.max_value)
     return before >= estimator.threshold, tuple(values.tolist())
 
 
@@ -512,7 +554,7 @@ def _stateless_apply(estimator, final):
     return None
 
 
-def branches_since_flagged(flagged, start=0):
+def branches_since_flagged(flagged, start=0, segment_start=0):
     """Branches since the last flagged one, before each position.
 
     ``distance[i]`` is the number of positions strictly between ``i``
@@ -521,16 +563,24 @@ def branches_since_flagged(flagged, start=0):
     the last flag when position 0 arrived.  This is the prefix-maximum
     form of the scalar recurrence ``d = 0 if flagged else d + 1``,
     read before each update.
+
+    ``segment_start`` (an array giving each position's segment head)
+    splits the positions into independent chains: only a ``j`` in
+    ``i``'s own segment counts, and with none the distance is
+    ``start + i - segment_start[i]``, where ``start`` may also be given
+    per position.
     """
     n = flagged.shape[0]
     pos = np.arange(n, dtype=np.int64)
     if n == 0:
         return pos
-    run_max = np.maximum.accumulate(np.where(flagged, pos, -start - 1))
+    run_max = np.maximum.accumulate(np.where(flagged, pos, -1))
     previous = np.empty(n, dtype=np.int64)
-    previous[0] = -start - 1
+    previous[0] = -1
     previous[1:] = run_max[:-1]
-    return pos - previous - 1
+    return np.where(
+        previous < segment_start, start + pos - segment_start, pos - previous - 1
+    )
 
 
 def _distance_flags(columns, estimator):
@@ -752,10 +802,9 @@ def jrs_value_counts(trace, predictor, table_size, counter_bits, enhanced):
         hist = (hist << 1) | columns.pred.astype(np.int64)
     index = (columns.pcs ^ hist) & (table_size - 1)
     max_value = (1 << counter_bits) - 1
-    deltas = np.where(columns.correct, 1, -max_value)
-    values = np.zeros(table_size, dtype=np.int64)
-    before = _saturating_scan(index, deltas, values, max_value)
     correct = columns.correct
+    values = np.zeros(table_size, dtype=np.int64)
+    before = _jrs_counters(index, correct, values, max_value)
     length = max_value + 1
     correct_counts = np.bincount(before[correct], minlength=length)[:length]
     incorrect_counts = np.bincount(before[~correct], minlength=length)[:length]

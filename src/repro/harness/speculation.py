@@ -57,6 +57,7 @@ from ..pipeline import (
 )
 from ..predictors import make_predictor
 from ..speculation import (
+    InversionLedger,
     InversionResult,
     compare_eager_execution,
     compare_gating,
@@ -223,7 +224,7 @@ class EagerCell:
 
 
 @dataclass(frozen=True)
-class InversionCell:
+class InversionCell(InversionLedger):
     """Trace-level ledger of inverting low-confidence predictions."""
 
     workload: str
@@ -233,23 +234,6 @@ class InversionCell:
     flips: int
     flips_helped: int
     flips_hurt: int
-
-    @property
-    def base_accuracy(self) -> float:
-        return self.base_correct / self.branches if self.branches else 0.0
-
-    @property
-    def inverted_accuracy(self) -> float:
-        correct = self.base_correct + self.flips_helped - self.flips_hurt
-        return correct / self.branches if self.branches else 0.0
-
-    @property
-    def accuracy_delta(self) -> float:
-        return self.inverted_accuracy - self.base_accuracy
-
-    @property
-    def flip_pvn(self) -> Optional[float]:
-        return self.flips_helped / self.flips if self.flips else None
 
     def journal_row(self) -> Dict:
         return {

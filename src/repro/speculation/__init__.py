@@ -14,7 +14,12 @@ from .gating import (
     compare_gating,
     count_low_confidence_inflight,
 )
-from .inversion import InversionResult, InvertingPredictor, evaluate_inversion
+from .inversion import (
+    InversionLedger,
+    InversionResult,
+    InvertingPredictor,
+    evaluate_inversion,
+)
 from .smt import POLICIES, SMTResult, SMTSimulator, compare_policies
 
 __all__ = [
@@ -29,6 +34,7 @@ __all__ = [
     "GatingComparison",
     "compare_gating",
     "count_low_confidence_inflight",
+    "InversionLedger",
     "InversionResult",
     "InvertingPredictor",
     "evaluate_inversion",

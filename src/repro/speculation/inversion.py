@@ -86,17 +86,15 @@ class InvertingPredictor(BranchPredictor):
         self.flips = 0
 
 
-@dataclass(frozen=True)
-class InversionResult:
-    """Ledger of what inverting low-confidence predictions did."""
+class InversionLedger:
+    """The figures derived from an inversion ledger.
 
-    branches: int
-    base_correct: int
-    flips: int
-    #: Flips that fixed a would-be misprediction (LC and wrong).
-    flips_helped: int
-    #: Flips that broke a would-be correct prediction (LC but right).
-    flips_hurt: int
+    Fieldless: a frozen dataclass inherits it and declares the five
+    counts it reads -- ``branches``, ``base_correct``, ``flips``,
+    ``flips_helped`` and ``flips_hurt``.  :class:`InversionResult` and
+    the speculation battery's cached ``InversionCell`` both do, so the
+    arithmetic lives once.
+    """
 
     @property
     def base_accuracy(self) -> float:
@@ -120,6 +118,19 @@ class InversionResult:
         has no PVN, and a made-up 0.0 would read as "below break-even".
         """
         return self.flips_helped / self.flips if self.flips else None
+
+
+@dataclass(frozen=True)
+class InversionResult(InversionLedger):
+    """Ledger of what inverting low-confidence predictions did."""
+
+    branches: int
+    base_correct: int
+    flips: int
+    #: Flips that fixed a would-be misprediction (LC and wrong).
+    flips_helped: int
+    #: Flips that broke a would-be correct prediction (LC but right).
+    flips_hurt: int
 
 
 def evaluate_inversion(
