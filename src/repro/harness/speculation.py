@@ -135,16 +135,6 @@ class GatingCell:
         return self.gated_committed / self.gated_cycles
 
     @property
-    def baseline_ipc(self) -> float:
-        ipc = self.baseline_ipc_or_none
-        return 0.0 if ipc is None else ipc
-
-    @property
-    def gated_ipc(self) -> float:
-        ipc = self.gated_ipc_or_none
-        return 0.0 if ipc is None else ipc
-
-    @property
     def wrong_path_saved(self) -> int:
         """Squashed (wrong-path) instructions the gate avoided."""
         return self.baseline_squashed - self.gated_squashed

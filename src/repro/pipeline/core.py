@@ -70,7 +70,9 @@ from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import settings
-from ..confidence.base import ConfidenceEstimator
+from ..confidence.base import Assessment, ConfidenceEstimator
+from ..confidence.inlined import inlined_parts
+from ..confidence.jrs import JRSEstimator
 from ..isa import Machine, MachineFault, Program
 from ..isa.instructions import WORD_MASK, OpCategory
 from ..metrics.quadrant import QuadrantCounts
@@ -148,6 +150,29 @@ def _forked_history(predictor: BranchPredictor):
     if history is not None and getattr(predictor, "speculative_history", False):
         return history
     return None
+
+
+def _assessment_token(assessment: Assessment) -> int:
+    """The fused loop's compact token for an assessment made by an
+    inlined estimator (layout in ``PipelineSimulator._run_fast``)."""
+    inner = assessment.token
+    if not isinstance(inner, Assessment):  # not boosted
+        inner = assessment
+    return (
+        (inner.token or 0) << 2
+        | inner.high_confidence << 1
+        | assessment.high_confidence
+    )
+
+
+def _token_assessment(token: int, boosted: bool, jrs: bool) -> Assessment:
+    """The :class:`Assessment` the inlined estimator's ``estimate``
+    would have returned for ``token`` (inverse of
+    :func:`_assessment_token`)."""
+    inner = Assessment(bool(token & 2), token >> 2 if jrs else None)
+    if boosted:
+        return Assessment(bool(token & 1), inner)
+    return inner
 
 
 class PipelineResult:
@@ -398,13 +423,33 @@ class PipelineSimulator:
             [4]=is_halt   [5]=prediction [6]=assessments [7]=actual_taken
             [8]=mispredicted [9]=snapshot [10]=ready_cycle [11]=record_index
 
+        Without estimators a branch entry's prediction is the
+        predictor's compact token.  A speculative-history gshare with
+        one attached estimator that
+        :func:`~repro.confidence.inlined.inlined_parts` accepts (the
+        gated and eager cells) keeps gshare inlined and the estimator's
+        state -- JRS table, distance counter, boost run -- in locals,
+        tallies both quadrant tables in local ints, and lays out a
+        branch entry's two token slots as::
+
+            [5]=(taken, index, history, counter)   gshare's compact token
+                plus the counter it read (a stop rebuilds the Prediction)
+            [6]=int: bit 0 the assessment's high_confidence, bit 1 the
+                base estimator's (the same bit unless boosted), bits 2+
+                the JRS MDC index (0 for the distance estimator)
+
+        Any other mix of estimators takes full ``Prediction`` records
+        and assessment lists through the protocol calls.
+
         Any entries still in flight when the loop exits (an early
         ``max_instructions``/``max_cycles`` stop) are converted back to
         ``_Inflight`` objects in the ``finally`` block, so external
-        inspection and a later ``step_cycle()`` see the normal
-        representation; both conversions keep ``_active_fork`` aliased
-        to its queue entry.  ``machine.regs`` is re-hoisted every cycle
-        because misprediction recovery rebinds it, and
+        inspection, a later ``step_cycle()`` and a snapshot see the
+        normal representation: an inlined estimator's entries get back
+        the ``Prediction`` and ``Assessment`` objects the protocol
+        calls would have made.  Both conversions keep ``_active_fork``
+        aliased to its queue entry.  ``machine.regs`` is re-hoisted
+        every cycle because misprediction recovery rebinds it, and
         ``machine.instructions_retired`` is flushed before every
         snapshot and zeroed after every restore so checkpoints stay
         exact.
@@ -425,17 +470,49 @@ class PipelineSimulator:
             count_low_confidence_inflight(self, self.gate_on) if gate_slot >= 0 else 0
         )
         active_fork = self._active_fork
+        inline_gshare = (
+            type(predictor) is GsharePredictor and predictor.speculative_history
+        )
+        # 0 = no estimator or the protocol calls, 1/2 = the one JRS /
+        # distance estimator whose state lives in locals (docstring),
+        # flushed in the finally block with its quadrant tallies
+        estimator_kind = 0
+        inlined = None
+        if inline_gshare and len(estimator_items) == 1:
+            inlined = inlined_parts(estimator_items[0][1])
+        if inlined is not None:
+            estimator_name, estimator = estimator_items[0]
+            estimator_base, boost_k, lc_run = inlined
+            boosted = estimator_base is not estimator
+            if type(estimator_base) is JRSEstimator:
+                estimator_kind = 1
+            else:
+                estimator_kind = 2
+                distance = estimator_base.branches_since_misprediction
+            # all fetched / all committed branches
+            all_c_hc = all_i_hc = all_c_lc = all_i_lc = 0
+            committed_c_hc = committed_i_hc = committed_c_lc = committed_i_lc = 0
         # a resumed run (earlier soft stop, step_cycle() calls, or an
         # unpickled snapshot) holds _Inflight objects; convert them to
         # the list layout this loop indexes by slot (inverse of the
-        # finally block below).  Without estimators this loop resolves
-        # compact prediction tokens, so full records a step_cycle()
-        # fetch made are converted too.
+        # finally block below).  Without estimators, or with an inlined
+        # one, this loop resolves compact tokens, so full records a
+        # step_cycle() fetch made are converted too.
         queue = self._inflight
         for position, entry in enumerate(queue):
             prediction = entry.prediction
-            if not estimator_items and isinstance(prediction, Prediction):
-                prediction = predictor.compact_token(prediction)
+            assessments = entry.assessments or None
+            if isinstance(prediction, Prediction):
+                if estimator_kind:
+                    prediction = (
+                        prediction.taken,
+                        prediction.index,
+                        prediction.snapshot,
+                        prediction.counters[0],
+                    )
+                    assessments = _assessment_token(assessments[0][2])
+                elif not estimator_items:
+                    prediction = predictor.compact_token(prediction)
             converted = [
                 entry.sequence,
                 entry.pc,
@@ -443,7 +520,7 @@ class PipelineSimulator:
                 entry.is_branch,
                 entry.is_halt,
                 prediction,
-                entry.assessments or None,
+                assessments,
                 entry.actual_taken,
                 entry.mispredicted,
                 entry.snapshot,
@@ -535,16 +612,13 @@ class PipelineSimulator:
             # predict_compact/resolve_compact exactly, so entries left
             # in flight on an early stop still resolve correctly)
             inline_kind = 0
-            if estimator_items:
+            if estimator_items and not estimator_kind:
                 # estimators consume the full Prediction record
                 predictor_resolve = self.predictor.resolve
             else:
                 predictor_predict_compact = predictor.predict_compact
                 predictor_resolve = predictor.resolve_compact
-                if (
-                    type(predictor) is GsharePredictor
-                    and predictor.speculative_history
-                ):
+                if inline_gshare:
                     inline_kind = 1
                     pr_values = predictor.table.values
                     pr_index_mask = predictor.table.index_mask
@@ -570,6 +644,16 @@ class PipelineSimulator:
                     mc_m_max = predictor.meta_table.max_value
                     mc_history = predictor.history
                     mc_hist_mask = mc_history.mask
+            if estimator_kind == 1:
+                jrs_values = estimator_base.table.values
+                jrs_mask = estimator_base.table.index_mask
+                jrs_max = estimator_base.table.max_value
+                jrs_threshold = estimator_base.threshold
+                # the enhanced index reads the history with the
+                # prediction pushed in, the plain one the history before
+                jrs_shift = 0 if estimator_base.enhanced else 1
+            elif estimator_kind == 2:
+                distance_threshold = estimator_base.distance_threshold
             quadrants_all = self._quadrants_all
             quadrants_committed = self._quadrants_committed
             rec_sequence_append = records.sequence.append
@@ -697,21 +781,48 @@ class PipelineSimulator:
                                 ) & mc_hist_mask
                         else:
                             predictor_resolve(entry_pc, actual, prediction)
-                        assessments = entry[6]
-                        if assessments:
-                            correct = not entry[8]
-                            for name, estimator, assessment in assessments:
-                                estimator.resolve(
-                                    entry_pc, prediction, actual, assessment
-                                )
-                                quadrants_committed[name].record(
-                                    correct, assessment.high_confidence
-                                )
-                            if (
-                                gate_slot >= 0
-                                and not assessments[gate_slot][2].high_confidence
-                            ):
-                                low_confidence -= 1
+                        if estimator_kind:
+                            # inline the estimator's resolve
+                            token = entry[6]
+                            missed = entry[8]
+                            if estimator_kind == 1:
+                                mdc = token >> 2
+                                if missed:
+                                    jrs_values[mdc] = 0
+                                else:
+                                    value = jrs_values[mdc]
+                                    if value < jrs_max:
+                                        jrs_values[mdc] = value + 1
+                            elif missed:
+                                distance = 0
+                            if token & 1:  # high confidence
+                                if missed:
+                                    committed_i_hc += 1
+                                else:
+                                    committed_c_hc += 1
+                            else:
+                                if missed:
+                                    committed_i_lc += 1
+                                else:
+                                    committed_c_lc += 1
+                                if gate_slot >= 0:
+                                    low_confidence -= 1
+                        else:
+                            assessments = entry[6]
+                            if assessments:
+                                correct = not entry[8]
+                                for name, estimator, assessment in assessments:
+                                    estimator.resolve(
+                                        entry_pc, prediction, actual, assessment
+                                    )
+                                    quadrants_committed[name].record(
+                                        correct, assessment.high_confidence
+                                    )
+                                if (
+                                    gate_slot >= 0
+                                    and not assessments[gate_slot][2].high_confidence
+                                ):
+                                    low_confidence -= 1
                         if entry[8]:  # mispredicted
                             committed_mispredictions += 1
                             perceived = 0  # detection event
@@ -855,16 +966,20 @@ class PipelineSimulator:
                                 g_index = (
                                     pc ^ history_value
                                 ) & pr_index_mask
-                                predicted_taken = (
-                                    pr_values[g_index] >= pr_midpoint
-                                )
-                                pr_history.value = (
-                                    (history_value << 1)
-                                    | (1 if predicted_taken else 0)
-                                ) & pr_hist_mask
-                                prediction = (
-                                    predicted_taken, g_index, history_value,
-                                )
+                                counter = pr_values[g_index]
+                                predicted_taken = counter >= pr_midpoint
+                                pushed = (history_value << 1) | predicted_taken
+                                pr_history.value = pushed & pr_hist_mask
+                                if estimator_kind:
+                                    prediction = (
+                                        predicted_taken, g_index,
+                                        history_value, counter,
+                                    )
+                                else:
+                                    prediction = (
+                                        predicted_taken, g_index,
+                                        history_value,
+                                    )
                             elif inline_kind == 2:
                                 # inline McFarlingPredictor.predict_compact
                                 history_value = mc_history.value
@@ -905,7 +1020,46 @@ class PipelineSimulator:
                                 congestion = 0
                             else:
                                 branch_ready = ready
-                            if estimator_items:
+                            if estimator_kind:
+                                # inline the estimator's estimate, as a
+                                # boost with k = 1 when not boosted
+                                if estimator_kind == 1:
+                                    mdc = (pc ^ (pushed >> jrs_shift)) & jrs_mask
+                                    base_high = jrs_values[mdc] >= jrs_threshold
+                                else:
+                                    mdc = 0
+                                    base_high = distance > distance_threshold
+                                    distance += 1
+                                if base_high:
+                                    lc_run = 0
+                                    high = True
+                                else:
+                                    lc_run += 1
+                                    high = lc_run < boost_k
+                                entry_assessments = (
+                                    (mdc << 2) | (base_high << 1) | high
+                                )
+                                assessment_flags = {estimator_name: high}
+                                if high:
+                                    if mispredicted:
+                                        all_i_hc += 1
+                                    else:
+                                        all_c_hc += 1
+                                    fork = False
+                                else:
+                                    if mispredicted:
+                                        all_i_lc += 1
+                                    else:
+                                        all_c_lc += 1
+                                    if gate_slot >= 0:
+                                        low_confidence += 1
+                                    # fork only from the known-good path
+                                    fork = (
+                                        fork_slot >= 0
+                                        and active_fork is None
+                                        and not unresolved
+                                    )
+                            elif estimator_items:
                                 assessment_flags = {}
                                 entry_assessments = []
                                 for name, estimator in estimator_items:
@@ -1108,6 +1262,26 @@ class PipelineSimulator:
             stats.committed_mispredictions = committed_mispredictions
             if gate_slot >= 0:
                 self.gated_cycles = gated_cycles
+            if estimator_kind:
+                for counts, c_hc, i_hc, c_lc, i_lc in (
+                    (
+                        self._quadrants_all[estimator_name],
+                        all_c_hc, all_i_hc, all_c_lc, all_i_lc,
+                    ),
+                    (
+                        self._quadrants_committed[estimator_name],
+                        committed_c_hc, committed_i_hc,
+                        committed_c_lc, committed_i_lc,
+                    ),
+                ):
+                    counts.c_hc += c_hc
+                    counts.i_hc += i_hc
+                    counts.c_lc += c_lc
+                    counts.i_lc += i_lc
+                if estimator_kind == 2:
+                    estimator_base.branches_since_misprediction = distance
+                if boosted:
+                    estimator._lc_run = lc_run
             records._stamp += 1  # invalidate the view and column memos
             # convert surviving list entries back to _Inflight objects
             # so external inspection / a later step_cycle() see the
@@ -1118,9 +1292,23 @@ class PipelineSimulator:
                 survivor.count = entry[2]
                 survivor.is_branch = entry[3]
                 survivor.is_halt = entry[4]
-                survivor.prediction = entry[5]
-                if entry[6] is not None:
-                    survivor.assessments = entry[6]
+                if estimator_kind and entry[3]:  # an inlined branch
+                    taken, index, history, counter = entry[5]
+                    # exactly the record GsharePredictor.predict returns
+                    survivor.prediction = Prediction(
+                        taken, index, history, (counter,), history
+                    )
+                    survivor.assessments = [(
+                        estimator_name,
+                        estimator,
+                        _token_assessment(
+                            entry[6], boosted, estimator_kind == 1
+                        ),
+                    )]
+                else:
+                    survivor.prediction = entry[5]
+                    if entry[6] is not None:
+                        survivor.assessments = entry[6]
                 survivor.actual_taken = entry[7]
                 survivor.mispredicted = entry[8]
                 survivor.snapshot = entry[9]

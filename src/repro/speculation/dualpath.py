@@ -42,6 +42,7 @@ from ..pipeline.core import PipelineResult, PipelineSimulator
 from ..pipeline.decode import DecodedProgram
 from ..pipeline.ooo import OutOfOrderSimulator
 from ..predictors.base import BranchPredictor
+from .gating import check_same_work
 
 
 class EagerPipelineSimulator(PipelineSimulator):
@@ -147,7 +148,9 @@ def compare_eager_execution(
     ``decoded`` optionally shares one pre-decoded program between runs.
     ``backend`` selects the pipeline backend for both runs.
     ``baseline`` is a finished single-path run of the same program,
-    budget and backend; without one, it is run here.
+    budget and backend; without one, it is run here.  A baseline that
+    committed a different number of instructions than the eager run
+    (another budget) raises ``ValueError``.
     """
     backend = normalize_backend(backend)
     if baseline is None:
@@ -166,6 +169,7 @@ def compare_eager_execution(
         decoded=decoded,
     )
     eager = eager_simulator.run(max_instructions=max_instructions)
+    check_same_work(baseline, eager, "eager")
     return EagerComparison(
         baseline=baseline,
         eager=eager,

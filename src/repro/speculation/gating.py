@@ -85,6 +85,20 @@ class GatedOutOfOrderSimulator(GatedPipelineSimulator, OutOfOrderSimulator):
     """
 
 
+def check_same_work(baseline: PipelineResult, run: PipelineResult, label: str) -> None:
+    """Refuse a comparison whose two runs committed different work:
+    cycle and squash ratios are only meaningful over the same
+    instructions, and a matching baseline commits exactly as many."""
+    expected = baseline.stats.committed_instructions
+    committed = run.stats.committed_instructions
+    if committed != expected:
+        raise ValueError(
+            f"baseline committed {expected} instructions but the {label}"
+            f" run committed {committed}: pass a baseline run of the same"
+            " program, instruction budget and backend"
+        )
+
+
 #: Gated simulator class per pipeline backend name.
 GATED_SIMULATORS = {
     "inorder": GatedPipelineSimulator,
@@ -152,6 +166,8 @@ def compare_gating(
     ``baseline`` is a finished ungated run of the same program, budget
     and backend; without one, it is run here.  No estimator steers an
     ungated run, so one baseline serves every estimator and threshold.
+    A baseline that committed a different number of instructions than
+    the gated run (another budget) raises ``ValueError``.
     """
     backend = normalize_backend(backend)
     if baseline is None:
@@ -170,6 +186,7 @@ def compare_gating(
         decoded=decoded,
     )
     gated = gated_simulator.run(max_instructions=max_instructions)
+    check_same_work(baseline, gated, "gated")
     return GatingComparison(
         baseline=baseline, gated=gated, gated_cycles=gated_simulator.gated_cycles
     )

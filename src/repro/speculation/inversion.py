@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..confidence.base import ConfidenceEstimator
-from ..confidence.boosting import BoostedEstimator
-from ..confidence.distance import MispredictionDistanceEstimator
+from ..confidence.inlined import inlined_parts
 from ..confidence.jrs import JRSEstimator
 from ..predictors.base import BranchPredictor, Prediction
 from ..predictors.gshare import GsharePredictor
@@ -209,16 +208,12 @@ def _results(
     }
 
 
-#: Estimator classes the inlined pass reproduces (exact types: a
-#: subclass may override ``estimate``/``resolve``).
-_INLINED_ESTIMATORS = (JRSEstimator, MispredictionDistanceEstimator)
-
-
 def _inlinable(
     predictor: BranchPredictor, estimators: Mapping[str, ConfidenceEstimator]
 ) -> bool:
     """Whether :func:`_inlined_pass` reproduces the protocol loop for
-    this predictor and estimator mix."""
+    this predictor and estimator mix (each estimator by the rule of
+    :func:`~repro.confidence.inlined.inlined_parts`)."""
     if not (
         type(predictor) is GsharePredictor
         and predictor.speculative_history
@@ -228,12 +223,12 @@ def _inlinable(
         return False
     state = []
     for estimator in estimators.values():
-        state.append(estimator)
-        if type(estimator) is BoostedEstimator:
-            estimator = estimator.base
-            state.append(estimator)
-        if type(estimator) not in _INLINED_ESTIMATORS:
+        parts = inlined_parts(estimator)
+        if parts is None:
             return False
+        state.append(estimator)
+        if parts[0] is not estimator:
+            state.append(parts[0])
     # the inlined pass runs the estimators one after another, so none
     # may share state with another (the protocol loop interleaves them)
     return len({id(estimator) for estimator in state}) == len(state)
@@ -317,15 +312,10 @@ def _inlined_flips(
 ) -> Tuple[int, int]:
     """``(flips, flips_hurt)`` of one estimator over the gshare columns,
     with its table or counter in locals and its final state written
-    back.
-
-    A plain estimator runs as a boost with ``k = 1``: its run of
-    consecutive LC estimates reaches 1 exactly at each LC estimate.
+    back.  A plain estimator runs as a boost with ``k = 1``
+    (:func:`~repro.confidence.inlined.inlined_parts`).
     """
-    if type(estimator) is BoostedEstimator:
-        base, k, run = estimator.base, estimator.k, estimator._lc_run
-    else:
-        base, k, run = estimator, 1, 0
+    base, k, run = inlined_parts(estimator)
     flips = 0
     hurt = 0
     if type(base) is JRSEstimator:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.confidence import (
     Assessment,
+    BoostedEstimator,
     JRSEstimator,
     McFarlingVariant,
     MispredictionDistanceEstimator,
@@ -14,6 +15,7 @@ from repro.confidence import (
     profile_confident_sites,
     profile_site_accuracy,
 )
+from repro.confidence.inlined import inlined_parts
 from repro.predictors import GsharePredictor, SAgPredictor
 from repro.predictors.base import Prediction
 
@@ -254,3 +256,29 @@ class TestAssessment:
     def test_repr(self):
         assert "HC" in repr(Assessment(True))
         assert "LC" in repr(Assessment(False))
+
+
+class TestInlinedParts:
+    """The rule the inversion pass and the fused pipeline loop share
+    for the estimators they run with their state in locals."""
+
+    def test_jrs_distance_and_boosts_over_them(self):
+        jrs = JRSEstimator()
+        distance = MispredictionDistanceEstimator(4)
+        assert inlined_parts(jrs) == (jrs, 1, 0)
+        assert inlined_parts(distance) == (distance, 1, 0)
+        boosted = BoostedEstimator(jrs, k=3)
+        boosted._lc_run = 2
+        assert inlined_parts(boosted) == (jrs, 3, 2)
+
+    def test_every_other_estimator_takes_the_protocol(self):
+        class SubclassedJRS(JRSEstimator):
+            pass
+
+        for estimator in (
+            SaturatingCountersEstimator(),
+            SubclassedJRS(),
+            BoostedEstimator(SaturatingCountersEstimator()),
+            BoostedEstimator(BoostedEstimator(JRSEstimator())),
+        ):
+            assert inlined_parts(estimator) is None

@@ -3,11 +3,12 @@
 Three groups of guarantees:
 
 * **byte identity** -- the fused engine (pre-decoded programs, fused
-  cycle loop, compact predictor protocol, columnar records) must leave
-  *exactly* the state the reference per-instruction engine leaves:
-  stats, every branch-record field, architectural machine state, cache
-  hit/miss counters, estimator quadrants -- for every simulator class,
-  and for runs that switch between the two engines mid-flight;
+  cycle loop, compact predictor protocol, inlined gshare and estimator,
+  columnar records) must leave *exactly* the state the reference
+  per-instruction engine leaves: stats, every branch-record field,
+  architectural machine state, cache hit/miss counters, estimator
+  quadrants and state -- for every simulator class and estimator, and
+  for runs that switch between the two engines mid-flight;
 * **accounting fixes** -- ``max_instructions`` commits exactly N, and a
   congestion window delays exactly one branch (no double charge across
   a fetch group);
@@ -23,8 +24,15 @@ import pickle
 import pytest
 
 from repro import settings
-from repro.confidence import JRSEstimator
+from repro.confidence import (
+    Assessment,
+    BoostedEstimator,
+    JRSEstimator,
+    MispredictionDistanceEstimator,
+    SaturatingCountersEstimator,
+)
 from repro.engine import workload_program
+from repro.harness.speculation import SPECULATION_ESTIMATORS, SPECULATION_PREDICTOR
 from repro.pipeline import (
     BranchRecordStore,
     CacheConfig,
@@ -33,10 +41,14 @@ from repro.pipeline import (
     PipelineConfig,
     PipelineSimulator,
     PipelineStats,
+    capture_snapshot,
     decode_program,
+    restore_snapshot,
 )
 from repro.isa import assemble
+from repro.pipeline.core import count_low_confidence_inflight
 from repro.predictors import GsharePredictor, McFarlingPredictor, make_predictor
+from repro.predictors.base import Prediction
 from repro.speculation import (
     EagerOutOfOrderSimulator,
     EagerPipelineSimulator,
@@ -44,6 +56,8 @@ from repro.speculation import (
     GatedPipelineSimulator,
 )
 from repro.workloads import generate_program, get_profile
+
+from test_speculation_inversion import estimator_state
 
 RECORD_FIELDS = (
     "sequence",
@@ -64,21 +78,53 @@ def small_program(name="compress", iterations=40):
     return generate_program(get_profile(name), iterations=iterations)
 
 
+#: Estimator factories: the five the fused loop inlines with gshare
+#: (JRS enhanced and plain, distance, and a boost over each family) and
+#: saturating counters, which stays on the protocol path.
+ESTIMATORS = {
+    "jrs": lambda: JRSEstimator(threshold=15),
+    "jrs-plain": lambda: JRSEstimator(threshold=15, enhanced=False),
+    "distance": lambda: MispredictionDistanceEstimator(4),
+    "boost2-distance": lambda: BoostedEstimator(
+        MispredictionDistanceEstimator(4), k=2
+    ),
+    "boost2-jrs": lambda: BoostedEstimator(JRSEstimator(threshold=15), k=2),
+    "satcnt": lambda: SaturatingCountersEstimator(counter_bits=2),
+}
+
 #: Every simulator class, with the keywords that switch its gate or fork
 #: on; those two need the estimator they name.
-SIMULATOR_KINDS = {
+SIMULATORS = {
     "inorder": (PipelineSimulator, {}),
     "ooo": (OutOfOrderSimulator, {}),
-    "gated": (GatedPipelineSimulator, {"gate_on": "jrs"}),
-    "gated-ooo": (GatedOutOfOrderSimulator, {"gate_on": "jrs"}),
-    "eager": (EagerPipelineSimulator, {"fork_on": "jrs"}),
-    "eager-ooo": (EagerOutOfOrderSimulator, {"fork_on": "jrs"}),
+    "gated": (GatedPipelineSimulator, {"gate_on": "est"}),
+    "gated2": (GatedPipelineSimulator, {"gate_on": "est", "gate_threshold": 2}),
+    "gated-ooo": (GatedOutOfOrderSimulator, {"gate_on": "est"}),
+    "gated2-ooo": (
+        GatedOutOfOrderSimulator,
+        {"gate_on": "est", "gate_threshold": 2},
+    ),
+    "eager": (EagerPipelineSimulator, {"fork_on": "est"}),
+    "eager-ooo": (EagerOutOfOrderSimulator, {"fork_on": "est"}),
+}
+
+#: ``"simulator/estimator"`` for every pair, plus the two plain
+#: backends bare: (simulator, estimator or None).
+SIMULATOR_KINDS = {
+    "inorder": ("inorder", None),
+    "ooo": ("ooo", None),
+    **{
+        f"{simulator}/{estimator}": (simulator, estimator)
+        for simulator in SIMULATORS
+        for estimator in ESTIMATORS
+    },
 }
 
 
 def build_simulator(kind, program, config, fast):
-    simulator_class, kwargs = SIMULATOR_KINDS[kind]
-    estimators = {"jrs": JRSEstimator(threshold=15)} if kwargs else {}
+    simulator, estimator = SIMULATOR_KINDS[kind]
+    simulator_class, kwargs = SIMULATORS[simulator]
+    estimators = {"est": ESTIMATORS[estimator]()} if estimator else {}
     return simulator_class(
         program,
         GsharePredictor(),
@@ -91,7 +137,8 @@ def build_simulator(kind, program, config, fast):
 
 def full_digest(simulator, result):
     """Everything a run leaves behind: stats, record columns, machine
-    and cache state, quadrants, gating/fork counters, rename state."""
+    and cache state, quadrants, estimator state, gating/fork counters,
+    rename state."""
     machine = simulator.machine
     digest = {
         "stats": dataclasses.asdict(result.stats),
@@ -110,6 +157,10 @@ def full_digest(simulator, result):
             {name: vars(counts).copy() for name, counts in table.items()}
             for table in (result.quadrants_committed, result.quadrants_all)
         ],
+        "estimators": {
+            name: estimator_state(estimator)
+            for name, estimator in simulator.estimators.items()
+        },
         "speculation": (
             simulator.gated_cycles,
             simulator.eager_forks,
@@ -297,6 +348,132 @@ class TestFastSlowIdentity:
                 chained.step_cycle()
             result = chained.run(max_instructions=budget)
             assert full_digest(chained, result) == expected, steps
+
+
+def assessment_fields(assessment):
+    """An assessment's fields with their types (``True == 1``), nested
+    through a boosted estimator's inner assessment."""
+    token = assessment.token
+    if isinstance(token, Assessment):
+        token = assessment_fields(token)
+    else:
+        token = (type(token), token)
+    return type(assessment.high_confidence), assessment.high_confidence, token
+
+
+def inflight_branches(simulator):
+    """Each in-flight branch's sequence, every ``Prediction`` slot and
+    its assessments, with types."""
+    rows = []
+    for entry in simulator._inflight:
+        if not entry.is_branch:
+            continue
+        prediction = entry.prediction
+        assert type(prediction) is Prediction
+        fields = [getattr(prediction, slot) for slot in Prediction.__slots__]
+        assessments = []
+        for name, estimator, assessment in entry.assessments:
+            assert estimator is simulator.estimators[name]
+            assessments.append((name, assessment_fields(assessment)))
+        rows.append((
+            entry.sequence,
+            [(type(value), value) for value in fields],
+            assessments,
+        ))
+    return rows
+
+
+class TestInlinedEstimator:
+    """A speculative-history gshare with one JRS, distance or boosted
+    estimator runs both inlined in the fused loop; the reference
+    engine is the oracle, and satcnt stays on the protocol path."""
+
+    @pytest.mark.parametrize("kind", list(SIMULATOR_KINDS))
+    def test_run_identical(self, kind):
+        program = small_program()
+        digests = []
+        for fast in (False, True):
+            simulator = build_simulator(kind, program, None, fast)
+            result = simulator.run(max_instructions=6_000)
+            digests.append(full_digest(simulator, result))
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("estimator", list(ESTIMATORS))
+    def test_stops_leave_the_reference_in_flight_branches(self, estimator):
+        # at every soft stop each branch in flight carries exactly the
+        # Prediction GsharePredictor.predict returned and the assessment
+        # estimate returned, as under the reference engine -- also
+        # after the fused loop resumed from the converted entries (a
+        # stop every few instructions keeps branches in flight across
+        # several stops)
+        program = small_program()
+        for simulator in ("gated", "eager"):
+            kind = f"{simulator}/{estimator}"
+            sides = [
+                build_simulator(kind, program, None, fast) for fast in (False, True)
+            ]
+            in_flight = 0
+            for stop in range(4, 2_000, 4):
+                rows = []
+                for side in sides:
+                    side.run(max_instructions=2_000, stop_instructions=stop)
+                    rows.append(inflight_branches(side))
+                assert rows[0] == rows[1], (kind, stop)
+                in_flight += len(rows[0])
+            assert in_flight, kind
+
+    @pytest.mark.parametrize("estimator", list(ESTIMATORS))
+    def test_snapshot_round_trip_with_low_confidence_in_flight(self, estimator):
+        program = small_program()
+        kind = f"gated/{estimator}"
+        reference = build_simulator(kind, program, None, fast=False)
+        expected = full_digest(reference, reference.run(max_instructions=6_000))
+        paused = build_simulator(kind, program, None, fast=True)
+        for stop in range(50, 6_000, 50):
+            paused.run(max_instructions=6_000, stop_instructions=stop)
+            if count_low_confidence_inflight(paused, "est"):
+                break
+        else:
+            pytest.fail("no stop had a low-confidence branch in flight")
+        restored = restore_snapshot(capture_snapshot(paused))
+        result = restored.run(max_instructions=6_000)
+        assert full_digest(restored, result) == expected
+
+    def test_battery_runs_make_no_protocol_calls(self, monkeypatch):
+        # the identity tests pass on the protocol path too: only with
+        # the protocol calls raising does a silent fallback show
+        program = small_program()
+
+        def runs():
+            digests = []
+            for name, factory in SPECULATION_ESTIMATORS.items():
+                for simulator_class, kwargs in (
+                    (GatedPipelineSimulator, {"gate_on": name}),
+                    (EagerPipelineSimulator, {"fork_on": name}),
+                ):
+                    predictor = make_predictor(SPECULATION_PREDICTOR)
+                    simulator = simulator_class(
+                        program,
+                        predictor,
+                        estimators={name: factory(predictor)},
+                        fast=True,
+                        **kwargs,
+                    )
+                    result = simulator.run(max_instructions=6_000)
+                    digests.append(full_digest(simulator, result))
+            return digests
+
+        expected = runs()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("protocol call in the inlined path")
+
+        for cls in (JRSEstimator, MispredictionDistanceEstimator, BoostedEstimator):
+            monkeypatch.setattr(cls, "estimate", refuse)
+            monkeypatch.setattr(cls, "resolve", refuse)
+        for method in ("predict", "resolve", "predict_compact", "resolve_compact"):
+            monkeypatch.setattr(GsharePredictor, method, refuse)
+        assert runs() == expected
 
 
 CONGESTION_PROGRAM = """

@@ -19,12 +19,17 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.confidence import JRSEstimator, MispredictionDistanceEstimator
+from repro.confidence import (
+    BoostedEstimator,
+    JRSEstimator,
+    MispredictionDistanceEstimator,
+    SaturatingCountersEstimator,
+)
 from repro.engine import trace_branches
 from repro.isa import Machine
 from repro.pipeline import CacheConfig, PipelineConfig, PipelineSimulator
 from repro.predictors import make_predictor
-from repro.speculation import EagerPipelineSimulator
+from repro.speculation import EagerPipelineSimulator, GatedPipelineSimulator
 from repro.workloads.generator import GuardSpec, WorkloadProfile, generate_program
 from repro.workloads.sites import (
     AlternatingSite,
@@ -34,6 +39,8 @@ from repro.workloads.sites import (
     PatternSite,
     WalkSite,
 )
+
+from test_speculation_inversion import estimator_state
 
 
 @st.composite
@@ -201,43 +208,80 @@ def test_pipeline_equals_machine_on_random_programs(profile, config, predictor_n
         assert (record.resolve_cycle is not None) == record.committed
 
 
+#: Estimators the fuzzed engine identity may attach: the five the fused
+#: loop inlines with gshare, and satcnt, which it never inlines.
+FUZZ_ESTIMATORS = {
+    "jrs": lambda: JRSEstimator(table_size=256, threshold=7),
+    "jrs-plain": lambda: JRSEstimator(table_size=256, threshold=7, enhanced=False),
+    "distance": lambda: MispredictionDistanceEstimator(4),
+    "boost2-distance": lambda: BoostedEstimator(
+        MispredictionDistanceEstimator(4), k=2
+    ),
+    "boost2-jrs": lambda: BoostedEstimator(
+        JRSEstimator(table_size=256, threshold=7), k=2
+    ),
+    "satcnt": lambda: SaturatingCountersEstimator(counter_bits=2),
+}
+
+#: Simulator class and speculation-control keywords per fuzzed front end.
+FUZZ_SIMULATORS = {
+    "plain": (PipelineSimulator, {}),
+    "gated": (GatedPipelineSimulator, {"gate_on": "est", "gate_threshold": 1}),
+    "gated2": (GatedPipelineSimulator, {"gate_on": "est", "gate_threshold": 2}),
+    "eager": (EagerPipelineSimulator, {"fork_on": "est"}),
+}
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     workload_profiles(),
     pipeline_configs(),
     st.sampled_from(("gshare", "mcfarling", "sag")),
-    st.booleans(),
+    st.sampled_from((None, *FUZZ_ESTIMATORS)),
+    st.sampled_from(tuple(FUZZ_SIMULATORS)),
     st.sampled_from((None, 7, 60, 500)),
 )
 def test_fast_engine_equals_reference_engine(
-    profile, config, predictor_name, with_estimators, budget
+    profile, config, predictor_name, estimator_name, simulator_name, budget
 ):
     """Fast/slow byte identity under fuzzed programs and geometries.
 
     Covers early stops (``budget``), misprediction recovery (random
     predictors on random branch mixes) and cache-miss congestion (the
-    tiny fuzz cache geometries miss constantly), with and without
-    estimators attached -- the full cross product the golden CI report
-    legs only sample.
+    tiny fuzz cache geometries miss constantly), with no estimator or
+    one (inlined with gshare, or through the protocol) on a plain,
+    gated or eager front end -- the full cross product the golden CI
+    report legs only sample.
     """
+    if estimator_name is None:
+        simulator_name = "plain"  # gating and forking need an estimator
+    simulator_class, kwargs = FUZZ_SIMULATORS[simulator_name]
     program = generate_program(profile)
     runs = []
     for fast in (False, True):
         estimators = (
-            {"jrs": JRSEstimator(table_size=256, threshold=7)}
-            if with_estimators
-            else {}
+            {"est": FUZZ_ESTIMATORS[estimator_name]()} if estimator_name else {}
         )
-        simulator = PipelineSimulator(
+        simulator = simulator_class(
             program,
             make_predictor(predictor_name),
             config=config,
             estimators=estimators,
             fast=fast,
+            **kwargs,
         )
         runs.append((simulator, simulator.run(max_instructions=budget)))
     (slow_sim, slow), (fast_sim, fast) = runs
     assert dataclasses.asdict(slow.stats) == dataclasses.asdict(fast.stats)
+    for table in ("quadrants_committed", "quadrants_all"):
+        assert {
+            name: vars(counts) for name, counts in getattr(slow, table).items()
+        } == {name: vars(counts) for name, counts in getattr(fast, table).items()}
+    assert [
+        estimator_state(estimator) for estimator in slow_sim.estimators.values()
+    ] == [estimator_state(estimator) for estimator in fast_sim.estimators.values()]
+    for counter in ("gated_cycles", "eager_forks", "eager_covered", "eager_wasted_slots"):
+        assert getattr(slow_sim, counter) == getattr(fast_sim, counter), counter
     assert slow_sim.machine.regs == fast_sim.machine.regs
     assert slow_sim.machine.memory == fast_sim.machine.memory
     assert slow_sim.machine.pc == fast_sim.machine.pc

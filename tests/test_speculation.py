@@ -72,6 +72,22 @@ class TestGating:
         comparison = compare_gating_both_ways(program(iterations=60), 2)
         assert comparison.slowdown < 0.35
 
+    def test_baseline_of_other_work_rejected(self):
+        # cycles over a 2,000-instruction baseline against a
+        # 3,000-instruction gated run would read as a large slowdown
+        prog = program("go", iterations=40)
+        baseline = PipelineSimulator(prog, GsharePredictor()).run(
+            max_instructions=2_000
+        )
+        with pytest.raises(ValueError, match="committed 2000 .* committed 3000"):
+            compare_gating(
+                prog,
+                GsharePredictor,
+                jrs_factory,
+                max_instructions=3_000,
+                baseline=baseline,
+            )
+
     def test_gate_must_name_an_estimator(self):
         prog = program(iterations=5)
         predictor = GsharePredictor()

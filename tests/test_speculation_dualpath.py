@@ -175,3 +175,19 @@ class TestValidation:
                 fork_on="fork",
                 fork_switch_penalty=-1,
             )
+
+    def test_baseline_of_other_work_rejected(self):
+        # cycles over a 2,000-instruction baseline against a
+        # 3,000-instruction eager run would read as a large loss
+        prog = program("go", iterations=40)
+        baseline = PipelineSimulator(prog, GsharePredictor()).run(
+            max_instructions=2_000
+        )
+        with pytest.raises(ValueError, match="committed 2000 .* committed 3000"):
+            compare_eager_execution(
+                prog,
+                GsharePredictor,
+                jrs_factory,
+                max_instructions=3_000,
+                baseline=baseline,
+            )

@@ -169,11 +169,15 @@ def build_estimator(spec):
 
 
 def estimator_state(estimator):
+    """What an estimator has learnt (the engine-identity tests of the
+    pipeline compare it too)."""
     if isinstance(estimator, BoostedEstimator):
         return ("boost", estimator._lc_run, estimator_state(estimator.base))
     if isinstance(estimator, JRSEstimator):
         return ("jrs", list(estimator.table.values))
-    return ("distance", estimator.branches_since_misprediction)
+    if isinstance(estimator, MispredictionDistanceEstimator):
+        return ("distance", estimator.branches_since_misprediction)
+    return ("stateless",)  # saturating counters, pattern, static
 
 
 def predictor_state(predictor):
