@@ -14,6 +14,7 @@ from repro.confidence import (
     SaturatingCountersEstimator,
 )
 from repro.engine import workload_program
+from repro.harness.tables import pct1, spct1
 from repro.predictors import GsharePredictor
 from repro.speculation import compare_eager_execution
 
@@ -48,9 +49,9 @@ def test_app_dualpath_execution(benchmark, results_dir):
     ]
     for (workload, name), comparison in matrix.items():
         lines.append(
-            f"{workload:9s} {name:12s} {comparison.speedup:+8.1%}"
-            f" {comparison.forks:7,d} {comparison.fork_precision:10.1%}"
-            f" {comparison.coverage:9.1%}"
+            f"{workload:9s} {name:12s} {spct1(comparison.speedup):>8s}"
+            f" {comparison.forks:7,d} {pct1(comparison.fork_precision):>10s}"
+            f" {pct1(comparison.coverage):>9s}"
         )
     (results_dir / "app_dualpath.txt").write_text("\n".join(lines) + "\n")
 

@@ -21,6 +21,7 @@ from repro.confidence import (
     SaturatingCountersEstimator,
 )
 from repro.engine import workload_program
+from repro.harness.tables import pct1, spct1
 from repro.pipeline import PipelineSimulator
 from repro.predictors import GsharePredictor
 from repro.speculation import evaluate_eager_execution
@@ -54,8 +55,8 @@ def main() -> None:
     for name in estimators:
         outcome = evaluate_eager_execution(records, name)
         print(
-            f"{name:16s} {outcome.forks:7,d} {outcome.coverage:9.1%}"
-            f" {outcome.fork_precision:10.1%} {outcome.cycles_saved:8.0f}"
+            f"{name:16s} {outcome.forks:7,d} {pct1(outcome.coverage):>9s}"
+            f" {pct1(outcome.fork_precision):>10s} {outcome.cycles_saved:8.0f}"
             f" {outcome.cycles_spent:8.0f} {outcome.net_cycles:11.0f}"
         )
     print(
@@ -85,8 +86,8 @@ def dual_path_pipeline() -> None:
             program, GsharePredictor, factory, max_instructions=60_000, baseline=baseline
         )
         print(
-            f"{name:14s} {comparison.speedup:+8.1%} {comparison.forks:7,d}"
-            f" {comparison.fork_precision:10.1%} {comparison.coverage:9.1%}"
+            f"{name:14s} {spct1(comparison.speedup):>8s} {comparison.forks:7,d}"
+            f" {pct1(comparison.fork_precision):>10s} {pct1(comparison.coverage):>9s}"
         )
     print(
         "selectivity earns the cycles: the estimator beats blind forking,"

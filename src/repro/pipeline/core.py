@@ -153,8 +153,8 @@ def _forked_history(predictor: BranchPredictor):
 
 
 def _assessment_token(assessment: Assessment) -> int:
-    """The fused loop's compact token for an assessment made by an
-    inlined estimator (layout in ``PipelineSimulator._run_fast``)."""
+    """The fused loop's int token for an assessment made by an inlined
+    estimator (layout in ``PipelineSimulator._run_fast``)."""
     inner = assessment.token
     if not isinstance(inner, Assessment):  # not boosted
         inner = assessment
@@ -423,31 +423,33 @@ class PipelineSimulator:
             [4]=is_halt   [5]=prediction [6]=assessments [7]=actual_taken
             [8]=mispredicted [9]=snapshot [10]=ready_cycle [11]=record_index
 
-        Without estimators a branch entry's prediction is the
-        predictor's compact token.  A speculative-history gshare with
-        one attached estimator that
+        A speculative-history gshare or McFarling runs inlined, with
+        its tables and history in locals, when no estimator is attached
+        or when gshare has one estimator that
         :func:`~repro.confidence.inlined.inlined_parts` accepts (the
-        gated and eager cells) keeps gshare inlined and the estimator's
-        state -- JRS table, distance counter, boost run -- in locals,
-        tallies both quadrant tables in local ints, and lays out a
-        branch entry's two token slots as::
+        gated and eager cells).  That estimator's state -- JRS table,
+        distance counter, boost run -- lives in locals too, and both
+        quadrant tables are tallied in local ints.  An inlined branch
+        entry's two token slots hold::
 
-            [5]=(taken, index, history, counter)   gshare's compact token
-                plus the counter it read (a stop rebuilds the Prediction)
+            [5]=(taken, index, history) + counters   the fields of the
+                Prediction predict() returns: gshare's one counter,
+                McFarling's (gshare, bimodal, meta)
             [6]=int: bit 0 the assessment's high_confidence, bit 1 the
                 base estimator's (the same bit unless boosted), bits 2+
                 the JRS MDC index (0 for the distance estimator)
 
-        Any other mix of estimators takes full ``Prediction`` records
-        and assessment lists through the protocol calls.
+        Every other predictor, and any other mix of estimators, takes
+        ``Prediction`` records and assessment lists through the
+        protocol calls.
 
         Any entries still in flight when the loop exits (an early
         ``max_instructions``/``max_cycles`` stop) are converted back to
         ``_Inflight`` objects in the ``finally`` block, so external
         inspection, a later ``step_cycle()`` and a snapshot see the
-        normal representation: an inlined estimator's entries get back
-        the ``Prediction`` and ``Assessment`` objects the protocol
-        calls would have made.  Both conversions keep ``_active_fork``
+        normal representation: an inlined branch gets back the
+        ``Prediction`` and ``Assessment`` objects the protocol calls
+        would have made.  Both conversions keep ``_active_fork``
         aliased to its queue entry.  ``machine.regs`` is re-hoisted
         every cycle because misprediction recovery rebinds it, and
         ``machine.instructions_retired`` is flushed before every
@@ -470,15 +472,19 @@ class PipelineSimulator:
             count_low_confidence_inflight(self, self.gate_on) if gate_slot >= 0 else 0
         )
         active_fork = self._active_fork
-        inline_gshare = (
-            type(predictor) is GsharePredictor and predictor.speculative_history
-        )
+        # 0 = the predictor protocol calls, 1/2 = gshare / McFarling
+        # inlined (docstring)
+        inline_kind = 0
+        if type(predictor) is GsharePredictor and predictor.speculative_history:
+            inline_kind = 1
+        elif type(predictor) is McFarlingPredictor and predictor.speculative_history:
+            inline_kind = 2
         # 0 = no estimator or the protocol calls, 1/2 = the one JRS /
         # distance estimator whose state lives in locals (docstring),
         # flushed in the finally block with its quadrant tallies
         estimator_kind = 0
         inlined = None
-        if inline_gshare and len(estimator_items) == 1:
+        if inline_kind == 1 and len(estimator_items) == 1:
             inlined = inlined_parts(estimator_items[0][1])
         if inlined is not None:
             estimator_name, estimator = estimator_items[0]
@@ -492,27 +498,24 @@ class PipelineSimulator:
             # all fetched / all committed branches
             all_c_hc = all_i_hc = all_c_lc = all_i_lc = 0
             committed_c_hc = committed_i_hc = committed_c_lc = committed_i_lc = 0
+        elif estimator_items:
+            # the estimators consume the full Prediction record
+            inline_kind = 0
         # a resumed run (earlier soft stop, step_cycle() calls, or an
         # unpickled snapshot) holds _Inflight objects; convert them to
-        # the list layout this loop indexes by slot (inverse of the
-        # finally block below).  Without estimators, or with an inlined
-        # one, this loop resolves compact tokens, so full records a
-        # step_cycle() fetch made are converted too.
+        # the list layout this loop indexes by slot, and an inlined
+        # branch's Prediction and assessment to its tokens (inverse of
+        # the finally block below)
         queue = self._inflight
         for position, entry in enumerate(queue):
             prediction = entry.prediction
             assessments = entry.assessments or None
-            if isinstance(prediction, Prediction):
+            if inline_kind and entry.is_branch:
+                prediction = (
+                    prediction.taken, prediction.index, prediction.history
+                ) + prediction.counters
                 if estimator_kind:
-                    prediction = (
-                        prediction.taken,
-                        prediction.index,
-                        prediction.snapshot,
-                        prediction.counters[0],
-                    )
                     assessments = _assessment_token(assessments[0][2])
-                elif not estimator_items:
-                    prediction = predictor.compact_token(prediction)
             converted = [
                 entry.sequence,
                 entry.pc,
@@ -607,43 +610,28 @@ class PipelineSimulator:
             inflight_append = inflight.append
             inflight_popleft = inflight.popleft
             predictor_predict = predictor.predict
-            # 0 = call through the predictor protocol, 1/2 = the two
-            # paper predictors inlined below (token layouts match their
-            # predict_compact/resolve_compact exactly, so entries left
-            # in flight on an early stop still resolve correctly)
-            inline_kind = 0
-            if estimator_items and not estimator_kind:
-                # estimators consume the full Prediction record
-                predictor_resolve = self.predictor.resolve
-            else:
-                predictor_predict_compact = predictor.predict_compact
-                predictor_resolve = predictor.resolve_compact
-                if inline_gshare:
-                    inline_kind = 1
-                    pr_values = predictor.table.values
-                    pr_index_mask = predictor.table.index_mask
-                    pr_midpoint = predictor.table.midpoint
-                    pr_max = predictor.table.max_value
-                    pr_history = predictor.history
-                    pr_hist_mask = pr_history.mask
-                elif (
-                    type(predictor) is McFarlingPredictor
-                    and predictor.speculative_history
-                ):
-                    inline_kind = 2
-                    mc_g_values = predictor.gshare_table.values
-                    mc_g_mask = predictor.gshare_table.index_mask
-                    mc_g_midpoint = predictor.gshare_table.midpoint
-                    mc_g_max = predictor.gshare_table.max_value
-                    mc_b_values = predictor.bimodal_table.values
-                    mc_p_mask = predictor.bimodal_table.index_mask
-                    mc_b_midpoint = predictor.bimodal_table.midpoint
-                    mc_b_max = predictor.bimodal_table.max_value
-                    mc_m_values = predictor.meta_table.values
-                    mc_m_midpoint = predictor.meta_table.midpoint
-                    mc_m_max = predictor.meta_table.max_value
-                    mc_history = predictor.history
-                    mc_hist_mask = mc_history.mask
+            predictor_resolve = predictor.resolve
+            if inline_kind == 1:
+                pr_values = predictor.table.values
+                pr_index_mask = predictor.table.index_mask
+                pr_midpoint = predictor.table.midpoint
+                pr_max = predictor.table.max_value
+                pr_history = predictor.history
+                pr_hist_mask = pr_history.mask
+            elif inline_kind == 2:
+                mc_g_values = predictor.gshare_table.values
+                mc_g_mask = predictor.gshare_table.index_mask
+                mc_g_midpoint = predictor.gshare_table.midpoint
+                mc_g_max = predictor.gshare_table.max_value
+                mc_b_values = predictor.bimodal_table.values
+                mc_p_mask = predictor.bimodal_table.index_mask
+                mc_b_midpoint = predictor.bimodal_table.midpoint
+                mc_b_max = predictor.bimodal_table.max_value
+                mc_m_values = predictor.meta_table.values
+                mc_m_midpoint = predictor.meta_table.midpoint
+                mc_m_max = predictor.meta_table.max_value
+                mc_history = predictor.history
+                mc_hist_mask = mc_history.mask
             if estimator_kind == 1:
                 jrs_values = estimator_base.table.values
                 jrs_mask = estimator_base.table.index_mask
@@ -728,7 +716,7 @@ class PipelineSimulator:
                                 # outlive the single-path repair below
                                 preserved = fork_history.value
                         if inline_kind == 1:
-                            # inline GsharePredictor.resolve_compact
+                            # inline GsharePredictor.resolve
                             index = prediction[1]
                             value = pr_values[index]
                             if actual:
@@ -743,17 +731,18 @@ class PipelineSimulator:
                                     | (1 if actual else 0)
                                 ) & pr_hist_mask
                         elif inline_kind == 2:
-                            # inline McFarlingPredictor.resolve_compact
+                            # inline McFarlingPredictor.resolve
                             (
                                 predicted,
                                 g_index,
-                                g_taken,
-                                b_taken,
                                 snapshot_hist,
+                                g_counter,
+                                b_counter,
+                                __,
                             ) = prediction
-                            g_right = g_taken == actual
+                            g_right = (g_counter >= mc_g_midpoint) == actual
                             p_index = entry_pc & mc_p_mask
-                            if g_right != (b_taken == actual):
+                            if g_right != ((b_counter >= mc_b_midpoint) == actual):
                                 value = mc_m_values[p_index]
                                 if g_right:
                                     if value < mc_m_max:
@@ -961,7 +950,7 @@ class PipelineSimulator:
                             group = None
                             # inline _fetch_branch
                             if inline_kind == 1:
-                                # inline GsharePredictor.predict_compact
+                                # inline GsharePredictor.predict
                                 history_value = pr_history.value
                                 g_index = (
                                     pc ^ history_value
@@ -970,49 +959,33 @@ class PipelineSimulator:
                                 predicted_taken = counter >= pr_midpoint
                                 pushed = (history_value << 1) | predicted_taken
                                 pr_history.value = pushed & pr_hist_mask
-                                if estimator_kind:
-                                    prediction = (
-                                        predicted_taken, g_index,
-                                        history_value, counter,
-                                    )
-                                else:
-                                    prediction = (
-                                        predicted_taken, g_index,
-                                        history_value,
-                                    )
+                                prediction = (
+                                    predicted_taken, g_index,
+                                    history_value, counter,
+                                )
                             elif inline_kind == 2:
-                                # inline McFarlingPredictor.predict_compact
+                                # inline McFarlingPredictor.predict
                                 history_value = mc_history.value
                                 g_index = (pc ^ history_value) & mc_g_mask
                                 p_index = pc & mc_p_mask
-                                g_taken = (
-                                    mc_g_values[g_index] >= mc_g_midpoint
-                                )
-                                b_taken = (
-                                    mc_b_values[p_index] >= mc_b_midpoint
-                                )
-                                if mc_m_values[p_index] >= mc_m_midpoint:
-                                    predicted_taken = g_taken
+                                g_counter = mc_g_values[g_index]
+                                b_counter = mc_b_values[p_index]
+                                m_counter = mc_m_values[p_index]
+                                if m_counter >= mc_m_midpoint:
+                                    predicted_taken = g_counter >= mc_g_midpoint
                                 else:
-                                    predicted_taken = b_taken
+                                    predicted_taken = b_counter >= mc_b_midpoint
                                 mc_history.value = (
                                     (history_value << 1)
                                     | (1 if predicted_taken else 0)
                                 ) & mc_hist_mask
                                 prediction = (
-                                    predicted_taken,
-                                    g_index,
-                                    g_taken,
-                                    b_taken,
-                                    history_value,
+                                    predicted_taken, g_index, history_value,
+                                    g_counter, b_counter, m_counter,
                                 )
-                            elif estimator_items:
+                            else:
                                 prediction = predictor_predict(pc)
                                 predicted_taken = prediction.taken
-                            else:
-                                predicted_taken, prediction = (
-                                    predictor_predict_compact(pc)
-                                )
                             mispredicted = predicted_taken != taken
                             if congestion:
                                 # one miss window delays one branch
@@ -1292,19 +1265,20 @@ class PipelineSimulator:
                 survivor.count = entry[2]
                 survivor.is_branch = entry[3]
                 survivor.is_halt = entry[4]
-                if estimator_kind and entry[3]:  # an inlined branch
-                    taken, index, history, counter = entry[5]
-                    # exactly the record GsharePredictor.predict returns
+                if inline_kind and entry[3]:  # an inlined branch
+                    token = entry[5]
+                    # exactly the record the predictor's predict returns
                     survivor.prediction = Prediction(
-                        taken, index, history, (counter,), history
+                        token[0], token[1], token[2], token[3:], token[2]
                     )
-                    survivor.assessments = [(
-                        estimator_name,
-                        estimator,
-                        _token_assessment(
-                            entry[6], boosted, estimator_kind == 1
-                        ),
-                    )]
+                    if estimator_kind:
+                        survivor.assessments = [(
+                            estimator_name,
+                            estimator,
+                            _token_assessment(
+                                entry[6], boosted, estimator_kind == 1
+                            ),
+                        )]
                 else:
                     survivor.prediction = entry[5]
                     if entry[6] is not None:
@@ -1399,14 +1373,7 @@ class PipelineSimulator:
         self.stats.committed_branches += 1
         self.records.resolve(entry.record_index, self._cycle)
         correct = not entry.mispredicted
-        prediction = entry.prediction
-        if isinstance(prediction, Prediction):
-            self.predictor.resolve(entry.pc, entry.actual_taken, prediction)
-        else:
-            # a compact token from an early-stopped _run_fast
-            self.predictor.resolve_compact(
-                entry.pc, entry.actual_taken, prediction
-            )
+        self.predictor.resolve(entry.pc, entry.actual_taken, entry.prediction)
         for name, estimator, assessment in entry.assessments:
             estimator.resolve(
                 entry.pc, entry.prediction, entry.actual_taken, assessment

@@ -34,8 +34,10 @@ import pickle
 from dataclasses import dataclass
 
 #: Bump when the snapshot payload layout changes; restores refuse
-#: mismatched schemas instead of resuming from garbage.
-SNAPSHOT_SCHEMA = "pipeline-snapshot/2"
+#: mismatched schemas instead of resuming from garbage.  ``/3``: every
+#: in-flight branch holds the ``Prediction`` record its predictor's
+#: ``predict`` returns (``/2`` could hold a fused-loop token).
+SNAPSHOT_SCHEMA = "pipeline-snapshot/3"
 
 
 class SnapshotError(RuntimeError):

@@ -19,6 +19,10 @@ Confidence estimators consume the :class:`Prediction` record: it
 carries the consulted counter values and the history used, the two
 pieces of "existing processor state" the paper's inexpensive
 estimators tap.
+
+``predict``, ``resolve`` and ``reset`` are the whole interface.  The
+pipeline's fused loop inlines speculative-history gshare and McFarling
+and calls ``predict``/``resolve`` for every other predictor.
 """
 
 from __future__ import annotations
@@ -91,31 +95,6 @@ class BranchPredictor(abc.ABC):
     @abc.abstractmethod
     def resolve(self, pc: int, taken: bool, prediction: Prediction) -> None:
         """Learn the actual outcome (called in order at resolution)."""
-
-    def predict_compact(self, pc: int) -> Tuple[bool, object]:
-        """Allocation-light predict: ``(taken, token)``.
-
-        The pipeline's fused fast loop uses this instead of
-        :meth:`predict` when no confidence estimator needs the full
-        :class:`Prediction` record.  The opaque ``token`` must be
-        passed back to :meth:`resolve_compact`; predictor state must
-        evolve exactly as under :meth:`predict` (the fast/slow
-        byte-identity tests compare the two end to end).  The default
-        simply wraps :meth:`predict`, so subclasses only override this
-        as an optimisation.
-        """
-        prediction = self.predict(pc)
-        return prediction.taken, prediction
-
-    def resolve_compact(self, pc: int, taken: bool, token: object) -> None:
-        """Resolve a branch predicted via :meth:`predict_compact`."""
-        self.resolve(pc, taken, token)
-
-    def compact_token(self, prediction: Prediction) -> object:
-        """The :meth:`predict_compact` token equivalent to a
-        :meth:`predict` record, so a branch predicted through one
-        protocol can resolve through the other."""
-        return prediction
 
     def reset(self) -> None:
         """Restore power-on state (re-creating the object also works)."""

@@ -60,44 +60,6 @@ class GsharePredictor(BranchPredictor):
         else:
             self.history.push(taken)
 
-    def predict_compact(self, pc: int):
-        # allocation-free twin of predict(): same state evolution,
-        # tuple token instead of a Prediction record
-        history = self.history
-        history_value = history.value
-        table = self.table
-        index = (pc ^ history_value) & table.index_mask
-        taken = table.values[index] >= table.midpoint
-        if self.speculative_history:
-            history.value = (
-                (history_value << 1) | (1 if taken else 0)
-            ) & history.mask
-        return taken, (taken, index, history_value)
-
-    def resolve_compact(self, pc: int, taken: bool, token) -> None:
-        predicted, index, snapshot = token
-        table = self.table
-        value = table.values[index]
-        if taken:
-            if value < table.max_value:
-                table.values[index] = value + 1
-        elif value > 0:
-            table.values[index] = value - 1
-        history = self.history
-        if self.speculative_history:
-            if taken != predicted:
-                # squash repair, as in resolve()
-                history.value = (
-                    (snapshot << 1) | (1 if taken else 0)
-                ) & history.mask
-        else:
-            history.value = (
-                (history.value << 1) | (1 if taken else 0)
-            ) & history.mask
-
-    def compact_token(self, prediction: Prediction):
-        return prediction.taken, prediction.index, prediction.snapshot
-
     def reset(self) -> None:
         self.table = CounterTable(self.table.size, bits=self.table.bits)
         self.history = GlobalHistory(self.history.bits)

@@ -86,90 +86,6 @@ class McFarlingPredictor(BranchPredictor):
         else:
             self.history.push(taken)
 
-    def predict_compact(self, pc: int):
-        # allocation-free twin of predict(): component directions are
-        # pre-computed into the token so resolve_compact() can train
-        # the meta table without the raw counter values
-        history = self.history
-        history_value = history.value
-        gshare_table = self.gshare_table
-        bimodal_table = self.bimodal_table
-        gshare_index = (pc ^ history_value) & gshare_table.index_mask
-        pc_index = pc & bimodal_table.index_mask
-        gshare_taken = (
-            gshare_table.values[gshare_index] >= gshare_table.midpoint
-        )
-        bimodal_taken = (
-            bimodal_table.values[pc_index] >= bimodal_table.midpoint
-        )
-        meta_table = self.meta_table
-        if meta_table.values[pc_index] >= meta_table.midpoint:
-            taken = gshare_taken
-        else:
-            taken = bimodal_taken
-        if self.speculative_history:
-            history.value = (
-                (history_value << 1) | (1 if taken else 0)
-            ) & history.mask
-        return taken, (
-            taken,
-            gshare_index,
-            gshare_taken,
-            bimodal_taken,
-            history_value,
-        )
-
-    def resolve_compact(self, pc: int, taken: bool, token) -> None:
-        predicted, gshare_index, gshare_taken, bimodal_taken, snapshot = token
-        gshare_was_right = gshare_taken == taken
-        bimodal_was_right = bimodal_taken == taken
-        pc_index = pc & self.bimodal_table.index_mask
-        if gshare_was_right != bimodal_was_right:
-            # saturating nudge toward the component that was right
-            meta_values = self.meta_table.values
-            value = meta_values[pc_index]
-            if gshare_was_right:
-                if value < self.meta_table.max_value:
-                    meta_values[pc_index] = value + 1
-            elif value > 0:
-                meta_values[pc_index] = value - 1
-        gshare_values = self.gshare_table.values
-        bimodal_values = self.bimodal_table.values
-        if taken:
-            value = gshare_values[gshare_index]
-            if value < self.gshare_table.max_value:
-                gshare_values[gshare_index] = value + 1
-            value = bimodal_values[pc_index]
-            if value < self.bimodal_table.max_value:
-                bimodal_values[pc_index] = value + 1
-        else:
-            value = gshare_values[gshare_index]
-            if value > 0:
-                gshare_values[gshare_index] = value - 1
-            value = bimodal_values[pc_index]
-            if value > 0:
-                bimodal_values[pc_index] = value - 1
-        history = self.history
-        if self.speculative_history:
-            if taken != predicted:
-                history.value = (
-                    (snapshot << 1) | (1 if taken else 0)
-                ) & history.mask
-        else:
-            history.value = (
-                (history.value << 1) | (1 if taken else 0)
-            ) & history.mask
-
-    def compact_token(self, prediction: Prediction):
-        gshare_counter, bimodal_counter, __ = prediction.counters
-        return (
-            prediction.taken,
-            prediction.index,
-            gshare_counter >= self.gshare_table.midpoint,
-            bimodal_counter >= self.bimodal_table.midpoint,
-            prediction.snapshot,
-        )
-
     def reset(self) -> None:
         size = self.gshare_table.size
         bits = self.gshare_table.bits

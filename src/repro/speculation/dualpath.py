@@ -114,22 +114,25 @@ class EagerComparison:
     wasted_slots: int
 
     @property
-    def speedup(self) -> float:
-        """Cycle-count improvement of eager execution (positive = wins)."""
+    def speedup(self) -> Optional[float]:
+        """Cycle-count improvement of eager execution (positive = wins).
+
+        This and the other ratios are ``None``, not a made-up 0.0, when
+        their denominator is empty."""
         if not self.eager.stats.cycles:
-            return 0.0
+            return None
         return self.baseline.stats.cycles / self.eager.stats.cycles - 1.0
 
     @property
-    def fork_precision(self) -> float:
+    def fork_precision(self) -> Optional[float]:
         """Fraction of forks that covered a misprediction (the PVN)."""
-        return self.covered_mispredictions / self.forks if self.forks else 0.0
+        return self.covered_mispredictions / self.forks if self.forks else None
 
     @property
-    def coverage(self) -> float:
+    def coverage(self) -> Optional[float]:
         """Covered fraction of the eager run's mispredictions (~SPEC)."""
         total = self.eager.stats.committed_mispredictions
-        return self.covered_mispredictions / total if total else 0.0
+        return self.covered_mispredictions / total if total else None
 
 
 def compare_eager_execution(

@@ -17,7 +17,7 @@ example compare estimators on identical branch streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ..pipeline.config import PipelineConfig
 from ..pipeline.records import BranchRecord
@@ -53,15 +53,17 @@ class EagerOutcome:
         return self.cycles_saved - self.cycles_spent
 
     @property
-    def fork_precision(self) -> float:
-        """Fraction of forks that covered a misprediction (the PVN!)."""
-        return self.covered_mispredictions / self.forks if self.forks else 0.0
+    def fork_precision(self) -> Optional[float]:
+        """Fraction of forks that covered a misprediction (the PVN!);
+        ``None`` without forks."""
+        return self.covered_mispredictions / self.forks if self.forks else None
 
     @property
-    def coverage(self) -> float:
-        """Fraction of mispredictions covered (the SPEC!)."""
+    def coverage(self) -> Optional[float]:
+        """Fraction of mispredictions covered (the SPEC!); ``None``
+        without mispredictions."""
         total = self.covered_mispredictions + self.uncovered_mispredictions
-        return self.covered_mispredictions / total if total else 0.0
+        return self.covered_mispredictions / total if total else None
 
 
 def evaluate_eager_execution(

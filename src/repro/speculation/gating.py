@@ -115,34 +115,37 @@ class GatingComparison:
     gated_cycles: int
 
     @property
-    def baseline_extra_work(self) -> float:
-        """Squashed (wasted) fraction of fetched instructions, ungated."""
+    def baseline_extra_work(self) -> Optional[float]:
+        """Squashed (wasted) fraction of fetched instructions, ungated.
+
+        This and the other ratios are ``None``, not a made-up 0.0, when
+        their denominator is empty."""
         stats = self.baseline.stats
         if not stats.fetched_instructions:
-            return 0.0
+            return None
         return stats.squashed_instructions / stats.fetched_instructions
 
     @property
-    def gated_extra_work(self) -> float:
+    def gated_extra_work(self) -> Optional[float]:
         stats = self.gated.stats
         if not stats.fetched_instructions:
-            return 0.0
+            return None
         return stats.squashed_instructions / stats.fetched_instructions
 
     @property
-    def extra_work_reduction(self) -> float:
+    def extra_work_reduction(self) -> Optional[float]:
         """Relative cut in squashed instructions (the power win)."""
         base = self.baseline.stats.squashed_instructions
         if not base:
-            return 0.0
+            return None
         return 1.0 - self.gated.stats.squashed_instructions / base
 
     @property
-    def slowdown(self) -> float:
+    def slowdown(self) -> Optional[float]:
         """Relative increase in cycles to complete the same work."""
         base = self.baseline.stats.cycles
         if not base:
-            return 0.0
+            return None
         return self.gated.stats.cycles / base - 1.0
 
 

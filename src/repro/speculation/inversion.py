@@ -21,8 +21,9 @@ be measured rather than asserted:
   speculation battery's mix) takes an inlined pass: gshare runs once
   with its table and history in locals, then one inlined loop per
   estimator reads the recorded per-branch columns.  Any other mix runs
-  the ordinary predict/estimate/resolve loop.  Both leave every object
-  in the state the protocol loop would.
+  the trace engine's :func:`~repro.engine.measure.measure` and reads
+  each ledger off its quadrants.  Both leave every object in the state
+  the predict/estimate/resolve loop would.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from ..confidence.base import ConfidenceEstimator
 from ..confidence.inlined import inlined_parts
 from ..confidence.jrs import JRSEstimator
+from ..engine.measure import measure
 from ..predictors.base import BranchPredictor, Prediction
 from ..predictors.gshare import GsharePredictor
 from ..workloads.trace import BranchTrace
@@ -162,49 +164,19 @@ def _protocol_pass(
     predictor: BranchPredictor,
     estimators: Mapping[str, ConfidenceEstimator],
 ) -> Dict[str, InversionResult]:
-    """The reference pass: predict, estimate with each estimator,
-    resolve the predictor, then resolve each estimator, per branch."""
-    attached = list(estimators.values())
-    flips = [0] * len(attached)
-    hurt = [0] * len(attached)
-    branches = 0
-    base_correct = 0
-    predict = predictor.predict
-    resolve = predictor.resolve
-    for pc, taken in trace:
-        prediction = predict(pc)
-        assessments = [estimator.estimate(pc, prediction) for estimator in attached]
-        correct = prediction.taken == taken
-        branches += 1
-        if correct:
-            base_correct += 1
-        for slot, assessment in enumerate(assessments):
-            if not assessment.high_confidence:
-                flips[slot] += 1
-                if correct:
-                    hurt[slot] += 1
-        resolve(pc, taken, prediction)
-        for estimator, assessment in zip(attached, assessments):
-            estimator.resolve(pc, prediction, taken, assessment)
-    return _results(estimators, branches, base_correct, zip(flips, hurt))
-
-
-def _results(
-    names: Iterable[str],
-    branches: int,
-    base_correct: int,
-    tallies: Iterable[Tuple[int, int]],
-) -> Dict[str, InversionResult]:
-    """One ledger per name from its ``(flips, flips_hurt)`` tally."""
+    """The reference pass: the trace engine's :func:`measure`, each
+    ledger read off its estimator's quadrants (an LC branch is a flip;
+    it hurts when the prediction was correct)."""
+    result = measure(trace, predictor, estimators)
     return {
         name: InversionResult(
-            branches=branches,
-            base_correct=base_correct,
-            flips=flips,
-            flips_helped=flips - hurt,
-            flips_hurt=hurt,
+            branches=result.branches,
+            base_correct=result.branches - result.mispredictions,
+            flips=int(quadrant.c_lc + quadrant.i_lc),
+            flips_helped=int(quadrant.i_lc),
+            flips_hurt=int(quadrant.c_lc),
         )
-        for name, (flips, hurt) in zip(names, tallies)
+        for name, quadrant in result.quadrants.items()
     }
 
 
@@ -249,15 +221,18 @@ def _inlined_pass(
         trace = BranchTrace.from_records(trace)
     pcs = trace.pcs
     pushed, correct = _gshare_columns(pcs, trace.outcomes, predictor)
-    return _results(
-        estimators,
-        len(correct),
-        correct.count(1),
-        [
-            _inlined_flips(estimator, pcs, pushed, correct)
-            for estimator in estimators.values()
-        ],
-    )
+    base_correct = correct.count(1)
+    results = {}
+    for name, estimator in estimators.items():
+        flips, hurt = _inlined_flips(estimator, pcs, pushed, correct)
+        results[name] = InversionResult(
+            branches=len(correct),
+            base_correct=base_correct,
+            flips=flips,
+            flips_helped=flips - hurt,
+            flips_hurt=hurt,
+        )
+    return results
 
 
 def _gshare_columns(

@@ -3,8 +3,8 @@
 Three groups of guarantees:
 
 * **byte identity** -- the fused engine (pre-decoded programs, fused
-  cycle loop, compact predictor protocol, inlined gshare and estimator,
-  columnar records) must leave *exactly* the state the reference
+  cycle loop, inlined gshare, McFarling and estimator, columnar
+  records) must leave *exactly* the state the reference
   per-instruction engine leaves: stats, every branch-record field,
   architectural machine state, cache hit/miss counters, estimator
   quadrants and state -- for every simulator class and estimator, and
@@ -14,8 +14,7 @@ Three groups of guarantees:
   a fetch group);
 * **supporting structures** -- the columnar
   :class:`~repro.pipeline.records.BranchRecordStore`, the
-  ``*_or_none`` stats accessors, the compact predictor protocol and the
-  pre-decoded program artifact.
+  ``*_or_none`` stats accessors and the pre-decoded program artifact.
 """
 
 import dataclasses
@@ -32,6 +31,7 @@ from repro.confidence import (
     SaturatingCountersEstimator,
 )
 from repro.engine import workload_program
+from repro.harness.shard import build_cell_simulator
 from repro.harness.speculation import SPECULATION_ESTIMATORS, SPECULATION_PREDICTOR
 from repro.pipeline import (
     BranchRecordStore,
@@ -92,6 +92,16 @@ ESTIMATORS = {
     "satcnt": lambda: SaturatingCountersEstimator(counter_bits=2),
 }
 
+#: Predictor factories: the two the fused loop inlines, and three it
+#: drives through ``predict``/``resolve``.
+PREDICTORS = {
+    "gshare": GsharePredictor,
+    "mcfarling": McFarlingPredictor,
+    "sag": lambda: make_predictor("sag"),
+    "gshare-nonspec": lambda: GsharePredictor(speculative_history=False),
+    "mcfarling-nonspec": lambda: McFarlingPredictor(speculative_history=False),
+}
+
 #: Every simulator class, with the keywords that switch its gate or fork
 #: on; those two need the estimator they name.
 SIMULATORS = {
@@ -121,13 +131,13 @@ SIMULATOR_KINDS = {
 }
 
 
-def build_simulator(kind, program, config, fast):
+def build_simulator(kind, program, config, fast, predictor="gshare"):
     simulator, estimator = SIMULATOR_KINDS[kind]
     simulator_class, kwargs = SIMULATORS[simulator]
     estimators = {"est": ESTIMATORS[estimator]()} if estimator else {}
     return simulator_class(
         program,
-        GsharePredictor(),
+        PREDICTORS[predictor](),
         config=config,
         estimators=estimators,
         fast=fast,
@@ -280,8 +290,8 @@ class TestFastSlowIdentity:
 
     def test_early_stop_then_step_cycle_continues_identically(self):
         # an early-stopped fused run leaves normal _Inflight entries
-        # (compact prediction tokens included) that the reference
-        # engine can drain to the same final state
+        # (Prediction records included) that the reference engine can
+        # drain to the same final state
         program = small_program()
         fast_sim = PipelineSimulator(program, GsharePredictor(), fast=True)
         fast_sim.run(max_instructions=900)
@@ -320,18 +330,19 @@ class TestFastSlowIdentity:
             result = mixed.run(max_instructions=budget)
             assert full_digest(mixed, result) == expected, kind
 
-    @pytest.mark.parametrize("predictor_name", ("gshare", "mcfarling"))
+    @pytest.mark.parametrize("predictor_name", list(PREDICTORS))
     def test_run_after_step_cycle_matches_reference(self, predictor_name):
-        # step_cycle() fetches full Prediction records, while a fused
-        # run without estimators resolves compact tokens: run() after
-        # step_cycle(), and run() -> step_cycle() -> run(), must both
-        # end where the reference engine ends
+        # step_cycle() fetches Prediction records, which a fused run
+        # turns into its private tokens for an inlined predictor and
+        # back at a stop: run() after step_cycle(), and run() ->
+        # step_cycle() -> run(), must both end where the reference
+        # engine ends
         program = workload_program("compress", 10)
         budget = 3_000
 
         def build(fast):
             return PipelineSimulator(
-                program, make_predictor(predictor_name), fast=fast
+                program, PREDICTORS[predictor_name](), fast=fast
             )
 
         reference = build(False)
@@ -398,19 +409,34 @@ class TestInlinedEstimator:
             digests.append(full_digest(simulator, result))
         assert digests[0] == digests[1]
 
-    @pytest.mark.parametrize("estimator", list(ESTIMATORS))
-    def test_stops_leave_the_reference_in_flight_branches(self, estimator):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            *ESTIMATORS,
+            *(
+                f"{backend}/{predictor}"
+                for backend in ("inorder", "ooo")
+                for predictor in PREDICTORS
+            ),
+        ],
+    )
+    def test_stops_leave_the_reference_in_flight_branches(self, case):
         # at every soft stop each branch in flight carries exactly the
-        # Prediction GsharePredictor.predict returned and the assessment
+        # Prediction the predictor's predict returned and the assessment
         # estimate returned, as under the reference engine -- also
         # after the fused loop resumed from the converted entries (a
         # stop every few instructions keeps branches in flight across
-        # several stops)
+        # several stops).  A case is an estimator on the gated and
+        # eager simulators over gshare, or a bare backend/predictor.
         program = small_program()
-        for simulator in ("gated", "eager"):
-            kind = f"{simulator}/{estimator}"
+        if case in ESTIMATORS:
+            runs = [(f"{simulator}/{case}", "gshare") for simulator in ("gated", "eager")]
+        else:
+            runs = [tuple(case.split("/"))]
+        for kind, predictor in runs:
             sides = [
-                build_simulator(kind, program, None, fast) for fast in (False, True)
+                build_simulator(kind, program, None, fast, predictor)
+                for fast in (False, True)
             ]
             in_flight = 0
             for stop in range(4, 2_000, 4):
@@ -441,11 +467,17 @@ class TestInlinedEstimator:
 
     def test_battery_runs_make_no_protocol_calls(self, monkeypatch):
         # the identity tests pass on the protocol path too: only with
-        # the protocol calls raising does a silent fallback show
+        # the protocol calls raising does a silent fallback show.  The
+        # runs: every gated and eager cell's gshare and estimator, and
+        # the estimator-free McFarling runs of figures 7 and 9
         program = small_program()
 
         def runs():
             digests = []
+            for backend in ("inorder", "ooo"):
+                simulator = build_cell_simulator("compress", "mcfarling", 40, backend)
+                result = simulator.run(max_instructions=6_000)
+                digests.append(full_digest(simulator, result))
             for name, factory in SPECULATION_ESTIMATORS.items():
                 for simulator_class, kwargs in (
                     (GatedPipelineSimulator, {"gate_on": name}),
@@ -471,8 +503,9 @@ class TestInlinedEstimator:
         for cls in (JRSEstimator, MispredictionDistanceEstimator, BoostedEstimator):
             monkeypatch.setattr(cls, "estimate", refuse)
             monkeypatch.setattr(cls, "resolve", refuse)
-        for method in ("predict", "resolve", "predict_compact", "resolve_compact"):
-            monkeypatch.setattr(GsharePredictor, method, refuse)
+        for cls in (GsharePredictor, McFarlingPredictor):
+            monkeypatch.setattr(cls, "predict", refuse)
+            monkeypatch.setattr(cls, "resolve", refuse)
         assert runs() == expected
 
 
@@ -618,39 +651,6 @@ class TestStatsOrNone:
             stats.committed_accuracy
         )
         assert stats.ipc_or_none() == pytest.approx(stats.ipc)
-
-
-class TestCompactPredictorProtocol:
-    @pytest.mark.parametrize("cls", (GsharePredictor, McFarlingPredictor))
-    def test_compact_resolution_matches_full(self, cls):
-        # drive both protocols with the same outcome stream, resolving
-        # a few predictions behind fetch the way the pipeline does;
-        # tables and history must stay bit-identical
-        full, compact = cls(table_size=64), cls(table_size=64)
-        pending = []
-        seed = 0xACE1
-        for step in range(600):
-            seed = (seed * 1103515245 + 12345) & 0x7FFFFFFF
-            pc = (seed >> 5) % 19
-            taken = bool(seed & 0x4000)
-            prediction = full.predict(pc)
-            fast_taken, token = compact.predict_compact(pc)
-            assert fast_taken == prediction.taken
-            pending.append((pc, taken, prediction, token))
-            if len(pending) >= 3:  # resolve_stage-deep backlog
-                pc, taken, prediction, token = pending.pop(0)
-                full.resolve(pc, taken, prediction)
-                compact.resolve_compact(pc, taken, token)
-        for pc, taken, prediction, token in pending:
-            full.resolve(pc, taken, prediction)
-            compact.resolve_compact(pc, taken, token)
-        assert full.history.value == compact.history.value
-        if cls is GsharePredictor:
-            assert full.table.values == compact.table.values
-        else:
-            assert full.gshare_table.values == compact.gshare_table.values
-            assert full.bimodal_table.values == compact.bimodal_table.values
-            assert full.meta_table.values == compact.meta_table.values
 
 
 class TestDecodedProgram:

@@ -88,6 +88,21 @@ class TestGating:
                 baseline=baseline,
             )
 
+    def test_empty_run_has_no_ratios(self):
+        # no budget, no cycles, nothing fetched or squashed: every ratio
+        # is undefined, not a made-up 0.0
+        comparison = compare_gating(
+            program("go", iterations=40),
+            GsharePredictor,
+            jrs_factory,
+            max_instructions=0,
+        )
+        assert comparison.baseline.stats.cycles == 0
+        assert comparison.baseline_extra_work is None
+        assert comparison.gated_extra_work is None
+        assert comparison.extra_work_reduction is None
+        assert comparison.slowdown is None
+
     def test_gate_must_name_an_estimator(self):
         prog = program(iterations=5)
         predictor = GsharePredictor()
@@ -252,6 +267,12 @@ class TestEagerExecution:
     def test_dilution_validation(self):
         with pytest.raises(ValueError):
             evaluate_eager_execution([], "jrs", dilution=2.0)
+
+    def test_no_records_have_no_ratios(self):
+        outcome = evaluate_eager_execution([], "jrs")
+        assert outcome.forks == outcome.net_cycles == 0
+        assert outcome.fork_precision is None
+        assert outcome.coverage is None
 
 
 class TestAdaptivePolicy:

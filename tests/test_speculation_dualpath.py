@@ -149,6 +149,20 @@ class TestMechanism:
         assert 0.0 <= comparison.coverage <= 1.0
         assert comparison.covered_mispredictions <= comparison.forks
 
+    def test_empty_run_has_no_ratios(self):
+        # no budget, no cycles, no forks, no mispredictions: every
+        # ratio is undefined, not a made-up 0.0
+        comparison = compare_eager_execution(
+            program("go", iterations=40),
+            GsharePredictor,
+            jrs_factory,
+            max_instructions=0,
+        )
+        assert comparison.eager.stats.cycles == 0
+        assert comparison.speedup is None
+        assert comparison.fork_precision is None
+        assert comparison.coverage is None
+
 
 class TestValidation:
     def test_fork_on_must_name_estimator(self):
