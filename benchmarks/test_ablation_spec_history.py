@@ -25,7 +25,7 @@ def run_variant(speculative: bool):
         result = PipelineSimulator(program, predictor).run(
             max_instructions=BENCH_SCALE.pipeline_instructions
         )
-        accuracies[name] = result.stats.committed_accuracy
+        accuracies[name] = result.stats.committed_accuracy_or_none()
     return accuracies
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,7 +102,7 @@ def record_pipeline_simulation(branches: int, seconds: float) -> None:
 Observer = Callable[[int, bool, bool, Dict[str, bool]], None]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasurementResult:
     """Quadrant tables and predictor statistics for one measured run."""
 
@@ -110,27 +110,25 @@ class MeasurementResult:
     branches: int
     mispredictions: int
     quadrants: Dict[str, QuadrantCounts] = field(default_factory=dict)
-    #: Wall time the measurement loop took, for throughput reporting.
-    elapsed_s: float = 0.0
 
     @property
-    def accuracy(self) -> float:
-        return (
-            (self.branches - self.mispredictions) / self.branches
-            if self.branches
-            else 0.0
-        )
+    def accuracy(self) -> Optional[float]:
+        """Prediction accuracy, or ``None`` for an empty branch stream."""
+        correct = self.branches - self.mispredictions
+        return correct / self.branches if self.branches else None
 
     @property
-    def misprediction_rate(self) -> float:
-        return self.mispredictions / self.branches if self.branches else 0.0
-
-    @property
-    def branches_per_second(self) -> float:
-        return self.branches / self.elapsed_s if self.elapsed_s > 0 else 0.0
+    def misprediction_rate(self) -> Optional[float]:
+        return self.mispredictions / self.branches if self.branches else None
 
     def quadrant(self, estimator_name: str) -> QuadrantCounts:
-        return self.quadrants[estimator_name]
+        try:
+            return self.quadrants[estimator_name]
+        except KeyError:
+            raise KeyError(
+                f"estimator {estimator_name!r} was not measured in this run"
+                f" (has: {', '.join(self.quadrants) or 'none'})"
+            ) from None
 
 
 def measure(
@@ -174,14 +172,12 @@ def measure(
             estimator.resolve(pc, prediction, taken, assessment)
             quadrants[name].record(correct, assessment.high_confidence)
 
-    elapsed = time.perf_counter() - started
-    record_simulation(branches=branches, seconds=elapsed)
+    record_simulation(branches=branches, seconds=time.perf_counter() - started)
     return MeasurementResult(
         predictor_name=predictor.name,
         branches=branches,
         mispredictions=mispredictions,
         quadrants=quadrants,
-        elapsed_s=elapsed,
     )
 
 
@@ -246,8 +242,7 @@ def measure_bank_vectorized(
             c_lc=float(np.count_nonzero(correct & ~high)),
             i_lc=float(np.count_nonzero(~correct & ~high)),
         )
-    elapsed = time.perf_counter() - started
-    record_simulation(branches=branch_count, seconds=elapsed)
+    record_simulation(branches=branch_count, seconds=time.perf_counter() - started)
     REGISTRY.count(VECTOR_BRANCHES_METRIC, vector_branches)
     if fallback_branches:
         REGISTRY.count(SCALAR_FALLBACK_METRIC, fallback_branches)
@@ -259,7 +254,6 @@ def measure_bank_vectorized(
         branches=branch_count,
         mispredictions=columns.mispredictions,
         quadrants=quadrants,
-        elapsed_s=elapsed,
     )
 
 

@@ -8,7 +8,6 @@ from .experiments import (
     SCALES,
     SMOKE,
     ExperimentResult,
-    MeasurementCell,
     Scale,
     clear_memoised,
     measurement_cell,
@@ -51,7 +50,6 @@ __all__ = [
     "SPECS",
     "ArtifactDep",
     "ExperimentSpec",
-    "MeasurementCell",
     "measurement_cell",
     "measurement_plan",
     "spec_fingerprint",

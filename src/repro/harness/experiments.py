@@ -52,6 +52,7 @@ from ..confidence import (
     profile_confident_sites,
 )
 from ..engine import (
+    MeasurementResult,
     columnar_run,
     confident_sites_vector,
     get_cache,
@@ -289,33 +290,6 @@ def _pipeline_result(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeasurementCell:
-    """One estimator-bank measurement of a (predictor, workload) pair.
-
-    ``quadrants`` is keyed by family name; ``accuracy`` is the
-    predictor's committed-branch accuracy from the same pass.  Cells
-    are the cacheable unit the ``measurement`` artifacts map to.
-    """
-
-    predictor: str
-    workload: str
-    families: Tuple[str, ...]
-    quadrants: Dict[str, QuadrantCounts]
-    accuracy: float
-    branches: int
-    mispredictions: int
-
-    def quadrant(self, family: str) -> QuadrantCounts:
-        try:
-            return self.quadrants[family]
-        except KeyError:
-            raise KeyError(
-                f"family {family!r} was not measured in this cell"
-                f" (has: {', '.join(self.families)})"
-            ) from None
-
-
 def _family_estimator(
     family: str,
     predictor_name: str,
@@ -377,8 +351,7 @@ def _compute_measurement_cell(
     workload: str,
     iterations: Optional[int],
     families: Tuple[str, ...],
-) -> MeasurementCell:
-    trace = _bank_trace(workload, iterations)
+) -> MeasurementResult:
     predictor = make_predictor(predictor_name)
     estimators = {
         family: _family_estimator(
@@ -387,18 +360,17 @@ def _compute_measurement_cell(
         for family in BANK_FAMILIES
         if family in families and family != "accuracy"
     }
-    result = measure_bank(
-        trace, predictor, estimators, subsumes=_bank_subsumes(families)
+    return measure_bank(
+        _bank_trace(workload, iterations),
+        predictor,
+        estimators,
+        subsumes=_bank_subsumes(families),
     )
-    return MeasurementCell(
-        predictor=predictor_name,
-        workload=workload,
-        families=families,
-        quadrants=result.quadrants,
-        accuracy=result.accuracy,
-        branches=result.branches,
-        mispredictions=result.mispredictions,
-    )
+
+
+#: Layout of the cached :class:`MeasurementResult`, a key part of every
+#: ``measurement`` artifact: an entry of another layout is a plain miss.
+MEASUREMENT_SCHEMA = "measurement-result/2"
 
 
 @lru_cache(maxsize=512)
@@ -407,8 +379,10 @@ def measurement_cell(
     workload: str,
     iterations: Optional[int],
     families: Tuple[str, ...],
-) -> MeasurementCell:
-    """The estimator-bank measurement of one (predictor, workload) pair.
+) -> MeasurementResult:
+    """The estimator-bank measurement of one (predictor, workload) pair:
+    one quadrant table per family except ``accuracy``, the
+    estimator-free family (the result's ``accuracy`` serves it).
 
     This is the unit the ``measurement`` artifacts map to and the
     parallel warm waves fan out over; memoised in process and persisted
@@ -425,6 +399,7 @@ def measurement_cell(
         iterations=iterations,
         families=list(families),
         profile=profile_fingerprint(workload),
+        schema=MEASUREMENT_SCHEMA,
     )
 
 
@@ -465,7 +440,7 @@ def _measurement(
     workload: str,
     iterations: Optional[int],
     need: Sequence[str],
-) -> MeasurementCell:
+) -> MeasurementResult:
     return measurement_cell(
         predictor_name, workload, iterations, bank_families(predictor_name, need)
     )
@@ -473,7 +448,7 @@ def _measurement(
 
 def table2_workload(
     predictor_name: str, workload: str, iterations: Optional[int]
-) -> Tuple[Dict[str, QuadrantCounts], float]:
+) -> Tuple[Dict[str, QuadrantCounts], Optional[float]]:
     """Standard-estimator quadrants + accuracy for one (predictor,
     workload) cell, served from the estimator bank."""
     cell = _measurement(predictor_name, workload, iterations, STANDARD_FAMILIES)
@@ -486,7 +461,7 @@ def _table2_measurements(
 ):
     """Per-workload quadrant tables for the four standard estimators."""
     per_workload: Dict[str, Dict[str, QuadrantCounts]] = {}
-    accuracies: Dict[str, float] = {}
+    accuracies: Dict[str, Optional[float]] = {}
     for workload in workloads:
         quadrants, accuracy = table2_workload(predictor_name, workload, iterations)
         per_workload[workload] = quadrants
@@ -632,8 +607,9 @@ def experiment_table2(scale: Scale = FULL) -> ExperimentResult:
                     paper_values.format_reference(reference) if reference else "--",
                 ]
             )
-        mean_accuracy = sum(accuracies.values()) / len(accuracies)
-        table.add_note(f"suite mean prediction accuracy: {mean_accuracy:.1%}")
+        defined = [value for value in accuracies.values() if value is not None]
+        mean_accuracy = sum(defined) / len(defined) if defined else None
+        table.add_note(f"suite mean prediction accuracy: {pct1(mean_accuracy)}")
         result.tables.append(table)
     result.data["averages"] = averages
     return result

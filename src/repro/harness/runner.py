@@ -351,14 +351,14 @@ def render_speculation_control(
                 "slowdown",
             ],
         )
-        for cell in gating.data["cells"]:
+        for (workload, estimator, threshold), cell in gating.data["cells"].items():
             table.add_row(
                 [
-                    cell.workload,
-                    cell.estimator,
-                    cell.threshold,
+                    workload,
+                    estimator,
+                    threshold,
                     cell.wrong_path_saved,
-                    pct1(cell.squash_reduction),
+                    pct1(cell.extra_work_reduction),
                     spct1(cell.ipc_delta),
                     spct1(cell.slowdown),
                 ]
@@ -370,11 +370,11 @@ def render_speculation_control(
             title="Speculation control summary: dual-path forks per workload",
             headers=["workload", "estimator", "forks", "covered", "speedup"],
         )
-        for cell in eager.data["cells"]:
+        for (workload, estimator), cell in eager.data["cells"].items():
             table.add_row(
                 [
-                    cell.workload,
-                    cell.estimator,
+                    workload,
+                    estimator,
                     cell.forks,
                     cell.covered_mispredictions,
                     spct1(cell.speedup),

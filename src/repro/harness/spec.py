@@ -50,6 +50,12 @@ DEP_KINDS = (
     "inversion",
 )
 
+#: Layout of the result a speculation cell caches (the library's
+#: comparison or inversion ledger), a key part of the cell and of its
+#: experiment's checkpoint: an entry of another layout reads as a
+#: plain miss, never as a corrupt one.
+CELL_SCHEMA = "speculation-result/2"
+
 
 @dataclass(frozen=True)
 class ArtifactDep:
@@ -80,14 +86,20 @@ class ArtifactDep:
             )
 
     def key_parts(self) -> Tuple:
-        """Stable, JSON-representable identity (checkpoint fingerprints)."""
-        return (
+        """Stable, JSON-representable identity (checkpoint fingerprints).
+
+        A speculation cell's parts end with :data:`CELL_SCHEMA`: its
+        experiment's checkpoint holds the cached results themselves."""
+        parts = (
             self.kind,
             self.predictor,
             list(self.families),
             self.estimator,
             self.threshold,
         )
+        if self.kind in ("gating", "eager", "inversion"):
+            return parts + (CELL_SCHEMA,)
+        return parts
 
 
 @dataclass(frozen=True)

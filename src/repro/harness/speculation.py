@@ -19,10 +19,15 @@ speculation-control results on the cycle-level pipeline:
   reaches across the suite.
 
 Each (workload, estimator, threshold) cell is memoised in process and
-persisted in the artifact cache as a compact picklable dataclass, so
+persisted in the artifact cache as the library returns it -- a
+:class:`~repro.speculation.GatingComparison`,
+:class:`~repro.speculation.EagerComparison` or
+:class:`~repro.speculation.InversionResult`, counts only -- so
 the parallel scheduler's warm waves (:mod:`repro.harness.parallel`)
 fan the pipeline simulations out exactly like the figure experiments,
-and warm reruns are cache reads.  Two per-workload results are
+and warm reruns are cache reads.  Each experiment keys its cells by
+``(workload, estimator[, threshold])`` in ``data["cells"]`` and builds
+its journal rows from them.  Two per-workload results are
 memoised in process only: the ungated baseline the gating and eager
 cells compare against (one run per workload and backend), and the
 inversion pass (one :func:`evaluate_inversion` call per workload over
@@ -38,7 +43,6 @@ deltas; ``run_all`` summarises each speculation experiment as a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -57,7 +61,8 @@ from ..pipeline import (
 )
 from ..predictors import make_predictor
 from ..speculation import (
-    InversionLedger,
+    EagerComparison,
+    GatingComparison,
     InversionResult,
     compare_eager_execution,
     compare_gating,
@@ -65,7 +70,7 @@ from ..speculation import (
 )
 from .experiments import FULL, ExperimentResult, Scale
 from .shard import build_cell_simulator
-from .spec import SPECS, ArtifactDep, ExperimentSpec
+from .spec import CELL_SCHEMA, SPECS, ArtifactDep, ExperimentSpec
 from .tables import TextTable, pct1, spct1
 
 #: Estimator configurations the speculation battery sweeps.  The
@@ -103,138 +108,6 @@ def _predictor_factory():
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GatingCell:
-    """Gated vs. ungated pipeline run of one workload/estimator/threshold."""
-
-    workload: str
-    estimator: str
-    threshold: int
-    baseline_cycles: int
-    baseline_committed: int
-    baseline_squashed: int
-    gated_cycles: int
-    gated_committed: int
-    gated_squashed: int
-    gated_mispredictions: int
-    fetch_gated_cycles: int
-    recovery_cycles: int
-
-    @property
-    def baseline_ipc_or_none(self) -> Optional[float]:
-        """Committed IPC of the ungated run, or ``None`` before any
-        cycle has elapsed -- never a fabricated 0.0."""
-        if not self.baseline_cycles:
-            return None
-        return self.baseline_committed / self.baseline_cycles
-
-    @property
-    def gated_ipc_or_none(self) -> Optional[float]:
-        if not self.gated_cycles:
-            return None
-        return self.gated_committed / self.gated_cycles
-
-    @property
-    def wrong_path_saved(self) -> int:
-        """Squashed (wrong-path) instructions the gate avoided."""
-        return self.baseline_squashed - self.gated_squashed
-
-    @property
-    def squash_reduction(self) -> Optional[float]:
-        if not self.baseline_squashed:
-            return None
-        return self.wrong_path_saved / self.baseline_squashed
-
-    @property
-    def ipc_delta(self) -> Optional[float]:
-        """Relative IPC change, gated vs. ungated (negative = lost).
-
-        Routed through the ``*_or_none`` accessors: a wide-commit
-        backend that finishes the budget in few cycles must never
-        divide by a stale or zero denominator, so any degenerate run
-        renders as n/a instead of a fabricated ratio."""
-        base = self.baseline_ipc_or_none
-        gated = self.gated_ipc_or_none
-        if base is None or gated is None or not base:
-            return None
-        return gated / base - 1.0
-
-    @property
-    def slowdown(self) -> Optional[float]:
-        if not self.baseline_cycles:
-            return None
-        return self.gated_cycles / self.baseline_cycles - 1.0
-
-    def journal_row(self) -> Dict:
-        return {
-            "workload": self.workload,
-            "estimator": self.estimator,
-            "threshold": self.threshold,
-            "wrong_path_saved": self.wrong_path_saved,
-            "squash_reduction": self.squash_reduction,
-            "ipc_delta": self.ipc_delta,
-            "slowdown": self.slowdown,
-            "gated_cycles": self.fetch_gated_cycles,
-        }
-
-
-@dataclass(frozen=True)
-class EagerCell:
-    """Single-path vs. dual-path run of one workload/estimator."""
-
-    workload: str
-    estimator: str
-    baseline_cycles: int
-    baseline_committed: int
-    eager_cycles: int
-    eager_committed: int
-    forks: int
-    covered_mispredictions: int
-    wasted_slots: int
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if not self.eager_cycles:
-            return None
-        return self.baseline_cycles / self.eager_cycles - 1.0
-
-    @property
-    def fork_precision(self) -> Optional[float]:
-        return self.covered_mispredictions / self.forks if self.forks else None
-
-    def journal_row(self) -> Dict:
-        return {
-            "workload": self.workload,
-            "estimator": self.estimator,
-            "forks": self.forks,
-            "covered": self.covered_mispredictions,
-            "wasted_slots": self.wasted_slots,
-            "speedup": self.speedup,
-        }
-
-
-@dataclass(frozen=True)
-class InversionCell(InversionLedger):
-    """Trace-level ledger of inverting low-confidence predictions."""
-
-    workload: str
-    estimator: str
-    branches: int
-    base_correct: int
-    flips: int
-    flips_helped: int
-    flips_hurt: int
-
-    def journal_row(self) -> Dict:
-        return {
-            "workload": self.workload,
-            "estimator": self.estimator,
-            "flips": self.flips,
-            "accuracy_delta": self.accuracy_delta,
-            "flip_pvn": self.flip_pvn,
-        }
-
-
 def _estimator_factory(name: str) -> Callable:
     try:
         return SPECULATION_ESTIMATORS[name]
@@ -267,7 +140,7 @@ def _compute_gating_cell(
     iterations: Optional[int],
     max_instructions: int,
     backend: str = "inorder",
-) -> GatingCell:
+) -> GatingComparison:
     config = PipelineConfig()
     comparison = compare_gating(
         workload_program(workload, iterations),
@@ -280,27 +153,16 @@ def _compute_gating_cell(
         backend=backend,
         baseline=_ungated_baseline(workload, iterations, max_instructions, backend),
     )
-    baseline, gated = comparison.baseline.stats, comparison.gated.stats
-    cell = GatingCell(
-        workload=workload,
-        estimator=estimator_name,
-        threshold=threshold,
-        baseline_cycles=baseline.cycles,
-        baseline_committed=baseline.committed_instructions,
-        baseline_squashed=baseline.squashed_instructions,
-        gated_cycles=gated.cycles,
-        gated_committed=gated.committed_instructions,
-        gated_squashed=gated.squashed_instructions,
-        gated_mispredictions=gated.committed_mispredictions,
-        fetch_gated_cycles=comparison.gated_cycles,
-        recovery_cycles=gated.committed_mispredictions
-        * (1 + config.mispredict_penalty),
+    REGISTRY.count("speculation.gated_cycles", comparison.gated_cycles)
+    REGISTRY.count(
+        "speculation.wrong_path_instructions", comparison.baseline_squashed
     )
-    REGISTRY.count("speculation.gated_cycles", cell.fetch_gated_cycles)
-    REGISTRY.count("speculation.wrong_path_instructions", cell.baseline_squashed)
-    REGISTRY.count("speculation.wrong_path_saved", cell.wrong_path_saved)
-    REGISTRY.count("speculation.recovery_cycles", cell.recovery_cycles)
-    return cell
+    REGISTRY.count("speculation.wrong_path_saved", comparison.wrong_path_saved)
+    REGISTRY.count(
+        "speculation.recovery_cycles",
+        comparison.gated_mispredictions * (1 + config.mispredict_penalty),
+    )
+    return comparison
 
 
 @lru_cache(maxsize=512)
@@ -311,7 +173,7 @@ def gating_cell(
     iterations: Optional[int],
     max_instructions: int,
     backend: str = "inorder",
-) -> GatingCell:
+) -> GatingComparison:
     backend = normalize_backend(backend)
     return get_cache().cached(
         "spec-gating",
@@ -332,6 +194,7 @@ def gating_cell(
         profile=profile_fingerprint(workload),
         config=repr(PipelineConfig()),
         backend=backend,
+        schema=CELL_SCHEMA,
     )
 
 
@@ -341,7 +204,7 @@ def _compute_eager_cell(
     iterations: Optional[int],
     max_instructions: int,
     backend: str = "inorder",
-) -> EagerCell:
+) -> EagerComparison:
     comparison = compare_eager_execution(
         workload_program(workload, iterations),
         _predictor_factory,
@@ -352,21 +215,10 @@ def _compute_eager_cell(
         backend=backend,
         baseline=_ungated_baseline(workload, iterations, max_instructions, backend),
     )
-    cell = EagerCell(
-        workload=workload,
-        estimator=estimator_name,
-        baseline_cycles=comparison.baseline.stats.cycles,
-        baseline_committed=comparison.baseline.stats.committed_instructions,
-        eager_cycles=comparison.eager.stats.cycles,
-        eager_committed=comparison.eager.stats.committed_instructions,
-        forks=comparison.forks,
-        covered_mispredictions=comparison.covered_mispredictions,
-        wasted_slots=comparison.wasted_slots,
-    )
-    REGISTRY.count("speculation.eager_forks", cell.forks)
-    REGISTRY.count("speculation.eager_covered", cell.covered_mispredictions)
-    REGISTRY.count("speculation.eager_wasted_slots", cell.wasted_slots)
-    return cell
+    REGISTRY.count("speculation.eager_forks", comparison.forks)
+    REGISTRY.count("speculation.eager_covered", comparison.covered_mispredictions)
+    REGISTRY.count("speculation.eager_wasted_slots", comparison.wasted_slots)
+    return comparison
 
 
 @lru_cache(maxsize=512)
@@ -376,7 +228,7 @@ def eager_cell(
     iterations: Optional[int],
     max_instructions: int,
     backend: str = "inorder",
-) -> EagerCell:
+) -> EagerComparison:
     backend = normalize_backend(backend)
     return get_cache().cached(
         "spec-eager",
@@ -391,6 +243,7 @@ def eager_cell(
         profile=profile_fingerprint(workload),
         config=repr(PipelineConfig()),
         backend=backend,
+        schema=CELL_SCHEMA,
     )
 
 
@@ -415,25 +268,17 @@ def _inversion_pass(
 
 def _compute_inversion_cell(
     workload: str, estimator_name: str, iterations: Optional[int]
-) -> InversionCell:
+) -> InversionResult:
     _estimator_factory(estimator_name)  # an unknown name raises here
     result = _inversion_pass(workload, iterations)[estimator_name]
     REGISTRY.count("speculation.inversion_flips", result.flips)
-    return InversionCell(
-        workload=workload,
-        estimator=estimator_name,
-        branches=result.branches,
-        base_correct=result.base_correct,
-        flips=result.flips,
-        flips_helped=result.flips_helped,
-        flips_hurt=result.flips_hurt,
-    )
+    return result
 
 
 @lru_cache(maxsize=512)
 def inversion_cell(
     workload: str, estimator_name: str, iterations: Optional[int]
-) -> InversionCell:
+) -> InversionResult:
     return get_cache().cached(
         "spec-inversion",
         lambda: _compute_inversion_cell(workload, estimator_name, iterations),
@@ -442,6 +287,7 @@ def inversion_cell(
         iterations=iterations,
         predictor=SPECULATION_PREDICTOR,
         profile=profile_fingerprint(workload),
+        schema=CELL_SCHEMA,
     )
 
 
@@ -480,7 +326,8 @@ def experiment_speculation_gating(scale: Scale = FULL) -> ExperimentResult:
             "slowdown",
         ],
     )
-    cells: List[GatingCell] = []
+    cells: Dict[Tuple[str, str, int], GatingComparison] = {}
+    rows: List[Dict] = []
     for workload in scale.workloads:
         for estimator_name in SPECULATION_ESTIMATORS:
             for threshold in GATE_THRESHOLDS:
@@ -492,18 +339,30 @@ def experiment_speculation_gating(scale: Scale = FULL) -> ExperimentResult:
                     scale.pipeline_instructions,
                     scale.backend,
                 )
-                cells.append(cell)
+                cells[workload, estimator_name, threshold] = cell
                 table.add_row(
                     [
-                        cell.workload,
-                        cell.estimator,
-                        cell.threshold,
-                        cell.fetch_gated_cycles,
+                        workload,
+                        estimator_name,
+                        threshold,
+                        cell.gated_cycles,
                         cell.wrong_path_saved,
-                        pct1(cell.squash_reduction),
+                        pct1(cell.extra_work_reduction),
                         spct1(cell.ipc_delta),
                         spct1(cell.slowdown),
                     ]
+                )
+                rows.append(
+                    {
+                        "workload": workload,
+                        "estimator": estimator_name,
+                        "threshold": threshold,
+                        "wrong_path_saved": cell.wrong_path_saved,
+                        "squash_reduction": cell.extra_work_reduction,
+                        "ipc_delta": cell.ipc_delta,
+                        "slowdown": cell.slowdown,
+                        "gated_cycles": cell.gated_cycles,
+                    }
                 )
     table.add_note(
         "paper §2.2 / Manne et al.: a good estimator buys a large cut in"
@@ -511,7 +370,7 @@ def experiment_speculation_gating(scale: Scale = FULL) -> ExperimentResult:
     )
     result.tables.append(table)
     result.data["cells"] = cells
-    result.data["journal_rows"] = [cell.journal_row() for cell in cells]
+    result.data["journal_rows"] = rows
     return result
 
 
@@ -534,7 +393,8 @@ def experiment_speculation_eager(scale: Scale = FULL) -> ExperimentResult:
             "speedup",
         ],
     )
-    cells: List[EagerCell] = []
+    cells: Dict[Tuple[str, str], EagerComparison] = {}
+    rows: List[Dict] = []
     for workload in scale.workloads:
         for estimator_name in SPECULATION_ESTIMATORS:
             cell = eager_cell(
@@ -544,11 +404,11 @@ def experiment_speculation_eager(scale: Scale = FULL) -> ExperimentResult:
                 scale.pipeline_instructions,
                 scale.backend,
             )
-            cells.append(cell)
+            cells[workload, estimator_name] = cell
             table.add_row(
                 [
-                    cell.workload,
-                    cell.estimator,
+                    workload,
+                    estimator_name,
                     cell.forks,
                     cell.covered_mispredictions,
                     pct1(cell.fork_precision),
@@ -556,13 +416,23 @@ def experiment_speculation_eager(scale: Scale = FULL) -> ExperimentResult:
                     spct1(cell.speedup),
                 ]
             )
+            rows.append(
+                {
+                    "workload": workload,
+                    "estimator": estimator_name,
+                    "forks": cell.forks,
+                    "covered": cell.covered_mispredictions,
+                    "wasted_slots": cell.wasted_slots,
+                    "speedup": cell.speedup,
+                }
+            )
     table.add_note(
         "every covered misprediction converts a flush into a one-cycle"
         " switch; every false fork pays fetch dilution for nothing"
     )
     result.tables.append(table)
     result.data["cells"] = cells
-    result.data["journal_rows"] = [cell.journal_row() for cell in cells]
+    result.data["journal_rows"] = rows
     return result
 
 
@@ -585,15 +455,16 @@ def experiment_speculation_inversion(scale: Scale = FULL) -> ExperimentResult:
             "flip pvn",
         ],
     )
-    cells: List[InversionCell] = []
+    cells: Dict[Tuple[str, str], InversionResult] = {}
+    rows: List[Dict] = []
     for workload in scale.workloads:
         for estimator_name in SPECULATION_ESTIMATORS:
             cell = inversion_cell(workload, estimator_name, scale.iterations)
-            cells.append(cell)
+            cells[workload, estimator_name] = cell
             table.add_row(
                 [
-                    cell.workload,
-                    cell.estimator,
+                    workload,
+                    estimator_name,
                     cell.flips,
                     pct1(cell.base_accuracy),
                     pct1(cell.inverted_accuracy),
@@ -601,13 +472,22 @@ def experiment_speculation_inversion(scale: Scale = FULL) -> ExperimentResult:
                     pct1(cell.flip_pvn),
                 ]
             )
+            rows.append(
+                {
+                    "workload": workload,
+                    "estimator": estimator_name,
+                    "flips": cell.flips,
+                    "accuracy_delta": cell.accuracy_delta,
+                    "flip_pvn": cell.flip_pvn,
+                }
+            )
     table.add_note(
         "inversion wins only at flip PVN > 50%; the paper reports no"
         " estimator reaches it across a range of programs"
     )
     result.tables.append(table)
     result.data["cells"] = cells
-    result.data["journal_rows"] = [cell.journal_row() for cell in cells]
+    result.data["journal_rows"] = rows
     return result
 
 

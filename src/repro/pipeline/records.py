@@ -231,27 +231,15 @@ class PipelineStats:
     dcache_misses: int = 0
     extra: Dict[str, float] = field(default_factory=dict)
 
-    # The four ratio properties keep their 0.0 defaults for arithmetic
-    # compatibility; report renderers must use the ``*_or_none``
-    # variants so empty runs print ``n/a`` rather than a misleading
-    # zero (the PR 2 ``metric_or_none`` policy for quadrant metrics).
-
-    @property
-    def fetch_to_commit_ratio(self) -> float:
-        """The paper's "all/committed" instruction ratio (>= 1)."""
-        value = self.fetch_to_commit_ratio_or_none()
-        return 0.0 if value is None else value
+    # Each ratio is ``None``, not a made-up 0.0, when its denominator
+    # is empty, so an empty run renders as ``n/a``.
 
     def fetch_to_commit_ratio_or_none(self) -> Optional[float]:
-        """The fetch/commit ratio, or ``None`` if nothing committed."""
+        """The paper's "all/committed" instruction ratio (>= 1), or
+        ``None`` if nothing committed."""
         if not self.committed_instructions:
             return None
         return self.fetched_instructions / self.committed_instructions
-
-    @property
-    def committed_accuracy(self) -> float:
-        value = self.committed_accuracy_or_none()
-        return 0.0 if value is None else value
 
     def committed_accuracy_or_none(self) -> Optional[float]:
         """Committed-branch accuracy, or ``None`` with no such branches."""
@@ -259,21 +247,11 @@ class PipelineStats:
             return None
         return 1.0 - self.committed_mispredictions / self.committed_branches
 
-    @property
-    def all_accuracy(self) -> float:
-        value = self.all_accuracy_or_none()
-        return 0.0 if value is None else value
-
     def all_accuracy_or_none(self) -> Optional[float]:
         """All-fetched-branch accuracy, or ``None`` with no branches."""
         if not self.fetched_branches:
             return None
         return 1.0 - self.fetched_mispredictions / self.fetched_branches
-
-    @property
-    def ipc(self) -> float:
-        value = self.ipc_or_none()
-        return 0.0 if value is None else value
 
     def ipc_or_none(self) -> Optional[float]:
         """Committed IPC, or ``None`` for a run that saw no cycles."""

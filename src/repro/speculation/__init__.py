@@ -15,7 +15,6 @@ from .gating import (
     count_low_confidence_inflight,
 )
 from .inversion import (
-    InversionLedger,
     InversionResult,
     InvertingPredictor,
     evaluate_inversion,
@@ -34,7 +33,6 @@ __all__ = [
     "GatingComparison",
     "compare_gating",
     "count_low_confidence_inflight",
-    "InversionLedger",
     "InversionResult",
     "InvertingPredictor",
     "evaluate_inversion",

@@ -26,7 +26,8 @@ misprediction (SPEC) converts a full pipeline flush into one cycle;
 every false alarm (1 - PVN) pays the dilution for nothing.  A good
 estimator turns eager execution from a loss into a gain;
 :func:`compare_eager_execution` measures both ends against the
-single-path baseline.
+single-path baseline and returns an :class:`EagerComparison` of the
+counts its ratios (speedup, fork precision, coverage) read.
 """
 
 from __future__ import annotations
@@ -105,23 +106,25 @@ EAGER_SIMULATORS = {
 
 @dataclass(frozen=True)
 class EagerComparison:
-    """Single-path baseline vs dual-path run of the same workload."""
+    """Single-path baseline vs dual-path run of the same workload.
 
-    baseline: PipelineResult
-    eager: PipelineResult
+    Holds the counts its ratios read, so it pickles small.  Every ratio
+    is ``None``, not a made-up 0.0, when its denominator is empty.
+    """
+
+    baseline_cycles: int
+    eager_cycles: int
+    eager_mispredictions: int
     forks: int
     covered_mispredictions: int
     wasted_slots: int
 
     @property
     def speedup(self) -> Optional[float]:
-        """Cycle-count improvement of eager execution (positive = wins).
-
-        This and the other ratios are ``None``, not a made-up 0.0, when
-        their denominator is empty."""
-        if not self.eager.stats.cycles:
+        """Cycle-count improvement of eager execution (positive = wins)."""
+        if not self.eager_cycles:
             return None
-        return self.baseline.stats.cycles / self.eager.stats.cycles - 1.0
+        return self.baseline_cycles / self.eager_cycles - 1.0
 
     @property
     def fork_precision(self) -> Optional[float]:
@@ -131,7 +134,7 @@ class EagerComparison:
     @property
     def coverage(self) -> Optional[float]:
         """Covered fraction of the eager run's mispredictions (~SPEC)."""
-        total = self.eager.stats.committed_mispredictions
+        total = self.eager_mispredictions
         return self.covered_mispredictions / total if total else None
 
 
@@ -171,11 +174,12 @@ def compare_eager_execution(
         fork_switch_penalty=fork_switch_penalty,
         decoded=decoded,
     )
-    eager = eager_simulator.run(max_instructions=max_instructions)
-    check_same_work(baseline, eager, "eager")
+    eager = eager_simulator.run(max_instructions=max_instructions).stats
+    check_same_work(baseline.stats, eager, "eager")
     return EagerComparison(
-        baseline=baseline,
-        eager=eager,
+        baseline_cycles=baseline.stats.cycles,
+        eager_cycles=eager.cycles,
+        eager_mispredictions=eager.committed_mispredictions,
         forks=eager_simulator.eager_forks,
         covered_mispredictions=eager_simulator.eager_covered,
         wasted_slots=eager_simulator.eager_wasted_slots,

@@ -11,8 +11,10 @@ slowdown for a large cut in wasted (squashed) work.
 :class:`GatedPipelineSimulator` switches on the gate that the
 speculative pipeline's front end carries
 (:class:`~repro.pipeline.core.PipelineSimulator`); :func:`compare_gating`
-runs gated vs. ungated configurations and reports the paper's figures
-of merit: extra-work reduction and performance loss.
+runs gated vs. ungated configurations and returns a
+:class:`GatingComparison`: the two runs' counts, with the paper's
+figures of merit (extra-work reduction, IPC and cycle loss) as
+properties.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from ..pipeline.core import PipelineResult, PipelineSimulator
 from ..pipeline.core import count_low_confidence_inflight  # noqa: F401 - re-exported
 from ..pipeline.decode import DecodedProgram
 from ..pipeline.ooo import OutOfOrderSimulator
+from ..pipeline.records import PipelineStats
 from ..predictors.base import BranchPredictor
 
 
@@ -85,12 +88,12 @@ class GatedOutOfOrderSimulator(GatedPipelineSimulator, OutOfOrderSimulator):
     """
 
 
-def check_same_work(baseline: PipelineResult, run: PipelineResult, label: str) -> None:
+def check_same_work(baseline: PipelineStats, run: PipelineStats, label: str) -> None:
     """Refuse a comparison whose two runs committed different work:
     cycle and squash ratios are only meaningful over the same
     instructions, and a matching baseline commits exactly as many."""
-    expected = baseline.stats.committed_instructions
-    committed = run.stats.committed_instructions
+    expected = baseline.committed_instructions
+    committed = run.committed_instructions
     if committed != expected:
         raise ValueError(
             f"baseline committed {expected} instructions but the {label}"
@@ -108,45 +111,67 @@ GATED_SIMULATORS = {
 
 @dataclass(frozen=True)
 class GatingComparison:
-    """Gated vs. ungated run of the same program/predictor/estimator."""
+    """Gated vs. ungated run of the same program/predictor/estimator.
 
-    baseline: PipelineResult
-    gated: PipelineResult
+    Holds the counts its ratios read, so it pickles small: both runs
+    committed the same ``committed_instructions`` (:func:`check_same_work`).
+    Every ratio is ``None``, not a made-up 0.0, when its denominator is
+    empty.
+    """
+
+    committed_instructions: int
+    baseline_cycles: int
+    baseline_fetched: int
+    baseline_squashed: int
+    #: The gated run's own cycle count.
+    gated_run_cycles: int
+    gated_fetched: int
+    gated_squashed: int
+    #: The gated run's committed mispredictions (each costs a recovery).
+    gated_mispredictions: int
+    #: Cycles the gate stalled fetch.
     gated_cycles: int
 
     @property
     def baseline_extra_work(self) -> Optional[float]:
-        """Squashed (wasted) fraction of fetched instructions, ungated.
-
-        This and the other ratios are ``None``, not a made-up 0.0, when
-        their denominator is empty."""
-        stats = self.baseline.stats
-        if not stats.fetched_instructions:
+        """Squashed (wasted) fraction of fetched instructions, ungated."""
+        if not self.baseline_fetched:
             return None
-        return stats.squashed_instructions / stats.fetched_instructions
+        return self.baseline_squashed / self.baseline_fetched
 
     @property
     def gated_extra_work(self) -> Optional[float]:
-        stats = self.gated.stats
-        if not stats.fetched_instructions:
+        if not self.gated_fetched:
             return None
-        return stats.squashed_instructions / stats.fetched_instructions
+        return self.gated_squashed / self.gated_fetched
+
+    @property
+    def wrong_path_saved(self) -> int:
+        """Squashed (wrong-path) instructions the gate avoided."""
+        return self.baseline_squashed - self.gated_squashed
 
     @property
     def extra_work_reduction(self) -> Optional[float]:
         """Relative cut in squashed instructions (the power win)."""
-        base = self.baseline.stats.squashed_instructions
-        if not base:
+        if not self.baseline_squashed:
             return None
-        return 1.0 - self.gated.stats.squashed_instructions / base
+        return self.wrong_path_saved / self.baseline_squashed
+
+    @property
+    def ipc_delta(self) -> Optional[float]:
+        """Relative IPC change, gated vs. ungated (negative = lost)."""
+        committed = self.committed_instructions
+        if not (committed and self.baseline_cycles and self.gated_run_cycles):
+            return None
+        base = committed / self.baseline_cycles
+        return committed / self.gated_run_cycles / base - 1.0
 
     @property
     def slowdown(self) -> Optional[float]:
         """Relative increase in cycles to complete the same work."""
-        base = self.baseline.stats.cycles
-        if not base:
+        if not self.baseline_cycles:
             return None
-        return self.gated.stats.cycles / base - 1.0
+        return self.gated_run_cycles / self.baseline_cycles - 1.0
 
 
 def compare_gating(
@@ -188,8 +213,17 @@ def compare_gating(
         gate_threshold=gate_threshold,
         decoded=decoded,
     )
-    gated = gated_simulator.run(max_instructions=max_instructions)
-    check_same_work(baseline, gated, "gated")
+    base = baseline.stats
+    gated = gated_simulator.run(max_instructions=max_instructions).stats
+    check_same_work(base, gated, "gated")
     return GatingComparison(
-        baseline=baseline, gated=gated, gated_cycles=gated_simulator.gated_cycles
+        committed_instructions=gated.committed_instructions,
+        baseline_cycles=base.cycles,
+        baseline_fetched=base.fetched_instructions,
+        baseline_squashed=base.squashed_instructions,
+        gated_run_cycles=gated.cycles,
+        gated_fetched=gated.fetched_instructions,
+        gated_squashed=gated.squashed_instructions,
+        gated_mispredictions=gated.committed_mispredictions,
+        gated_cycles=gated_simulator.gated_cycles,
     )

@@ -15,12 +15,13 @@ be measured rather than asserted:
   predictor trains on actual outcomes exactly as before (the inversion
   is an override stage after prediction, as hardware would do it);
 * :func:`evaluate_inversion` measures base vs inverted accuracy and
-  the flip ledger of every estimator in a name -> estimator mapping,
-  driving the predictor once for all of them.  A speculative-history
-  gshare with JRS, misprediction-distance and boosted estimators (the
-  speculation battery's mix) takes an inlined pass: gshare runs once
-  with its table and history in locals, then one inlined loop per
-  estimator reads the recorded per-branch columns.  Any other mix runs
+  the flip ledger (an :class:`InversionResult`) of every estimator in
+  a name -> estimator mapping, driving the predictor once for all of
+  them.  A speculative-history gshare with JRS, misprediction-distance
+  and boosted estimators (the speculation battery's mix) takes an
+  inlined pass: gshare runs once with its table and history in locals,
+  then one inlined loop per estimator reads the recorded per-branch
+  columns.  Any other mix runs
   the trace engine's :func:`~repro.engine.measure.measure` and reads
   each ledger off its quadrants.  Both leave every object in the state
   the predict/estimate/resolve loop would.
@@ -87,28 +88,36 @@ class InvertingPredictor(BranchPredictor):
         self.flips = 0
 
 
-class InversionLedger:
-    """The figures derived from an inversion ledger.
+@dataclass(frozen=True)
+class InversionResult:
+    """Ledger of what inverting low-confidence predictions did.
 
-    Fieldless: a frozen dataclass inherits it and declares the five
-    counts it reads -- ``branches``, ``base_correct``, ``flips``,
-    ``flips_helped`` and ``flips_hurt``.  :class:`InversionResult` and
-    the speculation battery's cached ``InversionCell`` both do, so the
-    arithmetic lives once.
+    Every figure derived from it is ``None``, not a made-up 0.0, when
+    its denominator is empty.
     """
 
-    @property
-    def base_accuracy(self) -> float:
-        return self.base_correct / self.branches if self.branches else 0.0
+    branches: int
+    base_correct: int
+    flips: int
+    #: Flips that fixed a would-be misprediction (LC and wrong).
+    flips_helped: int
+    #: Flips that broke a would-be correct prediction (LC but right).
+    flips_hurt: int
 
     @property
-    def inverted_accuracy(self) -> float:
+    def base_accuracy(self) -> Optional[float]:
+        return self.base_correct / self.branches if self.branches else None
+
+    @property
+    def inverted_accuracy(self) -> Optional[float]:
         correct = self.base_correct + self.flips_helped - self.flips_hurt
-        return correct / self.branches if self.branches else 0.0
+        return correct / self.branches if self.branches else None
 
     @property
-    def accuracy_delta(self) -> float:
+    def accuracy_delta(self) -> Optional[float]:
         """Positive iff inversion improved the predictor."""
+        if not self.branches:
+            return None
         return self.inverted_accuracy - self.base_accuracy
 
     @property
@@ -119,19 +128,6 @@ class InversionLedger:
         has no PVN, and a made-up 0.0 would read as "below break-even".
         """
         return self.flips_helped / self.flips if self.flips else None
-
-
-@dataclass(frozen=True)
-class InversionResult(InversionLedger):
-    """Ledger of what inverting low-confidence predictions did."""
-
-    branches: int
-    base_correct: int
-    flips: int
-    #: Flips that fixed a would-be misprediction (LC and wrong).
-    flips_helped: int
-    #: Flips that broke a would-be correct prediction (LC but right).
-    flips_hurt: int
 
 
 def evaluate_inversion(

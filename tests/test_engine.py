@@ -128,6 +128,19 @@ class TestMeasure:
         assert result.quadrants == {}
         assert result.branches == len(compress_trace)
 
+    def test_empty_stream_has_no_accuracy(self):
+        result = measure([], GsharePredictor(), {})
+        assert result.branches == 0
+        assert result.accuracy is None
+        assert result.misprediction_rate is None
+
+    def test_unmeasured_estimator_names_what_was(self, compress_trace):
+        result = measure(
+            compress_trace, GsharePredictor(), {"jrs": JRSEstimator()}
+        )
+        with pytest.raises(KeyError, match=r"'satcnt' was not measured.*\(has: jrs\)"):
+            result.quadrant("satcnt")
+
 
 class TestCorpusCache:
     def test_workload_run_is_cached(self):

@@ -87,9 +87,9 @@ class TestGatingExperiment:
         result = run_experiment("speculation-gating", TINY)
         # at threshold 1 every estimator should suppress some fetch and
         # save some squashed instructions on this branchy workload
-        for cell in result.data["cells"]:
-            if cell.threshold == 1:
-                assert cell.fetch_gated_cycles > 0
+        for (__, __, threshold), cell in result.data["cells"].items():
+            if threshold == 1:
+                assert cell.gated_cycles > 0
                 assert cell.wrong_path_saved > 0
 
     def test_journal_rows_are_json_safe(self, isolated_cache):
@@ -112,13 +112,13 @@ class TestEagerAndInversionExperiments:
         result = run_experiment("speculation-eager", TINY)
         cells = result.data["cells"]
         assert len(cells) == len(TINY.workloads) * len(SPECULATION_ESTIMATORS)
-        for cell in cells:
+        for cell in cells.values():
             assert cell.covered_mispredictions <= cell.forks
         json.dumps(result.data["journal_rows"])
 
     def test_inversion_negative_result_shape(self, isolated_cache):
         result = run_experiment("speculation-inversion", TINY)
-        for cell in result.data["cells"]:
+        for cell in result.data["cells"].values():
             assert cell.branches > 0
             assert 0.0 <= cell.base_accuracy <= 1.0
             assert cell.flips_helped + cell.flips_hurt == cell.flips
@@ -139,7 +139,7 @@ class TestEagerAndInversionExperiments:
         cells = results["speculation-inversion"].data["cells"]
         assert len(cells) == len(scale.workloads) * len(SPECULATION_ESTIMATORS)
         assert passes == [sorted(SPECULATION_ESTIMATORS)] * len(scale.workloads)
-        assert flips == sum(cell.flips for cell in cells)
+        assert flips == sum(cell.flips for cell in cells.values())
         # a warm rerun reads every cell from disk and runs no pass
         clear_memoised()
         clear_cache()
@@ -257,6 +257,21 @@ class TestParallelEquivalence:
         assert delta.misses == 0
 
 
+    @pytest.mark.parametrize(
+        "experiment_id", ("speculation-gating", "speculation-eager")
+    )
+    def test_warm_rerun_reads_the_cold_cells(self, isolated_cache, experiment_id):
+        cold = run_all(TINY, only=[experiment_id], jobs=1)
+        clear_memoised()
+        clear_cache()
+        before = isolated_cache.stats.snapshot()
+        warm = run_all(TINY, only=[experiment_id], jobs=1)
+        assert isolated_cache.stats.since(before).misses == 0
+        cells = cold[experiment_id].data["cells"]
+        assert cells
+        assert warm[experiment_id].data["cells"] == cells
+
+
 class TestReportSection:
     def test_report_has_speculation_control_section(self, isolated_cache):
         results = run_all(
@@ -271,6 +286,54 @@ class TestReportSection:
         results = run_all(TINY, only=["fig1"], jobs=1)
         assert render_speculation_control(results) is None
         assert "## Speculation control" not in render_report(results, TINY)
+
+
+#: Each experiment's journal-row keys: the identifiers its cells are
+#: keyed by, then each value's property on the cached result.
+ROW_PROPERTIES = {
+    "speculation-gating": (
+        ("workload", "estimator", "threshold"),
+        {
+            "wrong_path_saved": "wrong_path_saved",
+            "squash_reduction": "extra_work_reduction",
+            "ipc_delta": "ipc_delta",
+            "slowdown": "slowdown",
+            "gated_cycles": "gated_cycles",
+        },
+    ),
+    "speculation-eager": (
+        ("workload", "estimator"),
+        {
+            "forks": "forks",
+            "covered": "covered_mispredictions",
+            "wasted_slots": "wasted_slots",
+            "speedup": "speedup",
+        },
+    ),
+    "speculation-inversion": (
+        ("workload", "estimator"),
+        {
+            "flips": "flips",
+            "accuracy_delta": "accuracy_delta",
+            "flip_pvn": "flip_pvn",
+        },
+    ),
+}
+
+
+class TestJournalRows:
+    @pytest.mark.parametrize("experiment_id", SPECULATION_BATTERY)
+    def test_rows_read_the_cached_results(self, isolated_cache, experiment_id):
+        identifiers, properties = ROW_PROPERTIES[experiment_id]
+        result = run_experiment(experiment_id, TINY)
+        rows = result.data["journal_rows"]
+        cells = result.data["cells"]
+        assert len(rows) == len(cells)
+        for row, (key, cell) in zip(rows, cells.items()):
+            assert list(row) == [*identifiers, *properties]
+            assert tuple(row[name] for name in identifiers) == key
+            for name, attribute in properties.items():
+                assert row[name] == getattr(cell, attribute), (key, name)
 
 
 class TestJournalEvents:

@@ -10,10 +10,10 @@ from repro.pipeline.records import PipelineStats
 class TestPipelineStats:
     def test_zero_division_guards(self):
         stats = PipelineStats()
-        assert stats.fetch_to_commit_ratio == 0.0
-        assert stats.committed_accuracy == 0.0
-        assert stats.all_accuracy == 0.0
-        assert stats.ipc == 0.0
+        assert stats.fetch_to_commit_ratio_or_none() is None
+        assert stats.committed_accuracy_or_none() is None
+        assert stats.all_accuracy_or_none() is None
+        assert stats.ipc_or_none() is None
 
     def test_derived_values(self):
         stats = PipelineStats(
@@ -25,10 +25,10 @@ class TestPipelineStats:
             committed_mispredictions=4,
             fetched_mispredictions=10,
         )
-        assert stats.fetch_to_commit_ratio == pytest.approx(1.5)
-        assert stats.committed_accuracy == pytest.approx(0.9)
-        assert stats.all_accuracy == pytest.approx(0.8)
-        assert stats.ipc == pytest.approx(2.0)
+        assert stats.fetch_to_commit_ratio_or_none() == pytest.approx(1.5)
+        assert stats.committed_accuracy_or_none() == pytest.approx(0.9)
+        assert stats.all_accuracy_or_none() == pytest.approx(0.8)
+        assert stats.ipc_or_none() == pytest.approx(2.0)
 
 
 class TestCorpusCacheManagement:

@@ -55,7 +55,7 @@ class TestSpeculationBehaviour:
         result = PipelineSimulator(program, GsharePredictor()).run()
         stats = result.stats
         assert stats.fetched_instructions > stats.committed_instructions
-        assert stats.fetch_to_commit_ratio > 1.0
+        assert stats.fetch_to_commit_ratio_or_none() > 1.0
         assert stats.squashed_instructions > 0
 
     def test_wrong_path_branches_are_recorded(self):
@@ -130,7 +130,7 @@ class TestSpeculationBehaviour:
         program = small_program(iterations=30)
         config = PipelineConfig(fetch_width=2, commit_width=2)
         result = PipelineSimulator(program, GsharePredictor(), config=config).run()
-        assert 0 < result.stats.ipc <= 2.0
+        assert 0 < result.stats.ipc_or_none() <= 2.0
 
 
 class TestEstimatorsInPipeline:

@@ -635,22 +635,23 @@ class TestStatsOrNone:
         assert stats.committed_accuracy_or_none() is None
         assert stats.all_accuracy_or_none() is None
         assert stats.ipc_or_none() is None
-        # legacy float properties keep their 0.0 default
-        assert stats.fetch_to_commit_ratio == 0.0
-        assert stats.committed_accuracy == 0.0
-        assert stats.all_accuracy == 0.0
-        assert stats.ipc == 0.0
 
     def test_populated_run_agrees_with_properties(self):
         result = PipelineSimulator(small_program(), GsharePredictor()).run()
         stats = result.stats
+        assert stats.cycles and stats.committed_branches and stats.fetched_branches
         assert stats.fetch_to_commit_ratio_or_none() == pytest.approx(
-            stats.fetch_to_commit_ratio
+            stats.fetched_instructions / stats.committed_instructions
         )
         assert stats.committed_accuracy_or_none() == pytest.approx(
-            stats.committed_accuracy
+            1 - stats.committed_mispredictions / stats.committed_branches
         )
-        assert stats.ipc_or_none() == pytest.approx(stats.ipc)
+        assert stats.all_accuracy_or_none() == pytest.approx(
+            1 - stats.fetched_mispredictions / stats.fetched_branches
+        )
+        assert stats.ipc_or_none() == pytest.approx(
+            stats.committed_instructions / stats.cycles
+        )
 
 
 class TestDecodedProgram:

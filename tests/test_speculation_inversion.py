@@ -123,6 +123,15 @@ class TestEvaluateInversion:
         assert result.flip_pvn is None
         assert result.accuracy_delta == 0
 
+    def test_empty_stream_has_no_accuracy(self):
+        # no branch, no accuracy: a made-up 0.0 would read as "always wrong"
+        result = evaluate_inversion([], GsharePredictor(), {"jrs": JRSEstimator()})
+        ledger = result["jrs"]
+        assert ledger.branches == 0
+        assert ledger.base_accuracy is None
+        assert ledger.inverted_accuracy is None
+        assert ledger.accuracy_delta is None
+
     def test_one_estimator_is_rejected_with_a_hint(self, compress_trace):
         with pytest.raises(TypeError, match="mapping"):
             evaluate_inversion(compress_trace, GsharePredictor(), JRSEstimator())
@@ -308,6 +317,8 @@ class TestInlinedPass:
         for result in results.values():
             assert result == InversionResult(0, 0, 0, 0, 0)
             assert result.flip_pvn is None
-            assert result.base_accuracy == result.inverted_accuracy == 0.0
+            assert result.base_accuracy is None
+            assert result.inverted_accuracy is None
+            assert result.accuracy_delta is None
         assert predictor_state(predictor) == before
         assert {name: estimator_state(e) for name, e in estimators.items()} == states
