@@ -1,22 +1,17 @@
-"""Application benches: the three speculation-control uses of §2.2.
+"""Application bench: pipeline gating, a speculation-control use of §2.2.
 
-Not paper tables, but the paper's stated motivation; these benches pin
+Not a paper table, but the paper's stated motivation; this bench pins
 down that the estimators actually pay off when plugged into the
-mechanisms the paper targets (pipeline gating for power, SMT fetch
-control, eager execution).
+mechanism the paper targets for power.  Eager execution is benched on
+the dual-path pipeline in ``test_app_dualpath.py``.
 """
 
 from conftest import BENCH_SCALE
 
-from repro.confidence import JRSEstimator, SaturatingCountersEstimator
+from repro.confidence import JRSEstimator
 from repro.engine import workload_program
-from repro.pipeline import PipelineConfig, PipelineSimulator
 from repro.predictors import GsharePredictor
-from repro.speculation import (
-    compare_gating,
-    compare_policies,
-    evaluate_eager_execution,
-)
+from repro.speculation import compare_gating
 
 
 def jrs_factory(predictor):
@@ -50,63 +45,3 @@ def test_app_pipeline_gating(benchmark, results_dir):
         assert comparison.slowdown < 0.20, name
     (results_dir / "app_gating.txt").write_text("\n".join(lines) + "\n")
 
-
-def test_app_smt_fetch_policy(benchmark, results_dir):
-    programs = [
-        workload_program("go", 120),
-        workload_program("gcc", 120),
-    ]
-
-    def run():
-        return compare_policies(
-            programs,
-            GsharePredictor,
-            jrs_factory,
-            config=PipelineConfig(resolve_stage=8),
-        )
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    round_robin = results["round_robin"]
-    confidence = results["confidence"]
-    lines = [
-        "policy       agg-ipc  wasted-fetch",
-        f"round_robin  {round_robin.aggregate_ipc:7.3f}"
-        f" {round_robin.wasted_fetch_fraction:12.1%}",
-        f"confidence   {confidence.aggregate_ipc:7.3f}"
-        f" {confidence.wasted_fetch_fraction:12.1%}",
-    ]
-    (results_dir / "app_smt.txt").write_text("\n".join(lines) + "\n")
-    assert confidence.aggregate_ipc > round_robin.aggregate_ipc
-
-
-def test_app_eager_execution(benchmark, results_dir):
-    def run():
-        program = workload_program("go", BENCH_SCALE.iterations)
-        predictor = GsharePredictor()
-        simulator = PipelineSimulator(
-            program,
-            predictor,
-            estimators={
-                "jrs": JRSEstimator(threshold=15, enhanced=True),
-                "satcnt": SaturatingCountersEstimator.for_predictor(predictor),
-            },
-        )
-        records = simulator.run(
-            max_instructions=BENCH_SCALE.pipeline_instructions
-        ).branch_records
-        return {
-            name: evaluate_eager_execution(records, name)
-            for name in ("jrs", "satcnt")
-        }
-
-    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
-    lines = ["estimator  forks  coverage  precision  net-cycles"]
-    for name, outcome in outcomes.items():
-        lines.append(
-            f"{name:9s} {outcome.forks:6d} {outcome.coverage:8.1%}"
-            f" {outcome.fork_precision:9.1%} {outcome.net_cycles:10.0f}"
-        )
-        # eager execution must pay off on a hard workload under both
-        # estimators (PVN comfortably above the fork-cost break-even)
-        assert outcome.net_cycles > 0, name
-    (results_dir / "app_eager.txt").write_text("\n".join(lines) + "\n")

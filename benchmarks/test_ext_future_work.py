@@ -1,28 +1,13 @@
-"""Extension bench: the paper's §5 future-work designs, realised.
+"""Extension bench: the paper's §5 McFarling-structure-aware JRS.
 
-1. **Tuned static estimation** -- "an algorithm to 'tune' static
-   confidence estimation to achieve a particular goal for PVN or SPEC"
-   (`repro.confidence.tuning`).
-2. **McFarling-structure-aware JRS** -- "a confidence estimator similar
-   to the JRS mechanism designed to better exploit the structure of the
-   McFarling two-level branch predictor"
-   (:class:`~repro.confidence.jrs.CombiningJRSEstimator`).
-3. The original Jacobsen **correct/incorrect registers**, and §4.1's
-   global-distance-indexed CIR that the paper predicts "probably did
-   not work well".
+"a confidence estimator similar to the JRS mechanism designed to better
+exploit the structure of the McFarling two-level branch predictor"
+(:class:`~repro.confidence.jrs.CombiningJRSEstimator`).
 """
 
 from conftest import BENCH_SCALE
 
-from repro.confidence import (
-    CIREstimator,
-    CombiningJRSEstimator,
-    DistanceIndexedCIREstimator,
-    JRSEstimator,
-    profile_site_accuracy,
-    tune_for_pvn,
-    tune_for_spec,
-)
+from repro.confidence import CombiningJRSEstimator, JRSEstimator
 from repro.engine import measure, workload_run
 from repro.metrics import average_quadrants
 from repro.predictors import make_predictor
@@ -45,7 +30,7 @@ def measure_suite(predictor_name, estimator_factories):
     return {name: average_quadrants(qs) for name, qs in quadrants.items()}
 
 
-def test_ext_combining_jrs_and_cir(benchmark, results_dir):
+def test_ext_combining_jrs(benchmark, results_dir):
     averages = benchmark.pedantic(
         lambda: measure_suite(
             "mcfarling",
@@ -55,8 +40,6 @@ def test_ext_combining_jrs_and_cir(benchmark, results_dir):
                 "jrs-mcf-both": lambda p: CombiningJRSEstimator(
                     threshold=15, selection="both"
                 ),
-                "cir": lambda p: CIREstimator(register_bits=8, max_incorrect=0),
-                "cir@dist": lambda p: DistanceIndexedCIREstimator(),
             },
         ),
         rounds=1,
@@ -82,52 +65,3 @@ def test_ext_combining_jrs_and_cir(benchmark, results_dir):
     # the conservative variant buys back SPEC/PVP instead
     assert averages["jrs-mcf-both"].spec > combining.spec
 
-    # Jacobsen's CIR and the resetting MDC are close cousins: the MDC
-    # approximates the all-correct CIR reduction at a fraction of the
-    # storage, so their metrics should be in the same neighbourhood
-    cir = averages["cir"]
-    assert abs(cir.pvp - jrs.pvp) < 0.03
-    assert abs(cir.spec - jrs.spec) < 0.10
-
-    # §4.1's prediction about the distance-indexed CIR: the index
-    # matches no predictor structure, so its SPEC collapses
-    assert averages["cir@dist"].spec < jrs.spec - 0.3
-
-
-def test_ext_tuned_static(benchmark, results_dir):
-    def run():
-        rows = []
-        for workload in ("gcc", "go", "compress"):
-            trace = workload_run(workload, BENCH_SCALE.iterations).trace
-            counts = profile_site_accuracy(trace, make_predictor("gshare"))
-            for target in (0.6, 0.8, 0.95):
-                tuned = tune_for_spec(counts, target)
-                measured = measure(
-                    trace, make_predictor("gshare"), {"t": tuned.estimator}
-                ).quadrants["t"]
-                rows.append((workload, "spec", target, tuned, measured))
-            for target in (0.3, 0.4):
-                tuned = tune_for_pvn(counts, target)
-                measured = measure(
-                    trace, make_predictor("gshare"), {"t": tuned.estimator}
-                ).quadrants["t"]
-                rows.append((workload, "pvn", target, tuned, measured))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    lines = [
-        f"{'workload':9s} {'goal':>5s} {'target':>7s} {'tuned':>7s}"
-        f" {'measured':>9s} {'sens kept':>10s}"
-    ]
-    for workload, goal, target, tuned, measured in rows:
-        tuned_value = tuned.achieved_spec if goal == "spec" else tuned.achieved_pvn
-        measured_value = measured.spec if goal == "spec" else measured.pvn
-        lines.append(
-            f"{workload:9s} {goal:>5s} {target:7.0%} {tuned_value:7.1%}"
-            f" {measured_value:9.1%} {measured.sens:10.1%}"
-        )
-        # the tuner hits its target on the profile, and the measured
-        # value lands on the tuned one (self-profiled best case)
-        assert tuned_value >= target - 1e-9 or not tuned.low_confidence_sites
-        assert abs(measured_value - tuned_value) < 0.05
-    (results_dir / "ext_tuned_static.txt").write_text("\n".join(lines) + "\n")

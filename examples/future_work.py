@@ -1,54 +1,19 @@
 #!/usr/bin/env python3
-"""The paper's §5 future-work designs, implemented and measured.
+"""The paper's §5 McFarling-structure-aware JRS, implemented and measured.
 
-1. *"an algorithm to 'tune' static confidence estimation to achieve a
-   particular goal for PVN or SPEC"* -- `tune_for_spec` / `tune_for_pvn`
-   solve the site-selection knapsack exactly.
-2. *"a confidence estimator similar to the JRS mechanism designed to
-   better exploit the structure of the McFarling two-level branch
-   predictor"* -- `CombiningJRSEstimator` keeps one MDC table per
-   McFarling component and follows the meta-predictor's choice.
-
-Plus the estimator the JRS design descended from (Jacobsen's
-correct/incorrect registers) and §4.1's distance-indexed CIR, included
-to check the paper's suspicion that it would underperform.
+*"a confidence estimator similar to the JRS mechanism designed to
+better exploit the structure of the McFarling two-level branch
+predictor"* -- `CombiningJRSEstimator` keeps one MDC table per
+McFarling component and follows the meta-predictor's choice.
 """
 
-from repro.confidence import (
-    CIREstimator,
-    CombiningJRSEstimator,
-    DistanceIndexedCIREstimator,
-    JRSEstimator,
-    profile_site_accuracy,
-    tune_for_pvn,
-    tune_for_spec,
-)
+from repro.confidence import CombiningJRSEstimator, JRSEstimator
 from repro.engine import measure, workload_run
 from repro.metrics import average_quadrants
-from repro.predictors import GsharePredictor, make_predictor
+from repro.predictors import make_predictor
 
 WORKLOADS = ("compress", "gcc", "go", "xlisp")
 ITERATIONS = 250
-
-
-def tuned_static_demo() -> None:
-    print("== tuned static estimation (§5) ==")
-    trace = workload_run("gcc", ITERATIONS).trace
-    counts = profile_site_accuracy(trace, GsharePredictor())
-    print(f"{'goal':18s} {'achieved':>9s} {'sens kept':>10s} {'LC sites':>9s}")
-    for target in (0.6, 0.8, 0.95):
-        tuned = tune_for_spec(counts, target)
-        print(
-            f"SPEC >= {target:<9.0%} {tuned.achieved_spec:9.1%}"
-            f" {tuned.achieved_sens:10.1%} {len(tuned.low_confidence_sites):9d}"
-        )
-    for target in (0.3, 0.4):
-        tuned = tune_for_pvn(counts, target)
-        print(
-            f"PVN  >= {target:<9.0%} {tuned.achieved_pvn:9.1%}"
-            f" {tuned.achieved_sens:10.1%} {len(tuned.low_confidence_sites):9d}"
-        )
-    print()
 
 
 def combining_jrs_demo() -> None:
@@ -59,10 +24,6 @@ def combining_jrs_demo() -> None:
         "jrs-mcf both": lambda p: CombiningJRSEstimator(
             threshold=15, selection="both"
         ),
-        "CIR (8b, 0 wrong)": lambda p: CIREstimator(
-            register_bits=8, max_incorrect=0
-        ),
-        "CIR @ distance": lambda p: DistanceIndexedCIREstimator(),
     }
     quadrants = {name: [] for name in factories}
     for workload in WORKLOADS:
@@ -81,10 +42,9 @@ def combining_jrs_demo() -> None:
         )
     print(
         "\nthe meta-aware JRS lifts SENS and PVN over the gshare-shaped one;"
-        "\nthe distance-indexed CIR's SPEC collapse confirms §4.1's suspicion."
+        "\nthe conservative 'both' variant buys back SPEC and PVP instead."
     )
 
 
 if __name__ == "__main__":
-    tuned_static_demo()
     combining_jrs_demo()

@@ -13,8 +13,8 @@ library:
 * :mod:`repro.engine` -- trace-driven measurement;
 * :mod:`repro.pipeline` -- a speculative 5-stage pipeline simulator;
 * :mod:`repro.analysis` -- misprediction clustering and design sweeps;
-* :mod:`repro.speculation` -- pipeline gating, SMT fetch control and
-  eager-execution applications;
+* :mod:`repro.speculation` -- pipeline gating, dual-path eager
+  execution and branch inversion applications;
 * :mod:`repro.harness` -- one runnable experiment per paper
   table/figure.
 

@@ -23,7 +23,6 @@ from .sweeps import (
     average_sweep_lines,
     distance_value_histogram,
     jrs_value_histogram,
-    render_sweep,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "average_sweep_lines",
     "distance_value_histogram",
     "jrs_value_histogram",
-    "render_sweep",
 ]

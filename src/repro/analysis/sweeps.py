@@ -15,7 +15,7 @@ simulations into one pass per table size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from ..engine import distance_value_counts, jrs_value_counts
 from ..metrics.quadrant import QuadrantCounts
@@ -177,19 +177,3 @@ def average_sweep_lines(lines: Sequence[SweepLine], label: str) -> SweepLine:
         points.append(SweepPoint(threshold=threshold, quadrant=quadrant))
     return SweepLine(label=label, points=tuple(points))
 
-
-def render_sweep(lines: Sequence[SweepLine]) -> str:
-    """Text rendering of sweep lines (PVP/PVN per threshold)."""
-    rendered: List[str] = []
-    for line in lines:
-        rendered.append(f"[{line.label}]")
-        rendered.append(
-            f"{'thr':>4s} {'sens':>7s} {'spec':>7s} {'pvp':>7s} {'pvn':>7s}"
-        )
-        for point in line.points:
-            quadrant = point.quadrant
-            rendered.append(
-                f"{point.threshold:4d} {quadrant.sens:7.1%} {quadrant.spec:7.1%} "
-                f"{quadrant.pvp:7.1%} {quadrant.pvn:7.1%}"
-            )
-    return "\n".join(rendered)

@@ -8,7 +8,6 @@ from .boosting import (
     BoostingResult,
     boosted_pvn,
 )
-from .cir import CIREstimator, DistanceIndexedCIREstimator
 from .distance import MispredictionDistanceEstimator
 from .jrs import CombiningJRSEstimator, JRSEstimator
 from .pattern import PatternHistoryEstimator, lick_confident_patterns
@@ -18,7 +17,6 @@ from .static import (
     profile_confident_sites,
     profile_site_accuracy,
 )
-from .tuning import TunedStatic, tune_for_pvn, tune_for_spec
 
 __all__ = [
     "Assessment",
@@ -27,8 +25,6 @@ __all__ = [
     "BoostingAccumulator",
     "BoostingResult",
     "boosted_pvn",
-    "CIREstimator",
-    "DistanceIndexedCIREstimator",
     "MispredictionDistanceEstimator",
     "CombiningJRSEstimator",
     "JRSEstimator",
@@ -39,7 +35,4 @@ __all__ = [
     "StaticEstimator",
     "profile_confident_sites",
     "profile_site_accuracy",
-    "TunedStatic",
-    "tune_for_pvn",
-    "tune_for_spec",
 ]

@@ -65,9 +65,6 @@ class PatternHistoryEstimator(ConfidenceEstimator):
         bht = getattr(predictor, "bht", None)
         if bht is not None:  # SAg local histories
             return cls(history_bits=bht.bits)
-        history_bits = getattr(predictor, "history_bits", None)
-        if history_bits:  # PAs-style tagged local histories
-            return cls(history_bits=history_bits)
         raise TypeError(
             f"predictor {predictor.name!r} exposes no history register"
         )

@@ -469,6 +469,11 @@ def _table2_measurements(
     return per_workload, accuracies
 
 
+def _metric_cells(quadrant: QuadrantCounts) -> List[str]:
+    """SENS, SPEC, PVP and PVN as table cells (``n/a`` if undefined)."""
+    return [pct(value) for value in (quadrant.sens, quadrant.spec, quadrant.pvp, quadrant.pvn)]
+
+
 def clear_memoised() -> None:
     """Drop the in-process memo tier (the disk tier is untouched).
 
@@ -547,8 +552,8 @@ def experiment_table1(scale: Scale = FULL) -> ExperimentResult:
             scale.segment_instructions,
             scale.backend,
         )
-        # metric_or_none policy: an empty pipeline run renders as n/a,
-        # never as a fabricated 0.00 ratio
+        # an empty pipeline run has no ratio: it renders as n/a,
+        # never as a fabricated 0.00
         ratio = pipe.stats.fetch_to_commit_ratio_or_none()
         ratios[workload] = ratio
         table.add_row(
@@ -600,10 +605,7 @@ def experiment_table2(scale: Scale = FULL) -> ExperimentResult:
             table.add_row(
                 [
                     ESTIMATOR_LABELS[estimator],
-                    pct(quadrant.metric_or_none("sens")),
-                    pct(quadrant.metric_or_none("spec")),
-                    pct(quadrant.metric_or_none("pvp")),
-                    pct(quadrant.metric_or_none("pvn")),
+                    *_metric_cells(quadrant),
                     paper_values.format_reference(reference) if reference else "--",
                 ]
             )
@@ -640,9 +642,9 @@ def experiment_table2_detail(scale: Scale = FULL) -> ExperimentResult:
                     [
                         workload,
                         estimator,
-                        pct(quadrant.metric_or_none("sens")),
-                        pct(quadrant.metric_or_none("spec")),
-                        pct(quadrant.metric_or_none("pvp")),
+                        pct(quadrant.sens),
+                        pct(quadrant.spec),
+                        pct(quadrant.pvp),
                         format_with_interval(quadrant, "pvn"),
                     ]
                 )
@@ -704,10 +706,10 @@ def experiment_figure3(scale: Scale = FULL) -> ExperimentResult:
         table.add_row(
             [
                 threshold,
-                pct1(enhanced_quadrant.metric_or_none("pvp")),
-                pct1(enhanced_quadrant.metric_or_none("pvn")),
-                pct1(original_quadrant.metric_or_none("pvp")),
-                pct1(original_quadrant.metric_or_none("pvn")),
+                pct1(enhanced_quadrant.pvp),
+                pct1(enhanced_quadrant.pvn),
+                pct1(original_quadrant.pvp),
+                pct1(original_quadrant.pvn),
             ]
         )
     result.tables.append(table)
@@ -743,11 +745,11 @@ def _jrs_design_space(
     for position, threshold in enumerate(thresholds):
         row = [threshold]
         row.extend(
-            pct1(lines[size].points[position].quadrant.metric_or_none("pvp"))
+            pct1(lines[size].points[position].quadrant.pvp)
             for size in table_sizes
         )
         row.extend(
-            pct1(lines[size].points[position].quadrant.metric_or_none("pvn"))
+            pct1(lines[size].points[position].quadrant.pvn)
             for size in table_sizes
         )
         table.add_row(row)
@@ -805,16 +807,12 @@ def experiment_table3(scale: Scale = FULL) -> ExperimentResult:
         both_quadrants.append(both)
         either_quadrants.append(either)
         table.add_row(
-            [workload]
-            + [pct(both.metric_or_none(m)) for m in ("sens", "spec", "pvp", "pvn")]
-            + [pct(either.metric_or_none(m)) for m in ("sens", "spec", "pvp", "pvn")]
+            [workload] + _metric_cells(both) + _metric_cells(either)
         )
     both_mean = average_quadrants(both_quadrants)
     either_mean = average_quadrants(either_quadrants)
     table.add_row(
-        ["Mean"]
-        + [pct(both_mean.metric_or_none(m)) for m in ("sens", "spec", "pvp", "pvn")]
-        + [pct(either_mean.metric_or_none(m)) for m in ("sens", "spec", "pvp", "pvn")]
+        ["Mean"] + _metric_cells(both_mean) + _metric_cells(either_mean)
     )
     table.add_note("paper means (Both Strong): sens 67%, spec 78%")
     result.tables.append(table)
@@ -1022,10 +1020,7 @@ def experiment_table4(scale: Scale = FULL) -> ExperimentResult:
                     ESTIMATOR_LABELS[estimator].split(",")[0],
                     threshold_label,
                     predictor_name,
-                    pct(quadrant.metric_or_none("sens")),
-                    pct(quadrant.metric_or_none("spec")),
-                    pct(quadrant.metric_or_none("pvp")),
-                    pct(quadrant.metric_or_none("pvn")),
+                    *_metric_cells(quadrant),
                     paper_values.format_reference(reference) if reference else "--",
                 ]
             )
@@ -1052,10 +1047,7 @@ def experiment_table4(scale: Scale = FULL) -> ExperimentResult:
                     "Distance",
                     f"> {distance_threshold}",
                     predictor_name,
-                    pct(quadrant.metric_or_none("sens")),
-                    pct(quadrant.metric_or_none("spec")),
-                    pct(quadrant.metric_or_none("pvp")),
-                    pct(quadrant.metric_or_none("pvn")),
+                    *_metric_cells(quadrant),
                     paper_values.format_reference(reference) if reference else "--",
                 ]
             )
@@ -1071,10 +1063,7 @@ def experiment_table4(scale: Scale = FULL) -> ExperimentResult:
             "Hist. Pattern",
             "N.A.",
             "sag",
-            pct(sag_pattern.metric_or_none("sens")),
-            pct(sag_pattern.metric_or_none("spec")),
-            pct(sag_pattern.metric_or_none("pvp")),
-            pct(sag_pattern.metric_or_none("pvn")),
+            *_metric_cells(sag_pattern),
             paper_values.format_reference(paper_values.TABLE2[("sag", "pattern")]),
         ]
     )

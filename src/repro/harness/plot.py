@@ -111,13 +111,14 @@ def distance_chart(curves: Dict[str, object], title: str) -> str:
 
 
 def sweep_chart(lines_by_label: Dict[str, object], title: str, metric: str) -> str:
-    """Chart SweepLine objects (metric vs threshold)."""
+    """Chart SweepLine objects (metric vs threshold); a threshold where
+    the metric is undefined draws no point."""
     series: Dict[str, Series] = {}
     for label, sweep in lines_by_label.items():
-        series[label] = [
-            (point.threshold, getattr(point.quadrant, metric))
-            for point in sweep.points
+        values = [
+            (point.threshold, getattr(point.quadrant, metric)) for point in sweep.points
         ]
+        series[label] = [(x, y) for x, y in values if y is not None]
     return line_chart(
         series,
         title=title,

@@ -1,6 +1,6 @@
 """Diagnostic-test metrics for confidence estimation (paper §1.1, §2)."""
 
-from .aggregate import average_quadrants, geometric_mean, metric_means
+from .aggregate import average_quadrants, metric_means
 from .parametric import (
     ParametricCurve,
     figure1_curve,
@@ -13,15 +13,11 @@ from .quadrant import QuadrantCounts
 from .stats import (
     format_with_interval,
     metric_interval,
-    metrics_differ,
-    proportions_differ,
-    two_proportion_z,
     wilson_interval,
 )
 
 __all__ = [
     "average_quadrants",
-    "geometric_mean",
     "metric_means",
     "ParametricCurve",
     "figure1_curve",
@@ -32,8 +28,5 @@ __all__ = [
     "QuadrantCounts",
     "format_with_interval",
     "metric_interval",
-    "metrics_differ",
-    "proportions_differ",
-    "two_proportion_z",
     "wilson_interval",
 ]

@@ -12,8 +12,7 @@ ablation bench.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Optional, Sequence
 
 from .quadrant import QuadrantCounts
 
@@ -32,26 +31,17 @@ def average_quadrants(quadrants: Sequence[QuadrantCounts]) -> QuadrantCounts:
     )
 
 
-def metric_means(quadrants: Sequence[QuadrantCounts]) -> Dict[str, float]:
-    """Arithmetic mean of each per-benchmark metric (ablation only)."""
+def metric_means(
+    quadrants: Sequence[QuadrantCounts],
+) -> Dict[str, Optional[float]]:
+    """Arithmetic mean of each per-benchmark metric (ablation only),
+    over the benchmarks where it is defined; ``None`` where it is
+    defined on none."""
     if not quadrants:
         raise ValueError("cannot average an empty set of quadrant tables")
-    metrics: Dict[str, List[float]] = {"sens": [], "spec": [], "pvp": [], "pvn": []}
-    for quadrant in quadrants:
-        metrics["sens"].append(quadrant.sens)
-        metrics["spec"].append(quadrant.spec)
-        metrics["pvp"].append(quadrant.pvp)
-        metrics["pvn"].append(quadrant.pvn)
-    return {name: sum(values) / len(values) for name, values in metrics.items()}
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean; zero if any value is zero (as for rates)."""
-    values = list(values)
-    if not values:
-        raise ValueError("cannot take the geometric mean of nothing")
-    if any(value < 0 for value in values):
-        raise ValueError("geometric mean requires non-negative values")
-    if any(value == 0 for value in values):
-        return 0.0
-    return math.exp(sum(math.log(value) for value in values) / len(values))
+    means: Dict[str, Optional[float]] = {}
+    for name in ("sens", "spec", "pvp", "pvn"):
+        values = [getattr(quadrant, name) for quadrant in quadrants]
+        values = [value for value in values if value is not None]
+        means[name] = sum(values) / len(values) if values else None
+    return means

@@ -27,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-#: metric name -> (numerator cell/property, denominator population).
-#: A metric is *undefined* when its denominator population is empty --
-#: e.g. PVN for an estimator that never emits a low-confidence tag.
+#: ratio name -> (numerator, denominator population), each a cell or a
+#: population sum of :class:`QuadrantCounts`.  A ratio is *undefined*
+#: (``None``) when its denominator population is empty -- e.g. PVN for
+#: an estimator that never emits a low-confidence tag.
 METRIC_POPULATIONS = {
     "sens": ("c_hc", "correct"),
     "spec": ("i_lc", "incorrect"),
@@ -38,12 +39,19 @@ METRIC_POPULATIONS = {
     "accuracy": ("correct", "total"),
     "misprediction_rate": ("incorrect", "total"),
     "coverage": ("low_confidence", "total"),
+    "confidence_misprediction_rate": ("misestimated", "total"),
 }
 
 
 @dataclass
 class QuadrantCounts:
-    """Counts (or normalised frequencies) of the four outcomes."""
+    """Counts (or normalised frequencies) of the four outcomes.
+
+    Every ratio is ``None`` when its denominator population is empty:
+    an estimator that never emits LC has *no* PVN, which the paper
+    treats as undefined, not as zero.  Renderers map ``None`` to
+    ``n/a`` (see :func:`repro.harness.tables.pct`).
+    """
 
     c_hc: float = 0.0
     i_hc: float = 0.0
@@ -80,54 +88,64 @@ class QuadrantCounts:
     def low_confidence(self) -> float:
         return self.c_lc + self.i_lc
 
+    @property
+    def misestimated(self) -> float:
+        """Branches whose confidence tag disagrees with the outcome."""
+        return self.i_hc + self.c_lc
+
     # ------------------------------------------------------------------
     # the paper's four metrics
     # ------------------------------------------------------------------
 
     @property
-    def sens(self) -> float:
-        """Sensitivity P[HC|C]; 0 when there are no correct predictions."""
-        return _ratio(self.c_hc, self.correct)
+    def sens(self) -> Optional[float]:
+        """Sensitivity P[HC|C]."""
+        return self._ratio("sens")
 
     @property
-    def pvp(self) -> float:
+    def pvp(self) -> Optional[float]:
         """Predictive value of a positive test, P[C|HC]."""
-        return _ratio(self.c_hc, self.high_confidence)
+        return self._ratio("pvp")
 
     @property
-    def spec(self) -> float:
-        """Specificity P[LC|I]; 0 when there are no mispredictions."""
-        return _ratio(self.i_lc, self.incorrect)
+    def spec(self) -> Optional[float]:
+        """Specificity P[LC|I]."""
+        return self._ratio("spec")
 
     @property
-    def pvn(self) -> float:
+    def pvn(self) -> Optional[float]:
         """Predictive value of a negative test, P[I|LC]."""
-        return _ratio(self.i_lc, self.low_confidence)
+        return self._ratio("pvn")
 
     # ------------------------------------------------------------------
     # auxiliary statistics
     # ------------------------------------------------------------------
 
     @property
-    def accuracy(self) -> float:
+    def accuracy(self) -> Optional[float]:
         """Branch prediction accuracy p (independent of the estimator)."""
-        return _ratio(self.correct, self.total)
+        return self._ratio("accuracy")
 
     @property
-    def misprediction_rate(self) -> float:
-        return _ratio(self.incorrect, self.total)
+    def misprediction_rate(self) -> Optional[float]:
+        return self._ratio("misprediction_rate")
 
     @property
-    def coverage(self) -> float:
+    def coverage(self) -> Optional[float]:
         """Jacobsen et al.'s coverage: fraction of branches tagged LC."""
-        return _ratio(self.low_confidence, self.total)
+        return self._ratio("coverage")
 
     @property
-    def confidence_misprediction_rate(self) -> float:
+    def confidence_misprediction_rate(self) -> Optional[float]:
         """Jacobsen et al.'s single-number metric (estimator "wrong"
         whenever it disagrees with the eventual outcome); kept for
         comparison, the paper argues it conflates HC and LC uses."""
-        return _ratio(self.i_hc + self.c_lc, self.total)
+        return self._ratio("confidence_misprediction_rate")
+
+    def _ratio(self, name: str) -> Optional[float]:
+        numerator, denominator = METRIC_POPULATIONS[name]
+        population = getattr(self, denominator)
+        return getattr(self, numerator) / population if population else None
 
     # ------------------------------------------------------------------
     # construction and arithmetic
@@ -165,70 +183,15 @@ class QuadrantCounts:
             i_lc=self.i_lc + other.i_lc,
         )
 
-    # ------------------------------------------------------------------
-    # undefined-aware access
-    # ------------------------------------------------------------------
-
-    def metric(self, name: str, default: float = 0.0) -> float:
-        """Metric ``name`` with an *explicit* value for the undefined
-        case (empty denominator population).
-
-        The plain properties (``.pvn`` etc.) keep returning 0.0 for
-        backward compatibility; callers that must distinguish "no LC
-        tags ever" from "every LC tag was wrong" pass their own
-        ``default`` or use :meth:`metric_or_none`.
-        """
-        numerator_name, denominator_name = _metric_populations(name)
-        return _ratio(
-            getattr(self, numerator_name), getattr(self, denominator_name), default
-        )
-
-    def metric_or_none(self, name: str) -> Optional[float]:
-        """Metric ``name``, or ``None`` when it is undefined.
-
-        Renderers map ``None`` to ``n/a`` (see
-        :func:`repro.harness.tables.pct`) instead of printing a
-        misleading ``0.0%``.
-        """
-        numerator_name, denominator_name = _metric_populations(name)
-        denominator = getattr(self, denominator_name)
-        if not denominator:
-            return None
-        return getattr(self, numerator_name) / denominator
-
-    def defined(self, name: str) -> bool:
-        """Whether metric ``name`` has a non-empty denominator."""
-        return self.metric_or_none(name) is not None
-
     def summary(self) -> str:
-        """One-line rendering used by examples and the CLI.
+        """One-line rendering used by examples and the CLI; an
+        undefined ratio renders as ``n/a`` rather than ``0.0%``."""
 
-        Undefined metrics render as ``n/a`` rather than ``0.0%``: an
-        estimator that never emits LC has *no* PVN, which the paper
-        treats as undefined, not as zero.
-        """
-
-        def fmt(name: str, decimals: int = 1) -> str:
-            value = self.metric_or_none(name)
+        def fmt(value: Optional[float], decimals: int = 1) -> str:
             return "   n/a" if value is None else f"{value:6.{decimals}%}"
 
         return (
-            f"sens={fmt('sens')} spec={fmt('spec')} "
-            f"pvp={fmt('pvp')} pvn={fmt('pvn')} "
-            f"(accuracy={fmt('accuracy', 2)}, n={self.total:.0f})"
+            f"sens={fmt(self.sens)} spec={fmt(self.spec)} "
+            f"pvp={fmt(self.pvp)} pvn={fmt(self.pvn)} "
+            f"(accuracy={fmt(self.accuracy, 2)}, n={self.total:.0f})"
         )
-
-
-def _metric_populations(name: str) -> tuple:
-    try:
-        return METRIC_POPULATIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"metric must be one of {sorted(METRIC_POPULATIONS)}, got {name!r}"
-        ) from None
-
-
-def _ratio(numerator: float, denominator: float, default: float = 0.0) -> float:
-    """``numerator / denominator``, or ``default`` when the denominator
-    is empty -- the undefined case the caller must choose a value for."""
-    return numerator / denominator if denominator else default

@@ -2,16 +2,13 @@
 
 Every paper metric (SENS/SPEC/PVP/PVN, accuracy) is a binomial
 proportion over some sub-population of branches, so standard interval
-and test machinery applies:
+machinery applies:
 
 * :func:`wilson_interval` -- the Wilson score interval, well-behaved at
   the extreme proportions confidence estimators produce (PVP near 1);
 * :func:`metric_interval` -- interval for a named metric of a
   :class:`~repro.metrics.quadrant.QuadrantCounts`, using the metric's
-  actual denominator population;
-* :func:`two_proportion_z` / :func:`proportions_differ` -- are two
-  estimators' metrics distinguishable at the given confidence, given
-  their sample sizes?
+  actual denominator population.
 
 These make the harness's comparisons honest: a 1-point PVN difference
 on 40k branches is real; on 400 it is noise.
@@ -22,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from .quadrant import QuadrantCounts
+from .quadrant import METRIC_POPULATIONS, QuadrantCounts
 
 #: z for the conventional confidence levels.
 Z_VALUES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
@@ -64,16 +61,6 @@ def wilson_interval(
     return (low, high)
 
 
-#: metric -> (numerator cell, denominator population) on QuadrantCounts.
-_METRIC_POPULATIONS = {
-    "sens": ("c_hc", "correct"),
-    "spec": ("i_lc", "incorrect"),
-    "pvp": ("c_hc", "high_confidence"),
-    "pvn": ("i_lc", "low_confidence"),
-    "accuracy": ("correct", "total"),
-}
-
-
 def metric_interval(
     quadrant: QuadrantCounts, metric: str, confidence: float = 0.95
 ) -> Tuple[float, float]:
@@ -83,66 +70,14 @@ def metric_interval(
     sample sizes, and this function will treat it as n <= 1).
     """
     try:
-        numerator_name, denominator_name = _METRIC_POPULATIONS[metric]
+        numerator_name, denominator_name = METRIC_POPULATIONS[metric]
     except KeyError:
         raise ValueError(
-            f"metric must be one of {sorted(_METRIC_POPULATIONS)}, got {metric!r}"
+            f"metric must be one of {sorted(METRIC_POPULATIONS)}, got {metric!r}"
         ) from None
     numerator = getattr(quadrant, numerator_name)
     denominator = getattr(quadrant, denominator_name)
     return wilson_interval(numerator, denominator, confidence)
-
-
-def two_proportion_z(
-    successes_a: float,
-    trials_a: float,
-    successes_b: float,
-    trials_b: float,
-) -> float:
-    """Two-proportion pooled z statistic (0 when either sample is empty)."""
-    if trials_a <= 0 or trials_b <= 0:
-        return 0.0
-    p_a = successes_a / trials_a
-    p_b = successes_b / trials_b
-    pooled = (successes_a + successes_b) / (trials_a + trials_b)
-    variance = pooled * (1.0 - pooled) * (1.0 / trials_a + 1.0 / trials_b)
-    if variance <= 0.0:
-        return 0.0
-    return (p_a - p_b) / math.sqrt(variance)
-
-
-def proportions_differ(
-    successes_a: float,
-    trials_a: float,
-    successes_b: float,
-    trials_b: float,
-    confidence: float = 0.95,
-) -> bool:
-    """Two-sided test: are the two proportions distinguishable?"""
-    z = abs(two_proportion_z(successes_a, trials_a, successes_b, trials_b))
-    return z > _z_for(confidence)
-
-
-def metrics_differ(
-    quadrant_a: QuadrantCounts,
-    quadrant_b: QuadrantCounts,
-    metric: str,
-    confidence: float = 0.95,
-) -> bool:
-    """Is ``metric`` significantly different between two estimators?
-
-    Both quadrants must hold raw counts from (possibly the same)
-    measured runs; the metric's own denominator population supplies the
-    sample sizes.
-    """
-    numerator_name, denominator_name = _METRIC_POPULATIONS[metric]
-    return proportions_differ(
-        getattr(quadrant_a, numerator_name),
-        getattr(quadrant_a, denominator_name),
-        getattr(quadrant_b, numerator_name),
-        getattr(quadrant_b, denominator_name),
-        confidence,
-    )
 
 
 def format_with_interval(
@@ -154,9 +89,9 @@ def format_with_interval(
     the estimator never emitted LC) renders as ``n/a``: there is no
     proportion to put an interval around.
     """
-    value = quadrant.metric_or_none(metric)
+    low, high = metric_interval(quadrant, metric, confidence)  # checks the name
+    value = getattr(quadrant, metric)
     if value is None:
         return "n/a"
-    low, high = metric_interval(quadrant, metric, confidence)
     margin = max(value - low, high - value)
     return f"{value:.1%} ±{margin:.1%}"

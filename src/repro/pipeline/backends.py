@@ -57,12 +57,9 @@ class PipelineBackend(Protocol):
     its non-branch instructions grouped by the fused engine.
     """
 
-    def wants_fetch(self) -> bool:
-        """Would the pipeline accept a fetch slot this cycle?"""
-
-    def step_cycle(self, fetch_allowed: bool = True) -> None:
+    def step_cycle(self) -> None:
         """Advance one reference-engine cycle: commit/resolve, then
-        optionally fetch."""
+        fetch."""
 
     def run(self, max_cycles: int = 10_000_000,
             max_instructions: Optional[int] = None,

@@ -308,29 +308,11 @@ class PipelineSimulator:
         """Record views of every fetched branch so far."""
         return self.records.materialize()
 
-    def wants_fetch(self) -> bool:
-        """Would this pipeline fetch if offered the slot this cycle?
-
-        Fetch arbiters (the SMT front end) use this to skip stalled or
-        finished threads without burning the shared slot.
-        """
-        return (
-            not self._program_done
-            and not self._fetch_faulted
-            and self._cycle >= self._fetch_stalled_until
-            and not self.machine.halted
-            and self._inflight_count < self.config.window
-        )
-
-    def step_cycle(self, fetch_allowed: bool = True) -> None:
+    def step_cycle(self) -> None:
         """Advance one cycle of the reference engine: commit/resolve,
-        then (optionally) fetch.
-
-        ``fetch_allowed=False`` models losing the fetch slot to another
-        thread; the back end still progresses.
-        """
+        then fetch."""
         self._commit_stage()
-        if not self._program_done and fetch_allowed:
+        if not self._program_done:
             self._fetch_stage()
         self._cycle += 1
         if self._congestion:

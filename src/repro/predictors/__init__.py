@@ -15,18 +15,13 @@ from .gshare import GsharePredictor
 from .history import GlobalHistory, LocalHistoryTable
 from .mcfarling import McFarlingPredictor
 from .sag import SAgPredictor
-from .twolevel import GAgPredictor, GselectPredictor, PAsPredictor
 
-#: Factories for the paper's three predictor configurations plus the
-#: wider two-level family its discussion references.
+#: Factories for the paper's three predictor configurations plus bimodal.
 PREDICTOR_FACTORIES: Dict[str, Callable[[], BranchPredictor]] = {
     "gshare": GsharePredictor,
     "mcfarling": McFarlingPredictor,
     "sag": SAgPredictor,
     "bimodal": BimodalPredictor,
-    "gag": GAgPredictor,
-    "gselect": GselectPredictor,
-    "pas": PAsPredictor,
 }
 
 
@@ -55,9 +50,6 @@ __all__ = [
     "LocalHistoryTable",
     "McFarlingPredictor",
     "SAgPredictor",
-    "GAgPredictor",
-    "GselectPredictor",
-    "PAsPredictor",
     "PREDICTOR_FACTORIES",
     "make_predictor",
 ]

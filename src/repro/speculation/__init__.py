@@ -6,7 +6,6 @@ from .dualpath import (
     EagerPipelineSimulator,
     compare_eager_execution,
 )
-from .eager import EagerOutcome, evaluate_eager_execution
 from .gating import (
     GatedOutOfOrderSimulator,
     GatedPipelineSimulator,
@@ -19,15 +18,12 @@ from .inversion import (
     InvertingPredictor,
     evaluate_inversion,
 )
-from .smt import POLICIES, SMTResult, SMTSimulator, compare_policies
 
 __all__ = [
     "EagerComparison",
     "EagerOutOfOrderSimulator",
     "EagerPipelineSimulator",
     "compare_eager_execution",
-    "EagerOutcome",
-    "evaluate_eager_execution",
     "GatedOutOfOrderSimulator",
     "GatedPipelineSimulator",
     "GatingComparison",
@@ -36,8 +32,4 @@ __all__ = [
     "InversionResult",
     "InvertingPredictor",
     "evaluate_inversion",
-    "POLICIES",
-    "SMTResult",
-    "SMTSimulator",
-    "compare_policies",
 ]

@@ -8,7 +8,6 @@ from repro.analysis import (
     average_sweep_lines,
     distance_value_histogram,
     jrs_value_histogram,
-    render_sweep,
 )
 from repro.analysis.sweeps import SweepLine, SweepPoint
 from repro.confidence import JRSEstimator, MispredictionDistanceEstimator
@@ -158,8 +157,3 @@ class TestAveraging:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             average_sweep_lines([], "mean")
-
-    def test_render_sweep(self):
-        line = SweepLine("demo", (SweepPoint(1, QuadrantCounts(c_hc=1)),))
-        text = render_sweep([line])
-        assert "demo" in text and "pvn" in text

@@ -62,6 +62,20 @@ class TestDomainCharts:
         chart = sweep_chart({"demo": line}, "sweep", "pvp")
         assert "threshold" in chart
 
+    def test_sweep_chart_skips_undefined_points(self):
+        # threshold 0 tags nothing LC, so PVN is undefined there: only
+        # threshold 1 is charted, not a made-up 0.0% at threshold 0
+        line = SweepLine(
+            "demo",
+            (
+                SweepPoint(0, QuadrantCounts(c_hc=3, i_hc=1)),
+                SweepPoint(1, QuadrantCounts(c_hc=2, c_lc=1, i_lc=1)),
+            ),
+        )
+        chart = sweep_chart({"demo": line}, "sweep", "pvn")
+        grid = [row.split("|", 1)[1] for row in chart.splitlines() if "|" in row]
+        assert sum(row.count("o") for row in grid) == 1
+
     def test_figure1_chart(self):
         chart = figure1_chart(figure1_family())
         assert "PVP" in chart and "PVN" in chart

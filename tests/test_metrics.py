@@ -9,12 +9,12 @@ from repro.metrics import (
     average_quadrants,
     figure1_curve,
     figure1_family,
-    geometric_mean,
     metric_means,
     pvn_from,
     pvp_from,
     quadrant_from_rates,
 )
+from repro.metrics.quadrant import METRIC_POPULATIONS
 
 
 class TestPaperWorkedExample:
@@ -70,11 +70,11 @@ class TestQuadrantBasics:
         assert normalized.pvn == pytest.approx(quadrant.pvn)
         assert normalized.sens == pytest.approx(quadrant.sens)
 
-    def test_empty_quadrant_is_all_zero(self):
+    def test_empty_quadrant_has_no_ratios(self):
         quadrant = QuadrantCounts()
-        assert quadrant.sens == 0.0
-        assert quadrant.pvn == 0.0
-        assert quadrant.accuracy == 0.0
+        assert quadrant.total == 0
+        for name in METRIC_POPULATIONS:
+            assert getattr(quadrant, name) is None, name
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -97,11 +97,16 @@ class TestQuadrantBasics:
     )
     def test_metric_identities(self, c_hc, i_hc, c_lc, i_lc):
         quadrant = QuadrantCounts(c_hc=c_hc, i_hc=i_hc, c_lc=c_lc, i_lc=i_lc)
-        for value in (quadrant.sens, quadrant.spec, quadrant.pvp, quadrant.pvn):
-            assert 0.0 <= value <= 1.0
+        for name, (__, population) in METRIC_POPULATIONS.items():
+            value = getattr(quadrant, name)
+            if getattr(quadrant, population):
+                assert 0.0 <= value <= 1.0
+            else:
+                assert value is None
         # SENS is a property of correct branches only; SPEC of incorrect
         scaled = QuadrantCounts(c_hc=c_hc, i_hc=3 * i_hc, c_lc=c_lc, i_lc=3 * i_lc)
-        assert scaled.sens == pytest.approx(quadrant.sens)
+        if c_hc or c_lc:
+            assert scaled.sens == pytest.approx(quadrant.sens)
         if i_hc or i_lc:
             assert scaled.spec == pytest.approx(quadrant.spec)
 
@@ -112,33 +117,28 @@ class TestUndefinedMetrics:
 
     all_hc = QuadrantCounts(c_hc=90, i_hc=10)  # no LC tags ever
 
-    def test_metric_or_none_on_empty_population(self):
-        assert self.all_hc.metric_or_none("pvn") is None
-        assert self.all_hc.metric_or_none("pvp") == pytest.approx(0.9)
-        empty = QuadrantCounts()
-        for name in ("sens", "spec", "pvp", "pvn", "accuracy"):
-            assert empty.metric_or_none(name) is None
+    def test_ratio_is_none_only_on_an_empty_population(self):
+        assert self.all_hc.pvn is None
+        assert self.all_hc.coverage == 0.0
+        assert self.all_hc.pvp == pytest.approx(0.9)
+        assert self.all_hc.sens == 1.0
+        assert self.all_hc.spec == 0.0
+        assert self.all_hc.accuracy == pytest.approx(0.9)
+        assert self.all_hc.misprediction_rate == pytest.approx(0.1)
+        assert self.all_hc.confidence_misprediction_rate == pytest.approx(0.1)
 
     def test_true_zero_stays_a_number(self):
         # LC tags exist but every one is wrong: PVN is genuinely 0.0
         quadrant = QuadrantCounts(c_hc=5, c_lc=3)
-        assert quadrant.metric_or_none("pvn") == 0.0
-        assert quadrant.defined("pvn")
-
-    def test_defined(self):
-        assert not self.all_hc.defined("pvn")
-        assert self.all_hc.defined("sens")
-
-    def test_metric_takes_explicit_default(self):
-        assert self.all_hc.metric("pvn") == 0.0  # backward-compatible
-        assert self.all_hc.metric("pvn", default=float("nan")) != 0.0
+        assert quadrant.pvn == 0.0
 
     def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError):
-            self.all_hc.metric_or_none("frobnication")
+        from repro.metrics.stats import format_with_interval, metric_interval
 
-    def test_properties_keep_zero_for_compatibility(self):
-        assert self.all_hc.pvn == 0.0
+        with pytest.raises(ValueError):
+            format_with_interval(self.all_hc, "frobnication")
+        with pytest.raises(ValueError):
+            metric_interval(self.all_hc, "frobnication")
 
     def test_summary_renders_na_not_zero_percent(self):
         text = self.all_hc.summary()
@@ -190,14 +190,13 @@ class TestAveraging:
         with pytest.raises(ValueError):
             metric_means([])
 
-    def test_geometric_mean(self):
-        assert geometric_mean([2, 8]) == pytest.approx(4.0)
-        assert geometric_mean([0.5, 0.5]) == pytest.approx(0.5)
-        assert geometric_mean([0, 5]) == 0.0
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([-1.0])
+    def test_metric_means_skip_undefined_metrics(self):
+        no_lc = QuadrantCounts(c_hc=90, i_hc=10)  # PVN undefined
+        some_lc = QuadrantCounts(c_hc=60, i_hc=10, c_lc=10, i_lc=20)
+        means = metric_means([no_lc, some_lc])
+        assert means["pvn"] == pytest.approx(some_lc.pvn)
+        assert means["pvp"] == pytest.approx((no_lc.pvp + some_lc.pvp) / 2)
+        assert metric_means([no_lc])["pvn"] is None
 
 
 class TestParametric:

@@ -5,12 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import QuadrantCounts
+from repro.metrics.quadrant import METRIC_POPULATIONS
 from repro.metrics.stats import (
     format_with_interval,
     metric_interval,
-    metrics_differ,
-    proportions_differ,
-    two_proportion_z,
     wilson_interval,
 )
 
@@ -71,7 +69,7 @@ class TestMetricInterval:
         assert (high - low) > (acc_high - acc_low)
 
     def test_every_metric_supported(self):
-        for metric in ("sens", "spec", "pvp", "pvn", "accuracy"):
+        for metric in METRIC_POPULATIONS:
             low, high = metric_interval(self.quadrant, metric)
             assert low <= getattr(self.quadrant, metric) <= high
 
@@ -82,35 +80,6 @@ class TestMetricInterval:
     def test_format(self):
         text = format_with_interval(self.quadrant, "pvn")
         assert "±" in text and "%" in text
-
-
-class TestProportionTests:
-    def test_clearly_different(self):
-        assert proportions_differ(900, 1000, 500, 1000)
-
-    def test_identical_not_different(self):
-        assert not proportions_differ(500, 1000, 500, 1000)
-        assert two_proportion_z(500, 1000, 500, 1000) == 0.0
-
-    def test_small_samples_not_significant(self):
-        # 6/10 vs 4/10 is indistinguishable
-        assert not proportions_differ(6, 10, 4, 10)
-
-    def test_same_rates_large_samples(self):
-        # the same 1-point gap: noise at n=400, real at n=40000
-        assert not proportions_differ(120, 400, 116, 400)
-        assert proportions_differ(12000, 40000, 11600, 40000)
-
-    def test_empty_samples(self):
-        assert not proportions_differ(0, 0, 5, 10)
-
-    def test_metrics_differ_wiring(self):
-        big_a = QuadrantCounts(c_hc=9000, i_hc=1000, c_lc=0, i_lc=0)  # pvp .9
-        big_b = QuadrantCounts(c_hc=8000, i_hc=2000, c_lc=0, i_lc=0)  # pvp .8
-        assert metrics_differ(big_a, big_b, "pvp")
-        small_a = QuadrantCounts(c_hc=9, i_hc=1, c_lc=0, i_lc=0)
-        small_b = QuadrantCounts(c_hc=8, i_hc=2, c_lc=0, i_lc=0)
-        assert not metrics_differ(small_a, small_b, "pvp")
 
 
 class TestOnRealMeasurement:

@@ -284,9 +284,9 @@ def test_ooo_fast_path_never_steps_the_machine(monkeypatch):
         steps.append(machine.pc)
         return step(machine)
 
-    def counting_step_cycle(simulator, fetch_allowed=True):
+    def counting_step_cycle(simulator):
         cycles.append(simulator.cycle)
-        return step_cycle(simulator, fetch_allowed)
+        return step_cycle(simulator)
 
     monkeypatch.setattr(Machine, "step", counting_step)
     monkeypatch.setattr(PipelineSimulator, "step_cycle", counting_step_cycle)

@@ -182,29 +182,6 @@ class TestStepCycleApi:
             simulator.step_cycle()
         assert simulator.done
 
-    def test_fetch_denied_still_commits(self):
-        program = small_program(iterations=5)
-        simulator = PipelineSimulator(
-            program, GsharePredictor(), config=PipelineConfig(resolve_stage=20)
-        )
-        # fill the pipe (riding out the cold I-cache miss), then deny
-        # fetch: in-flight work must drain
-        for __ in range(15):
-            simulator.step_cycle(fetch_allowed=True)
-        inflight = len(simulator._inflight)
-        assert inflight > 0
-        for __ in range(50):
-            simulator.step_cycle(fetch_allowed=False)
-        assert len(simulator._inflight) == 0
-
-    def test_wants_fetch_false_when_window_full(self):
-        program = small_program(iterations=10)
-        config = PipelineConfig(window=4, resolve_stage=30)
-        simulator = PipelineSimulator(program, GsharePredictor(), config=config)
-        for __ in range(3):
-            simulator.step_cycle()
-        assert not simulator.wants_fetch()
-
 
 class TestConfigValidation:
     def test_bad_widths(self):

@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.confidence import JRSEstimator, SaturatingCountersEstimator
+from repro.confidence import JRSEstimator
 from repro.pipeline import PipelineConfig, PipelineSimulator
 from repro.predictors import GsharePredictor
 from repro.speculation import (
     GatedPipelineSimulator,
-    SMTSimulator,
     compare_gating,
-    compare_policies,
     count_low_confidence_inflight,
-    evaluate_eager_execution,
 )
 from repro.workloads import generate_program, get_profile
 
@@ -151,163 +148,3 @@ class TestGating:
         assert (
             count_low_confidence_inflight(simulator, "jrs") == inflight_branches
         )
-
-
-class TestSMT:
-    def test_both_policies_complete_all_threads(self):
-        programs = [program("compress", 10), program("vortex", 10)]
-        results = compare_policies(
-            programs,
-            GsharePredictor,
-            lambda predictor: SaturatingCountersEstimator.for_predictor(predictor),
-        )
-        for result in results.values():
-            assert all(
-                thread.stats.committed_instructions > 0
-                for thread in result.thread_results
-            )
-
-    def test_round_robin_rotates_fairly(self):
-        programs = [program("vortex", 8), program("vortex", 8)]
-        simulator = SMTSimulator(
-            programs,
-            GsharePredictor,
-            lambda predictor: SaturatingCountersEstimator.for_predictor(predictor),
-            policy="round_robin",
-        )
-        result = simulator.run()
-        committed = [
-            thread.stats.committed_instructions for thread in result.thread_results
-        ]
-        assert max(committed) - min(committed) < max(committed) * 0.2
-
-    def test_confidence_policy_raises_throughput(self):
-        """With a deep enough resolve window, steering fetch away from
-        threads sitting behind low-confidence branches lifts aggregate
-        IPC (the paper's SMT motivation)."""
-        programs = [program("go", 25), program("go", 25)]
-        results = compare_policies(
-            programs,
-            GsharePredictor,
-            jrs_factory,
-            config=PipelineConfig(resolve_stage=8),
-        )
-        assert (
-            results["confidence"].aggregate_ipc
-            > results["round_robin"].aggregate_ipc
-        )
-
-    def test_aggregate_statistics(self):
-        programs = [program("compress", 8)]
-        result = SMTSimulator(
-            programs,
-            GsharePredictor,
-            jrs_factory,
-            policy="round_robin",
-        ).run()
-        assert result.aggregate_ipc > 0
-        assert result.committed_instructions > 0
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SMTSimulator([program()], GsharePredictor, jrs_factory, policy="magic")
-        with pytest.raises(ValueError):
-            SMTSimulator([], GsharePredictor, jrs_factory)
-
-
-class TestEagerExecution:
-    def _records(self):
-        predictor = GsharePredictor()
-        simulator = PipelineSimulator(
-            program(iterations=50),
-            predictor,
-            estimators={
-                "jrs": JRSEstimator(threshold=15),
-                "satcnt": SaturatingCountersEstimator.for_predictor(predictor),
-            },
-        )
-        return simulator.run().branch_records
-
-    def test_accounting_identities(self):
-        records = self._records()
-        outcome = evaluate_eager_execution(records, "jrs")
-        committed = [record for record in records if record.committed]
-        lc = [record for record in committed if not record.assessments["jrs"]]
-        assert outcome.forks == len(lc)
-        assert outcome.covered_mispredictions == sum(
-            1 for record in lc if record.mispredicted
-        )
-        assert outcome.fork_precision == pytest.approx(
-            sum(1 for r in lc if r.mispredicted) / len(lc)
-        )
-
-    def test_coverage_is_spec(self):
-        records = self._records()
-        outcome = evaluate_eager_execution(records, "jrs")
-        committed = [record for record in records if record.committed]
-        mispredicted = [record for record in committed if record.mispredicted]
-        covered = sum(1 for r in mispredicted if not r.assessments["jrs"])
-        assert outcome.coverage == pytest.approx(covered / len(mispredicted))
-
-    def test_net_cycles_prefers_high_pvn_estimators(self):
-        records = self._records()
-        jrs = evaluate_eager_execution(records, "jrs")
-        satcnt = evaluate_eager_execution(records, "satcnt")
-        better = max((jrs, satcnt), key=lambda outcome: outcome.fork_precision)
-        # the estimator with the higher fork precision (PVN) wastes less
-        assert better.net_cycles >= min(jrs.net_cycles, satcnt.net_cycles)
-
-    def test_unknown_estimator_rejected(self):
-        records = self._records()
-        with pytest.raises(KeyError):
-            evaluate_eager_execution(records, "nope")
-
-    def test_dilution_validation(self):
-        with pytest.raises(ValueError):
-            evaluate_eager_execution([], "jrs", dilution=2.0)
-
-    def test_no_records_have_no_ratios(self):
-        outcome = evaluate_eager_execution([], "jrs")
-        assert outcome.forks == outcome.net_cycles == 0
-        assert outcome.fork_precision is None
-        assert outcome.coverage is None
-
-
-class TestAdaptivePolicy:
-    def test_adaptive_policy_runs_and_completes(self):
-        programs = [program("compress", 8), program("go", 8)]
-        results = compare_policies(
-            programs,
-            GsharePredictor,
-            jrs_factory,
-        )
-        assert set(results) == {"round_robin", "confidence", "adaptive"}
-        for result in results.values():
-            assert all(t.stats.committed_instructions > 0 for t in result.thread_results)
-
-    def test_adaptive_at_least_matches_round_robin(self):
-        from repro.pipeline import PipelineConfig
-
-        programs = [program("go", 25), program("gcc", 25)]
-        results = compare_policies(
-            programs,
-            GsharePredictor,
-            jrs_factory,
-            config=PipelineConfig(resolve_stage=8),
-        )
-        assert (
-            results["adaptive"].aggregate_ipc
-            >= results["round_robin"].aggregate_ipc - 0.01
-        )
-
-    def test_squash_ewma_decays(self):
-        simulator = SMTSimulator(
-            [program("go", 6)],
-            GsharePredictor,
-            jrs_factory,
-            policy="adaptive",
-        )
-        simulator._squash_ewma[0] = 100.0
-        simulator._last_squashed[0] = simulator.threads[0].stats.squashed_instructions
-        simulator._update_squash_ewma()
-        assert simulator._squash_ewma[0] < 100.0
