@@ -1,6 +1,6 @@
 """Misprediction-distance analysis (paper §4.1, Figures 6-9).
 
-Given the pipeline's branch record store, build "misprediction rate vs.
+Given a pipeline run's distance counts, build "misprediction rate vs.
 distance since the previous misprediction" curves -- the presentation
 the paper prefers over Heil & Smith's PDF plot.  If branch outcomes
 were independent the curve would be flat at the average misprediction
@@ -20,21 +20,21 @@ precise curve is recomputed from scratch over the committed sub-stream
 so that distances are counted in committed branches, exactly as a
 trace-based analysis would.
 
-Curves are counted from the store's memoised numpy columns
-(:meth:`~repro.pipeline.records.BranchRecordStore.distance_columns`):
-every curve is one :func:`numpy.bincount` over a distance column,
-clamped into the tail bucket, with no per-branch python.
+A run's :class:`~repro.pipeline.records.DistanceCounts` (its result's
+``distances``) holds all four populations as exact per-distance
+counts, so a curve only cuts them at ``max_distance``: the last bucket
+absorbs the tail.  A rate over an empty population is ``None``, not a
+made-up 0.0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import branches_since_flagged
-from ..pipeline.records import BranchRecordStore
+from ..pipeline.records import DistanceCounts, Histogram, distance_histogram
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,9 @@ class DistanceBucket:
     mispredictions: int
 
     @property
-    def misprediction_rate(self) -> float:
-        return self.mispredictions / self.branches if self.branches else 0.0
+    def misprediction_rate(self) -> Optional[float]:
+        """``None`` when no branch falls at this distance."""
+        return self.mispredictions / self.branches if self.branches else None
 
 
 @dataclass(frozen=True)
@@ -60,15 +61,16 @@ class DistanceCurve:
     total_mispredictions: int
 
     @property
-    def average_rate(self) -> float:
-        """The flat line the curve would be without clustering."""
+    def average_rate(self) -> Optional[float]:
+        """The flat line the curve would be without clustering
+        (``None`` with no branches)."""
         return (
             self.total_mispredictions / self.total_branches
             if self.total_branches
-            else 0.0
+            else None
         )
 
-    def rate_at(self, distance: int) -> float:
+    def rate_at(self, distance: int) -> Optional[float]:
         index = min(distance, len(self.buckets) - 1)
         return self.buckets[index].misprediction_rate
 
@@ -83,60 +85,74 @@ class DistanceCurve:
         return (misses / branches) / self.average_rate if branches else 0.0
 
 
+def _clamped(counts: Sequence[int], max_distance: int) -> List[int]:
+    """``counts`` cut to ``max_distance + 1`` buckets, the last one
+    absorbing every larger distance."""
+    head = list(counts[:max_distance])
+    head += [0] * (max_distance - len(head))
+    head.append(sum(counts[max_distance:]))
+    return head
+
+
+def _curve_from_counts(
+    histogram: Histogram, label: str, max_distance: int
+) -> DistanceCurve:
+    """The curve of exact per-distance ``(branches, mispredictions)``
+    counts, clamped at ``max_distance``."""
+    branches, misses = (_clamped(counts, max_distance) for counts in histogram)
+    buckets = tuple(
+        DistanceBucket(distance=d, branches=branches[d], mispredictions=misses[d])
+        for d in range(max_distance + 1)
+    )
+    return DistanceCurve(
+        label=label,
+        buckets=buckets,
+        total_branches=sum(branches),
+        total_mispredictions=sum(misses),
+    )
+
+
 def _curve_from_columns(
     distance: np.ndarray, flags: np.ndarray, label: str, max_distance: int
 ) -> DistanceCurve:
     """Bucket ``distance`` (clamped to ``max_distance``) and count the
     branches and the ``flags``-marked ones in each bucket."""
-    bucket = np.minimum(distance, max_distance)
-    length = max_distance + 1
-    branches = np.bincount(bucket, minlength=length).tolist()
-    misses = np.bincount(bucket[flags], minlength=length).tolist()
-    buckets = tuple(
-        DistanceBucket(distance=d, branches=branches[d], mispredictions=misses[d])
-        for d in range(length)
-    )
-    return DistanceCurve(
-        label=label,
-        buckets=buckets,
-        total_branches=len(bucket),
-        total_mispredictions=int(np.count_nonzero(flags)),
+    return _curve_from_counts(
+        distance_histogram(distance, flags), label, max_distance
     )
 
 
-def precise_distance_curve(
-    records: BranchRecordStore,
-    population: str = "all",
-    max_distance: int = 15,
-) -> DistanceCurve:
-    """Figures 6/7: precise distances, over all or committed branches."""
-    precise, _, mispredicted, committed = records.distance_columns()
+def _population(all_branches: Histogram, committed: Histogram, population: str):
     if population == "all":
-        return _curve_from_columns(precise, mispredicted, "precise/all", max_distance)
+        return all_branches
     if population == "committed":
-        # recount distances within the committed sub-stream (trace view)
-        flags = mispredicted[committed]
-        return _curve_from_columns(
-            branches_since_flagged(flags), flags, "precise/committed", max_distance
-        )
+        return committed
     raise ValueError("population must be 'all' or 'committed'")
 
 
+def precise_distance_curve(
+    counts: DistanceCounts,
+    population: str = "all",
+    max_distance: int = 15,
+) -> DistanceCurve:
+    """Figures 6/7: precise distances, over all or committed branches
+    (committed distances are recounted in committed branches)."""
+    histogram = _population(
+        counts.precise_all, counts.precise_committed, population
+    )
+    return _curve_from_counts(histogram, f"precise/{population}", max_distance)
+
+
 def perceived_distance_curve(
-    records: BranchRecordStore,
+    counts: DistanceCounts,
     population: str = "all",
     max_distance: int = 15,
 ) -> DistanceCurve:
     """Figures 8/9: distances from the last *detected* misprediction."""
-    _, perceived, mispredicted, committed = records.distance_columns()
-    if population == "committed":
-        perceived = perceived[committed]
-        mispredicted = mispredicted[committed]
-    elif population != "all":
-        raise ValueError("population must be 'all' or 'committed'")
-    return _curve_from_columns(
-        perceived, mispredicted, f"perceived/{population}", max_distance
+    histogram = _population(
+        counts.perceived_all, counts.perceived_committed, population
     )
+    return _curve_from_counts(histogram, f"perceived/{population}", max_distance)
 
 
 def distance_pdf(curve: DistanceCurve) -> List[float]:
@@ -164,7 +180,7 @@ def geometric_reference_pdf(curve: DistanceCurve) -> List[float]:
     """
     p = curve.average_rate
     depth = len(curve.buckets)
-    if not 0.0 < p <= 1.0 or depth == 0:
+    if p is None or not 0.0 < p <= 1.0 or depth == 0:
         return [0.0] * depth
     pdf = [((1.0 - p) ** d) * p for d in range(depth - 1)]
     pdf.append(1.0 - sum(pdf))  # tail bucket
@@ -179,8 +195,13 @@ def clustering_divergence(curve: DistanceCurve) -> float:
     return 0.5 * sum(abs(m - r) for m, r in zip(measured, reference))
 
 
+def _rate(rate: Optional[float]) -> str:
+    return "n/a".rjust(7) if rate is None else f"{rate:7.2%}"
+
+
 def render_curves(curves: Sequence[DistanceCurve], width: int = 8) -> str:
-    """Text rendering of several curves side by side (harness output)."""
+    """Text rendering of several curves side by side (an empty bucket's
+    rate reads ``n/a``)."""
     if not curves:
         return ""
     lines: List[str] = []
@@ -195,7 +216,7 @@ def render_curves(curves: Sequence[DistanceCurve], width: int = 8) -> str:
             if distance < len(curve.buckets):
                 bucket = curve.buckets[distance]
                 cells.append(
-                    f"{bucket.misprediction_rate:7.2%} (n={bucket.branches:6d})"
+                    f"{_rate(bucket.misprediction_rate)} (n={bucket.branches:6d})"
                 )
             else:
                 cells.append("".rjust(width + 12))
@@ -203,6 +224,6 @@ def render_curves(curves: Sequence[DistanceCurve], width: int = 8) -> str:
         lines.append(tag.ljust(6) + "".join(cell.rjust(width + 12) for cell in cells))
     lines.append(
         "avg".ljust(6)
-        + "".join(f"{curve.average_rate:7.2%}".rjust(width + 12) for curve in curves)
+        + "".join(_rate(curve.average_rate).rjust(width + 12) for curve in curves)
     )
     return "\n".join(lines)

@@ -6,7 +6,7 @@ in the central :data:`repro.harness.spec.SPECS` registry, which carries
 its report section/order and its declared dependencies on shared
 artifacts.
 
-Heavy intermediate products (workload traces, pipeline branch records,
+Heavy intermediate products (workload traces, pipeline results,
 per-workload estimator-bank measurements) are memoised per scale in
 process *and* persisted in the content-addressed artifact cache
 (:mod:`repro.engine.cache`), so the whole battery costs each
@@ -66,7 +66,7 @@ from ..pipeline import DEPTH_HISTOGRAM_KEY, PipelineConfig, clear_decoded_cache
 from ..predictors import make_predictor
 from ..workloads import SUITE
 from . import paper_values
-from .spec import SPECS, ArtifactDep, ExperimentSpec
+from .spec import PIPELINE_SCHEMA, SPECS, ArtifactDep, ExperimentSpec
 from .tables import TextTable, pct, pct1
 
 #: Predictors compared throughout the paper's evaluation.
@@ -282,6 +282,7 @@ def _pipeline_result(
         profile=profile_fingerprint(workload),
         config=repr(PipelineConfig()),
         backend=backend,
+        schema=PIPELINE_SCHEMA,
     )
 
 
@@ -865,8 +866,8 @@ def _distance_figure(
             scale.segment_instructions,
             scale.backend,
         )
-        all_curves.append(curve_fn(pipe.records, population="all"))
-        committed_curves.append(curve_fn(pipe.records, population="committed"))
+        all_curves.append(curve_fn(pipe.distances, population="all"))
+        committed_curves.append(curve_fn(pipe.distances, population="committed"))
         # backends with a real in-flight window (ooo) record the window
         # depth seen at every misprediction recovery; aggregate it so
         # the report can put backend distance distributions side by side
@@ -1117,14 +1118,17 @@ def experiment_boosting(scale: Scale = FULL) -> ExperimentResult:
         merged = _merge_curves(workload_curves, label)
         curves[label] = merged
         tail = merged.buckets[8:]
-        tail_branches = sum(bucket.branches for bucket in tail)
-        tail_misses = sum(bucket.mispredictions for bucket in tail)
+        tail_bucket = DistanceBucket(
+            distance=8,
+            branches=sum(bucket.branches for bucket in tail),
+            mispredictions=sum(bucket.mispredictions for bucket in tail),
+        )
         decay_table.add_row(
             [
                 label,
                 pct1(merged.buckets[0].misprediction_rate),
                 pct1(merged.buckets[4].misprediction_rate),
-                pct1(tail_misses / tail_branches if tail_branches else 0.0),
+                pct1(tail_bucket.misprediction_rate),
                 pct1(merged.average_rate),
             ]
         )

@@ -94,13 +94,14 @@ def line_chart(
 
 
 def distance_chart(curves: Dict[str, object], title: str) -> str:
-    """Chart DistanceCurve objects (misprediction rate vs distance)."""
+    """Chart DistanceCurve objects (misprediction rate vs distance); a
+    distance no branch fell at draws no point."""
     series: Dict[str, Series] = {}
     for label, curve in curves.items():
-        series[label] = [
-            (bucket.distance, bucket.misprediction_rate)
-            for bucket in curve.buckets
+        values = [
+            (bucket.distance, bucket.misprediction_rate) for bucket in curve.buckets
         ]
+        series[label] = [(x, y) for x, y in values if y is not None]
     return line_chart(
         series,
         title=title,

@@ -56,6 +56,21 @@ DEP_KINDS = (
 #: plain miss, never as a corrupt one.
 CELL_SCHEMA = "speculation-result/2"
 
+#: Layout of the cached :class:`~repro.pipeline.PipelineResult`
+#: (aggregates and distance counts, no per-branch records), a key part
+#: of every ``pipeline`` artifact and of the checkpoints of the
+#: experiments that read one: an entry of another layout is a plain
+#: miss, and a checkpoint rendered from one re-runs on resume.
+PIPELINE_SCHEMA = "pipeline-result/2"
+
+#: The schema part a dependency kind adds to its checkpoint key parts.
+_DEP_SCHEMAS = {
+    "pipeline": PIPELINE_SCHEMA,
+    "gating": CELL_SCHEMA,
+    "eager": CELL_SCHEMA,
+    "inversion": CELL_SCHEMA,
+}
+
 
 @dataclass(frozen=True)
 class ArtifactDep:
@@ -88,8 +103,10 @@ class ArtifactDep:
     def key_parts(self) -> Tuple:
         """Stable, JSON-representable identity (checkpoint fingerprints).
 
-        A speculation cell's parts end with :data:`CELL_SCHEMA`: its
-        experiment's checkpoint holds the cached results themselves."""
+        A speculation cell's parts end with :data:`CELL_SCHEMA` (its
+        experiment's checkpoint holds the cached results themselves)
+        and a pipeline run's with :data:`PIPELINE_SCHEMA` (its
+        experiments' checkpoints hold what was rendered from it)."""
         parts = (
             self.kind,
             self.predictor,
@@ -97,9 +114,8 @@ class ArtifactDep:
             self.estimator,
             self.threshold,
         )
-        if self.kind in ("gating", "eager", "inversion"):
-            return parts + (CELL_SCHEMA,)
-        return parts
+        schema = _DEP_SCHEMAS.get(self.kind)
+        return parts if schema is None else parts + (schema,)
 
 
 @dataclass(frozen=True)

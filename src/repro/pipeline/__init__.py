@@ -24,7 +24,7 @@ from .ooo import (
     OOO_WINDOW,
     OutOfOrderSimulator,
 )
-from .records import BranchRecord, BranchRecordStore, PipelineStats
+from .records import BranchRecord, BranchRecordStore, DistanceCounts, PipelineStats
 from .snapshot import (
     SNAPSHOT_SCHEMA,
     PipelineSnapshot,
@@ -52,6 +52,7 @@ __all__ = [
     "PipelineSimulator",
     "BranchRecord",
     "BranchRecordStore",
+    "DistanceCounts",
     "PipelineStats",
     "DecodedProgram",
     "clear_decoded_cache",

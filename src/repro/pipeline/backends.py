@@ -67,7 +67,8 @@ class PipelineBackend(Protocol):
         """Simulate to halt, a budget, or a soft segment boundary."""
 
     def result(self) -> PipelineResult:
-        """Snapshot stats/records/quadrants (usable mid-simulation)."""
+        """Snapshot stats, distance counts and quadrants (usable
+        mid-simulation)."""
 
     # -- backend timing hooks ------------------------------------------
 

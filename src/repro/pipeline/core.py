@@ -27,6 +27,8 @@ misprediction distance (reset when a mispredicted branch is fetched;
 the oracle view of Figures 6/7) and the *perceived* distance (reset
 when a misprediction is detected at resolution; the implementable view
 of Figures 8/9), plus the confidence estimates made at fetch time.
+Those records stay simulator state (``simulator.records``); a
+:class:`PipelineResult` carries only their per-distance counts.
 
 Two engines share these semantics bit for bit, for every simulator
 class:
@@ -67,6 +69,7 @@ out-of-order window in behind the same front end.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import settings
@@ -91,7 +94,7 @@ from .decode import (
     DecodedProgram,
     decode_program,
 )
-from .records import BranchRecord, BranchRecordStore, PipelineStats
+from .records import BranchRecord, BranchRecordStore, DistanceCounts, PipelineStats
 
 
 class _Inflight:
@@ -175,31 +178,22 @@ def _token_assessment(token: int, boosted: bool, jrs: bool) -> Assessment:
     return inner
 
 
+@dataclass
 class PipelineResult:
-    """Everything a pipeline run produced."""
+    """The aggregates of a pipeline run, built only by
+    :meth:`PipelineSimulator.result`.
 
-    def __init__(
-        self,
-        stats: PipelineStats,
-        records: BranchRecordStore,
-        quadrants_committed: Dict[str, QuadrantCounts],
-        quadrants_all: Dict[str, QuadrantCounts],
-    ):
-        self.stats = stats
-        #: Columnar buffers of every fetched branch (the pickled form).
-        self.records = records
-        #: Estimator quadrants over committed branches only (resolved).
-        self.quadrants_committed = quadrants_committed
-        #: Estimator quadrants over every fetched branch.
-        self.quadrants_all = quadrants_all
+    Per-branch records stay on the simulator (``simulator.records``),
+    so a result's size does not grow with the run.
+    """
 
-    @property
-    def branch_records(self) -> List[BranchRecord]:
-        """Record views, materialised from the columnar store on demand."""
-        return self.records.materialize()
-
-    def committed_records(self) -> List[BranchRecord]:
-        return [record for record in self.branch_records if record.committed]
+    stats: PipelineStats
+    #: Per-distance branch and misprediction counts (Figures 6-9).
+    distances: DistanceCounts
+    #: Estimator quadrants over committed branches only (resolved).
+    quadrants_committed: Dict[str, QuadrantCounts]
+    #: Estimator quadrants over every fetched branch.
+    quadrants_all: Dict[str, QuadrantCounts]
 
 
 class PipelineSimulator:
@@ -1286,7 +1280,7 @@ class PipelineSimulator:
         self.stats.dcache_misses = self.dcache.misses
         return PipelineResult(
             stats=self.stats,
-            records=self.records,
+            distances=DistanceCounts.from_store(self.records),
             quadrants_committed=self._quadrants_committed,
             quadrants_all=self._quadrants_all,
         )

@@ -11,12 +11,16 @@ buffers (one flat python list per field, the
 pipeline hot loop appends one record per fetched branch and a
 dataclass allocation per branch is measurable there.
 
-The distance analysis (Figures 6-9) reads the store as numpy columns:
-:meth:`BranchRecordStore.distance_columns` converts the four fields it
-needs once and memoises them against a mutation stamp.  Tests and
-examples that want objects call :meth:`BranchRecordStore.materialize`,
-which builds :class:`BranchRecord` views on demand, memoised the same
-way; the experiment battery never builds them.
+The store is simulator state, not part of a run's result.  A
+:class:`~repro.pipeline.core.PipelineResult` carries
+:class:`DistanceCounts` instead: the per-distance branch and
+misprediction counts the distance analysis (Figures 6-9) reads,
+counted once from :meth:`BranchRecordStore.distance_columns`, which
+converts the four fields it needs to numpy and memoises them against
+a mutation stamp.  Tests and examples that want objects call
+:meth:`BranchRecordStore.materialize` on the simulator's store, which
+builds :class:`BranchRecord` views on demand, memoised the same way;
+the experiment battery never builds them.
 """
 
 from __future__ import annotations
@@ -213,6 +217,58 @@ class BranchRecordStore:
         self._views = None
         self._columns = None
         self._stamp = 0
+
+
+#: ``(branches, mispredictions)`` counts indexed by exact distance.
+Histogram = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def distance_histogram(distance: np.ndarray, flags: np.ndarray) -> Histogram:
+    """Branches, and ``flags``-marked branches, at each exact distance.
+
+    Both tuples run to the largest distance present (empty for no
+    branches); nothing is clamped, so any tail bucket can be cut later.
+    """
+    branches = np.bincount(distance)
+    flagged = np.bincount(distance[flags], minlength=len(branches))
+    return tuple(branches.tolist()), tuple(flagged.tolist())
+
+
+@dataclass(frozen=True)
+class DistanceCounts:
+    """Per-distance counts of one pipeline run (Figures 6-9's input).
+
+    One :data:`Histogram` each for precise and perceived distance, over
+    every fetched branch and over committed branches only.  Committed
+    precise distances are recounted inside the committed sub-stream, in
+    committed branches, as a trace-based analysis counts them;
+    perceived distances are taken as recorded.  The size grows with the
+    largest distance, not with the run's length.
+    """
+
+    precise_all: Histogram
+    precise_committed: Histogram
+    perceived_all: Histogram
+    perceived_committed: Histogram
+
+    @classmethod
+    def from_store(cls, store: BranchRecordStore) -> DistanceCounts:
+        # imported here: repro.engine's tracer imports this package, so
+        # a module-level import would be circular
+        from ..engine import branches_since_flagged
+
+        precise, perceived, mispredicted, committed = store.distance_columns()
+        committed_flags = mispredicted[committed]
+        return cls(
+            precise_all=distance_histogram(precise, mispredicted),
+            precise_committed=distance_histogram(
+                branches_since_flagged(committed_flags), committed_flags
+            ),
+            perceived_all=distance_histogram(perceived, mispredicted),
+            perceived_committed=distance_histogram(
+                perceived[committed], committed_flags
+            ),
+        )
 
 
 @dataclass

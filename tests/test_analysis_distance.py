@@ -1,11 +1,14 @@
 """Tests for misprediction-distance curves.
 
-The curves are counted from a :class:`BranchRecordStore`'s columns.
-The per-branch loops they replaced stay here as the oracle:
+The curves are cut from a run's :class:`DistanceCounts`, which are
+counted once from a :class:`BranchRecordStore`'s columns.  The
+per-branch loops they replaced stay here as the oracle:
 :func:`_curve_from_pairs` buckets ``(distance, flagged)`` pairs one at
 a time, and :func:`precise_reference` / :func:`perceived_reference`
 walk :meth:`BranchRecordStore.materialize` views.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,16 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
+    geometric_reference_pdf,
     perceived_distance_curve,
     precise_distance_curve,
     render_curves,
 )
 from repro.analysis.distance import DistanceBucket, DistanceCurve, _curve_from_columns
 from repro.engine import branches_since_flagged, workload_program
-from repro.harness import SPECS
+from repro.harness import SPECS, run_experiment
 from repro.harness.experiments import SMOKE
 from repro.harness.parallel import plan_warm_levels
-from repro.pipeline import BranchRecordStore, PipelineConfig, create_simulator
+from repro.pipeline import (
+    BranchRecordStore,
+    DistanceCounts,
+    PipelineConfig,
+    create_simulator,
+)
 from repro.predictors import make_predictor
 from repro.workloads import SUITE
 
@@ -86,12 +95,21 @@ CURVES = (
 )
 
 
-def assert_matches_reference(store, max_distance=15):
-    """All four (kind, population) curves equal the loop oracle's."""
-    for curve_fn, reference in CURVES:
-        for population in ("all", "committed"):
-            expected = reference(store, population, max_distance)
-            assert curve_fn(store, population, max_distance) == expected
+#: Tail cuts every oracle comparison checks (the battery uses 15).
+MAX_DISTANCES = (0, 1, 4, 15)
+
+
+def assert_matches_reference(store, counts=None):
+    """All four (kind, population) curves cut from ``counts`` (by
+    default counted from ``store``) equal the loop oracle's over
+    ``store``, at every tail cut of :data:`MAX_DISTANCES`."""
+    if counts is None:
+        counts = DistanceCounts.from_store(store)
+    for max_distance in MAX_DISTANCES:
+        for curve_fn, reference in CURVES:
+            for population in ("all", "committed"):
+                expected = reference(store, population, max_distance)
+                assert curve_fn(counts, population, max_distance) == expected
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +170,32 @@ class TestCurveFromPairs:
         assert curve.rate_at(99) == pytest.approx(1.0)
 
 
+EMPTY_COUNTS = DistanceCounts.from_store(BranchRecordStore())
+
+
+class TestDistanceCounts:
+    def test_counts_are_exact_and_unclamped(self):
+        store = build_store(
+            [
+                record(0, mispredicted=True, precise=40, perceived=2),
+                record(1, committed=False, precise=0, perceived=3),
+                record(2, precise=1, perceived=4),
+            ]
+        )
+        counts = DistanceCounts.from_store(store)
+        branches, misses = counts.precise_all
+        assert len(branches) == len(misses) == 41
+        assert (branches[40], misses[40]) == (1, 1)
+        assert (branches[0], branches[1], sum(misses)) == (1, 1, 1)
+        # committed stream M . -> recounted distances 0 and 0
+        assert counts.precise_committed == ((2,), (1,))
+        assert counts.perceived_all == ((0, 0, 1, 1, 1), (0, 0, 1, 0, 0))
+        assert counts.perceived_committed == ((0, 0, 1, 0, 1), (0, 0, 1, 0, 0))
+
+    def test_empty_store(self):
+        assert EMPTY_COUNTS == DistanceCounts(*[((), ())] * 4)
+
+
 class TestPreciseCurve:
     def test_all_population_uses_recorded_distances(self):
         store = build_store(
@@ -161,7 +205,9 @@ class TestPreciseCurve:
                 record(2, precise=1, committed=False),
             ]
         )
-        curve = precise_distance_curve(store, population="all", max_distance=5)
+        curve = precise_distance_curve(
+            DistanceCounts.from_store(store), population="all", max_distance=5
+        )
         assert curve.total_branches == 3
         assert curve.buckets[4].mispredictions == 1
 
@@ -176,14 +222,16 @@ class TestPreciseCurve:
                 record(4, mispredicted=True, precise=2),
             ]
         )
-        curve = precise_distance_curve(store, population="committed", max_distance=5)
+        curve = precise_distance_curve(
+            DistanceCounts.from_store(store), population="committed", max_distance=5
+        )
         assert curve.total_branches == 4
         # the second misprediction happened at recounted distance 2
         assert curve.buckets[2].mispredictions == 1
 
     def test_invalid_population(self):
         with pytest.raises(ValueError):
-            precise_distance_curve(BranchRecordStore(), population="bogus")
+            precise_distance_curve(EMPTY_COUNTS, population="bogus")
 
 
 class TestPerceivedCurve:
@@ -194,14 +242,15 @@ class TestPerceivedCurve:
                 record(1, committed=False, perceived=4),
             ]
         )
-        all_curve = perceived_distance_curve(store, population="all")
-        committed_curve = perceived_distance_curve(store, population="committed")
+        counts = DistanceCounts.from_store(store)
+        all_curve = perceived_distance_curve(counts, population="all")
+        committed_curve = perceived_distance_curve(counts, population="committed")
         assert all_curve.total_branches == 2
         assert committed_curve.total_branches == 1
 
     def test_invalid_population(self):
         with pytest.raises(ValueError):
-            perceived_distance_curve(BranchRecordStore(), population="bogus")
+            perceived_distance_curve(EMPTY_COUNTS, population="bogus")
 
 
 class TestColumnsMatchLoopReference:
@@ -231,11 +280,10 @@ class TestColumnsMatchLoopReference:
             ),
             max_size=80,
         ),
-        st.sampled_from([0, 1, 4, 15]),
     )
-    def test_random_stores(self, rows, max_distance):
+    def test_random_stores(self, rows):
         records = [record(i, *row) for i, row in enumerate(rows)]
-        assert_matches_reference(build_store(records), max_distance)
+        assert_matches_reference(build_store(records))
 
     @pytest.mark.parametrize("fast", [True, False], ids=["fused", "reference"])
     @pytest.mark.parametrize("backend", ["inorder", "ooo"])
@@ -256,8 +304,8 @@ class TestColumnsMatchLoopReference:
                 fast=fast,
             )
             result = simulator.run(max_instructions=max_instructions)
-            assert len(result.records) > 0
-            assert_matches_reference(result.records)
+            assert len(simulator.records) > 0
+            assert_matches_reference(simulator.records, result.distances)
 
 
 class TestCommittedPerceivedDistance:
@@ -283,10 +331,37 @@ class TestCommittedPerceivedDistance:
             backend=backend,
             config=PipelineConfig(),
         )
-        store = simulator.run(max_instructions=max_instructions).records
-        __, perceived, mispredicted, committed = store.distance_columns()
+        simulator.run(max_instructions=max_instructions)
+        __, perceived, mispredicted, committed = simulator.records.distance_columns()
         recount = branches_since_flagged(mispredicted[committed])
         assert perceived[committed].tolist() == recount.tolist()
+
+
+class TestEmptyBuckets:
+    """A distance no branch fell at has no rate: ``None``, rendered
+    ``n/a``, never a made-up 0.0%."""
+
+    def test_empty_bucket_and_curve_rates_are_none(self):
+        curve = columns_curve([(0, True), (2, False)], "t", max_distance=3)
+        assert curve.buckets[1].misprediction_rate is None
+        assert curve.rate_at(3) is None
+        # one correct branch is a real 0.0%
+        assert curve.buckets[2].misprediction_rate == 0.0
+        empty = columns_curve([], "t", max_distance=3)
+        assert empty.average_rate is None
+        assert geometric_reference_pdf(empty) == [0.0] * 4
+        assert "n/a" in render_curves([curve, empty])
+
+    def test_figure_prints_na_where_no_branch_falls(self):
+        # 300 instructions of vortex leave the tail buckets empty
+        scale = replace(SMOKE, workloads=("vortex",), pipeline_instructions=300)
+        (table,) = run_experiment("fig6", scale).tables
+        rows = {row[0]: row[1:] for row in table.rows}
+        for tag in [str(d) for d in range(8, 15)] + [">=15"]:
+            assert rows[tag] == ["n/a", "n/a"], tag
+        assert rows["7"][1] == "n/a"
+        # distance 4 holds one correct branch in each population
+        assert rows["4"] == ["0.0%", "0.0%"]
 
 
 class TestRendering:

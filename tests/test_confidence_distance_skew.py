@@ -34,7 +34,8 @@ def _pipeline_records(workload="compress", iterations=40, config=SKEW_CONFIG):
         config=config,
         estimators={"dist": MispredictionDistanceEstimator(THRESHOLD)},
     )
-    return simulator.run(max_instructions=6000).branch_records
+    simulator.run(max_instructions=6000)
+    return simulator.branch_records
 
 
 class TestTraceEngineIsPrecise:

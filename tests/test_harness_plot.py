@@ -51,6 +51,14 @@ class TestDomainCharts:
         assert "misprediction rate" in chart
         assert "demo distances" in chart
 
+    def test_distance_chart_skips_empty_buckets(self):
+        # no branch fell at distances 1-3: only distances 0 and 4 are
+        # charted, not made-up 0.0% points in between
+        curve = columns_curve([(0, True), (4, False)], "t", max_distance=4)
+        chart = distance_chart({"all": curve}, "demo distances")
+        grid = [row.split("|", 1)[1] for row in chart.splitlines() if "|" in row]
+        assert sum(row.count("o") for row in grid) == 2
+
     def test_sweep_chart(self):
         line = SweepLine(
             "demo",

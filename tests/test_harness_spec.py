@@ -42,6 +42,7 @@ from repro.harness.experiments import (
     STANDARD_FAMILIES,
     _family_estimator,
 )
+from repro.harness import spec
 from repro.harness.spec import SECTIONS, SpecRegistry
 from repro.harness.speculation import (
     GATE_THRESHOLDS,
@@ -276,6 +277,23 @@ class TestSpecFingerprint:
         assert spec_fingerprint("tab2", SMOKE) != spec_fingerprint(
             "tab3", SMOKE
         )
+
+    def test_pipeline_schema_rekeys_only_pipeline_readers(self, monkeypatch):
+        """A checkpoint rendered from another pipeline result layout
+        (before ``pipeline-result/2`` an empty distance bucket printed
+        0.0%, not n/a) re-runs on resume; other checkpoints stay."""
+        assert ArtifactDep("pipeline", predictor="gshare").key_parts()[-1] == (
+            spec.PIPELINE_SCHEMA
+        )
+        assert ArtifactDep("gating", estimator="jrs").key_parts()[-1] == (
+            spec.CELL_SCHEMA
+        )
+        assert len(ArtifactDep("trace").key_parts()) == 5
+        ids = ("tab1", "fig6", "fig9", "tab2", "boost")
+        before = {eid: spec_fingerprint(eid, SMOKE) for eid in ids}
+        monkeypatch.setitem(spec._DEP_SCHEMAS, "pipeline", "pipeline-result/1")
+        moved = {eid for eid in ids if spec_fingerprint(eid, SMOKE) != before[eid]}
+        assert moved == {"tab1", "fig6", "fig9"}
 
 
 class TestBenchCli:

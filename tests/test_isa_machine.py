@@ -219,9 +219,11 @@ class TestProgramImage:
         assert list(trace_branches(program).trace) == golden
         for fast in (True, False):
             simulator = PipelineSimulator(program, GsharePredictor(), fast=fast)
+            simulator.run()
             committed = [
                 (record.pc, record.actual_taken)
-                for record in simulator.run().committed_records()
+                for record in simulator.branch_records
+                if record.committed
             ]
             assert committed == golden
             assert simulator.machine.regs == machine.regs

@@ -118,8 +118,9 @@ class TestBackendRegistry:
 
 
 def _digest(simulator, result):
-    """Stats, all 11 record columns, quadrants, machine state."""
-    records = result.records
+    """Stats, all 11 record columns, distance counts, quadrants, machine
+    state."""
+    records = simulator.records
     columns = (
         list(records.sequence),
         list(records.pc),
@@ -144,6 +145,7 @@ def _digest(simulator, result):
         machine.instructions_retired,
         {n: vars(q).copy() for n, q in result.quadrants_committed.items()},
         {n: vars(q).copy() for n, q in result.quadrants_all.items()},
+        result.distances,
     )
 
 

@@ -1,8 +1,12 @@
 """Integration tests for the speculative pipeline simulator."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.confidence import JRSEstimator, MispredictionDistanceEstimator
+from repro.engine import workload_program
 from repro.isa import Machine
 from repro.pipeline import PipelineConfig, PipelineSimulator
 from repro.predictors import GsharePredictor, SAgPredictor, make_predictor
@@ -34,9 +38,12 @@ class TestGoldenEquivalence:
         from repro.engine import trace_branches
 
         program = small_program(iterations=10)
-        result = PipelineSimulator(program, GsharePredictor()).run()
+        simulator = PipelineSimulator(program, GsharePredictor())
+        simulator.run()
         committed = [
-            (record.pc, record.actual_taken) for record in result.committed_records()
+            (record.pc, record.actual_taken)
+            for record in simulator.branch_records
+            if record.committed
         ]
         assert committed == list(trace_branches(program).trace)
 
@@ -60,15 +67,17 @@ class TestSpeculationBehaviour:
 
     def test_wrong_path_branches_are_recorded(self):
         program = small_program(iterations=40)
-        result = PipelineSimulator(program, GsharePredictor()).run()
-        wrong_path = [r for r in result.branch_records if r.wrong_path]
+        simulator = PipelineSimulator(program, GsharePredictor())
+        simulator.run()
+        wrong_path = [r for r in simulator.branch_records if r.wrong_path]
         assert wrong_path
         assert all(not record.committed for record in wrong_path)
 
     def test_committed_records_resolved_in_order(self):
         program = small_program(iterations=20)
-        result = PipelineSimulator(program, GsharePredictor()).run()
-        committed = result.committed_records()
+        simulator = PipelineSimulator(program, GsharePredictor())
+        simulator.run()
+        committed = [record for record in simulator.branch_records if record.committed]
         cycles = [record.resolve_cycle for record in committed]
         assert cycles == sorted(cycles)
         assert all(
@@ -77,8 +86,9 @@ class TestSpeculationBehaviour:
 
     def test_distance_counters_reset_on_mispredictions(self):
         program = small_program(iterations=40)
-        result = PipelineSimulator(program, GsharePredictor()).run()
-        records = result.branch_records
+        simulator = PipelineSimulator(program, GsharePredictor())
+        simulator.run()
+        records = simulator.branch_records
         # right after a mispredicted fetch, the next branch's precise
         # distance must be 0
         for earlier, later in zip(records, records[1:]):
@@ -90,8 +100,9 @@ class TestSpeculationBehaviour:
         average perceived distances right after a misprediction exceed
         precise ones."""
         program = small_program(iterations=60)
-        result = PipelineSimulator(program, GsharePredictor()).run()
-        records = [r for r in result.branch_records if r.mispredicted]
+        simulator = PipelineSimulator(program, GsharePredictor())
+        simulator.run()
+        records = [r for r in simulator.branch_records if r.mispredicted]
         mean_precise = sum(r.precise_distance for r in records) / len(records)
         mean_perceived = sum(r.perceived_distance for r in records) / len(records)
         assert mean_perceived >= mean_precise
@@ -133,6 +144,33 @@ class TestSpeculationBehaviour:
         assert 0 < result.stats.ipc_or_none() <= 2.0
 
 
+class TestResultSize:
+    """A result holds aggregates only: the per-branch records stay on
+    the simulator, so what the harness memoises and caches per cell
+    does not grow with the run."""
+
+    def test_result_has_no_per_branch_field(self):
+        simulator = PipelineSimulator(small_program(iterations=20), GsharePredictor())
+        result = simulator.run()
+        assert [field.name for field in dataclasses.fields(result)] == [
+            "stats",
+            "distances",
+            "quadrants_committed",
+            "quadrants_all",
+        ]
+        for name in ("records", "branch_records", "committed_records"):
+            assert not hasattr(result, name)
+        assert len(simulator.records) == result.stats.fetched_branches
+
+    @pytest.mark.parametrize("max_instructions", (2_000, 8_000))
+    def test_result_pickles_under_4kb(self, max_instructions):
+        program = workload_program("compress", 60)
+        simulator = PipelineSimulator(program, make_predictor("gshare"))
+        result = simulator.run(max_instructions=max_instructions)
+        assert len(simulator.records) > max_instructions // 10
+        assert len(pickle.dumps(result)) < 4096
+
+
 class TestEstimatorsInPipeline:
     def test_quadrants_cover_committed_branches(self):
         program = small_program(iterations=30)
@@ -156,8 +194,10 @@ class TestEstimatorsInPipeline:
             predictor,
             estimators={"dist": MispredictionDistanceEstimator(4)},
         )
-        result = simulator.run()
-        assert all("dist" in record.assessments for record in result.branch_records)
+        simulator.run()
+        assert all(
+            "dist" in record.assessments for record in simulator.branch_records
+        )
 
     def test_wrong_path_branches_counted_in_all_only(self):
         program = small_program(iterations=40)

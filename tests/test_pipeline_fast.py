@@ -152,7 +152,8 @@ def full_digest(simulator, result):
     machine = simulator.machine
     digest = {
         "stats": dataclasses.asdict(result.stats),
-        "records": [list(getattr(result.records, name)) for name in RECORD_FIELDS],
+        "records": [list(getattr(simulator.records, name)) for name in RECORD_FIELDS],
+        "distances": result.distances,
         "machine": (
             list(machine.regs),
             dict(machine.memory),
@@ -191,8 +192,9 @@ def assert_equivalent(slow_sim, slow_result, fast_sim, fast_result):
     assert dataclasses.asdict(slow_result.stats) == dataclasses.asdict(
         fast_result.stats
     )
-    slow_records = slow_result.branch_records
-    fast_records = fast_result.branch_records
+    assert slow_result.distances == fast_result.distances
+    slow_records = slow_sim.branch_records
+    fast_records = fast_sim.branch_records
     assert len(slow_records) == len(fast_records)
     for left, right in zip(slow_records, fast_records):
         for name in RECORD_FIELDS:

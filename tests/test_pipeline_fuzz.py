@@ -204,7 +204,7 @@ def test_pipeline_equals_machine_on_random_programs(profile, config, predictor_n
     assert simulator.machine.memory == golden.memory
     assert result.stats.committed_instructions == golden.instructions_retired
     # every record is consistent
-    for record in result.branch_records:
+    for record in simulator.branch_records:
         assert (record.resolve_cycle is not None) == record.committed
 
 
@@ -292,8 +292,9 @@ def test_fast_engine_equals_reference_engine(
             fast_cache.hits,
             fast_cache.misses,
         )
-    slow_records = slow.branch_records
-    fast_records = fast.branch_records
+    assert slow.distances == fast.distances
+    slow_records = slow_sim.branch_records
+    fast_records = fast_sim.branch_records
     assert len(slow_records) == len(fast_records)
     for left, right in zip(slow_records, fast_records):
         assert (

@@ -28,6 +28,7 @@ from repro.engine import cache as artifact_cache
 from repro.engine import clear_cache, workload_program
 from repro.harness import SMOKE, clear_memoised, render_report, run_all
 from repro.harness.shard import (
+    _simulator_at,
     build_cell_simulator,
     run_segmented,
     segment_count,
@@ -81,11 +82,12 @@ def digest(simulator, result):
     """Every observable of a finished cell, as one comparable value.
 
     Covers the full :class:`BranchRecordStore` column set (all 11
-    fields), the stats block, both quadrant maps, the architectural
-    machine state, and the predictor's internal tables -- anything that
-    could diverge if a segment boundary perturbed the simulation.
+    fields), the stats block, the distance counts, both quadrant maps,
+    the architectural machine state, and the predictor's internal
+    tables -- anything that could diverge if a segment boundary
+    perturbed the simulation.
     """
-    records = result.records
+    records = simulator.records
     columns = (
         list(records.sequence),
         list(records.pc),
@@ -111,6 +113,7 @@ def digest(simulator, result):
         {n: vars(q).copy() for n, q in result.quadrants_committed.items()},
         {n: vars(q).copy() for n, q in result.quadrants_all.items()},
         pickle.dumps(simulator.predictor),
+        result.distances,
     )
 
 
@@ -328,18 +331,22 @@ class TestRunSegmented:
         assert len(_segment_files(isolated_cache)) == chain
         # results identical across whole, segmented and direct runs
         assert vars(whole.stats) == vars(segmented.stats)
+        assert whole.distances == segmented.distances == reference[-1]
+        # ... down to every record of the simulators behind them: the
+        # whole run's, and the stored chain's resumed to the budget
+        whole_simulator = build_cell_simulator(*self.CELL[:3])
+        whole_simulator.run(max_instructions=TOTAL)
+        segmented_simulator = _simulator_at(*self.CELL, 1000, chain - 1)
+        segmented_simulator.run(max_instructions=TOTAL)
         columns = (
             "sequence", "pc", "predicted_taken", "actual_taken",
             "fetch_cycle", "resolve_cycle", "committed", "precise_distance",
             "perceived_distance", "wrong_path", "assessments",
         )
-        segmented_columns = [
-            list(getattr(segmented.records, column)) for column in columns
-        ]
         for column, whole_values, segmented_values, direct_values in zip(
             columns,
-            (list(getattr(whole.records, column)) for column in columns),
-            segmented_columns,
+            (list(getattr(whole_simulator.records, name)) for name in columns),
+            (list(getattr(segmented_simulator.records, name)) for name in columns),
             reference[0],
         ):
             assert whole_values == segmented_values == direct_values, column
