@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # One cold report leg: clear the artifact cache, run the battery with a
 # deterministic report, and byte-compare the report against EXPECTED.
+# When they differ, the first 200 lines of `diff -u EXPECTED OUT` show
+# which rows moved, and the leg still fails.
 #
 #   scripts/report-leg.sh EXPECTED OUT [run-all args...]
 #
@@ -18,4 +20,7 @@ shift 2
 
 repro cache clear
 repro run-all --deterministic "$@" --out "$out"
-cmp "$out" "$expected"
+if ! cmp "$out" "$expected"; then
+  diff -u "$expected" "$out" | head -n 200 || true
+  exit 1
+fi

@@ -1,14 +1,13 @@
-"""Which estimators the hand-inlined hot loops reproduce.
+"""Which estimators the pipeline's hand-inlined run loop reproduces.
 
-Two loops keep an estimator's state in locals instead of calling its
-``estimate``/``resolve`` per branch: the inversion pass
-(:func:`repro.speculation.evaluate_inversion`) and the pipeline's
-fused run loop (``PipelineSimulator._run_fast``).  Both reproduce the
-same estimators, decided here once: an exact-type
+For a gshare with one estimator, the fused run loop
+(``PipelineSimulator._run_fast``) keeps the estimator's state in
+locals instead of calling its ``estimate``/``resolve`` per branch.  It
+reproduces the estimators decided here: an exact-type
 :class:`~repro.confidence.jrs.JRSEstimator` or
 :class:`~repro.confidence.distance.MispredictionDistanceEstimator`, or
 a :class:`~repro.confidence.boosting.BoostedEstimator` over one of
-them.  Any other estimator takes the callers' protocol loops.
+them.  Any other estimator takes the protocol calls.
 """
 
 from __future__ import annotations
@@ -28,14 +27,14 @@ INLINED_ESTIMATORS = (JRSEstimator, MispredictionDistanceEstimator)
 def inlined_parts(
     estimator: ConfidenceEstimator,
 ) -> Optional[Tuple[ConfidenceEstimator, int, int]]:
-    """``(base, k, run)`` when an inlined loop reproduces ``estimator``,
+    """``(base, k, run)`` when the inlined loop reproduces ``estimator``,
     else ``None``.
 
     ``base`` is the JRS or distance estimator whose table or counter
     the loop holds, ``k`` the boost length and ``run`` the current run
     of consecutive low-confidence estimates of ``base``.  A plain
     estimator is its own base with ``k = 1``: its run reaches 1 exactly
-    at each low-confidence estimate, and nothing stores it.  A loop
+    at each low-confidence estimate, and nothing stores it.  The loop
     writes ``run`` back to ``estimator._lc_run`` when ``base is not
     estimator``.
     """

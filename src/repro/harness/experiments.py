@@ -298,7 +298,13 @@ def _family_estimator(
     workload: str,
     iterations: Optional[int],
 ):
-    """A fresh estimator instance for one bank family."""
+    """A fresh estimator instance for one bank family.
+
+    This is the one definition of each estimator configuration: the
+    bank, ``boost`` and the speculation battery's
+    ``SPECULATION_ESTIMATORS`` all build theirs here.  Only ``static``
+    reads ``workload`` and ``iterations`` (its profiled sites).
+    """
     if family == "jrs":
         return JRSEstimator(threshold=15, enhanced=True)
     if family == "satcnt":
@@ -1089,11 +1095,6 @@ def experiment_boosting(scale: Scale = FULL) -> ExperimentResult:
         ("mcfarling", "satcnt"),
     )
 
-    def build_estimator(kind: str, predictor):
-        if kind == "jrs":
-            return JRSEstimator(threshold=15, enhanced=True)
-        return SaturatingCountersEstimator.for_predictor(predictor)
-
     decay_table = TextTable(
         title="Mis-estimation rate vs distance since last mis-estimation",
         headers=["config", "d=0", "d=4", "d>=8", "average"],
@@ -1112,7 +1113,11 @@ def experiment_boosting(scale: Scale = FULL) -> ExperimentResult:
             trace = _bank_trace(workload, scale.iterations)
             predictor = make_predictor(predictor_name)
             curve = misestimation_distance(
-                trace, predictor, build_estimator(estimator_kind, predictor)
+                trace,
+                predictor,
+                _family_estimator(
+                    estimator_kind, predictor_name, predictor, workload, scale.iterations
+                ),
             )
             workload_curves.append(curve)
         merged = _merge_curves(workload_curves, label)
@@ -1141,7 +1146,9 @@ def experiment_boosting(scale: Scale = FULL) -> ExperimentResult:
                 measure_boosting(
                     trace,
                     predictor,
-                    build_estimator(estimator_kind, predictor),
+                    _family_estimator(
+                        estimator_kind, predictor_name, predictor, workload, scale.iterations
+                    ),
                     ks=[1, 2, 3],
                 )
             )

@@ -11,7 +11,8 @@ stacks.  This module fans ``run_all`` out over a
    cell runs the pipeline simulations, estimator-bank measurements and
    speculation cells the selected experiments will need, again into
    the persistent cache (a segmented pipeline cell takes one wave per
-   link of its chain, see :func:`plan_warm_levels`);
+   link of its chain, and a speculation cell runs one wave after the
+   pipeline run it compares against, see :func:`plan_warm_levels`);
 3. **experiments** -- one task per experiment, which now mostly reads
    cached artifacts.
 
@@ -91,7 +92,7 @@ from .experiments import (
 )
 from .shard import segment_count, warm_segment
 from .spec import SPECS, measurement_plan
-from .speculation import eager_cell, gating_cell, inversion_cell
+from .speculation import eager_cell, gating_cell
 
 Journal = Optional[object]  # RunJournal | NullJournal; kwarg convenience
 
@@ -166,7 +167,6 @@ _WARM_FUNCTIONS: Dict[str, Callable] = {
     "measurement": measurement_cell,
     "gating": gating_cell,
     "eager": eager_cell,
-    "inversion": inversion_cell,
 }
 
 
@@ -194,13 +194,16 @@ def plan_warm_levels(
 
     Every spec's declared :class:`~repro.harness.spec.ArtifactDep` list
     is expanded over the scale's workloads into warm tasks,
-    deduplicated across experiments.  Traces go in wave 0 and every
-    other task in wave 1, except that a segmented ``pipeline`` cell is
-    a chain: segment ``i`` goes in wave ``i + 1`` (it resumes segment
-    ``i - 1``'s snapshot) and the final run in wave ``chain + 1``.  So
-    a task only ever runs after every artifact it reads exists, while
-    independent (workload, predictor) cells shard across the pool.
-    Within a wave, tasks keep the order they were planned in.
+    deduplicated across experiments.  Traces go in wave 0 and
+    measurements in wave 1.  A ``pipeline`` cell's final run goes in
+    wave ``chain + 1``: a segmented cell is a chain whose segment ``i``
+    goes in wave ``i + 1`` (it resumes segment ``i - 1``'s snapshot),
+    and a whole run has ``chain = 0``.  Gating and eager cells go one
+    wave later, in ``chain + 2``, because each reads its workload's
+    gshare ``pipeline`` run as its ungated baseline.  So a task only
+    ever runs after every artifact it reads exists, while independent
+    (workload, predictor) cells shard across the pool.  Within a wave,
+    tasks keep the order they were planned in.
 
     Measurement tasks carry the battery-wide per-predictor family union
     (``measurement_families``, computed from the selection when not
@@ -210,7 +213,12 @@ def plan_warm_levels(
     families_by_predictor = _plan_families(selected, measurement_families)
     chain = segment_count(scale.pipeline_instructions, scale.segment_instructions)
     # the trailing arguments of every speculation cell
-    budget = (scale.iterations, scale.pipeline_instructions, scale.backend)
+    budget = (
+        scale.iterations,
+        scale.pipeline_instructions,
+        scale.segment_instructions,
+        scale.backend,
+    )
     waves: Dict[WarmTask, int] = {}
 
     def add(wave: int, kind: str, *args) -> None:
@@ -240,11 +248,9 @@ def plan_warm_levels(
                     )
                     add(1, "measurement", dep.predictor, workload, scale.iterations, families)
                 elif dep.kind == "gating":
-                    add(1, "gating", workload, dep.estimator, dep.threshold, *budget)
+                    add(chain + 2, "gating", workload, dep.estimator, dep.threshold, *budget)
                 elif dep.kind == "eager":
-                    add(1, "eager", workload, dep.estimator, *budget)
-                elif dep.kind == "inversion":
-                    add(1, "inversion", workload, dep.estimator, scale.iterations)
+                    add(chain + 2, "eager", workload, dep.estimator, *budget)
     levels: List[List[WarmTask]] = [[] for _ in range(max(waves.values(), default=-1) + 1)]
     for task, wave in waves.items():
         levels[wave].append(task)

@@ -47,11 +47,10 @@ DEP_KINDS = (
     "measurement",
     "gating",
     "eager",
-    "inversion",
 )
 
 #: Layout of the result a speculation cell caches (the library's
-#: comparison or inversion ledger), a key part of the cell and of its
+#: gating or eager comparison), a key part of the cell and of its
 #: experiment's checkpoint: an entry of another layout reads as a
 #: plain miss, never as a corrupt one.
 CELL_SCHEMA = "speculation-result/2"
@@ -68,7 +67,6 @@ _DEP_SCHEMAS = {
     "pipeline": PIPELINE_SCHEMA,
     "gating": CELL_SCHEMA,
     "eager": CELL_SCHEMA,
-    "inversion": CELL_SCHEMA,
 }
 
 
@@ -83,8 +81,8 @@ class ArtifactDep:
     * ``pipeline`` -- a cycle-level pipeline run (``predictor``);
     * ``measurement`` -- an estimator-bank measurement (``predictor``,
       ``families``; see :data:`repro.harness.experiments.BANK_FAMILIES`);
-    * ``gating`` / ``eager`` / ``inversion`` -- speculation-control
-      cells (``estimator``, and ``threshold`` for gating).
+    * ``gating`` / ``eager`` -- speculation-control cells
+      (``estimator``, and ``threshold`` for gating).
     """
 
     kind: str

@@ -13,52 +13,46 @@ speculation-control results on the cycle-level pipeline:
   (:func:`repro.speculation.compare_eager_execution`): forks on
   low-confidence branches convert covered mispredictions into a
   one-cycle path switch at the price of fetch dilution.
-* ``speculation-inversion`` -- the negative result
-  (:func:`repro.speculation.evaluate_inversion`): inverting
+* ``speculation-inversion`` -- the negative result: inverting
   low-confidence predictions only pays at PVN > 50%, which no estimator
-  reaches across the suite.
+  reaches across the suite.  It simulates nothing of its own: each
+  ledger is read off the gshare estimator-bank cell the paper battery
+  measures (:func:`repro.harness.experiments.measurement_cell`, families
+  ``jrs``, ``distance`` and ``boosted-distance``) by
+  :meth:`~repro.speculation.InversionResult.from_measurement`, the
+  conversion :func:`~repro.speculation.evaluate_inversion` uses too.
 
-Each (workload, estimator, threshold) cell is memoised in process and
-persisted in the artifact cache as the library returns it -- a
-:class:`~repro.speculation.GatingComparison`,
-:class:`~repro.speculation.EagerComparison` or
-:class:`~repro.speculation.InversionResult`, counts only -- so
-the parallel scheduler's warm waves (:mod:`repro.harness.parallel`)
-fan the pipeline simulations out exactly like the figure experiments,
-and warm reruns are cache reads.  Each experiment keys its cells by
-``(workload, estimator[, threshold])`` in ``data["cells"]`` and builds
-its journal rows from them.  Two per-workload results are
-memoised in process only: the ungated baseline the gating and eager
-cells compare against (one run per workload and backend), and the
-inversion pass (one :func:`evaluate_inversion` call per workload over
-every estimator, whose ledgers the inversion cells read).  Registry
-metrics
-(``speculation.gated_cycles``, ``speculation.wrong_path_instructions``,
+Each gating and eager (workload, estimator[, threshold]) cell is
+memoised in process and persisted in the artifact cache as the library
+returns it -- a :class:`~repro.speculation.GatingComparison` or
+:class:`~repro.speculation.EagerComparison`, counts only -- so the
+parallel scheduler's warm waves (:mod:`repro.harness.parallel`) fan the
+pipeline simulations out exactly like the figure experiments, and warm
+reruns are cache reads.  The ungated baseline those cells compare
+against is the gshare ``pipeline`` artifact that Table 1 and Figures 6
+and 8 read (:func:`repro.harness.experiments._pipeline_result`): no
+estimator steers an ungated run, so one run per workload serves every
+cell.  Each experiment keys its cells by ``(workload, estimator[,
+threshold])`` in ``data["cells"]`` and builds its journal rows from
+them.  Registry metrics (``speculation.gated_cycles``,
+``speculation.wrong_path_instructions``,
 ``speculation.wrong_path_saved``, ``speculation.recovery_cycles``,
-``speculation.eager_*``, ``speculation.inversion_flips``) are counted
-at compute time and ship back from workers with the normal metric
-deltas; ``run_all`` summarises each speculation experiment as a
+``speculation.eager_*``) are counted when a cell is computed and ship
+back from workers with the normal metric deltas;
+``speculation.inversion_flips`` is counted where the inversion
+experiment reads its ledgers, so every run of it counts, warm or cold.
+``run_all`` summarises each speculation experiment as a
 ``speculation_summary`` journal event.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..confidence import (
-    BoostedEstimator,
-    JRSEstimator,
-    MispredictionDistanceEstimator,
-)
-from ..engine import get_cache, profile_fingerprint, workload_program, workload_run
+from ..engine import get_cache, profile_fingerprint, workload_program
 from ..obs.registry import REGISTRY
-from ..pipeline import (
-    PipelineConfig,
-    PipelineResult,
-    decoded_run,
-    normalize_backend,
-)
+from ..pipeline import PipelineConfig, decoded_run, normalize_backend
 from ..predictors import make_predictor
 from ..speculation import (
     EagerComparison,
@@ -66,30 +60,36 @@ from ..speculation import (
     InversionResult,
     compare_eager_execution,
     compare_gating,
-    evaluate_inversion,
 )
-from .experiments import FULL, ExperimentResult, Scale
-from .shard import build_cell_simulator
+from .experiments import (
+    FULL,
+    ExperimentResult,
+    Scale,
+    _family_estimator,
+    _measurement,
+    _pipeline_result,
+)
 from .spec import CELL_SCHEMA, SPECS, ArtifactDep, ExperimentSpec
 from .tables import TextTable, pct1, spct1
 
-#: Estimator configurations the speculation battery sweeps.  The
-#: factories take the (fresh) predictor the comparison runs against, so
-#: each gated/eager run gets independent estimator state.
+#: The predictor every speculation experiment runs on.
+SPECULATION_PREDICTOR = "gshare"
+
+#: Estimator configurations the speculation battery sweeps: the
+#: estimator-bank families of the same names, each defined once by
+#: :func:`~repro.harness.experiments._family_estimator`.  The factories
+#: take the (fresh) predictor the comparison runs against, so each
+#: gated/eager run gets independent estimator state.
 SPECULATION_ESTIMATORS: Dict[str, Callable] = {
-    "jrs": lambda predictor: JRSEstimator(threshold=15, enhanced=True),
-    "distance": lambda predictor: MispredictionDistanceEstimator(4),
-    "boosted-distance": lambda predictor: BoostedEstimator(
-        MispredictionDistanceEstimator(4), k=2
-    ),
+    family: partial(
+        _family_estimator, family, SPECULATION_PREDICTOR, workload=None, iterations=None
+    )
+    for family in ("jrs", "distance", "boosted-distance")
 }
 
 #: Gating thresholds swept by ``speculation-gating`` (unresolved
 #: low-confidence branches in flight before fetch stalls).
 GATE_THRESHOLDS: Tuple[int, ...] = (1, 2)
-
-#: The predictor every speculation experiment runs on.
-SPECULATION_PREDICTOR = "gshare"
 
 #: Experiment ids, in battery order (``repro speculate`` runs these).
 SPECULATION_BATTERY: Tuple[str, ...] = (
@@ -118,28 +118,14 @@ def _estimator_factory(name: str) -> Callable:
         ) from None
 
 
-@lru_cache(maxsize=64)
-def _ungated_baseline(
-    workload: str,
-    iterations: Optional[int],
-    max_instructions: int,
-    backend: str = "inorder",
-) -> PipelineResult:
-    """The ungated run the gating and eager cells of ``workload``
-    compare against: it consults no estimator, so one shared, read-only
-    run per (workload, budget, normalised backend) serves them all."""
-    return build_cell_simulator(
-        workload, SPECULATION_PREDICTOR, iterations, backend
-    ).run(max_instructions=max_instructions)
-
-
 def _compute_gating_cell(
     workload: str,
     estimator_name: str,
     threshold: int,
     iterations: Optional[int],
     max_instructions: int,
-    backend: str = "inorder",
+    segment_instructions: Optional[int],
+    backend: str,
 ) -> GatingComparison:
     config = PipelineConfig()
     comparison = compare_gating(
@@ -151,7 +137,16 @@ def _compute_gating_cell(
         max_instructions=max_instructions,
         decoded=decoded_run(workload, iterations),
         backend=backend,
-        baseline=_ungated_baseline(workload, iterations, max_instructions, backend),
+        # the ungated run: the gshare ``pipeline`` artifact, which no
+        # estimator steers, so one run per workload serves every cell
+        baseline=_pipeline_result(
+            workload,
+            SPECULATION_PREDICTOR,
+            iterations,
+            max_instructions,
+            segment_instructions,
+            backend,
+        ),
     )
     REGISTRY.count("speculation.gated_cycles", comparison.gated_cycles)
     REGISTRY.count(
@@ -172,8 +167,11 @@ def gating_cell(
     threshold: int,
     iterations: Optional[int],
     max_instructions: int,
+    segment_instructions: Optional[int] = None,
     backend: str = "inorder",
 ) -> GatingComparison:
+    # like the ``pipeline`` artifact it compares against, the cell's key
+    # leaves out the segment size, which cannot change the result
     backend = normalize_backend(backend)
     return get_cache().cached(
         "spec-gating",
@@ -183,6 +181,7 @@ def gating_cell(
             threshold,
             iterations,
             max_instructions,
+            segment_instructions,
             backend,
         ),
         workload=workload,
@@ -203,7 +202,8 @@ def _compute_eager_cell(
     estimator_name: str,
     iterations: Optional[int],
     max_instructions: int,
-    backend: str = "inorder",
+    segment_instructions: Optional[int],
+    backend: str,
 ) -> EagerComparison:
     comparison = compare_eager_execution(
         workload_program(workload, iterations),
@@ -213,7 +213,14 @@ def _compute_eager_cell(
         max_instructions=max_instructions,
         decoded=decoded_run(workload, iterations),
         backend=backend,
-        baseline=_ungated_baseline(workload, iterations, max_instructions, backend),
+        baseline=_pipeline_result(
+            workload,
+            SPECULATION_PREDICTOR,
+            iterations,
+            max_instructions,
+            segment_instructions,
+            backend,
+        ),
     )
     REGISTRY.count("speculation.eager_forks", comparison.forks)
     REGISTRY.count("speculation.eager_covered", comparison.covered_mispredictions)
@@ -227,13 +234,19 @@ def eager_cell(
     estimator_name: str,
     iterations: Optional[int],
     max_instructions: int,
+    segment_instructions: Optional[int] = None,
     backend: str = "inorder",
 ) -> EagerComparison:
     backend = normalize_backend(backend)
     return get_cache().cached(
         "spec-eager",
         lambda: _compute_eager_cell(
-            workload, estimator_name, iterations, max_instructions, backend
+            workload,
+            estimator_name,
+            iterations,
+            max_instructions,
+            segment_instructions,
+            backend,
         ),
         workload=workload,
         estimator=estimator_name,
@@ -247,57 +260,10 @@ def eager_cell(
     )
 
 
-@lru_cache(maxsize=64)
-def _inversion_pass(
-    workload: str, iterations: Optional[int]
-) -> Dict[str, InversionResult]:
-    """Every battery estimator's inversion ledger over ``workload``'s
-    trace, from one :func:`evaluate_inversion` pass: the inversion
-    cells of a workload read their ledgers from it.  Memoised in
-    process only, like the ungated baseline."""
-    predictor = _predictor_factory()
-    return evaluate_inversion(
-        workload_run(workload, iterations).trace,
-        predictor,
-        {
-            name: factory(predictor)
-            for name, factory in SPECULATION_ESTIMATORS.items()
-        },
-    )
-
-
-def _compute_inversion_cell(
-    workload: str, estimator_name: str, iterations: Optional[int]
-) -> InversionResult:
-    _estimator_factory(estimator_name)  # an unknown name raises here
-    result = _inversion_pass(workload, iterations)[estimator_name]
-    REGISTRY.count("speculation.inversion_flips", result.flips)
-    return result
-
-
-@lru_cache(maxsize=512)
-def inversion_cell(
-    workload: str, estimator_name: str, iterations: Optional[int]
-) -> InversionResult:
-    return get_cache().cached(
-        "spec-inversion",
-        lambda: _compute_inversion_cell(workload, estimator_name, iterations),
-        workload=workload,
-        estimator=estimator_name,
-        iterations=iterations,
-        predictor=SPECULATION_PREDICTOR,
-        profile=profile_fingerprint(workload),
-        schema=CELL_SCHEMA,
-    )
-
-
 def clear_speculation_memoised() -> None:
     """Drop the in-process memo tier of the speculation cells."""
-    _ungated_baseline.cache_clear()
-    _inversion_pass.cache_clear()
     gating_cell.cache_clear()
     eager_cell.cache_clear()
-    inversion_cell.cache_clear()
 
 
 # ----------------------------------------------------------------------
@@ -337,6 +303,7 @@ def experiment_speculation_gating(scale: Scale = FULL) -> ExperimentResult:
                     threshold,
                     scale.iterations,
                     scale.pipeline_instructions,
+                    scale.segment_instructions,
                     scale.backend,
                 )
                 cells[workload, estimator_name, threshold] = cell
@@ -402,6 +369,7 @@ def experiment_speculation_eager(scale: Scale = FULL) -> ExperimentResult:
                 estimator_name,
                 scale.iterations,
                 scale.pipeline_instructions,
+                scale.segment_instructions,
                 scale.backend,
             )
             cells[workload, estimator_name] = cell
@@ -458,8 +426,15 @@ def experiment_speculation_inversion(scale: Scale = FULL) -> ExperimentResult:
     cells: Dict[Tuple[str, str], InversionResult] = {}
     rows: List[Dict] = []
     for workload in scale.workloads:
+        bank = _measurement(
+            SPECULATION_PREDICTOR,
+            workload,
+            scale.iterations,
+            tuple(SPECULATION_ESTIMATORS),
+        )
         for estimator_name in SPECULATION_ESTIMATORS:
-            cell = inversion_cell(workload, estimator_name, scale.iterations)
+            cell = InversionResult.from_measurement(bank, estimator_name)
+            REGISTRY.count("speculation.inversion_flips", cell.flips)
             cells[workload, estimator_name] = cell
             table.add_row(
                 [
@@ -494,8 +469,11 @@ def experiment_speculation_inversion(scale: Scale = FULL) -> ExperimentResult:
 # Self-registration keeps the import order flexible: whichever of
 # experiments.py / speculation.py loads first, the central SPECS
 # registry ends up complete once both have executed.  Each spec
-# declares the exact per-estimator (and per-threshold) cells the warm
-# waves must materialise.
+# declares the artifacts the warm waves must materialise: the gating
+# and eager cells with the gshare pipeline run they compare against,
+# and inversion's gshare estimator-bank families.
+_BASELINE = ArtifactDep(kind="pipeline", predictor=SPECULATION_PREDICTOR)
+
 SPECS.register(
     ExperimentSpec(
         experiment_id="speculation-gating",
@@ -504,7 +482,7 @@ SPECS.register(
         section="speculation",
         order=150,
         paper_ref="Section 2.2 (Manne et al.)",
-        deps=(ArtifactDep(kind="trace"),)
+        deps=(ArtifactDep(kind="trace"), _BASELINE)
         + tuple(
             ArtifactDep(kind="gating", estimator=estimator, threshold=threshold)
             for estimator in SPECULATION_ESTIMATORS
@@ -520,7 +498,7 @@ SPECS.register(
         section="speculation",
         order=160,
         paper_ref="Section 2.2",
-        deps=(ArtifactDep(kind="trace"),)
+        deps=(ArtifactDep(kind="trace"), _BASELINE)
         + tuple(
             ArtifactDep(kind="eager", estimator=estimator)
             for estimator in SPECULATION_ESTIMATORS
@@ -535,10 +513,13 @@ SPECS.register(
         section="speculation",
         order=170,
         paper_ref="Section 2.2",
-        deps=(ArtifactDep(kind="trace"),)
-        + tuple(
-            ArtifactDep(kind="inversion", estimator=estimator)
-            for estimator in SPECULATION_ESTIMATORS
+        deps=(
+            ArtifactDep(kind="trace"),
+            ArtifactDep(
+                kind="measurement",
+                predictor=SPECULATION_PREDICTOR,
+                families=tuple(SPECULATION_ESTIMATORS),
+            ),
         ),
     )
 )

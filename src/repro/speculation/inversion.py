@@ -14,32 +14,24 @@ be measured rather than asserted:
   the exported direction of low-confidence predictions.  The wrapped
   predictor trains on actual outcomes exactly as before (the inversion
   is an override stage after prediction, as hardware would do it);
-* :func:`evaluate_inversion` measures base vs inverted accuracy and
-  the flip ledger (an :class:`InversionResult`) of every estimator in
-  a name -> estimator mapping, driving the predictor once for all of
-  them.  A speculative-history gshare with JRS, misprediction-distance
-  and boosted estimators (the speculation battery's mix) takes an
-  inlined pass: gshare runs once with its table and history in locals,
-  then one inlined loop per estimator reads the recorded per-branch
-  columns.  Any other mix runs
-  the trace engine's :func:`~repro.engine.measure.measure` and reads
-  each ledger off its quadrants.  Both leave every object in the state
-  the predict/estimate/resolve loop would.
+* :class:`InversionResult` is the flip ledger, read off an estimator's
+  quadrant counts (:meth:`InversionResult.from_measurement`): every
+  low-confidence branch is a flip, which helps when the prediction was
+  wrong (I_LC) and hurts when it was right (C_LC).  The speculation
+  battery reads it off the estimator-bank cells that Table 2 measures;
+* :func:`evaluate_inversion` is the scalar oracle: the trace engine's
+  :func:`~repro.engine.measure.measure` over a name -> estimator
+  mapping, each ledger read off its quadrants the same way.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..confidence.base import ConfidenceEstimator
-from ..confidence.inlined import inlined_parts
-from ..confidence.jrs import JRSEstimator
-from ..engine.measure import measure
+from ..engine.measure import MeasurementResult, measure
 from ..predictors.base import BranchPredictor, Prediction
-from ..predictors.gshare import GsharePredictor
-from ..workloads.trace import BranchTrace
 
 
 class InvertingPredictor(BranchPredictor):
@@ -129,6 +121,23 @@ class InversionResult:
         """
         return self.flips_helped / self.flips if self.flips else None
 
+    @classmethod
+    def from_measurement(
+        cls, result: MeasurementResult, name: str
+    ) -> "InversionResult":
+        """The ledger of inverting estimator ``name``'s low-confidence
+        branches in ``result``: flips = C_LC + I_LC, helped = I_LC,
+        hurt = C_LC, and the base predictor was right on every branch
+        it did not mispredict."""
+        quadrant = result.quadrant(name)
+        return cls(
+            branches=result.branches,
+            base_correct=result.branches - result.mispredictions,
+            flips=int(quadrant.c_lc + quadrant.i_lc),
+            flips_helped=int(quadrant.i_lc),
+            flips_hurt=int(quadrant.c_lc),
+        )
+
 
 def evaluate_inversion(
     trace: Iterable[Tuple[int, bool]],
@@ -150,180 +159,7 @@ def evaluate_inversion(
             "evaluate_inversion takes a name -> estimator mapping, "
             "e.g. {'jrs': estimator}"
         )
-    if _inlinable(predictor, estimators):
-        return _inlined_pass(trace, predictor, estimators)
-    return _protocol_pass(trace, predictor, estimators)
-
-
-def _protocol_pass(
-    trace: Iterable[Tuple[int, bool]],
-    predictor: BranchPredictor,
-    estimators: Mapping[str, ConfidenceEstimator],
-) -> Dict[str, InversionResult]:
-    """The reference pass: the trace engine's :func:`measure`, each
-    ledger read off its estimator's quadrants (an LC branch is a flip;
-    it hurts when the prediction was correct)."""
     result = measure(trace, predictor, estimators)
     return {
-        name: InversionResult(
-            branches=result.branches,
-            base_correct=result.branches - result.mispredictions,
-            flips=int(quadrant.c_lc + quadrant.i_lc),
-            flips_helped=int(quadrant.i_lc),
-            flips_hurt=int(quadrant.c_lc),
-        )
-        for name, quadrant in result.quadrants.items()
+        name: InversionResult.from_measurement(result, name) for name in estimators
     }
-
-
-def _inlinable(
-    predictor: BranchPredictor, estimators: Mapping[str, ConfidenceEstimator]
-) -> bool:
-    """Whether :func:`_inlined_pass` reproduces the protocol loop for
-    this predictor and estimator mix (each estimator by the rule of
-    :func:`~repro.confidence.inlined.inlined_parts`)."""
-    if not (
-        type(predictor) is GsharePredictor
-        and predictor.speculative_history
-        # the pushed history must fit the unsigned 64-bit column
-        and predictor.history.bits < 64
-    ):
-        return False
-    state = []
-    for estimator in estimators.values():
-        parts = inlined_parts(estimator)
-        if parts is None:
-            return False
-        state.append(estimator)
-        if parts[0] is not estimator:
-            state.append(parts[0])
-    # the inlined pass runs the estimators one after another, so none
-    # may share state with another (the protocol loop interleaves them)
-    return len({id(estimator) for estimator in state}) == len(state)
-
-
-def _inlined_pass(
-    trace: Iterable[Tuple[int, bool]],
-    predictor: GsharePredictor,
-    estimators: Mapping[str, ConfidenceEstimator],
-) -> Dict[str, InversionResult]:
-    """gshare once over ``trace``, then one inlined loop per estimator.
-
-    In the trace engine every branch resolves right after it is
-    predicted, so no estimator ever reads the predictor's state: each
-    one needs only the per-branch columns the gshare pass records.
-    """
-    if not isinstance(trace, BranchTrace):
-        trace = BranchTrace.from_records(trace)
-    pcs = trace.pcs
-    pushed, correct = _gshare_columns(pcs, trace.outcomes, predictor)
-    base_correct = correct.count(1)
-    results = {}
-    for name, estimator in estimators.items():
-        flips, hurt = _inlined_flips(estimator, pcs, pushed, correct)
-        results[name] = InversionResult(
-            branches=len(correct),
-            base_correct=base_correct,
-            flips=flips,
-            flips_helped=flips - hurt,
-            flips_hurt=hurt,
-        )
-    return results
-
-
-def _gshare_columns(
-    pcs: array, outcomes: bytearray, predictor: GsharePredictor
-) -> Tuple[array, bytearray]:
-    """Run ``predictor`` over the branch stream with its table and
-    history in locals, and write its final state back.
-
-    Returns two columns: each branch's history with its predicted
-    direction shifted in, unmasked (what the enhanced JRS index reads;
-    ``>> 1`` gives the history the prediction used, ``& 1`` the
-    direction), and whether the prediction was correct (0/1).
-    """
-    table = predictor.table
-    values = table.values
-    index_mask = table.index_mask
-    midpoint = table.midpoint
-    max_value = table.max_value
-    register = predictor.history
-    history_mask = register.mask
-    history = register.value
-    pushed = array("Q")
-    correct = bytearray()
-    pushed_append = pushed.append
-    correct_append = correct.append
-    for pc, taken in zip(pcs, outcomes):
-        index = (pc ^ history) & index_mask
-        counter = values[index]
-        predicted = counter >= midpoint
-        pushed_append((history << 1) | predicted)
-        correct_append(predicted == taken)
-        # resolve: the counter moves toward the outcome, and the repair
-        # of a misprediction leaves the history exactly as pushing the
-        # outcome would have
-        if taken:
-            if counter < max_value:
-                values[index] = counter + 1
-            history = ((history << 1) | 1) & history_mask
-        else:
-            if counter > 0:
-                values[index] = counter - 1
-            history = (history << 1) & history_mask
-    register.value = history
-    return pushed, correct
-
-
-def _inlined_flips(
-    estimator: ConfidenceEstimator,
-    pcs: array,
-    pushed: array,
-    correct: bytearray,
-) -> Tuple[int, int]:
-    """``(flips, flips_hurt)`` of one estimator over the gshare columns,
-    with its table or counter in locals and its final state written
-    back.  A plain estimator runs as a boost with ``k = 1``
-    (:func:`~repro.confidence.inlined.inlined_parts`).
-    """
-    base, k, run = inlined_parts(estimator)
-    flips = 0
-    hurt = 0
-    if type(base) is JRSEstimator:
-        table = base.table
-        values = table.values
-        index_mask = table.index_mask
-        max_value = table.max_value
-        threshold = base.threshold
-        shift = 0 if base.enhanced else 1
-        for pc, history, hit in zip(pcs, pushed, correct):
-            index = (pc ^ (history >> shift)) & index_mask
-            value = values[index]
-            if value >= threshold:
-                run = 0
-            else:
-                run += 1
-                if run >= k:
-                    flips += 1
-                    hurt += hit
-            if hit:
-                if value < max_value:
-                    values[index] = value + 1
-            else:
-                values[index] = 0
-    else:
-        threshold = base.distance_threshold
-        distance = base.branches_since_misprediction
-        for hit in correct:
-            if distance > threshold:
-                run = 0
-            else:
-                run += 1
-                if run >= k:
-                    flips += 1
-                    hurt += hit
-            distance = distance + 1 if hit else 0
-        base.branches_since_misprediction = distance
-    if base is not estimator:
-        estimator._lc_run = run
-    return flips, hurt

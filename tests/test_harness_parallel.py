@@ -41,7 +41,7 @@ def isolated_cache(tmp_path):
 
 class TestWarmPlan:
     def test_trace_tasks_cover_workloads(self):
-        trace_tasks, __ = plan_warm_levels(list(SPECS), SMOKE)
+        trace_tasks = plan_warm_levels(list(SPECS), SMOKE)[0]
         workloads = {args[0] for kind, args in trace_tasks}
         assert workloads == set(SMOKE.workloads)
 
@@ -59,9 +59,8 @@ class TestWarmPlan:
         assert plan_warm_levels(["fig1"], SMOKE) == []
 
     def test_no_duplicate_tasks(self):
-        trace_tasks, heavy = plan_warm_levels(list(SPECS), SMOKE)
-        assert len(trace_tasks) == len(set(trace_tasks))
-        assert len(heavy) == len(set(heavy))
+        tasks = [task for wave in plan_warm_levels(list(SPECS), SMOKE) for task in wave]
+        assert len(tasks) == len(set(tasks))
 
     def test_segment_chain_takes_one_wave_per_link(self):
         scale = replace(SMOKE, segment_instructions=2000)

@@ -127,7 +127,10 @@ class TestMeasurementPlan:
     def test_full_battery_unions_per_predictor(self):
         plan = dict(measurement_plan(SPECS[eid] for eid in SPECS))
         standard = tuple(sorted(("accuracy",) + STANDARD_FAMILIES))
-        assert plan["gshare"] == standard
+        # speculation-inversion reads its ledgers off the gshare bank
+        assert plan["gshare"] == tuple(
+            sorted(set(standard) | {"distance", "boosted-distance"})
+        )
         assert plan["sag"] == standard
         assert plan["mcfarling"] == tuple(
             sorted(standard + ("satcnt-either",))
@@ -142,16 +145,16 @@ class TestWarmPlanLegacyEquivalence:
     """The DAG-derived schedule equals the old hardcoded waves."""
 
     def _heavy_by_kind(self, selected):
-        __, heavy = plan_warm_levels(selected, SMOKE)
         kinds = {}
-        for kind, args in heavy:
-            kinds.setdefault(kind, set()).add(args)
+        for wave in plan_warm_levels(selected, SMOKE)[1:]:
+            for kind, args in wave:
+                kinds.setdefault(kind, set()).add(args)
         return kinds
 
     def test_trace_wave_is_the_workload_set(self):
         # the first wave holds the dependency-free shared artifacts:
         # exactly one trace per workload
-        trace_tasks, __ = plan_warm_levels(list(SPECS), SMOKE)
+        trace_tasks = plan_warm_levels(list(SPECS), SMOKE)[0]
         assert sorted(trace_tasks) == sorted(
             ("trace", (workload, SMOKE.iterations))
             for workload in SMOKE.workloads
@@ -176,27 +179,27 @@ class TestWarmPlanLegacyEquivalence:
             for workload in SMOKE.workloads
         }
         assert kinds["gating"] == {
-            (workload, estimator, threshold, iters, instrs, "inorder")
+            (workload, estimator, threshold, iters, instrs, None, "inorder")
             for workload in SMOKE.workloads
             for estimator in SPECULATION_ESTIMATORS
             for threshold in GATE_THRESHOLDS
         }
         assert kinds["eager"] == {
-            (workload, estimator, iters, instrs, "inorder")
+            (workload, estimator, iters, instrs, None, "inorder")
             for workload in SMOKE.workloads
             for estimator in SPECULATION_ESTIMATORS
         }
-        assert kinds["inversion"] == {
-            (workload, estimator, iters)
-            for workload in SMOKE.workloads
-            for estimator in SPECULATION_ESTIMATORS
-        }
+        # inversion reads the gshare measurement cells: no task of its own
+        assert set(kinds) == {"pipeline", "measurement", "gating", "eager"}
 
-    def test_dag_has_exactly_two_levels(self):
+    def test_dag_has_exactly_three_levels(self):
+        # traces; then pipeline runs and measurements; then the gating
+        # and eager cells, which read their workload's gshare pipeline run
         levels = plan_warm_levels(list(SPECS), SMOKE)
-        assert len(levels) == 2
-        assert all(kind == "trace" for kind, __ in levels[0])
-        assert all(kind != "trace" for kind, __ in levels[1])
+        assert len(levels) == 3
+        assert {kind for kind, __ in levels[0]} == {"trace"}
+        assert {kind for kind, __ in levels[1]} == {"pipeline", "measurement"}
+        assert {kind for kind, __ in levels[2]} == {"gating", "eager"}
 
     def test_measurement_tasks_carry_the_battery_plan(self):
         kinds = self._heavy_by_kind(list(SPECS))

@@ -23,9 +23,9 @@ from repro.harness import (
     run_all,
     run_experiment,
 )
-from repro.harness.experiments import _pipeline_result
-from repro.harness import speculation
-from repro.harness.speculation import SPECULATION_PREDICTOR, _ungated_baseline
+from repro.harness import experiments, speculation
+from repro.harness.experiments import STANDARD_FAMILIES, _pipeline_result
+from repro.harness.speculation import SPECULATION_PREDICTOR
 from repro.obs.journal import RunJournal, read_journal
 from repro.obs.registry import REGISTRY
 from repro.pipeline import (
@@ -35,8 +35,8 @@ from repro.pipeline import (
     create_simulator,
     decoded_run,
 )
-from repro.predictors import make_predictor
-from repro.speculation import evaluate_inversion
+from repro.predictors import GsharePredictor, make_predictor
+from repro.speculation import inversion
 
 #: Small enough for unit tests, big enough to gate/fork at least once.
 TINY = Scale(iterations=40, pipeline_instructions=4000, workloads=("compress",))
@@ -125,31 +125,124 @@ class TestEagerAndInversionExperiments:
         json.dumps(result.data["journal_rows"])
 
     def test_one_inversion_pass_per_workload(self, isolated_cache, monkeypatch):
-        passes = []
-
-        def counting_pass(trace, predictor, estimators):
-            passes.append(sorted(estimators))
-            return evaluate_inversion(trace, predictor, estimators)
-
-        monkeypatch.setattr(speculation, "evaluate_inversion", counting_pass)
+        banks = spy_on_gshare_banks(monkeypatch)
         scale = dataclasses.replace(TINY, workloads=("compress", "go"))
         before = REGISTRY.snapshot()
         results = run_all(scale, only=["speculation-inversion"], jobs=1)
         flips = REGISTRY.since(before).counters["speculation.inversion_flips"]
         cells = results["speculation-inversion"].data["cells"]
         assert len(cells) == len(scale.workloads) * len(SPECULATION_ESTIMATORS)
-        assert passes == [sorted(SPECULATION_ESTIMATORS)] * len(scale.workloads)
+        # one gshare bank pass per workload serves every estimator
+        assert banks == [sorted(SPECULATION_ESTIMATORS)] * len(scale.workloads)
         assert flips == sum(cell.flips for cell in cells.values())
-        # a warm rerun reads every cell from disk and runs no pass
+        # a warm rerun reads each workload's bank cell from disk and
+        # runs no pass
         clear_memoised()
         clear_cache()
         before = isolated_cache.stats.snapshot()
         warm = run_all(scale, only=["speculation-inversion"], jobs=1)
         delta = isolated_cache.stats.since(before)
-        assert len(passes) == len(scale.workloads)
+        assert len(banks) == len(scale.workloads)
         assert delta.misses == 0
-        assert delta.hits == len(cells)
+        assert delta.hits == len(scale.workloads)
         assert warm["speculation-inversion"].data["cells"] == cells
+
+
+def spy_on_gshare_banks(monkeypatch):
+    """Record the families of every gshare estimator-bank pass."""
+    banks = []
+    measure_bank = experiments.measure_bank
+
+    def counting_bank(trace, predictor, estimators, **kwargs):
+        if isinstance(predictor, GsharePredictor):
+            banks.append(sorted(estimators))
+        return measure_bank(trace, predictor, estimators, **kwargs)
+
+    monkeypatch.setattr(experiments, "measure_bank", counting_bank)
+    return banks
+
+
+class TestSharedArtifacts:
+    """The speculation battery reads what the paper battery computes:
+    the gshare ``pipeline`` run and the gshare estimator-bank cell."""
+
+    def test_tab1_and_the_cells_share_one_ungated_run(
+        self, isolated_cache, monkeypatch
+    ):
+        built = []
+        init = PipelineSimulator.__init__
+
+        def counting_init(simulator, *args, **kwargs):
+            init(simulator, *args, **kwargs)
+            if type(simulator) is PipelineSimulator:
+                built.append(type(simulator.predictor))
+
+        monkeypatch.setattr(PipelineSimulator, "__init__", counting_init)
+        scale = dataclasses.replace(TINY, workloads=("compress", "go"))
+        run_all(
+            scale,
+            only=["tab1", "speculation-gating", "speculation-eager"],
+            jobs=1,
+        )
+        assert built == [GsharePredictor] * len(scale.workloads)
+
+    def test_tab2_and_inversion_share_one_gshare_bank_pass(
+        self, isolated_cache, monkeypatch
+    ):
+        banks = spy_on_gshare_banks(monkeypatch)
+        evaluated = []
+        oracle = inversion.evaluate_inversion
+
+        def counting_oracle(*args, **kwargs):
+            evaluated.append(args)
+            return oracle(*args, **kwargs)
+
+        # and under the name a harness import of the oracle would bind
+        monkeypatch.setattr(inversion, "evaluate_inversion", counting_oracle)
+        monkeypatch.setattr(
+            speculation, "evaluate_inversion", counting_oracle, raising=False
+        )
+        scale = dataclasses.replace(TINY, workloads=("compress", "go"))
+        results = run_all(scale, only=["tab2", "speculation-inversion"], jobs=1)
+        assert not evaluated
+        families = sorted(set(STANDARD_FAMILIES) | set(SPECULATION_ESTIMATORS))
+        assert banks == [families] * len(scale.workloads)
+        cells = results["speculation-inversion"].data["cells"]
+        assert len(cells) == len(scale.workloads) * len(SPECULATION_ESTIMATORS)
+
+    @pytest.mark.parametrize("segment_instructions", (None, 1000))
+    def test_cells_are_planned_after_their_pipeline_run(
+        self, segment_instructions
+    ):
+        scale = dataclasses.replace(
+            TINY,
+            workloads=("compress", "go"),
+            segment_instructions=segment_instructions,
+        )
+        wave_of = {
+            task: index
+            for index, wave in enumerate(plan_warm_levels(list(SPECULATION_BATTERY), scale))
+            for task in wave
+        }
+        cells = [
+            (kind, args) for kind, args in wave_of if kind in ("gating", "eager")
+        ]
+        assert len(cells) == len(scale.workloads) * len(SPECULATION_ESTIMATORS) * (
+            len(GATE_THRESHOLDS) + 1
+        )
+        for kind, args in cells:
+            baseline = (
+                "pipeline",
+                (
+                    args[0],
+                    SPECULATION_PREDICTOR,
+                    scale.iterations,
+                    scale.pipeline_instructions,
+                    segment_instructions,
+                    scale.backend,
+                ),
+            )
+            assert wave_of[baseline] < wave_of[kind, args], (kind, args)
 
 
 #: Every estimator a speculation cell attaches, plus the saturating
@@ -183,13 +276,11 @@ class TestUngatedBaseline:
             estimators={"probe": ATTACHED_ESTIMATORS[estimator](predictor)},
             decoded=decoded_run(workload, iterations),
         ).run(max_instructions=budget)
-        memoised = _ungated_baseline(workload, iterations, budget, backend)
-        artifact = _pipeline_result(
+        baseline = _pipeline_result(
             workload, SPECULATION_PREDICTOR, iterations, budget, backend=backend
         )
         # PipelineStats is a dataclass: == compares it field by field
-        assert observed.stats == memoised.stats
-        assert observed.stats == artifact.stats
+        assert observed.stats == baseline.stats
 
     @pytest.mark.parametrize("backend", sorted(BASE_SIMULATORS))
     def test_one_baseline_run_per_workload(
@@ -216,22 +307,42 @@ class TestUngatedBaseline:
 
 class TestWarmPlan:
     def test_speculation_kinds_planned(self):
-        __, heavy = plan_warm_levels(list(SPECULATION_BATTERY), TINY)
         kinds = {}
-        for kind, args in heavy:
-            kinds.setdefault(kind, []).append(args)
+        for wave in plan_warm_levels(list(SPECULATION_BATTERY), TINY)[1:]:
+            for kind, args in wave:
+                kinds.setdefault(kind, []).append(args)
         assert len(kinds["gating"]) == (
             len(TINY.workloads) * len(SPECULATION_ESTIMATORS) * len(GATE_THRESHOLDS)
         )
         assert len(kinds["eager"]) == len(TINY.workloads) * len(
             SPECULATION_ESTIMATORS
         )
-        assert len(kinds["inversion"]) == len(TINY.workloads) * len(
-            SPECULATION_ESTIMATORS
-        )
+        # the ungated baselines and the inversion ledgers are paper
+        # battery artifacts: one gshare pipeline run and one gshare bank
+        # cell per workload
+        assert kinds["pipeline"] == [
+            (
+                workload,
+                SPECULATION_PREDICTOR,
+                TINY.iterations,
+                TINY.pipeline_instructions,
+                None,
+                TINY.backend,
+            )
+            for workload in TINY.workloads
+        ]
+        assert kinds["measurement"] == [
+            (
+                SPECULATION_PREDICTOR,
+                workload,
+                TINY.iterations,
+                tuple(sorted(SPECULATION_ESTIMATORS)),
+            )
+            for workload in TINY.workloads
+        ]
 
     def test_trace_still_warmed(self):
-        trace_tasks, __ = plan_warm_levels(["speculation-inversion"], TINY)
+        trace_tasks = plan_warm_levels(["speculation-inversion"], TINY)[0]
         assert {args[0] for __kind, args in trace_tasks} == set(TINY.workloads)
 
 

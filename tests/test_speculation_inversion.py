@@ -17,7 +17,6 @@ from repro.speculation import (
     InvertingPredictor,
     evaluate_inversion,
 )
-from repro.speculation.inversion import _inlinable
 from repro.workloads import SUITE
 
 
@@ -138,13 +137,8 @@ class TestEvaluateInversion:
 
 
 # ----------------------------------------------------------------------
-# the inlined pass against its references
+# the scalar oracle against its references
 # ----------------------------------------------------------------------
-
-
-class LoopDistance(MispredictionDistanceEstimator):
-    """Behaves exactly like its base; its type keeps a mix off the
-    inlined pass, so the predict/estimate/resolve loop runs."""
 
 
 #: One estimator: ("jrs", threshold, enhanced, table size, k) or
@@ -194,32 +188,9 @@ def predictor_state(predictor):
 
 
 class TestInlinedPass:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        table_size=st.sampled_from((16, 32, 64, 128, 256)),
-        specs=st.lists(estimator_specs, min_size=1, max_size=4),
-        trace=random_traces,
-        split=st.integers(0, 300),
-    )
-    def test_equals_the_protocol_loop(self, table_size, specs, trace, split):
-        inlined_predictor = GsharePredictor(table_size=table_size)
-        inlined = {str(i): build_estimator(spec) for i, spec in enumerate(specs)}
-        loop_predictor = GsharePredictor(table_size=table_size)
-        loop = {str(i): build_estimator(spec) for i, spec in enumerate(specs)}
-        loop["forces the loop"] = LoopDistance(0)
-        assert _inlinable(inlined_predictor, inlined)
-        assert not _inlinable(loop_predictor, loop)
-        # two calls: the second starts from the state the first left
-        for part in (trace[:split], trace[split:]):
-            fast = evaluate_inversion(part, inlined_predictor, inlined)
-            slow = evaluate_inversion(part, loop_predictor, loop)
-            for name in inlined:
-                assert fast[name] == slow[name]
-            assert predictor_state(inlined_predictor) == predictor_state(
-                loop_predictor
-            )
-            for name, estimator in inlined.items():
-                assert estimator_state(estimator) == estimator_state(loop[name])
+    """:func:`evaluate_inversion`, the scalar oracle, against the
+    inverting predictor it accounts for and against the vector
+    estimator bank whose quadrants the speculation battery reads."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -263,6 +234,8 @@ class TestInlinedPass:
             predictor,
             {name: factory(predictor) for name, factory in SPECULATION_ESTIMATORS.items()},
         )
+        # the vector bank over the columnar trace, as the battery's
+        # gshare measurement cell runs it
         predictor = GsharePredictor()
         bank = measure_bank(
             columnar_run(workload, 40),
@@ -277,39 +250,14 @@ class TestInlinedPass:
             assert result.flips == quadrant.c_lc + quadrant.i_lc
             assert result.flips_helped == quadrant.i_lc
             assert result.flips_hurt == quadrant.c_lc
+            assert result == InversionResult.from_measurement(bank, name)
 
-    def test_estimators_sharing_state_take_the_protocol_loop(self, compress_trace):
-        def shared_mix(extra):
-            distance = MispredictionDistanceEstimator(4)
-            jrs = JRSEstimator()
-            return {
-                "distance": distance,
-                "boosted": BoostedEstimator(distance, k=2),
-                "jrs": jrs,
-                "jrs again": jrs,
-                **extra,
-            }
-
-        shared = shared_mix({})
-        assert not _inlinable(GsharePredictor(), shared)
-        results = evaluate_inversion(compress_trace, GsharePredictor(), shared)
-        loop = evaluate_inversion(
-            compress_trace,
-            GsharePredictor(),
-            shared_mix({"forces the loop": LoopDistance(0)}),
-        )
-        for name in shared:
-            assert results[name] == loop[name]
-
-    @pytest.mark.parametrize("forced_loop", (False, True))
-    def test_empty_trace(self, forced_loop):
+    def test_empty_trace(self):
         predictor = GsharePredictor(table_size=64)
         estimators = {
             "jrs": JRSEstimator(table_size=64),
             "boosted": BoostedEstimator(MispredictionDistanceEstimator(2), k=2),
         }
-        if forced_loop:
-            estimators["loop"] = LoopDistance(0)
         before = predictor_state(predictor)
         states = {name: estimator_state(e) for name, e in estimators.items()}
         results = evaluate_inversion([], predictor, estimators)
