@@ -37,7 +37,6 @@ from . import settings
 from .engine import (
     BANK_PASSES_METRIC,
     BRANCHES_METRIC,
-    PASSES_SAVED_METRIC,
     PIPELINE_BRANCHES_METRIC,
     PIPELINE_TIMER,
     REPLAY_TIMER,
@@ -673,9 +672,6 @@ def _command_bench(args: argparse.Namespace) -> int:
         },
         "session": {
             "bank_passes": int(metrics.counters.get(BANK_PASSES_METRIC, 0.0)),
-            "passes_saved": int(
-                metrics.counters.get(PASSES_SAVED_METRIC, 0.0)
-            ),
         },
     }
     rendered = json.dumps(payload, indent=2, sort_keys=True)

@@ -8,7 +8,11 @@ estimate the confidence"*.
 
 Running all estimators of an experiment in one pass keeps every
 estimator's view identical (same predictor state stream) and amortises
-the predictor simulation, which dominates the cost.
+the predictor simulation, which dominates the cost.  Passes of several
+experiments over one columnar trace share more: the vector engine
+memoises each fresh predictor's scan and each estimator's flag column
+on the trace, so a second bank pass over the same (workload,
+predictor) pair scans nothing again.
 
 Two engines produce bit-identical results: the scalar per-branch loop
 (:func:`measure`) and the vectorized columnar path
@@ -66,11 +70,8 @@ SCALAR_FALLBACK_METRIC = "sim.scalar_fallback_branches"
 PIPELINE_BRANCHES_METRIC = "sim.pipeline_branches"
 PIPELINE_TIMER = "sim.pipeline"
 
-#: Estimator-bank session metrics: how many one-pass bank measurements
-#: ran, and how many single-purpose passes they subsumed beyond the one
-#: actually executed (the battery's simulation savings).
+#: How many one-pass estimator-bank measurements ran this session.
 BANK_PASSES_METRIC = "session.bank_passes"
-PASSES_SAVED_METRIC = "session.passes_saved"
 
 
 def record_simulation(branches: int, seconds: float) -> None:
@@ -192,7 +193,6 @@ def measure_bank_vectorized(
     trace: ColumnarTrace,
     predictor: BranchPredictor,
     estimators: Mapping[str, ConfidenceEstimator],
-    subsumes: int = 1,
     observers: Sequence[Observer] = (),
 ) -> MeasurementResult:
     """One-pass estimator bank over a columnar trace via array kernels.
@@ -247,8 +247,6 @@ def measure_bank_vectorized(
     if fallback_branches:
         REGISTRY.count(SCALAR_FALLBACK_METRIC, fallback_branches)
     REGISTRY.count(BANK_PASSES_METRIC)
-    if subsumes > 1:
-        REGISTRY.count(PASSES_SAVED_METRIC, subsumes - 1)
     return MeasurementResult(
         predictor_name=predictor.name,
         branches=branch_count,
@@ -261,20 +259,14 @@ def measure_bank(
     trace: Iterable[Tuple[int, bool]],
     predictor: BranchPredictor,
     estimators: Mapping[str, ConfidenceEstimator],
-    subsumes: int = 1,
     observers: Sequence[Observer] = (),
 ) -> MeasurementResult:
-    """One-pass estimator-bank measurement with session accounting.
+    """One-pass estimator-bank measurement, counted in
+    ``session.bank_passes``.
 
     Identical to :func:`measure` -- estimators never perturb the
     predictor or each other, so co-measuring more of them changes no
-    per-estimator quadrant -- but it additionally accounts the *bank
-    effect*: ``subsumes`` is the number of single-purpose
-    :func:`measure` passes this bank replaces (each former consumer
-    group of the same (workload, predictor) trace), and ``subsumes - 1``
-    is credited to the ``session.passes_saved`` counter.  The journal's
-    ``metrics_snapshot`` and the report's Battery-performance section
-    surface the saving.
+    per-estimator quadrant.
 
     Columnar traces dispatch to :func:`measure_bank_vectorized`;
     predictors without a vector scan (e.g. speculation wrapper
@@ -285,12 +277,10 @@ def measure_bank(
     if isinstance(trace, ColumnarTrace):
         try:
             return measure_bank_vectorized(
-                trace, predictor, estimators, subsumes=subsumes, observers=observers
+                trace, predictor, estimators, observers=observers
             )
         except UnsupportedVectorization:
             pass
     result = measure(trace, predictor, estimators, observers)
     REGISTRY.count(BANK_PASSES_METRIC)
-    if subsumes > 1:
-        REGISTRY.count(PASSES_SAVED_METRIC, subsumes - 1)
     return result

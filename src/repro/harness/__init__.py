@@ -1,6 +1,6 @@
 """Experiment harness: one experiment per paper table/figure."""
 
-from .spec import SPECS, ArtifactDep, ExperimentSpec, measurement_plan
+from .spec import SPECS, ArtifactDep, ExperimentSpec
 from .experiments import (
     FULL,
     PAPER,
@@ -51,7 +51,6 @@ __all__ = [
     "ArtifactDep",
     "ExperimentSpec",
     "measurement_cell",
-    "measurement_plan",
     "spec_fingerprint",
     "FULL",
     "PAPER",

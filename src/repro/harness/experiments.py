@@ -11,12 +11,12 @@ per-workload estimator-bank measurements) are memoised per scale in
 process *and* persisted in the content-addressed artifact cache
 (:mod:`repro.engine.cache`), so the whole battery costs each
 simulation once per machine -- warm reruns, pytest sessions and
-parallel workers (:mod:`repro.harness.parallel`) all share them.  The
-estimator bank (:func:`measurement_cell`) goes one step further: all
-estimator families a battery needs for one (workload, predictor) pair
-are evaluated in a *single* trace pass, so even a cold cache
-simulates each pair exactly once (``session.passes_saved`` counts the
-subsumed passes).
+parallel workers (:mod:`repro.harness.parallel`) all share them.  An
+estimator-bank cell (:func:`measurement_cell`) holds exactly the
+estimator families one experiment reads off one (workload, predictor)
+pair, so its key does not depend on what else was selected; the cells
+of one pair still share that pair's predictor scan, which the vector
+engine memoises on the columnar trace.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ def _pipeline_result(
 
 
 # ----------------------------------------------------------------------
-# the estimator bank: one trace pass per (workload, predictor) cell
+# the estimator bank: one trace pass per (workload, predictor, families) cell
 # ----------------------------------------------------------------------
 
 
@@ -331,28 +331,6 @@ def _family_estimator(
     )
 
 
-def _bank_subsumes(families: Tuple[str, ...]) -> int:
-    """How many single-purpose measure passes one bank pass replaces.
-
-    Pre-bank, each consumer group paid its own trace pass per
-    (workload, predictor): the Table 2 standard quartet, Table 3's
-    saturating-counter variants, Table 1's accuracy-only measurement
-    and the distance-estimator variants.  The bank folds every group
-    present in ``families`` into one pass.
-    """
-    present = set(families)
-    passes = 0
-    if set(STANDARD_FAMILIES) <= present:
-        passes += 1
-    if "satcnt-either" in present:
-        passes += 1
-    if "accuracy" in present:
-        passes += 1
-    if present & {"distance", "boosted-distance"}:
-        passes += 1
-    return max(passes, 1)
-
-
 def _compute_measurement_cell(
     predictor_name: str,
     workload: str,
@@ -367,12 +345,7 @@ def _compute_measurement_cell(
         for family in BANK_FAMILIES
         if family in families and family != "accuracy"
     }
-    return measure_bank(
-        _bank_trace(workload, iterations),
-        predictor,
-        estimators,
-        subsumes=_bank_subsumes(families),
-    )
+    return measure_bank(_bank_trace(workload, iterations), predictor, estimators)
 
 
 #: Layout of the cached :class:`MeasurementResult`, a key part of every
@@ -410,38 +383,6 @@ def measurement_cell(
     )
 
 
-#: The battery-wide measurement plan, installed by the runner/workers:
-#: predictor -> union of families every selected experiment wants, so
-#: all of them share one bank cell per (workload, predictor) pair.
-_ACTIVE_PLAN: Dict[str, Tuple[str, ...]] = {}
-
-
-def activate_measurement_plan(plan) -> None:
-    """Install a battery-wide family plan (``measurement_plan`` output)."""
-    _ACTIVE_PLAN.clear()
-    _ACTIVE_PLAN.update(
-        {predictor: tuple(families) for predictor, families in plan}
-    )
-
-
-def deactivate_measurement_plan() -> None:
-    _ACTIVE_PLAN.clear()
-
-
-def bank_families(predictor_name: str, need: Sequence[str]) -> Tuple[str, ...]:
-    """The family set to measure for ``predictor_name``.
-
-    Under an active battery plan that covers ``need``, the plan's union
-    (so every consumer shares one cell); otherwise just ``need`` --
-    a standalone ``repro run tab3`` never over-computes.
-    """
-    needed = tuple(sorted(set(need)))
-    planned = _ACTIVE_PLAN.get(predictor_name)
-    if planned is not None and set(needed) <= set(planned):
-        return planned
-    return needed
-
-
 def _measurement(
     predictor_name: str,
     workload: str,
@@ -449,7 +390,7 @@ def _measurement(
     need: Sequence[str],
 ) -> MeasurementResult:
     return measurement_cell(
-        predictor_name, workload, iterations, bank_families(predictor_name, need)
+        predictor_name, workload, iterations, tuple(sorted(set(need)))
     )
 
 

@@ -7,12 +7,15 @@ stacks.  This module fans ``run_all`` out over a
 
 1. **trace warm-up** -- one task per workload generates/executes the
    program and persists its branch trace in the artifact cache;
-2. **heavy-artifact warm-up** -- one task per (workload, predictor)
-   cell runs the pipeline simulations, estimator-bank measurements and
-   speculation cells the selected experiments will need, again into
-   the persistent cache (a segmented pipeline cell takes one wave per
-   link of its chain, and a speculation cell runs one wave after the
-   pipeline run it compares against, see :func:`plan_warm_levels`);
+2. **heavy-artifact warm-up** -- one task per artifact runs the
+   pipeline simulations, estimator-bank measurements and speculation
+   cells the selected experiments will need, again into the persistent
+   cache (a segmented pipeline cell takes one wave per link of its
+   chain, and a speculation cell runs one wave after the pipeline run
+   it compares against, see :func:`plan_warm_levels`).  A measurement
+   task is one experiment's (workload, predictor, families) cell; two
+   cells of one pair that land on different workers each repeat the
+   pair's predictor scan, which a single process memoises;
 3. **experiments** -- one task per experiment, which now mostly reads
    cached artifacts.
 
@@ -85,19 +88,14 @@ from .experiments import (
     ExperimentResult,
     Scale,
     _pipeline_result,
-    activate_measurement_plan,
-    deactivate_measurement_plan,
     measurement_cell,
     run_experiment,
 )
 from .shard import segment_count, warm_segment
-from .spec import SPECS, measurement_plan
+from .spec import SPECS
 from .speculation import eager_cell, gating_cell
 
 Journal = Optional[object]  # RunJournal | NullJournal; kwarg convenience
-
-#: ``measurement_plan`` output: per-predictor estimator-family unions.
-MeasurementPlan = Tuple[Tuple[str, Tuple[str, ...]], ...]
 
 #: The failure taxonomy.  Everything except ``fatal`` is retryable.
 FAILURE_CLASSES = ("timeout", "crash", "corrupt_artifact", "retryable", "fatal")
@@ -170,25 +168,8 @@ _WARM_FUNCTIONS: Dict[str, Callable] = {
 }
 
 
-def _plan_families(
-    selected: Sequence[str],
-    measurement_families: Optional[MeasurementPlan],
-) -> Dict[str, Tuple[str, ...]]:
-    """Per-predictor family unions governing the measurement cells."""
-    if measurement_families is None:
-        measurement_families = measurement_plan(
-            SPECS[eid] for eid in selected if eid in SPECS
-        )
-    return {
-        predictor: tuple(families)
-        for predictor, families in measurement_families
-    }
-
-
 def plan_warm_levels(
-    selected: Sequence[str],
-    scale: Scale,
-    measurement_families: Optional[MeasurementPlan] = None,
+    selected: Sequence[str], scale: Scale
 ) -> List[List[WarmTask]]:
     """The artifact warm-up schedule: waves of independent warm tasks.
 
@@ -205,12 +186,10 @@ def plan_warm_levels(
     (workload, predictor) cells shard across the pool.  Within a wave,
     tasks keep the order they were planned in.
 
-    Measurement tasks carry the battery-wide per-predictor family union
-    (``measurement_families``, computed from the selection when not
-    given), so every consumer of a (workload, predictor) pair shares
-    one estimator-bank cell.
+    A measurement task carries the estimator families its dep declares,
+    sorted as the experiment asks for them, so it warms exactly the cell
+    that experiment reads, whatever else is selected.
     """
-    families_by_predictor = _plan_families(selected, measurement_families)
     chain = segment_count(scale.pipeline_instructions, scale.segment_instructions)
     # the trailing arguments of every speculation cell
     budget = (
@@ -243,9 +222,7 @@ def plan_warm_levels(
                         add(index + 1, "pipeline-segment", *cell, index, scale.backend)
                     add(chain + 1, "pipeline", *cell, scale.backend)
                 elif dep.kind == "measurement":
-                    families = families_by_predictor.get(
-                        dep.predictor, tuple(sorted(set(dep.families)))
-                    )
+                    families = tuple(sorted(set(dep.families)))
                     add(1, "measurement", dep.predictor, workload, scale.iterations, families)
                 elif dep.kind == "gating":
                     add(chain + 2, "gating", workload, dep.estimator, dep.threshold, *budget)
@@ -298,18 +275,14 @@ def _warm_worker(task: WarmTask) -> Tuple[CacheStats, MetricsSnapshot, float]:
 
 
 def _experiment_worker(
-    experiment_id: str, scale: Scale, plan: MeasurementPlan = ()
+    experiment_id: str, scale: Scale
 ) -> Tuple[ExperimentResult, float, CacheStats, MetricsSnapshot]:
     faults.active_faults().on_experiment(experiment_id)
-    activate_measurement_plan(plan)
-    try:
-        baseline = _task_baseline()
-        started = time.perf_counter()
-        result = run_experiment(experiment_id, scale)
-        duration = time.perf_counter() - started
-        stats, metrics = _task_deltas(baseline)
-    finally:
-        deactivate_measurement_plan()
+    baseline = _task_baseline()
+    started = time.perf_counter()
+    result = run_experiment(experiment_id, scale)
+    duration = time.perf_counter() - started
+    stats, metrics = _task_deltas(baseline)
     return result, duration, stats, metrics
 
 
@@ -324,35 +297,28 @@ def _merge_worker_state(stats: CacheStats, metrics: MetricsSnapshot) -> None:
 
 
 def _run_serially(
-    selected: Iterable[str],
-    scale: Scale,
-    journal: Journal,
-    measurement_families: MeasurementPlan,
+    selected: Iterable[str], scale: Scale, journal: Journal
 ) -> Dict[str, ExperimentResult]:
     results: Dict[str, ExperimentResult] = {}
-    activate_measurement_plan(measurement_families)
-    try:
-        for experiment_id in selected:
-            if _ABORT.is_set():
-                raise RunAborted(results)
-            journal.emit(
-                "experiment_started", experiment=experiment_id, mode="serial"
-            )
-            started = time.perf_counter()
-            with REGISTRY.timed(f"experiment.{experiment_id}"):
-                # looked up per call: bench/layers.py rebinds spec.run
-                result = SPECS[experiment_id].run(scale)
-            result.duration_s = time.perf_counter() - started
-            results[experiment_id] = result
-            store_checkpoint(experiment_id, scale, result)
-            journal.emit(
-                "experiment_finished",
-                experiment=experiment_id,
-                mode="serial",
-                duration_s=result.duration_s,
-            )
-    finally:
-        deactivate_measurement_plan()
+    for experiment_id in selected:
+        if _ABORT.is_set():
+            raise RunAborted(results)
+        journal.emit(
+            "experiment_started", experiment=experiment_id, mode="serial"
+        )
+        started = time.perf_counter()
+        with REGISTRY.timed(f"experiment.{experiment_id}"):
+            # looked up per call: bench/layers.py rebinds spec.run
+            result = SPECS[experiment_id].run(scale)
+        result.duration_s = time.perf_counter() - started
+        results[experiment_id] = result
+        store_checkpoint(experiment_id, scale, result)
+        journal.emit(
+            "experiment_finished",
+            experiment=experiment_id,
+            mode="serial",
+            duration_s=result.duration_s,
+        )
     return results
 
 
@@ -386,7 +352,6 @@ class _Supervisor:
         task_timeout: Optional[float],
         retries: int,
         backoff_s: float,
-        measurement_families: MeasurementPlan = (),
     ):
         self.selected = list(selected)
         self.scale = scale
@@ -395,7 +360,6 @@ class _Supervisor:
         self.task_timeout = task_timeout
         self.retries = retries
         self.backoff_s = backoff_s
-        self.plan: MeasurementPlan = tuple(measurement_families)
         self.results: Dict[str, ExperimentResult] = {}
         self.attempts: Dict[str, int] = {eid: 0 for eid in self.selected}
         self.pool: Optional[ProcessPoolExecutor] = None
@@ -466,7 +430,7 @@ class _Supervisor:
         recycles the pool and abandons the rest of the warm-up.
         """
         cache = artifact_cache.get_cache()
-        waves = plan_warm_levels(self.selected, self.scale, self.plan)
+        waves = plan_warm_levels(self.selected, self.scale)
         if not cache.enabled:
             return
         for wave in waves:
@@ -573,10 +537,7 @@ class _Supervisor:
                     (
                         experiment_id,
                         self.pool.submit(
-                            _experiment_worker,
-                            experiment_id,
-                            self.scale,
-                            self.plan,
+                            _experiment_worker, experiment_id, self.scale
                         ),
                         time.monotonic(),
                     )
@@ -683,9 +644,7 @@ class _Supervisor:
                 # order, so the battery completes iff a serial run would
                 try:
                     self.results.update(
-                        _run_serially(
-                            unresolved, self.scale, self.journal, self.plan
-                        )
+                        _run_serially(unresolved, self.scale, self.journal)
                     )
                 except RunAborted as aborted:
                     self.results.update(aborted.results)
@@ -705,7 +664,6 @@ def run_parallel(
     task_timeout: Optional[float] = None,
     retries: Optional[int] = None,
     backoff_s: Optional[float] = None,
-    measurement_families: Optional[MeasurementPlan] = None,
 ) -> Dict[str, ExperimentResult]:
     """Run ``selected`` experiments with ``jobs`` supervised workers.
 
@@ -714,24 +672,15 @@ def run_parallel(
     default from the installed :mod:`repro.settings` record
     (``REPRO_TASK_TIMEOUT``/``REPRO_TASK_RETRIES``/``REPRO_RETRY_BACKOFF``);
     a timeout from either source that is not a finite number > 0
-    (``0``, ``-1``, ``nan``) means no timeout.
-    ``measurement_families`` is the battery-wide estimator-bank plan
-    (defaults to the plan derived from ``selected``'s specs); workers
-    install it so every experiment shares one bank cell per (workload,
-    predictor) pair.  See the
-    module docstring for the failure model; the short version is that a
-    failing, hanging or crashing worker costs bounded retries of its
-    own experiment, and the battery completes whenever a serial run
-    would.
+    (``0``, ``-1``, ``nan``) means no timeout.  See the module docstring
+    for the failure model; the short version is that a failing, hanging
+    or crashing worker costs bounded retries of its own experiment, and
+    the battery completes whenever a serial run would.
     """
     journal = coalesce(journal)
     jobs = max(1, jobs)
-    if measurement_families is None:
-        measurement_families = measurement_plan(
-            SPECS[eid] for eid in selected if eid in SPECS
-        )
     if jobs == 1 or len(selected) == 0:
-        return _run_serially(selected, scale, journal, measurement_families)
+        return _run_serially(selected, scale, journal)
     record = settings.current()
     supervisor = _Supervisor(
         selected,
@@ -745,6 +694,5 @@ def run_parallel(
         ),
         retries=retries if retries is not None else record.retries,
         backoff_s=backoff_s if backoff_s is not None else record.backoff_s,
-        measurement_families=measurement_families,
     )
     return supervisor.run()

@@ -28,7 +28,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Union
 from .. import settings
 from ..engine import (
     BRANCHES_METRIC,
-    PASSES_SAVED_METRIC,
     REPLAY_TIMER,
     get_cache,
 )
@@ -42,7 +41,7 @@ from ..obs.journal import (
 from ..obs.registry import REGISTRY
 from .checkpoint import load_checkpoint
 from .experiments import FULL, ExperimentResult, Scale
-from .spec import SPECS, measurement_plan
+from .spec import SPECS
 from .tables import TextTable
 
 Journal = Optional[object]  # RunJournal | NullJournal
@@ -191,20 +190,14 @@ def run_all(
     metrics_baseline = REGISTRY.snapshot()
     started = time.perf_counter()
     try:
-        remaining = [eid for eid in selected if eid not in restored]
-        # planned over the whole selection, not just the remainder: a
-        # resumed battery then keys its estimator-bank cells exactly as
-        # the interrupted run did, and reuses the ones it stored
-        plan = measurement_plan(SPECS[eid] for eid in selected)
         fresh = run_parallel(
-            remaining,
+            [eid for eid in selected if eid not in restored],
             scale,
             jobs,
             journal=journal,
             task_timeout=task_timeout,
             retries=retries,
             backoff_s=backoff_s,
-            measurement_families=plan,
         )
     except RunAborted as aborted:
         # close the journal the way a finished run does -- stats triple
@@ -271,12 +264,6 @@ def render_performance(
             f"simulated {branches:,} branches in"
             f" {seconds:.3f}s"
             f" ({rate:,.0f} branches/s)"
-        )
-    passes_saved = int(REGISTRY.counter_value(PASSES_SAVED_METRIC))
-    if passes_saved:
-        table.add_note(
-            f"estimator bank subsumed {passes_saved} single-purpose"
-            " measurement pass(es) (session.passes_saved)"
         )
     stats = get_cache().stats
     lookups = stats.hits + stats.misses

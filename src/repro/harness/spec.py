@@ -14,11 +14,9 @@ memoised where they are used and never planned or persisted.
 Execution layers consume the specs instead of hardcoding knowledge:
 
 * :mod:`repro.harness.parallel` expands the declared deps into warm
-  tasks and places each in its warm-up wave;
-* :func:`measurement_plan` unions the measurement families every
-  selected experiment wants per predictor, which is what lets the
-  estimator bank (:func:`repro.engine.measure.measure_bank`) simulate
-  each (workload, predictor) pair exactly once per battery;
+  tasks and places each in its warm-up wave; a ``measurement`` dep
+  names exactly the estimator families its experiment reads, so its
+  cell is keyed the same whatever else is selected;
 * :mod:`repro.harness.checkpoint` folds the declared deps into the
   checkpoint key, so a spec change invalidates stale checkpoints;
 * :mod:`repro.harness.runner` renders report sections in spec order;
@@ -35,7 +33,7 @@ silently overwrite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 #: Dependency kinds the planner knows how to expand (one artifact per
 #: workload of the scale for every kind).  A segmented ``pipeline`` dep
@@ -210,23 +208,3 @@ class SpecRegistry(Mapping):
 #: paper battery, ``speculation.py`` the speculation battery.
 SPECS = SpecRegistry()
 
-
-def measurement_plan(
-    specs: Iterable[ExperimentSpec],
-) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
-    """Per-predictor union of measurement families ``specs`` request.
-
-    The returned plan -- ``((predictor, (family, ...)), ...)``, sorted
-    and picklable -- is what the estimator bank measures per (workload,
-    predictor) pair, so every selected experiment's families come out
-    of one trace pass.
-    """
-    union: Dict[str, set] = {}
-    for spec in specs:
-        for dep in spec.deps:
-            if dep.kind == "measurement" and dep.predictor is not None:
-                union.setdefault(dep.predictor, set()).update(dep.families)
-    return tuple(
-        (predictor, tuple(sorted(families)))
-        for predictor, families in sorted(union.items())
-    )

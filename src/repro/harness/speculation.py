@@ -15,10 +15,11 @@ speculation-control results on the cycle-level pipeline:
   one-cycle path switch at the price of fetch dilution.
 * ``speculation-inversion`` -- the negative result: inverting
   low-confidence predictions only pays at PVN > 50%, which no estimator
-  reaches across the suite.  It simulates nothing of its own: each
-  ledger is read off the gshare estimator-bank cell the paper battery
-  measures (:func:`repro.harness.experiments.measurement_cell`, families
-  ``jrs``, ``distance`` and ``boosted-distance``) by
+  reaches across the suite.  It runs no pipeline: each ledger is read
+  off its own gshare estimator-bank cell
+  (:func:`repro.harness.experiments.measurement_cell`, families
+  ``jrs``, ``distance`` and ``boosted-distance``), measured over the
+  gshare predictor scan the paper tables share, by
   :meth:`~repro.speculation.InversionResult.from_measurement`, the
   conversion :func:`~repro.speculation.evaluate_inversion` uses too.
 

@@ -53,7 +53,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 #: Bump when an event gains/loses *required* fields or changes meaning.
 SCHEMA_VERSION = 1
@@ -153,6 +153,25 @@ def validate_event(obj: Any) -> List[str]:
     return errors
 
 
+def _decoded_lines(
+    lines: Iterable[str],
+) -> Iterator[Tuple[int, Any, Optional[json.JSONDecodeError], List[str]]]:
+    """``(line_number, obj, decode_error, problems)`` for every non-blank
+    line, numbered from 1: a line that is not JSON has ``obj=None`` and
+    its ``decode_error``, any other line its :func:`validate_event`
+    ``problems``.  The one line decoder of the readers below."""
+    for line_number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as decode_error:
+            yield line_number, None, decode_error, []
+        else:
+            yield line_number, obj, None, validate_event(obj)
+
+
 def validate_lines(lines: Iterable[str]) -> Tuple[int, List[str]]:
     """Validate decoded-or-not journal lines.
 
@@ -163,18 +182,12 @@ def validate_lines(lines: Iterable[str]) -> Tuple[int, List[str]]:
     errors: List[str] = []
     count = 0
     expected_seq = 0
-    for line_number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for line_number, obj, decode_error, problems in _decoded_lines(lines):
         count += 1
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as decode_error:
+        if decode_error is not None:
             errors.append(f"line {line_number}: not valid JSON ({decode_error})")
             continue
-        for problem in validate_event(obj):
-            errors.append(f"line {line_number}: {problem}")
+        errors.extend(f"line {line_number}: {problem}" for problem in problems)
         seq = obj.get("seq") if isinstance(obj, dict) else None
         if isinstance(seq, int) and not isinstance(seq, bool):
             if seq != expected_seq:
@@ -193,15 +206,15 @@ def validate_journal(path: Union[str, Path]) -> Tuple[int, List[str]]:
 
 
 def read_journal(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Decode and *validate* a journal; raises on the first bad line."""
+    """Decode and *validate* a journal; raises
+    :class:`JournalValidationError` on the first bad line."""
     events: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            problems = validate_event(obj)
+        for line_number, obj, decode_error, problems in _decoded_lines(handle):
+            if decode_error is not None:
+                raise JournalValidationError(
+                    f"{path}: line {line_number}: not valid JSON ({decode_error})"
+                ) from decode_error
             if problems:
                 raise JournalValidationError(
                     f"{path}: line {line_number}: {'; '.join(problems)}"
@@ -222,23 +235,16 @@ def read_journal_tolerant(
     problems)`` instead of raising.
     """
     events: List[Dict[str, Any]] = []
-    problems: List[str] = []
+    skipped: List[str] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                problems.append(f"line {line_number}: truncated or invalid JSON")
-                continue
-            errors = validate_event(obj)
-            if errors:
-                problems.append(f"line {line_number}: {'; '.join(errors)}")
-                continue
-            events.append(obj)
-    return events, problems
+        for line_number, obj, decode_error, problems in _decoded_lines(handle):
+            if decode_error is not None:
+                skipped.append(f"line {line_number}: truncated or invalid JSON")
+            elif problems:
+                skipped.append(f"line {line_number}: {'; '.join(problems)}")
+            else:
+                events.append(obj)
+    return events, skipped
 
 
 def finished_experiments(events: Iterable[Dict[str, Any]]) -> List[str]:

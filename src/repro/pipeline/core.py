@@ -811,10 +811,6 @@ class PipelineSimulator:
                             machine.restore(entry[9])
                             retired = 0
                             squashed_instructions += inflight_count
-                            for younger in inflight:
-                                squashed_index = younger[11]
-                                if squashed_index >= 0:
-                                    rec_committed[squashed_index] = False
                             inflight.clear()
                             inflight_count = 0
                             low_confidence = 0
@@ -1381,10 +1377,6 @@ class PipelineSimulator:
         )
         self.machine.restore(entry.snapshot)
         self.stats.squashed_instructions += self._inflight_count
-        records = self.records
-        for younger in self._inflight:
-            if younger.record_index >= 0:
-                records.squash(younger.record_index)
         self._inflight.clear()
         self._inflight_count = 0
         self.machine.trim_journal()  # no snapshots remain live

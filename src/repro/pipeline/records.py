@@ -155,11 +155,6 @@ class BranchRecordStore:
         self.resolve_cycle[index] = cycle
         self._stamp += 1
 
-    def squash(self, index: int) -> None:
-        """Mark the branch at ``index`` squashed (never committed)."""
-        self.committed[index] = False
-        self._stamp += 1
-
     def materialize(self) -> List[BranchRecord]:
         """Dataclass views of every record (memoised per mutation)."""
         memo = self._views

@@ -129,7 +129,8 @@ def record(sequence, mispredicted=False, committed=True, precise=0, perceived=0)
 
 
 def build_store(records):
-    """A store holding ``records``, each resolved or squashed."""
+    """A store holding ``records``, each resolved or squashed (an
+    appended record stays uncommitted until it resolves)."""
     store = BranchRecordStore()
     for sequence, mispredicted, committed, precise, perceived in records:
         index = store.append(
@@ -145,8 +146,6 @@ def build_store(records):
         )
         if committed:
             store.resolve(index, sequence + 3)
-        else:
-            store.squash(index)
     return store
 
 

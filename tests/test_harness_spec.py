@@ -5,10 +5,12 @@ The declarative layer's guarantees, each pinned by a test:
 * the registry holds the whole battery and refuses duplicate ids;
 * warm-up waves derived from the declared artifact DAG reproduce the
   legacy hardcoded schedule exactly (trace wave + heavy wave);
+* an estimator-bank cell holds the families one experiment declares,
+  so an experiment reads the same cells alone as in a battery;
 * one estimator-bank pass yields per-family quadrants and accuracy
   identical to dedicated single-estimator ``measure`` passes for every
   (workload, predictor, family) triple at smoke scale;
-* a cold battery records ``session.passes_saved > 0`` in the journal's
+* a cold battery records ``session.bank_passes > 0`` in the journal's
   ``metrics_snapshot``;
 * ``repro bench --json`` emits the documented schema;
 * the README battery table matches ``repro list --markdown``.
@@ -31,7 +33,6 @@ from repro.harness import (
     ExperimentSpec,
     clear_memoised,
     measurement_cell,
-    measurement_plan,
     plan_warm_levels,
     run_all,
     spec_fingerprint,
@@ -39,10 +40,9 @@ from repro.harness import (
 from repro.harness.experiments import (
     BANK_FAMILIES,
     PREDICTORS,
-    STANDARD_FAMILIES,
     _family_estimator,
 )
-from repro.harness import spec
+from repro.harness import experiments, spec
 from repro.harness.spec import SECTIONS, SpecRegistry
 from repro.harness.speculation import (
     GATE_THRESHOLDS,
@@ -123,24 +123,6 @@ class TestSpecRegistry:
                 ArtifactDep(kind=kind)
 
 
-class TestMeasurementPlan:
-    def test_full_battery_unions_per_predictor(self):
-        plan = dict(measurement_plan(SPECS[eid] for eid in SPECS))
-        standard = tuple(sorted(("accuracy",) + STANDARD_FAMILIES))
-        # speculation-inversion reads its ledgers off the gshare bank
-        assert plan["gshare"] == tuple(
-            sorted(set(standard) | {"distance", "boosted-distance"})
-        )
-        assert plan["sag"] == standard
-        assert plan["mcfarling"] == tuple(
-            sorted(standard + ("satcnt-either",))
-        )
-
-    def test_single_experiment_plan_is_minimal(self):
-        plan = dict(measurement_plan([SPECS["tab3"]]))
-        assert plan == {"mcfarling": ("satcnt", "satcnt-either")}
-
-
 class TestWarmPlanLegacyEquivalence:
     """The DAG-derived schedule equals the old hardcoded waves."""
 
@@ -201,11 +183,53 @@ class TestWarmPlanLegacyEquivalence:
         assert {kind for kind, __ in levels[1]} == {"pipeline", "measurement"}
         assert {kind for kind, __ in levels[2]} == {"gating", "eager"}
 
-    def test_measurement_tasks_carry_the_battery_plan(self):
-        kinds = self._heavy_by_kind(list(SPECS))
-        plan = dict(measurement_plan(SPECS[eid] for eid in SPECS))
-        for predictor, workload, __, families in kinds["measurement"]:
-            assert families == plan[predictor]
+
+def _measurement_tasks(selected):
+    return {
+        task
+        for wave in plan_warm_levels(selected, SMOKE)
+        for task in wave
+        if task[0] == "measurement"
+    }
+
+
+class TestSelectionIndependence:
+    """A measurement cell is keyed by the families its experiment reads,
+    never by what else the battery selected."""
+
+    @pytest.mark.parametrize("experiment_id", list(SPECS))
+    def test_battery_plans_every_cell_an_experiment_plans(self, experiment_id):
+        assert _measurement_tasks([experiment_id]) <= _measurement_tasks(
+            list(SPECS)
+        )
+
+    def test_warm_tasks_are_the_cells_the_experiments_read(
+        self, isolated_cache, monkeypatch
+    ):
+        read = set()
+        cell = experiments.measurement_cell
+
+        def recording_cell(*args):
+            read.add(("measurement", args))
+            return cell(*args)
+
+        monkeypatch.setattr(experiments, "measurement_cell", recording_cell)
+        selected = [
+            eid
+            for eid in SPECS
+            if "measurement" in SPECS[eid].dep_kinds()
+        ]
+        run_all(SMOKE, only=selected, jobs=1)
+        assert read == _measurement_tasks(selected)
+
+    def test_tab3_alone_reads_the_cells_a_battery_stored(self, isolated_cache):
+        run_all(SMOKE, only=["tab1", "tab2", "tab3"], jobs=1)
+        clear_memoised()
+        before = isolated_cache.stats.snapshot()
+        run_all(SMOKE, only=["tab3"], jobs=1)
+        delta = isolated_cache.stats.since(before)
+        assert delta.misses == 0
+        assert delta.hits == len(SMOKE.workloads)
 
 
 class TestBankEquivalence:
@@ -262,7 +286,6 @@ class TestPassesSaved:
         assert snapshots, "battery must journal a metrics snapshot"
         counters = snapshots[-1]["counters"]
         assert counters.get("session.bank_passes", 0) > 0
-        assert counters.get("session.passes_saved", 0) > 0
 
 
 class TestSpecFingerprint:
@@ -345,9 +368,8 @@ class TestBenchCli:
         assert payload["pipeline"]["branches"] > 0
         assert payload["pipeline"]["branches_per_second"] > 0
         assert 0.0 <= payload["cache"]["hit_rate"] <= 1.0
+        assert list(payload["session"]) == ["bank_passes"]
         assert payload["session"]["bank_passes"] > 0
-        # cold run: the bank subsumed tab1/tab2/tab3 single-purpose passes
-        assert payload["session"]["passes_saved"] > 0
 
     def test_warm_bench_reports_no_replay_throughput(
         self, isolated_cache, tmp_path, capsys

@@ -9,7 +9,7 @@ import pytest
 
 from repro.confidence import SaturatingCountersEstimator
 from repro.engine import cache as artifact_cache
-from repro.engine import clear_cache, workload_program
+from repro.engine import clear_cache, vector, workload_program
 from repro.harness import (
     GATE_THRESHOLDS,
     SPECS,
@@ -164,7 +164,7 @@ def spy_on_gshare_banks(monkeypatch):
 
 class TestSharedArtifacts:
     """The speculation battery reads what the paper battery computes:
-    the gshare ``pipeline`` run and the gshare estimator-bank cell."""
+    the gshare ``pipeline`` run and the gshare predictor scan."""
 
     def test_tab1_and_the_cells_share_one_ungated_run(
         self, isolated_cache, monkeypatch
@@ -186,10 +186,21 @@ class TestSharedArtifacts:
         )
         assert built == [GsharePredictor] * len(scale.workloads)
 
-    def test_tab2_and_inversion_share_one_gshare_bank_pass(
-        self, isolated_cache, monkeypatch
+    def test_tab2_and_inversion_share_one_gshare_scan(
+        self, isolated_cache, monkeypatch, knobs
     ):
+        knobs(vector=True)
         banks = spy_on_gshare_banks(monkeypatch)
+        scanned = []
+        key, scan, apply = vector._PREDICTOR_SCANS[GsharePredictor]
+
+        def counting_scan(trace, predictor):
+            scanned.append(trace.name)
+            return scan(trace, predictor)
+
+        monkeypatch.setitem(
+            vector._PREDICTOR_SCANS, GsharePredictor, (key, counting_scan, apply)
+        )
         evaluated = []
         oracle = inversion.evaluate_inversion
 
@@ -205,8 +216,12 @@ class TestSharedArtifacts:
         scale = dataclasses.replace(TINY, workloads=("compress", "go"))
         results = run_all(scale, only=["tab2", "speculation-inversion"], jobs=1)
         assert not evaluated
-        families = sorted(set(STANDARD_FAMILIES) | set(SPECULATION_ESTIMATORS))
-        assert banks == [families] * len(scale.workloads)
+        # each experiment measures its own gshare cell per workload...
+        assert banks == [sorted(STANDARD_FAMILIES)] * len(scale.workloads) + [
+            sorted(SPECULATION_ESTIMATORS)
+        ] * len(scale.workloads)
+        # ...over one gshare predictor scan per workload
+        assert scanned == list(scale.workloads)
         cells = results["speculation-inversion"].data["cells"]
         assert len(cells) == len(scale.workloads) * len(SPECULATION_ESTIMATORS)
 

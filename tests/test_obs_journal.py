@@ -14,6 +14,7 @@ from repro.obs.journal import (
     NullJournal,
     RunJournal,
     read_journal,
+    read_journal_tolerant,
     summarize,
     validate_event,
     validate_journal,
@@ -135,6 +136,26 @@ class TestRunJournalWriter:
         path.write_text('{"event": "warning", "v": 1, "seq": 0, "ts": 1.0}\n')
         with pytest.raises(JournalValidationError):
             read_journal(path)
+
+    def test_read_journal_raises_on_bad_json(self, tmp_path):
+        path = tmp_path / "cut.jsonl"
+        path.write_text(json.dumps(_valid()) + '\n{"event": "warn')
+        with pytest.raises(JournalValidationError, match="line 2: not valid JSON"):
+            read_journal(path)
+
+    def test_tolerant_reader_skips_and_reports_bad_lines(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        lines = [
+            json.dumps(_valid()),
+            "",
+            json.dumps(_valid(seq=1, message=42)),
+            '{"event": "warn',
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        events, problems = read_journal_tolerant(path)
+        assert events == [_valid()]
+        assert problems[0].startswith("line 3: warning: field 'message'")
+        assert problems[1] == "line 4: truncated or invalid JSON"
 
     def test_null_journal_is_inert(self):
         journal = NullJournal()

