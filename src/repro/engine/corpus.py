@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Optional
 
 from ..isa import Program
+from ..pipeline.decode import decoded_run
 from ..workloads import generate_program, get_profile
 from .cache import get_cache
 from .measure import record_trace_generation
@@ -43,7 +44,10 @@ def workload_program(name: str, iterations: Optional[int] = None) -> Program:
 
 def _trace_workload(name: str, iterations: Optional[int]) -> TracedRun:
     started = time.perf_counter()
-    run = trace_branches(workload_program(name, iterations))
+    # the pipeline decodes the same program through this memo: share it
+    run = trace_branches(
+        workload_program(name, iterations), decoded=decoded_run(name, iterations)
+    )
     record_trace_generation(
         branches=run.stats.branches, seconds=time.perf_counter() - started
     )

@@ -27,6 +27,7 @@ from ..pipeline.decode import (
     K_JUMP,
     K_LOAD,
     K_STORE,
+    DecodedProgram,
     decode_program,
 )
 from ..workloads.trace import BranchTrace
@@ -50,9 +51,17 @@ def trace_branches(
     program: Program,
     max_steps: int = 50_000_000,
     max_branches: Optional[int] = None,
+    decoded: Optional[DecodedProgram] = None,
 ) -> "TracedRun":
-    """Execute ``program`` to completion; record its branch stream."""
-    decoded = decode_program(program)
+    """Execute ``program`` to completion; record its branch stream.
+
+    ``decoded`` may supply ``program``'s shared
+    :class:`~repro.pipeline.decode.DecodedProgram` (e.g. the
+    per-workload :func:`~repro.pipeline.decode.decoded_run` memo the
+    pipeline also reads) to skip the decode.
+    """
+    if decoded is None:
+        decoded = decode_program(program)
     kinds = decoded.kinds
     run_len = decoded.run_len
     plain_ops = decoded.plain_ops

@@ -10,7 +10,7 @@ from .instructions import (
     to_signed,
     to_unsigned,
 )
-from .machine import Machine, MachineFault, Snapshot, StepResult
+from .machine import Machine, MachineFault, StepResult
 from .program import Program
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "to_unsigned",
     "Machine",
     "MachineFault",
-    "Snapshot",
     "StepResult",
     "Program",
 ]

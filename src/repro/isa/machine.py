@@ -83,17 +83,6 @@ class StepResult:
         return self.taken is not None
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """Opaque machine checkpoint (register state + undo-log position)."""
-
-    regs: Tuple[int, ...]
-    pc: int
-    halted: bool
-    journal_length: int
-    instructions_retired: int
-
-
 class Machine:
     """Architectural state plus a single-instruction executor."""
 
@@ -111,35 +100,42 @@ class Machine:
     # speculation support
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> Snapshot:
-        """Capture the architectural state for a later :meth:`restore`."""
-        return Snapshot(
-            regs=tuple(self.regs),
-            pc=self.pc,
-            halted=self.halted,
-            journal_length=len(self._journal),
-            instructions_retired=self.instructions_retired,
+    def snapshot(self) -> Tuple[Tuple[int, ...], int, bool, int, int]:
+        """Capture the architectural state for a later :meth:`restore`.
+
+        An opaque plain tuple -- ``(registers, pc, halted, undo-log
+        length, instructions retired)`` -- because the pipeline takes
+        one per on-path misprediction and a tuple is several times
+        cheaper to build than a frozen dataclass.
+        """
+        return (
+            tuple(self.regs),
+            self.pc,
+            self.halted,
+            len(self._journal),
+            self.instructions_retired,
         )
 
-    def restore(self, snap: Snapshot) -> None:
+    def restore(self, snap: Tuple[Tuple[int, ...], int, bool, int, int]) -> None:
         """Roll architectural state back to ``snap``.
 
         Any snapshot taken *after* ``snap`` becomes invalid.
         """
+        regs, pc, halted, journal_length, instructions_retired = snap
         journal = self._journal
-        if snap.journal_length > len(journal):
+        if journal_length > len(journal):
             raise ValueError("snapshot is newer than current state")
         memory = self.memory
-        while len(journal) > snap.journal_length:
+        while len(journal) > journal_length:
             address, old = journal.pop()
             if old is _MISSING:
                 memory.pop(address, None)
             else:
                 memory[address] = old
-        self.regs = list(snap.regs)
-        self.pc = snap.pc
-        self.halted = snap.halted
-        self.instructions_retired = snap.instructions_retired
+        self.regs = list(regs)
+        self.pc = pc
+        self.halted = halted
+        self.instructions_retired = instructions_retired
 
     def trim_journal(self) -> None:
         """Discard the undo log (valid once no snapshots are live)."""

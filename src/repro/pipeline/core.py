@@ -21,22 +21,26 @@ Because the journaled machine *is* the architectural state, the
 committed instruction stream provably equals the pure functional
 execution -- an invariant the integration tests check directly.
 
-The simulator records a :class:`~repro.pipeline.records.BranchRecord`
-for every fetched conditional branch, carrying both the *precise*
-misprediction distance (reset when a mispredicted branch is fetched;
-the oracle view of Figures 6/7) and the *perceived* distance (reset
-when a misprediction is detected at resolution; the implementable view
-of Figures 8/9), plus the confidence estimates made at fetch time.
-Those records stay simulator state (``simulator.records``); a
-:class:`PipelineResult` carries only their per-distance counts.
+The simulator counts every fetched conditional branch, and every
+committed one, at two misprediction distances: the *precise* distance
+(reset when a mispredicted branch is fetched; the oracle view of
+Figures 6/7) and the *perceived* distance (reset when a misprediction
+is detected at resolution; the implementable view of Figures 8/9).
+Those four histograms are a
+:class:`~repro.pipeline.records.DistanceTally` kept as the run goes,
+and a :class:`PipelineResult` carries them as
+:class:`~repro.pipeline.records.DistanceCounts`.  The reference engine
+also logs each fetched branch, with the confidence estimates made at
+fetch time, as a :class:`~repro.pipeline.records.BranchRecord` in
+``simulator.records``: the tests' per-branch view.
 
 Two engines share these semantics bit for bit, for every simulator
 class:
 
 * the **reference engine** steps :meth:`Machine.step` once per fetched
-  instruction.  :meth:`PipelineSimulator.step_cycle` always runs it,
-  and so does ``run()`` under ``REPRO_PIPELINE_FAST=0``: it is the test
-  oracle;
+  instruction and logs each fetched branch.
+  :meth:`PipelineSimulator.step_cycle` always runs it, and so does
+  ``run()`` under ``REPRO_PIPELINE_FAST=0``: it is the test oracle;
 * the **fused engine** (``run()`` by default) drives a
   :class:`~repro.pipeline.decode.DecodedProgram` in one loop that
   inlines commit, resolve, recovery and fetch: straight-line plain
@@ -45,10 +49,11 @@ class:
   line is a guaranteed hit that cannot disturb LRU order, so the hit
   counter is bumped arithmetically), and non-branch instructions
   fetched in the same cycle share one grouped in-flight entry that
-  commit drains by count.  A backend that overrides ``_dispatch`` (the
-  out-of-order one) times every instruction itself, so for it the loop
-  emits one entry per instruction and dispatches each where the
-  reference engine does.
+  commit drains by count.  It logs no branch, so its per-branch cost
+  is the tally's two increments at fetch and two at commit.  A backend
+  that overrides ``_dispatch`` (the out-of-order one) times every
+  instruction itself, so for it the loop emits one entry per
+  instruction and dispatches each where the reference engine does.
 
 The byte-identity tests and the CI golden report legs compare the two
 engines end to end.
@@ -94,7 +99,14 @@ from .decode import (
     DecodedProgram,
     decode_program,
 )
-from .records import BranchRecord, BranchRecordStore, DistanceCounts, PipelineStats
+from .records import (
+    BranchRecord,
+    BranchRecordStore,
+    DistanceCounts,
+    DistanceTally,
+    PipelineStats,
+    grow_counts,
+)
 
 
 class _Inflight:
@@ -115,6 +127,7 @@ class _Inflight:
         "mispredicted",
         "snapshot",
         "ready_cycle",
+        "perceived_distance",
         "record_index",
     )
 
@@ -130,6 +143,10 @@ class _Inflight:
         self.mispredicted = False
         self.snapshot = None
         self.ready_cycle = ready_cycle
+        #: A branch's perceived distance at fetch, counted again at commit.
+        self.perceived_distance = -1
+        #: Index of the branch's record, or -1 when the reference engine
+        #: logged none (the fused engine fetched or handled the entry).
         self.record_index = -1
 
 
@@ -183,8 +200,7 @@ class PipelineResult:
     """The aggregates of a pipeline run, built only by
     :meth:`PipelineSimulator.result`.
 
-    Per-branch records stay on the simulator (``simulator.records``),
-    so a result's size does not grow with the run.
+    Its size does not grow with the run: no field holds per-branch data.
     """
 
     stats: PipelineStats
@@ -247,6 +263,9 @@ class PipelineSimulator:
         self.icache = Cache(self.config.icache)
         self.dcache = Cache(self.config.dcache)
         self.stats = PipelineStats()
+        #: Figures 6-9's histograms, counted by both engines.
+        self._tally = DistanceTally()
+        #: The reference engine's per-branch log (empty after a fused run).
         self.records = BranchRecordStore()
         if fast is None:
             fast = settings.current().pipeline_fast
@@ -299,7 +318,8 @@ class PipelineSimulator:
 
     @property
     def branch_records(self) -> List[BranchRecord]:
-        """Record views of every fetched branch so far."""
+        """Record views of every branch the reference engine fetched so
+        far (none after a fused ``run()``)."""
         return self.records.materialize()
 
     def step_cycle(self) -> None:
@@ -376,17 +396,18 @@ class PipelineSimulator:
         local re-hoisting (the dominant cost at ~3 fetched instructions
         per cycle) happen once per *run* instead of once per cycle, and
         the per-branch ``_fetch_branch`` / ``_resolve_branch`` /
-        ``_recover_from`` bodies are inlined with the record-store
-        column appends hoisted to bound methods (the workloads average
-        one branch per ~5 instructions, so per-branch call frames are
-        the next cost after per-cycle ones).  Every piece of simulator
-        state this loop touches -- stat counters, congestion, stall
-        deadlines, the misprediction-distance counters, the gating and
-        fork state -- lives in locals and is written back in the
-        ``finally`` block; that is only sound because *every* mutator
-        of that state is inlined here.  The backend hooks a class
-        overrides are called where the reference engine calls them, and
-        touch only the backend's own state.  The gate counts the
+        ``_recover_from`` bodies are inlined (the workloads average one
+        branch per ~5 instructions, so per-branch call frames are the
+        next cost after per-cycle ones).  A branch costs no record: the
+        loop counts it into the :class:`DistanceTally`'s lists, held in
+        locals, and appends nothing else but its in-flight entry.  Every
+        piece of simulator state this loop touches -- stat counters,
+        congestion, stall deadlines, the misprediction-distance
+        counters, the gating and fork state -- lives in locals and is
+        written back in the ``finally`` block; that is only sound
+        because *every* mutator of that state is inlined here.  The
+        backend hooks a class overrides are called where the reference
+        engine calls them, and touch only the backend's own state.  The gate counts the
         low-confidence branches in flight (+1 at fetch, -1 at commit, 0
         at squash) where the reference engine rescans the window.
 
@@ -397,7 +418,13 @@ class PipelineSimulator:
 
             [0]=sequence  [1]=pc         [2]=count       [3]=is_branch
             [4]=is_halt   [5]=prediction [6]=assessments [7]=actual_taken
-            [8]=mispredicted [9]=snapshot [10]=ready_cycle [11]=record_index
+            [8]=mispredicted [9]=snapshot [10]=ready_cycle
+            [11]=perceived_distance
+
+        Slot [11] holds a branch's perceived distance at fetch, which
+        commit counts again (-1 for any other entry).  No slot holds a
+        record index: an entry converted back has ``record_index`` -1,
+        so the reference engine writes no record when it commits it.
 
         A speculative-history gshare or McFarling runs inlined, with
         its tables and history in locals, when no estimator is attached
@@ -433,7 +460,7 @@ class PipelineSimulator:
         exact.
         """
         self._max_instructions = max_instructions
-        records = self.records
+        tally = self._tally
         stats = self.stats
         machine = self.machine
         icache = self.icache
@@ -504,7 +531,7 @@ class PipelineSimulator:
                 entry.mispredicted,
                 entry.snapshot,
                 entry.ready_cycle,
-                entry.record_index,
+                entry.perceived_distance,
             ]
             if entry is active_fork:
                 active_fork = converted
@@ -516,6 +543,7 @@ class PipelineSimulator:
         dcache_misses = dcache.misses
         precise = self._precise_counter
         perceived = self._perceived_counter
+        committed_run = tally.committed_run
         sequence = self._sequence
         inflight_count = self._inflight_count
         last_line = self._icache_line
@@ -620,20 +648,24 @@ class PipelineSimulator:
                 distance_threshold = estimator_base.distance_threshold
             quadrants_all = self._quadrants_all
             quadrants_committed = self._quadrants_committed
-            rec_sequence_append = records.sequence.append
-            rec_pc_append = records.pc.append
-            rec_predicted_append = records.predicted_taken.append
-            rec_actual_append = records.actual_taken.append
-            rec_fetch_cycle_append = records.fetch_cycle.append
-            rec_resolve_cycle = records.resolve_cycle
-            rec_resolve_cycle_append = rec_resolve_cycle.append
-            rec_committed = records.committed
-            rec_committed_append = rec_committed.append
-            rec_precise_append = records.precise_distance.append
-            rec_perceived_append = records.perceived_distance.append
-            rec_wrong_path_append = records.wrong_path.append
-            rec_assessments_append = records.assessments.append
-            record_count = len(records.sequence)
+            # the tally's count lists, inlined: each *_size local is
+            # its pair's length, grown with grow_counts
+            precise_all = tally.precise_all
+            precise_all_branches, precise_all_missed = precise_all
+            precise_all_size = len(precise_all_branches)
+            perceived_all = tally.perceived_all
+            perceived_all_branches, perceived_all_missed = perceived_all
+            perceived_all_size = len(perceived_all_branches)
+            precise_committed = tally.precise_committed
+            precise_committed_branches, precise_committed_missed = (
+                precise_committed
+            )
+            precise_committed_size = len(precise_committed_branches)
+            perceived_committed = tally.perceived_committed
+            perceived_committed_branches, perceived_committed_missed = (
+                perceived_committed
+            )
+            perceived_committed_size = len(perceived_committed_branches)
             limit = max_instructions
             stop = stop_instructions
             while not program_done and cycle < max_cycles:
@@ -678,9 +710,18 @@ class PipelineSimulator:
                             continue
                         # inline _resolve_branch
                         committed_branches += 1
-                        index = entry[11]  # record_index
-                        rec_committed[index] = True
-                        rec_resolve_cycle[index] = cycle
+                        # inline DistanceTally.commit (misses below)
+                        fetched_at = entry[11]  # perceived distance
+                        if fetched_at >= perceived_committed_size:
+                            perceived_committed_size = grow_counts(
+                                perceived_committed, fetched_at
+                            )
+                        perceived_committed_branches[fetched_at] += 1
+                        if committed_run >= precise_committed_size:
+                            precise_committed_size = grow_counts(
+                                precise_committed, committed_run
+                            )
+                        precise_committed_branches[committed_run] += 1
                         prediction = entry[5]
                         actual = entry[7]
                         entry_pc = entry[1]
@@ -788,9 +829,14 @@ class PipelineSimulator:
                                     and not assessments[gate_slot][2].high_confidence
                                 ):
                                     low_confidence -= 1
-                        if entry[8]:  # mispredicted
+                        if not entry[8]:  # predicted correctly
+                            committed_run += 1
+                        else:
                             committed_mispredictions += 1
                             perceived = 0  # detection event
+                            perceived_committed_missed[fetched_at] += 1
+                            precise_committed_missed[committed_run] += 1
+                            committed_run = 0
                             if forked:
                                 # the fork already fetched the correct
                                 # path: switch to it, no squash/refill
@@ -984,7 +1030,6 @@ class PipelineSimulator:
                                 entry_assessments = (
                                     (mdc << 2) | (base_high << 1) | high
                                 )
-                                assessment_flags = {estimator_name: high}
                                 if high:
                                     if mispredicted:
                                         all_i_hc += 1
@@ -1005,7 +1050,6 @@ class PipelineSimulator:
                                         and not unresolved
                                     )
                             elif estimator_items:
-                                assessment_flags = {}
                                 entry_assessments = []
                                 for name, estimator in estimator_items:
                                     assessment = estimator.estimate(
@@ -1017,9 +1061,6 @@ class PipelineSimulator:
                                     quadrants_all[name].record(
                                         not mispredicted,
                                         assessment.high_confidence,
-                                    )
-                                    assessment_flags[name] = (
-                                        assessment.high_confidence
                                     )
                                 if (
                                     gate_slot >= 0
@@ -1034,7 +1075,6 @@ class PipelineSimulator:
                                     and not entry_assessments[fork_slot][2].high_confidence
                                 )
                             else:
-                                assessment_flags = None
                                 entry_assessments = None
                                 fork = False
                             if dispatch is not None:
@@ -1044,21 +1084,20 @@ class PipelineSimulator:
                             entry = [
                                 sequence, pc, 1, True, False, prediction,
                                 entry_assessments, taken, mispredicted,
-                                None, branch_ready, record_count,
+                                None, branch_ready, perceived,
                             ]
                             inflight_append(entry)
-                            record_count += 1
-                            rec_sequence_append(sequence)
-                            rec_pc_append(pc)
-                            rec_predicted_append(predicted_taken)
-                            rec_actual_append(taken)
-                            rec_fetch_cycle_append(cycle)
-                            rec_resolve_cycle_append(None)
-                            rec_committed_append(False)
-                            rec_precise_append(precise)
-                            rec_perceived_append(perceived)
-                            rec_wrong_path_append(unresolved > 0)
-                            rec_assessments_append(assessment_flags)
+                            # inline DistanceTally.fetch (misses below)
+                            if precise >= precise_all_size:
+                                precise_all_size = grow_counts(
+                                    precise_all, precise
+                                )
+                            precise_all_branches[precise] += 1
+                            if perceived >= perceived_all_size:
+                                perceived_all_size = grow_counts(
+                                    perceived_all, perceived
+                                )
+                            perceived_all_branches[perceived] += 1
                             sequence += 1
                             fetched_branches += 1
                             perceived += 1
@@ -1067,6 +1106,9 @@ class PipelineSimulator:
                                 eager_forks += 1
                             if mispredicted:
                                 fetched_mispredictions += 1
+                                precise_all_missed[precise] += 1
+                                # entry[11]: perceived before the += 1
+                                perceived_all_missed[entry[11]] += 1
                                 precise = 0
                                 if fork:
                                     # fetch stays on the correct path;
@@ -1185,6 +1227,7 @@ class PipelineSimulator:
             self._cycle = cycle
             self._precise_counter = precise
             self._perceived_counter = perceived
+            tally.committed_run = committed_run
             self._sequence = sequence
             self._inflight_count = inflight_count
             self._icache_line = last_line
@@ -1227,7 +1270,6 @@ class PipelineSimulator:
                     estimator_base.branches_since_misprediction = distance
                 if boosted:
                     estimator._lc_run = lc_run
-            records._stamp += 1  # invalidate the view and column memos
             # convert surviving list entries back to _Inflight objects
             # so external inspection / a later step_cycle() see the
             # normal representation
@@ -1258,7 +1300,7 @@ class PipelineSimulator:
                 survivor.actual_taken = entry[7]
                 survivor.mispredicted = entry[8]
                 survivor.snapshot = entry[9]
-                survivor.record_index = entry[11]
+                survivor.perceived_distance = entry[11]
                 if entry is active_fork:
                     active_fork = survivor
                 queue[position] = survivor
@@ -1276,7 +1318,7 @@ class PipelineSimulator:
         self.stats.dcache_misses = self.dcache.misses
         return PipelineResult(
             stats=self.stats,
-            distances=DistanceCounts.from_store(self.records),
+            distances=self._tally.counts(),
             quadrants_committed=self._quadrants_committed,
             quadrants_all=self._quadrants_all,
         )
@@ -1343,7 +1385,9 @@ class PipelineSimulator:
                 if history is not None:
                     preserved = history.value
         self.stats.committed_branches += 1
-        self.records.resolve(entry.record_index, self._cycle)
+        self._tally.commit(entry.perceived_distance, entry.mispredicted)
+        if entry.record_index >= 0:
+            self.records.resolve(entry.record_index, self._cycle)
         correct = not entry.mispredicted
         self.predictor.resolve(entry.pc, entry.actual_taken, entry.prediction)
         for name, estimator, assessment in entry.assessments:
@@ -1461,9 +1505,9 @@ class PipelineSimulator:
                 break  # fetch group ends at a front-end redirect or halt
 
     def _fetch_branch(self, entry: _Inflight, taken: bool, target: int) -> None:
-        """Predict, assess and record one fetched conditional branch,
-        then steer fetch: fork both paths, follow the predicted (wrong)
-        path, or carry on.
+        """Predict, assess, count and record one fetched conditional
+        branch, then steer fetch: fork both paths, follow the predicted
+        (wrong) path, or carry on.
 
         ``taken`` is the evaluated direction in the context the branch
         executed in; ``target`` its taken-target PC.
@@ -1493,6 +1537,10 @@ class PipelineSimulator:
                     not mispredicted, assessment.high_confidence
                 )
                 assessment_flags[name] = assessment.high_confidence
+        entry.perceived_distance = self._perceived_counter
+        self._tally.fetch(
+            self._precise_counter, self._perceived_counter, mispredicted
+        )
         entry.record_index = self.records.append(
             sequence=entry.sequence,
             pc=pc,

@@ -23,16 +23,15 @@ depends on anything but the program text, so this module performs it
 
 Two loops step this layout: the pipeline's fused engine
 (:mod:`repro.pipeline.core`) and the functional tracer
-(:func:`repro.engine.tracer.trace_branches`), which decodes each
-program in-process.
+(:func:`repro.engine.tracer.trace_branches`).
 
 Decoding is cheap next to a pipeline run, so it is never written to
 the artifact cache: :func:`decoded_run` memoises one instance per
-workload in process, and every simulator of that workload, whatever
-its backend, shares it.  The packed arrays are picklable because
-segment snapshots pickle the simulator together with its decoded
-program; the closures are process-local, so an unpickled instance
-rebuilds them lazily from the arrays.
+workload in process, and the workload's trace and every simulator of
+it, whatever its backend, share it.  The packed arrays are picklable
+because segment snapshots pickle the simulator together with its
+decoded program; the closures are process-local, so an unpickled
+instance rebuilds them lazily from the arrays.
 
 Executing a plain closure is **exactly** ``Machine.step`` minus the
 bookkeeping the caller batches (``pc`` advance and
@@ -382,8 +381,9 @@ def decode_program(program: Program) -> DecodedProgram:
 def decoded_run(name: str, iterations: Optional[int] = None) -> DecodedProgram:
     """The pre-decoded form of workload ``name``'s program.
 
-    Memoised in process, so every simulator of the workload shares one
-    instance and its closure tables; the decode itself is not persisted.
+    Memoised in process, so the workload's tracer run and every
+    simulator of it share one instance and its closure tables; the
+    decode itself is not persisted.
     """
     # imported here: the corpus imports the tracer, which imports this
     # module, so a module-level import would be circular

@@ -1,26 +1,26 @@
-"""Per-branch records produced by the pipeline simulator.
+"""Per-branch records and per-distance counts of the pipeline simulator.
 
-Every *fetched* conditional branch -- committed or wrong-path -- gets a
-record, because the paper's §3.1 point is exactly that the processor
-cannot tell those populations apart at prediction time and the §4
-clustering analysis needs both views.
+The paper's §3.1 point is that the processor cannot tell committed and
+wrong-path branches apart at prediction time, and the §4 clustering
+analysis needs both views: Figures 6-9 count every *fetched*
+conditional branch, and the committed ones, at each misprediction
+distance.  A run keeps those four histograms as a
+:class:`DistanceTally` that both pipeline engines count into as they
+go, so a :class:`~repro.pipeline.core.PipelineResult` carries
+:class:`DistanceCounts` built in O(largest distance), whatever the
+run's length.
 
-Records live in a :class:`BranchRecordStore`: append-only columnar
-buffers (one flat python list per field, the
-:class:`~repro.engine.columnar.ColumnarTrace` convention), because the
-pipeline hot loop appends one record per fetched branch and a
-dataclass allocation per branch is measurable there.
-
-The store is simulator state, not part of a run's result.  A
-:class:`~repro.pipeline.core.PipelineResult` carries
-:class:`DistanceCounts` instead: the per-distance branch and
-misprediction counts the distance analysis (Figures 6-9) reads,
-counted once from :meth:`BranchRecordStore.distance_columns`, which
-converts the four fields it needs to numpy and memoises them against
-a mutation stamp.  Tests and examples that want objects call
-:meth:`BranchRecordStore.materialize` on the simulator's store, which
-builds :class:`BranchRecord` views on demand, memoised the same way;
-the experiment battery never builds them.
+Only the reference engine (``step_cycle``, ``fast=False``) also logs
+each fetched branch, into a :class:`BranchRecordStore`: append-only
+columnar buffers (one flat python list per field, the
+:class:`~repro.engine.columnar.ColumnarTrace` convention).  That log is
+the tests' per-branch view and oracle --
+:meth:`DistanceCounts.from_store` recounts the histograms from it, via
+:meth:`BranchRecordStore.distance_columns`, which converts the four
+fields it needs to numpy and memoises them against a mutation stamp;
+:meth:`BranchRecordStore.materialize` builds :class:`BranchRecord`
+views on demand, memoised the same way.  The fused engine appends
+nothing, so a fused run leaves the store empty and its memory flat.
 """
 
 from __future__ import annotations
@@ -92,12 +92,15 @@ class BranchRecord:
 
 
 class BranchRecordStore:
-    """Append-only columnar buffers of every fetched branch.
+    """Append-only columnar buffers of every branch the reference
+    engine fetched.
 
     One python list per :class:`BranchRecord` field, indexed by append
     order.  ``assessments`` stores ``None`` for branches fetched with
-    no estimators attached (the common pipeline-artifact case) and a
-    plain dict otherwise; views materialise ``None`` as ``{}``.
+    no estimators attached and a plain dict otherwise; views
+    materialise ``None`` as ``{}``.  The log is complete only for a
+    run the reference engine made alone: a branch the fused engine
+    fetched has no record, and one it committed stays unresolved here.
     """
 
     __slots__ = _STORE_SLOTS + ("_views", "_columns", "_stamp")
@@ -238,7 +241,9 @@ class DistanceCounts:
     precise distances are recounted inside the committed sub-stream, in
     committed branches, as a trace-based analysis counts them;
     perceived distances are taken as recorded.  The size grows with the
-    largest distance, not with the run's length.
+    largest distance, not with the run's length.  A run counts them as
+    it goes (:meth:`DistanceTally.counts`); :meth:`from_store` recounts
+    them from a reference-engine log, the tests' oracle.
     """
 
     precise_all: Histogram
@@ -263,6 +268,85 @@ class DistanceCounts:
             perceived_committed=distance_histogram(
                 perceived[committed], committed_flags
             ),
+        )
+
+
+#: ``(branches, mispredictions)`` count lists indexed by exact distance.
+CountLists = Tuple[List[int], List[int]]
+
+
+def grow_counts(counts: CountLists, distance: int) -> int:
+    """Extend both lists of ``counts`` with zeros up to index
+    ``distance``; return their new length."""
+    branches, mispredictions = counts
+    zeros = [0] * (distance + 1 - len(branches))
+    branches.extend(zeros)
+    mispredictions.extend(zeros)
+    return distance + 1
+
+
+def _count(counts: CountLists, distance: int, mispredicted: bool) -> None:
+    branches, mispredictions = counts
+    if distance >= len(branches):
+        grow_counts(counts, distance)
+    branches[distance] += 1
+    if mispredicted:
+        mispredictions[distance] += 1
+
+
+class DistanceTally:
+    """The four histograms of :class:`DistanceCounts`, counted as a run
+    goes.
+
+    Each field is a :data:`CountLists` pair that grows only when a
+    larger distance shows up, so :meth:`counts` equals
+    :meth:`DistanceCounts.from_store` over the same branches
+    (``np.bincount`` also runs to the largest distance).  Both engines
+    count here: the reference one through :meth:`fetch` and
+    :meth:`commit`, the fused one with these lists in locals.
+    """
+
+    __slots__ = (
+        "precise_all",
+        "precise_committed",
+        "perceived_all",
+        "perceived_committed",
+        "committed_run",
+    )
+
+    def __init__(self):
+        self.precise_all: CountLists = ([], [])
+        self.precise_committed: CountLists = ([], [])
+        self.perceived_all: CountLists = ([], [])
+        self.perceived_committed: CountLists = ([], [])
+        #: Committed branches since the last committed misprediction:
+        #: the precise distance recounted in the committed sub-stream
+        #: (the recurrence ``branches_since_flagged`` vectorises).
+        self.committed_run = 0
+
+    def fetch(self, precise: int, perceived: int, mispredicted: bool) -> None:
+        """Count a fetched branch at its precise and perceived distance."""
+        _count(self.precise_all, precise, mispredicted)
+        _count(self.perceived_all, perceived, mispredicted)
+
+    def commit(self, perceived: int, mispredicted: bool) -> None:
+        """Count a committed branch at the perceived distance it was
+        fetched with and at the committed-precise counter."""
+        _count(self.perceived_committed, perceived, mispredicted)
+        _count(self.precise_committed, self.committed_run, mispredicted)
+        self.committed_run = 0 if mispredicted else self.committed_run + 1
+
+    def counts(self) -> DistanceCounts:
+        """The histograms so far, as exact tuples."""
+
+        def histogram(counts: CountLists) -> Histogram:
+            return tuple(counts[0]), tuple(counts[1])
+
+        return DistanceCounts(
+            precise_all=histogram(self.precise_all),
+            precise_committed=histogram(self.precise_committed),
+            perceived_all=histogram(self.perceived_all),
+            perceived_committed=histogram(self.perceived_committed),
         )
 
 

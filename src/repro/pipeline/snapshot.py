@@ -3,14 +3,19 @@
 A :class:`PipelineSnapshot` freezes a paused
 :class:`~repro.pipeline.core.PipelineSimulator` -- machine registers,
 journaled memory, pc, predictor tables, estimator state,
-:class:`~repro.pipeline.records.PipelineStats`, the columnar
-:class:`~repro.pipeline.records.BranchRecordStore`, and any in-flight
-entries -- so a later process can resume the simulation
-cycle-for-cycle identically to one that never paused.  This is what
-makes long pipeline runs shardable: :mod:`repro.harness.shard` splits
-each (workload, predictor) cell into fixed instruction-budget segments
-and stores one snapshot per segment as a content-addressed
-``pipeline-segment`` artifact.
+:class:`~repro.pipeline.records.PipelineStats`, the
+:class:`~repro.pipeline.records.DistanceTally`, any in-flight entries,
+and the reference engine's
+:class:`~repro.pipeline.records.BranchRecordStore` (empty after fused
+runs) -- so a later process can resume the simulation
+cycle-for-cycle identically to one that never paused.  Past the
+program and its decoded form, the payload of a fused run grows with
+the largest misprediction distance and the in-flight window, not with
+the instructions run so far.  This is what makes long pipeline runs
+shardable: :mod:`repro.harness.shard` splits each (workload,
+predictor) cell into fixed instruction-budget segments and stores one
+snapshot per segment as a content-addressed ``pipeline-segment``
+artifact.
 
 The whole simulator is captured as a single pickle so every shared
 reference survives intact (estimator objects are aliased from the
@@ -21,10 +26,10 @@ continuing the live simulator afterwards cannot mutate the checkpoint.
 The simulator's ``fast``/``decoded`` machinery cooperates:
 :class:`~repro.pipeline.decode.DecodedProgram` drops its closures on
 pickling and rebuilds them lazily, ``BranchRecordStore`` resets its
-materialise memo, and the machine's undo-log ``_MISSING`` sentinel is
-pickle-stable (see :mod:`repro.isa.machine`).  A snapshot is the only
-place a decoded program is pickled: a restored simulator carries its
-own copy, not the restoring process's shared
+view and column memos, and the machine's undo-log ``_MISSING``
+sentinel is pickle-stable (see :mod:`repro.isa.machine`).  A snapshot
+is the only place a decoded program is pickled: a restored simulator
+carries its own copy, not the restoring process's shared
 :func:`~repro.pipeline.decode.decoded_run` memo.
 """
 
@@ -36,8 +41,11 @@ from dataclasses import dataclass
 #: Bump when the snapshot payload layout changes; restores refuse
 #: mismatched schemas instead of resuming from garbage.  ``/3``: every
 #: in-flight branch holds the ``Prediction`` record its predictor's
-#: ``predict`` returns (``/2`` could hold a fused-loop token).
-SNAPSHOT_SCHEMA = "pipeline-snapshot/3"
+#: ``predict`` returns (``/2`` could hold a fused-loop token).  ``/4``:
+#: the simulator carries a ``DistanceTally`` and its in-flight entries a
+#: perceived distance, and machine checkpoints are plain tuples; a
+#: ``/3`` payload has neither, so its cache entries read as misses.
+SNAPSHOT_SCHEMA = "pipeline-snapshot/4"
 
 
 class SnapshotError(RuntimeError):

@@ -30,8 +30,9 @@ class BranchTrace:
     """Committed conditional-branch stream of one program run.
 
     ``pcs[i]`` is the instruction index of the i-th dynamic branch and
-    ``outcomes[i]`` is 1 if it was taken.  Stored as compact arrays:
-    a million-branch trace costs ~5 MB.
+    ``outcomes[i]`` is 1 if it was taken.  Stored as compact arrays
+    (``array("L")`` items are 8 bytes on 64-bit Linux, outcomes 1):
+    a million-branch trace costs ~9 MB.
     """
 
     pcs: array

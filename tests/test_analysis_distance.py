@@ -1,11 +1,13 @@
 """Tests for misprediction-distance curves.
 
-The curves are cut from a run's :class:`DistanceCounts`, which are
-counted once from a :class:`BranchRecordStore`'s columns.  The
-per-branch loops they replaced stay here as the oracle:
-:func:`_curve_from_pairs` buckets ``(distance, flagged)`` pairs one at
-a time, and :func:`precise_reference` / :func:`perceived_reference`
-walk :meth:`BranchRecordStore.materialize` views.
+The curves are cut from a run's :class:`DistanceCounts`, which the
+simulator tallies as it runs and :meth:`DistanceCounts.from_store`
+recounts from a :class:`BranchRecordStore`'s columns.  The per-branch
+loops they replaced stay here as the oracle: :func:`_curve_from_pairs`
+buckets ``(distance, flagged)`` pairs one at a time, and
+:func:`precise_reference` / :func:`perceived_reference` walk
+:meth:`BranchRecordStore.materialize` views of a reference-engine
+log.
 """
 
 from dataclasses import replace
@@ -32,6 +34,7 @@ from repro.pipeline import (
     PipelineConfig,
     create_simulator,
 )
+from repro.pipeline.records import DistanceTally
 from repro.predictors import make_predictor
 from repro.workloads import SUITE
 
@@ -194,6 +197,32 @@ class TestDistanceCounts:
     def test_empty_store(self):
         assert EMPTY_COUNTS == DistanceCounts(*[((), ())] * 4)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.booleans(),
+                st.integers(min_value=0, max_value=40),
+                st.integers(min_value=0, max_value=40),
+            ),
+            max_size=80,
+        ),
+    )
+    def test_tally_equals_the_store_recount(self, rows):
+        """A tally fed every branch at fetch, and the committed ones at
+        commit in fetch order (as in-order commit does), counts what
+        ``from_store`` recounts from the same branches' log."""
+        tally = DistanceTally()
+        assert tally.counts() == EMPTY_COUNTS
+        for mispredicted, __, precise, perceived in rows:
+            tally.fetch(precise, perceived, mispredicted)
+        for mispredicted, committed, __, perceived in rows:
+            if committed:
+                tally.commit(perceived, mispredicted)
+        store = build_store([record(i, *row) for i, row in enumerate(rows)])
+        assert tally.counts() == DistanceCounts.from_store(store)
+
 
 class TestPreciseCurve:
     def test_all_population_uses_recorded_distances(self):
@@ -295,16 +324,25 @@ class TestColumnsMatchLoopReference:
         ]
         assert cells
         for workload, predictor, iterations, max_instructions in cells:
-            simulator = create_simulator(
-                workload_program(workload, iterations),
-                make_predictor(predictor),
-                backend=backend,
-                config=PipelineConfig(),
-                fast=fast,
-            )
-            result = simulator.run(max_instructions=max_instructions)
-            assert len(simulator.records) > 0
-            assert_matches_reference(simulator.records, result.distances)
+
+            def simulate(fast):
+                simulator = create_simulator(
+                    workload_program(workload, iterations),
+                    make_predictor(predictor),
+                    backend=backend,
+                    config=PipelineConfig(),
+                    fast=fast,
+                )
+                return simulator, simulator.run(max_instructions=max_instructions)
+
+            simulator, result = simulate(fast)
+            # only the reference engine logs branches: a fused run's
+            # counts are checked against the reference engine's log
+            reference = simulate(False)[0] if fast else simulator
+            if fast:
+                assert len(simulator.records) == 0
+            assert len(reference.records) > 0
+            assert_matches_reference(reference.records, result.distances)
 
 
 class TestCommittedPerceivedDistance:
@@ -329,6 +367,7 @@ class TestCommittedPerceivedDistance:
             make_predictor(predictor),
             backend=backend,
             config=PipelineConfig(),
+            fast=False,  # the reference engine logs every fetched branch
         )
         simulator.run(max_instructions=max_instructions)
         __, perceived, mispredicted, committed = simulator.records.distance_columns()

@@ -33,6 +33,7 @@ def _pipeline_records(workload="compress", iterations=40, config=SKEW_CONFIG):
         GsharePredictor(),
         config=config,
         estimators={"dist": MispredictionDistanceEstimator(THRESHOLD)},
+        fast=False,  # the reference engine logs every fetched branch
     )
     simulator.run(max_instructions=6000)
     return simulator.branch_records

@@ -1,5 +1,7 @@
 """Tests for the trace engine: tracer equivalence and measurement."""
 
+import sys
+
 import pytest
 
 from repro.engine import (
@@ -153,3 +155,40 @@ class TestCorpusCache:
 
     def test_different_iterations_differ(self):
         assert workload_run("compress", 10) is not workload_run("compress", 11)
+
+    def test_trace_and_pipeline_decode_each_program_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A cold tab1 + fig6 run traces and simulates each workload,
+        and both read the ``decoded_run`` memo: one ``decode_program``
+        call per (workload, iterations)."""
+        from repro.engine import cache as artifact_cache
+        from repro.engine import clear_cache
+        from repro.harness import SMOKE, clear_memoised, run_all
+        from repro.pipeline import decode
+
+        original = decode.decode_program
+        decoded = []
+
+        def counting(program):
+            decoded.append(program)
+            return original(program)
+
+        # rebind every module-level binding, wherever it was imported
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "decode_program", None) is original:
+                monkeypatch.setattr(module, "decode_program", counting)
+        cache = artifact_cache.get_cache()
+        previous = (cache.root, cache.enabled)
+        artifact_cache.configure(root=tmp_path / "cache", enabled=True)
+        clear_memoised()
+        clear_cache()
+        try:
+            run_all(SMOKE, only=["tab1", "fig6"], jobs=1)
+            assert decoded == [
+                workload_program(name, SMOKE.iterations) for name in SMOKE.workloads
+            ]
+        finally:
+            artifact_cache.configure(root=previous[0], enabled=previous[1])
+            clear_memoised()
+            clear_cache()

@@ -4,10 +4,11 @@ Two nets, matching the frontend/backend split:
 
 * the refactored **in-order** backend (now one plugin among several)
   must still produce bit-identical results between its fast engines and
-  the reference ``machine.step()`` loop -- same stats block, all 11
-  branch-record columns, both quadrant maps, and the same final
-  architectural machine state -- across Hypothesis-composed random
-  programs, predictors and estimator attachments;
+  the reference ``machine.step()`` loop -- same stats block, distance
+  counts, both quadrant maps, and the same final architectural machine
+  state, with the reference loop's branch log recounting to the same
+  distance counts -- across Hypothesis-composed random programs,
+  predictors and estimator attachments;
 * the **out-of-order** backend (plain, gated and eager) must be
   bit-identical between the fused engine and the reference loop --
   the same digest plus the rename state and the window-depth
@@ -38,6 +39,7 @@ from repro.pipeline import (
     BACKEND_NAMES,
     DEFAULT_BACKEND,
     DEPTH_HISTOGRAM_KEY,
+    DistanceCounts,
     OutOfOrderSimulator,
     PipelineSimulator,
     create_simulator,
@@ -117,11 +119,10 @@ class TestBackendRegistry:
 # ----------------------------------------------------------------------
 
 
-def _digest(simulator, result):
-    """Stats, all 11 record columns, distance counts, quadrants, machine
-    state."""
+def _record_columns(simulator):
+    """All 11 columns of the reference engine's branch log."""
     records = simulator.records
-    columns = (
+    return (
         list(records.sequence),
         list(records.pc),
         list(records.predicted_taken),
@@ -134,9 +135,22 @@ def _digest(simulator, result):
         list(records.wrong_path),
         list(records.assessments),
     )
+
+
+def _check_log(simulator, result, fast):
+    """A fused run logs no branch; a reference run logs every fetched
+    branch, and its log recounts to the run's distance counts."""
+    if fast:
+        assert len(simulator.records) == 0
+    else:
+        assert len(simulator.records) == result.stats.fetched_branches
+        assert DistanceCounts.from_store(simulator.records) == result.distances
+
+
+def _digest(simulator, result):
+    """Stats, distance counts, quadrants, machine state."""
     machine = simulator.machine
     return (
-        columns,
         dataclasses.asdict(result.stats),
         list(machine.regs),
         dict(machine.memory),
@@ -188,11 +202,13 @@ def test_inorder_fast_and_reference_identical_after_refactor(
             estimators=_estimators(with_estimators),
             fast=fast,
         )
-        digests.append(_digest(simulator, simulator.run()))
+        result = simulator.run()
+        _check_log(simulator, result, fast)
+        digests.append(_digest(simulator, result))
     assert digests[0] == digests[1]
     golden = Machine(program)
     golden.run()
-    __, stats, regs, memory, *_ = digests[0]
+    stats, regs, memory, *_ = digests[0]
     assert regs == list(golden.regs)
     assert memory == dict(golden.memory)
     assert stats["committed_instructions"] == golden.instructions_retired
@@ -247,8 +263,9 @@ def test_ooo_fast_and_reference_identical(
     profile, config, predictor_name, simulator_spec
 ):
     """Random program x predictor x OoO simulator: the pre-decoded fast
-    fetch and the reference loop leave identical stats, records,
-    quadrants, machine state, rename state and depth histogram, and
+    fetch and the reference loop leave identical stats, distance
+    counts, quadrants, machine state, rename state and depth histogram
+    (the reference loop's branch log recounting to those counts), and
     both equal the golden functional machine."""
     simulator_class, kwargs, with_estimators = simulator_spec
     program = generate_program(profile)
@@ -262,11 +279,13 @@ def test_ooo_fast_and_reference_identical(
             fast=fast,
             **kwargs,
         )
-        states.append(_ooo_state(simulator, simulator.run()))
+        result = simulator.run()
+        _check_log(simulator, result, fast)
+        states.append(_ooo_state(simulator, result))
     assert states[0] == states[1]
     golden = Machine(program)
     golden.run()
-    __, stats, regs, memory, *_ = states[0][0]
+    stats, regs, memory, *_ = states[0][0]
     assert regs == list(golden.regs)
     assert memory == dict(golden.memory)
     assert stats["committed_instructions"] == golden.instructions_retired
@@ -348,7 +367,9 @@ def test_ooo_whole_segmented_and_pickled_identical(
         )
 
     whole = build()
-    whole_digest = _digest(whole, whole.run())
+    whole_result = whole.run()
+    _check_log(whole, whole_result, fast)
+    whole_digest = _digest(whole, whole_result)
     total = whole.machine.instructions_retired
 
     stops = [s for s in (total // 3, 2 * total // 3) if 0 < s < total]
@@ -358,13 +379,14 @@ def test_ooo_whole_segmented_and_pickled_identical(
         split = pickle.loads(pickle.dumps(split))
     split_digest = _digest(split, split.run())
     assert split_digest == whole_digest
+    assert _record_columns(split) == _record_columns(whole)
 
     golden = Machine(program)
     golden.run()
     assert whole.machine.regs == golden.regs
     assert whole.machine.memory == golden.memory
     assert (
-        whole_digest[1]["committed_instructions"]
+        whole_digest[0]["committed_instructions"]
         == golden.instructions_retired
     )
 

@@ -38,7 +38,7 @@ class TestGoldenEquivalence:
         from repro.engine import trace_branches
 
         program = small_program(iterations=10)
-        simulator = PipelineSimulator(program, GsharePredictor())
+        simulator = PipelineSimulator(program, GsharePredictor(), fast=False)
         simulator.run()
         committed = [
             (record.pc, record.actual_taken)
@@ -67,7 +67,7 @@ class TestSpeculationBehaviour:
 
     def test_wrong_path_branches_are_recorded(self):
         program = small_program(iterations=40)
-        simulator = PipelineSimulator(program, GsharePredictor())
+        simulator = PipelineSimulator(program, GsharePredictor(), fast=False)
         simulator.run()
         wrong_path = [r for r in simulator.branch_records if r.wrong_path]
         assert wrong_path
@@ -75,7 +75,7 @@ class TestSpeculationBehaviour:
 
     def test_committed_records_resolved_in_order(self):
         program = small_program(iterations=20)
-        simulator = PipelineSimulator(program, GsharePredictor())
+        simulator = PipelineSimulator(program, GsharePredictor(), fast=False)
         simulator.run()
         committed = [record for record in simulator.branch_records if record.committed]
         cycles = [record.resolve_cycle for record in committed]
@@ -86,7 +86,7 @@ class TestSpeculationBehaviour:
 
     def test_distance_counters_reset_on_mispredictions(self):
         program = small_program(iterations=40)
-        simulator = PipelineSimulator(program, GsharePredictor())
+        simulator = PipelineSimulator(program, GsharePredictor(), fast=False)
         simulator.run()
         records = simulator.branch_records
         # right after a mispredicted fetch, the next branch's precise
@@ -100,7 +100,7 @@ class TestSpeculationBehaviour:
         average perceived distances right after a misprediction exceed
         precise ones."""
         program = small_program(iterations=60)
-        simulator = PipelineSimulator(program, GsharePredictor())
+        simulator = PipelineSimulator(program, GsharePredictor(), fast=False)
         simulator.run()
         records = [r for r in simulator.branch_records if r.mispredicted]
         mean_precise = sum(r.precise_distance for r in records) / len(records)
@@ -145,12 +145,14 @@ class TestSpeculationBehaviour:
 
 
 class TestResultSize:
-    """A result holds aggregates only: the per-branch records stay on
-    the simulator, so what the harness memoises and caches per cell
-    does not grow with the run."""
+    """A result holds aggregates only: the reference engine's
+    per-branch records stay on the simulator, so what the harness
+    memoises and caches per cell does not grow with the run."""
 
     def test_result_has_no_per_branch_field(self):
-        simulator = PipelineSimulator(small_program(iterations=20), GsharePredictor())
+        simulator = PipelineSimulator(
+            small_program(iterations=20), GsharePredictor(), fast=False
+        )
         result = simulator.run()
         assert [field.name for field in dataclasses.fields(result)] == [
             "stats",
@@ -165,7 +167,7 @@ class TestResultSize:
     @pytest.mark.parametrize("max_instructions", (2_000, 8_000))
     def test_result_pickles_under_4kb(self, max_instructions):
         program = workload_program("compress", 60)
-        simulator = PipelineSimulator(program, make_predictor("gshare"))
+        simulator = PipelineSimulator(program, make_predictor("gshare"), fast=False)
         result = simulator.run(max_instructions=max_instructions)
         assert len(simulator.records) > max_instructions // 10
         assert len(pickle.dumps(result)) < 4096
@@ -193,6 +195,7 @@ class TestEstimatorsInPipeline:
             program,
             predictor,
             estimators={"dist": MispredictionDistanceEstimator(4)},
+            fast=False,
         )
         simulator.run()
         assert all(

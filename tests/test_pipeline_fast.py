@@ -3,12 +3,14 @@
 Three groups of guarantees:
 
 * **byte identity** -- the fused engine (pre-decoded programs, fused
-  cycle loop, inlined gshare, McFarling and estimator, columnar
-  records) must leave *exactly* the state the reference
-  per-instruction engine leaves: stats, every branch-record field,
-  architectural machine state, cache hit/miss counters, estimator
-  quadrants and state -- for every simulator class and estimator, and
-  for runs that switch between the two engines mid-flight;
+  cycle loop, inlined gshare, McFarling and estimator, inlined distance
+  tally) must leave *exactly* the state the reference per-instruction
+  engine leaves: stats, distance counts, architectural machine state,
+  cache hit/miss counters, estimator quadrants and state -- for every
+  simulator class and estimator, and for runs that switch between the
+  two engines mid-flight.  The reference engine's per-branch
+  :class:`~repro.pipeline.records.BranchRecordStore` is the tally's
+  oracle, and the fused engine logs no branch;
 * **accounting fixes** -- ``max_instructions`` commits exactly N, and a
   congestion window delays exactly one branch (no double charge across
   a fetch group);
@@ -37,6 +39,7 @@ from repro.pipeline import (
     BranchRecordStore,
     CacheConfig,
     DecodedProgram,
+    DistanceCounts,
     OutOfOrderSimulator,
     PipelineConfig,
     PipelineSimulator,
@@ -146,13 +149,12 @@ def build_simulator(kind, program, config, fast, predictor="gshare"):
 
 
 def full_digest(simulator, result):
-    """Everything a run leaves behind: stats, record columns, machine
-    and cache state, quadrants, estimator state, gating/fork counters,
-    rename state."""
+    """Everything a run leaves behind but the reference engine's log:
+    stats, distance counts, machine and cache state, quadrants,
+    estimator state, gating/fork counters, rename state."""
     machine = simulator.machine
     digest = {
         "stats": dataclasses.asdict(result.stats),
-        "records": [list(getattr(simulator.records, name)) for name in RECORD_FIELDS],
         "distances": result.distances,
         "machine": (
             list(machine.regs),
@@ -193,12 +195,10 @@ def assert_equivalent(slow_sim, slow_result, fast_sim, fast_result):
         fast_result.stats
     )
     assert slow_result.distances == fast_result.distances
-    slow_records = slow_sim.branch_records
-    fast_records = fast_sim.branch_records
-    assert len(slow_records) == len(fast_records)
-    for left, right in zip(slow_records, fast_records):
-        for name in RECORD_FIELDS:
-            assert getattr(left, name) == getattr(right, name), name
+    # the reference engine's log recounts to the tally both engines kept
+    assert len(slow_sim.records) == slow_result.stats.fetched_branches
+    assert DistanceCounts.from_store(slow_sim.records) == slow_result.distances
+    assert len(fast_sim.records) == 0
     assert slow_sim.machine.regs == fast_sim.machine.regs
     assert slow_sim.machine.memory == fast_sim.machine.memory
     assert slow_sim.machine.pc == fast_sim.machine.pc
@@ -361,6 +361,112 @@ class TestFastSlowIdentity:
                 chained.step_cycle()
             result = chained.run(max_instructions=budget)
             assert full_digest(chained, result) == expected, steps
+
+
+#: The tally matrix's front ends: (simulator prefix, estimator name ->
+#: :data:`ESTIMATORS` key).  ``gated`` gates on a JRS and ``eager``
+#: forks on a distance estimator, both inlined with gshare; the bank of
+#: three estimators always takes the protocol calls.
+TALLY_SETUPS = {
+    "no-estimator": ("", {}),
+    "gated-jrs": ("gated", {"est": "jrs"}),
+    "eager-distance": ("eager", {"est": "distance"}),
+    "protocol-bank": (
+        "",
+        {"jrs": "jrs", "dist": "distance", "satcnt": "satcnt"},
+    ),
+}
+
+
+class TestDistanceTally:
+    """Both engines count Figures 6-9's histograms as they run.  The
+    reference engine also logs every fetched branch, and that log
+    recounts to its tally; the fused engine logs nothing."""
+
+    BUDGET = 2_000
+
+    @staticmethod
+    def build(predictor, backend, setup, fast):
+        prefix, estimators = TALLY_SETUPS[setup]
+        if not prefix:
+            name = backend
+        else:
+            name = f"{prefix}-ooo" if backend == "ooo" else prefix
+        simulator_class, kwargs = SIMULATORS[name]
+        return simulator_class(
+            workload_program("compress", 15),
+            PREDICTORS[predictor](),
+            estimators={
+                name: ESTIMATORS[factory]() for name, factory in estimators.items()
+            },
+            fast=fast,
+            **kwargs,
+        )
+
+    def run(self, simulator, mode):
+        """``(simulator, result, branches step_cycle() fetched)`` of a
+        ``mode`` run; a stop/resume run ends in an unpickled copy."""
+        budget = self.BUDGET
+        stepped = 0
+        if mode == "stop-resume":
+            for stop in (300, 900):
+                simulator.run(max_instructions=budget, stop_instructions=stop)
+            simulator = restore_snapshot(capture_snapshot(simulator))
+        elif mode == "step-then-run":
+            for __ in range(150):
+                simulator.step_cycle()
+            stepped = simulator.stats.fetched_branches
+        return simulator, simulator.run(max_instructions=budget), stepped
+
+    @pytest.mark.parametrize("mode", ["whole", "stop-resume", "step-then-run"])
+    @pytest.mark.parametrize("setup", list(TALLY_SETUPS))
+    @pytest.mark.parametrize("backend", ["inorder", "ooo"])
+    @pytest.mark.parametrize(
+        "predictor", ["gshare", "mcfarling", "sag", "gshare-nonspec"]
+    )
+    def test_fused_tally_matches_the_reference_log(
+        self, predictor, backend, setup, mode
+    ):
+        reference, expected, __ = self.run(
+            self.build(predictor, backend, setup, False), mode
+        )
+        assert expected.stats.committed_mispredictions
+        assert len(reference.records) == expected.stats.fetched_branches
+        assert DistanceCounts.from_store(reference.records) == expected.distances
+        fused, result, stepped = self.run(
+            self.build(predictor, backend, setup, True), mode
+        )
+        assert result.distances == expected.distances
+        assert dataclasses.asdict(result.stats) == dataclasses.asdict(
+            expected.stats
+        )
+        # only step_cycle() logs branches
+        assert len(fused.records) == stepped
+        # a machine checkpoint is a plain tuple that restores exactly
+        machine = fused.machine
+        snapshot = machine.snapshot()
+        assert type(snapshot) is tuple
+        state = (
+            list(machine.regs),
+            dict(machine.memory),
+            machine.pc,
+            machine.halted,
+            machine.instructions_retired,
+        )
+        machine.store_word(4, 99)
+        machine.regs[1] ^= 1
+        machine.pc += 1
+        machine.halted = not machine.halted
+        machine.instructions_retired += 5
+        machine.restore(snapshot)
+        assert (
+            list(machine.regs),
+            dict(machine.memory),
+            machine.pc,
+            machine.halted,
+            machine.instructions_retired,
+        ) == state
+        assert machine.snapshot() == snapshot
 
 
 def assessment_fields(assessment):

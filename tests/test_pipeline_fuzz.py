@@ -27,7 +27,12 @@ from repro.confidence import (
 )
 from repro.engine import trace_branches
 from repro.isa import Machine
-from repro.pipeline import CacheConfig, PipelineConfig, PipelineSimulator
+from repro.pipeline import (
+    CacheConfig,
+    DistanceCounts,
+    PipelineConfig,
+    PipelineSimulator,
+)
 from repro.predictors import make_predictor
 from repro.speculation import EagerPipelineSimulator, GatedPipelineSimulator
 from repro.workloads.generator import GuardSpec, WorkloadProfile, generate_program
@@ -203,9 +208,17 @@ def test_pipeline_equals_machine_on_random_programs(profile, config, predictor_n
     assert simulator.machine.regs == golden.regs
     assert simulator.machine.memory == golden.memory
     assert result.stats.committed_instructions == golden.instructions_retired
-    # every record is consistent
-    for record in simulator.branch_records:
-        assert (record.resolve_cycle is not None) == record.committed
+    # the tally counted every fetched and every committed branch once
+    distances, stats = result.distances, result.stats
+    fetched = (stats.fetched_branches, stats.fetched_mispredictions)
+    committed = (stats.committed_branches, stats.committed_mispredictions)
+    for histogram, expected in (
+        (distances.precise_all, fetched),
+        (distances.perceived_all, fetched),
+        (distances.precise_committed, committed),
+        (distances.perceived_committed, committed),
+    ):
+        assert (sum(histogram[0]), sum(histogram[1])) == expected
 
 
 #: Estimators the fuzzed engine identity may attach: the five the fused
@@ -293,33 +306,13 @@ def test_fast_engine_equals_reference_engine(
             fast_cache.misses,
         )
     assert slow.distances == fast.distances
-    slow_records = slow_sim.branch_records
-    fast_records = fast_sim.branch_records
-    assert len(slow_records) == len(fast_records)
-    for left, right in zip(slow_records, fast_records):
-        assert (
-            left.pc,
-            left.predicted_taken,
-            left.actual_taken,
-            left.fetch_cycle,
-            left.resolve_cycle,
-            left.committed,
-            left.precise_distance,
-            left.perceived_distance,
-            left.wrong_path,
-            left.assessments,
-        ) == (
-            right.pc,
-            right.predicted_taken,
-            right.actual_taken,
-            right.fetch_cycle,
-            right.resolve_cycle,
-            right.committed,
-            right.precise_distance,
-            right.perceived_distance,
-            right.wrong_path,
-            right.assessments,
-        )
+    # the reference engine's log is consistent and recounts to its
+    # tally; the fused engine logs nothing
+    for record in slow_sim.branch_records:
+        assert (record.resolve_cycle is not None) == record.committed
+    assert len(slow_sim.records) == slow.stats.fetched_branches
+    assert DistanceCounts.from_store(slow_sim.records) == slow.distances
+    assert len(fast_sim.records) == 0
     if budget is not None:
         # the commit stage never overshoots the instruction budget
         assert fast.stats.committed_instructions <= budget

@@ -1,9 +1,9 @@
 """Segmented pipeline execution: byte-identity, snapshots, resume.
 
-The tentpole's acceptance bar: a pipeline cell run as a chain of
-checkpointable segments must be *indistinguishable* -- stats, every
-branch-record column, quadrant counts, final machine and predictor
-state -- from the same cell run in one piece.  That must hold in the
+The acceptance bar: a pipeline cell run as a chain of checkpointable
+segments must be *indistinguishable* -- stats, distance counts, every
+column of the reference engine's branch log, quadrant counts, final
+machine and predictor state -- from the same cell run in one piece.  That must hold in the
 fast and the slow run loop, for the gating/eager simulator subclasses,
 across pickle round trips at every boundary (what a cross-process
 resume actually does), and for arbitrary split points (hypothesis).
@@ -58,9 +58,9 @@ ITERATIONS = 40
 
 
 def build(cls=PipelineSimulator, workload="compress", predictor="gshare",
-          fast=True, with_estimators=False, **kwargs):
+          fast=True, with_estimators=False, iterations=ITERATIONS, **kwargs):
     """A fresh simulator wired exactly like the harness builds them."""
-    program = workload_program(workload, ITERATIONS)
+    program = workload_program(workload, iterations)
     predictor_obj = make_predictor(predictor)
     estimators = {}
     if with_estimators:
@@ -82,10 +82,10 @@ def digest(simulator, result):
     """Every observable of a finished cell, as one comparable value.
 
     Covers the full :class:`BranchRecordStore` column set (all 11
-    fields), the stats block, the distance counts, both quadrant maps,
-    the architectural machine state, and the predictor's internal
-    tables -- anything that could diverge if a segment boundary
-    perturbed the simulation.
+    fields; empty when the fused engine ran), the stats block, the
+    distance counts, both quadrant maps, the architectural machine
+    state, and the predictor's internal tables -- anything that could
+    diverge if a segment boundary perturbed the simulation.
     """
     records = simulator.records
     columns = (
@@ -261,6 +261,17 @@ class TestSnapshotFormat:
         with pytest.raises(SnapshotError):
             restore_snapshot(lying)
 
+    def test_payload_does_not_grow_with_the_run(self):
+        """A fused run keeps no per-branch state, so a snapshot late in
+        a run is about as large as an early one."""
+        simulator = build(iterations=200)
+        sizes = []
+        for stop in (2_000, 16_000):
+            simulator.run(max_instructions=16_000, stop_instructions=stop)
+            sizes.append(len(capture_snapshot(simulator).payload))
+        assert simulator.stats.committed_instructions == 16_000
+        assert abs(sizes[1] - sizes[0]) < 4096, sizes
+
     def test_missing_sentinel_survives_pickling(self):
         """The machine's undo-log sentinel is compared by identity;
         a pickled snapshot must resolve back to the module singleton."""
@@ -332,24 +343,19 @@ class TestRunSegmented:
         # results identical across whole, segmented and direct runs
         assert vars(whole.stats) == vars(segmented.stats)
         assert whole.distances == segmented.distances == reference[-1]
-        # ... down to every record of the simulators behind them: the
-        # whole run's, and the stored chain's resumed to the budget
+        # ... down to the whole state of the simulators behind them:
+        # the whole run's, and the stored chain's resumed to the budget
+        # (fused runs, so neither logged a branch)
         whole_simulator = build_cell_simulator(*self.CELL[:3])
-        whole_simulator.run(max_instructions=TOTAL)
+        whole_result = whole_simulator.run(max_instructions=TOTAL)
         segmented_simulator = _simulator_at(*self.CELL, 1000, chain - 1)
-        segmented_simulator.run(max_instructions=TOTAL)
-        columns = (
-            "sequence", "pc", "predicted_taken", "actual_taken",
-            "fetch_cycle", "resolve_cycle", "committed", "precise_distance",
-            "perceived_distance", "wrong_path", "assessments",
+        segmented_result = segmented_simulator.run(max_instructions=TOTAL)
+        assert (
+            digest(whole_simulator, whole_result)
+            == digest(segmented_simulator, segmented_result)
+            == reference
         )
-        for column, whole_values, segmented_values, direct_values in zip(
-            columns,
-            (list(getattr(whole_simulator.records, name)) for name in columns),
-            (list(getattr(segmented_simulator.records, name)) for name in columns),
-            reference[0],
-        ):
-            assert whole_values == segmented_values == direct_values, column
+        assert len(whole_simulator.records) == len(segmented_simulator.records) == 0
 
     def test_partial_chain_resumes_mid_cell(self, isolated_cache):
         """A killed run leaves segments 0..k: the next run restores the
