@@ -3,8 +3,8 @@
 A :class:`~repro.workloads.trace.BranchTrace` stores one python object
 pair per dynamic branch; replaying it through the measurement engine
 costs a python-level loop iteration per branch.  This module lowers a
-trace once into packed numpy columns -- pc / taken / branch target /
-site index -- so the vectorized kernels in :mod:`repro.engine.vector`
+trace once into packed numpy columns -- pc / taken / site index -- so
+the vectorized kernels in :mod:`repro.engine.vector`
 can process whole workloads as array scans.
 
 The lowering is a cheap in-process view of the cached ``trace``
@@ -35,9 +35,6 @@ class ColumnarTrace:
         ``int64[n]`` instruction index of each dynamic branch.
     taken:
         ``bool[n]`` actual direction of each dynamic branch.
-    targets:
-        ``int64[len(sites)]`` taken-target instruction index per static
-        site (``-1`` when unknown -- e.g. the lowering had no program).
     sites:
         ``int64[s]`` sorted distinct static branch sites.
     site_index:
@@ -48,18 +45,16 @@ class ColumnarTrace:
         "name",
         "pcs",
         "taken",
-        "targets",
         "sites",
         "site_index",
         "_predict_memo",
         "_flag_memo",
     )
 
-    def __init__(self, name, pcs, taken, targets, sites, site_index):
+    def __init__(self, name, pcs, taken, sites, site_index):
         self.name = name
         self.pcs = pcs
         self.taken = taken
-        self.targets = targets
         self.sites = sites
         self.site_index = site_index
         self._predict_memo = {}
@@ -73,34 +68,21 @@ class ColumnarTrace:
         return zip(self.pcs.tolist(), self.taken.tolist())
 
 
-def lower_trace(trace, program=None, name: Optional[str] = None) -> ColumnarTrace:
+def lower_trace(trace, name: Optional[str] = None) -> ColumnarTrace:
     """Lower a :class:`BranchTrace` into a :class:`ColumnarTrace`.
 
-    ``program`` (the traced :class:`~repro.isa.Program`) supplies the
-    per-site taken targets; without it targets are ``-1``.  The input
-    trace is copied -- mutating it afterwards cannot corrupt the
-    columns.
+    The input trace is copied -- mutating it afterwards cannot corrupt
+    the columns.
     """
     pcs = np.asarray(trace.pcs, dtype=np.int64)
     taken = np.frombuffer(bytes(trace.outcomes), dtype=np.uint8).astype(bool)
     if pcs.shape[0] != taken.shape[0]:
         raise ValueError("trace pcs and outcomes length mismatch")
     sites, site_index = np.unique(pcs, return_inverse=True)
-    targets = np.full(sites.shape[0], -1, dtype=np.int64)
-    if program is not None:
-        from ..isa import OpCategory
-
-        instructions = program.instructions
-        for position, pc in enumerate(sites.tolist()):
-            if 0 <= pc < len(instructions):
-                instruction = instructions[pc]
-                if instruction.opcode.category is OpCategory.BRANCH:
-                    targets[position] = instruction.imm
     return ColumnarTrace(
         name=name or getattr(trace, "name", "trace"),
         pcs=pcs,
         taken=taken,
-        targets=targets,
         sites=sites,
         site_index=site_index.astype(np.int64),
     )
@@ -115,13 +97,9 @@ def columnar_run(name: str, iterations: Optional[int] = None) -> ColumnarTrace:
     """
     # imported here: corpus -> measure -> vector -> columnar at package
     # init time, so a module-level import would be circular
-    from .corpus import workload_program, workload_run
+    from .corpus import workload_run
 
-    return lower_trace(
-        workload_run(name, iterations).trace,
-        program=workload_program(name, iterations),
-        name=name,
-    )
+    return lower_trace(workload_run(name, iterations).trace, name=name)
 
 
 def clear_columnar_cache() -> None:

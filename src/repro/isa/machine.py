@@ -224,7 +224,3 @@ class Machine:
             self.step()
             steps += 1
         return steps
-
-    def register_dump(self) -> Dict[str, int]:
-        """Registers as a name -> value mapping (debugging aid)."""
-        return {f"r{i}": value for i, value in enumerate(self.regs)}

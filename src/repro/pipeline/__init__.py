@@ -4,7 +4,6 @@ from .backends import (
     BACKEND_NAMES,
     BACKENDS,
     DEFAULT_BACKEND,
-    PipelineBackend,
     create_simulator,
     normalize_backend,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "OOO_ISSUE_WIDTH",
     "OOO_WINDOW",
     "OutOfOrderSimulator",
-    "PipelineBackend",
     "create_simulator",
     "normalize_backend",
     "Cache",

@@ -8,8 +8,14 @@ model behind it: how instructions occupy the in-flight window, when
 branches resolve, and how squash recovery restores machine state.
 
 Backends plug in by subclassing :class:`PipelineSimulator` and
-overriding the backend hook surface (:class:`PipelineBackend` below).
-Two ship with the repository:
+overriding the timing hooks it changes among ``_dispatch``,
+``_retire_entry`` and ``_rollback`` (their docstrings there define the
+surface).  Both engines -- the fused ``run()`` loop and the reference
+one -- call the hooks at the same points with the same arguments: a
+backend that overrides ``_dispatch`` gets one in-flight entry per
+instruction from both, and only one that does not (the in-order one)
+has its non-branch instructions grouped by the fused engine.  Two ship
+with the repository:
 
 ``inorder``
     :class:`~repro.pipeline.core.PipelineSimulator` itself -- the
@@ -30,61 +36,18 @@ exactly like predictor choice.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Protocol, Sequence, Tuple, Type
+from typing import Dict, Mapping, Optional, Tuple, Type
 
 from ..confidence.base import ConfidenceEstimator
 from ..isa import Program
 from ..predictors.base import BranchPredictor
 from .config import PipelineConfig
-from .core import PipelineResult, PipelineSimulator
+from .core import PipelineSimulator
 from .decode import DecodedProgram
 from .ooo import OutOfOrderSimulator
 
 #: Name of the backend used when none is requested.
 DEFAULT_BACKEND = "inorder"
-
-
-class PipelineBackend(Protocol):
-    """The surface a pipeline backend implements.
-
-    :class:`~repro.pipeline.core.PipelineSimulator` provides the
-    in-order implementation of every method; a backend subclass
-    overrides the timing hooks it changes.  Both engines -- the fused
-    ``run()`` loop and the reference ``step_cycle()`` -- call the hooks
-    at the same points with the same arguments: a backend that
-    overrides ``_dispatch`` gets one in-flight entry per instruction
-    from both, and only a backend that does not (the in-order one) has
-    its non-branch instructions grouped by the fused engine.
-    """
-
-    def step_cycle(self) -> None:
-        """Advance one reference-engine cycle: commit/resolve, then
-        fetch."""
-
-    def run(self, max_cycles: int = 10_000_000,
-            max_instructions: Optional[int] = None,
-            stop_instructions: Optional[int] = None) -> PipelineResult:
-        """Simulate to halt, a budget, or a soft segment boundary."""
-
-    def result(self) -> PipelineResult:
-        """Snapshot stats, distance counts and quadrants (usable
-        mid-simulation)."""
-
-    # -- backend timing hooks ------------------------------------------
-
-    def _dispatch(self, sequence: int, pc: int, ready_cycle: int, cycle: int) -> int:
-        """Instruction ``sequence`` at ``pc`` entered the window at
-        fetch ``cycle``; return its ready cycle, never below
-        ``ready_cycle`` (the OoO backend renames/issues here)."""
-
-    def _retire_entry(self, sequence: int) -> None:
-        """Instruction ``sequence`` left the window at commit (the OoO
-        backend releases rename resources here)."""
-
-    def _rollback(self, depth: int, squashed: Sequence[int]) -> None:
-        """A misprediction squashes the ``depth`` instructions in
-        flight, whose sequences ``squashed`` lists youngest first (the
-        OoO backend undoes their renames here)."""
 
 
 #: Registered backend name -> simulator class.

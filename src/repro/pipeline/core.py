@@ -35,16 +35,17 @@ fetch time, as a :class:`~repro.pipeline.records.BranchRecord` in
 ``simulator.records``: the tests' per-branch view.
 
 Two engines share these semantics bit for bit, for every simulator
-class:
+class.  A simulator picks one when it is built (``fast=``, else
+``REPRO_PIPELINE_FAST``) and runs it for its whole life:
 
-* the **reference engine** steps :meth:`Machine.step` once per fetched
-  instruction and logs each fetched branch.
-  :meth:`PipelineSimulator.step_cycle` always runs it, and so does
-  ``run()`` under ``REPRO_PIPELINE_FAST=0``: it is the test oracle;
-* the **fused engine** (``run()`` by default) drives a
-  :class:`~repro.pipeline.decode.DecodedProgram` in one loop that
-  inlines commit, resolve, recovery and fetch: straight-line plain
-  runs execute as pre-specialised closures, consecutive same-line
+* the **reference engine** (``fast=False``) steps :meth:`Machine.step`
+  once per fetched instruction and logs each fetched branch; ``run()``
+  and :meth:`PipelineSimulator.step_cycle` both drive it.  It is the
+  test oracle;
+* the **fused engine** (the default) drives a
+  :class:`~repro.pipeline.decode.DecodedProgram` from ``run()`` in one
+  loop that inlines commit, resolve, recovery and fetch: straight-line
+  plain runs execute as pre-specialised closures, consecutive same-line
   I-cache accesses are batched (an access to the most-recently-touched
   line is a guaranteed hit that cannot disturb LRU order, so the hit
   counter is bumped arithmetically), and non-branch instructions
@@ -54,6 +55,8 @@ class:
   that overrides ``_dispatch`` (the out-of-order one) times every
   instruction itself, so for it the loop emits one entry per
   instruction and dispatches each where the reference engine does.
+  Its in-flight entries keep the loop's list layout between runs and
+  in segment snapshots, so it has no ``step_cycle()``.
 
 The byte-identity tests and the CI golden report legs compare the two
 engines end to end.
@@ -63,9 +66,9 @@ two speculation-control decisions, fetch gating (``gate_on``) and
 dual-path forking (``fork_on``) -- is state of this class that both
 engines read; the gated and eager simulators of
 :mod:`repro.speculation` only validate and set it.  The execution model
-behind the front end is pluggable through three backend hooks
-(``_dispatch``, ``_retire_entry`` and ``_rollback``; the
-:class:`PipelineBackend` protocol in :mod:`repro.pipeline.backends`).
+behind the front end is pluggable through three backend hooks,
+``_dispatch``, ``_retire_entry`` and ``_rollback`` (their docstrings
+below define the surface).
 This class is itself the ``inorder`` backend;
 :class:`repro.pipeline.ooo.OutOfOrderSimulator` swaps an R10K-style
 out-of-order window in behind the same front end.
@@ -78,13 +81,13 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import settings
-from ..confidence.base import Assessment, ConfidenceEstimator
+from ..confidence.base import ConfidenceEstimator
 from ..confidence.inlined import inlined_parts
 from ..confidence.jrs import JRSEstimator
 from ..isa import Machine, MachineFault, Program
 from ..isa.instructions import WORD_MASK, OpCategory
 from ..metrics.quadrant import QuadrantCounts
-from ..predictors.base import BranchPredictor, Prediction
+from ..predictors.base import BranchPredictor
 from ..predictors.gshare import GsharePredictor
 from ..predictors.mcfarling import McFarlingPredictor
 from .caches import Cache
@@ -110,15 +113,12 @@ from .records import (
 
 
 class _Inflight:
-    """One in-flight unit: a single instruction, or -- in the fused
-    engine -- a *group* of ``count`` non-branch instructions fetched in
-    the same cycle (they share one ready cycle, so commit can drain
-    them arithmetically)."""
+    """One in-flight instruction of the reference engine (the fused
+    engine's entries are lists; see ``PipelineSimulator._run_fast``)."""
 
     __slots__ = (
         "sequence",
         "pc",
-        "count",
         "is_branch",
         "is_halt",
         "prediction",
@@ -134,7 +134,6 @@ class _Inflight:
     def __init__(self, sequence: int, pc: int, ready_cycle: int):
         self.sequence = sequence
         self.pc = pc
-        self.count = 1
         self.is_branch = False
         self.is_halt = False
         self.prediction = None
@@ -143,15 +142,13 @@ class _Inflight:
         self.mispredicted = False
         self.snapshot = None
         self.ready_cycle = ready_cycle
-        #: A branch's perceived distance at fetch, counted again at commit.
-        self.perceived_distance = -1
-        #: Index of the branch's record, or -1 when the reference engine
-        #: logged none (the fused engine fetched or handled the entry).
-        self.record_index = -1
+        # a branch's ``perceived_distance`` (counted again at commit) and
+        # ``record_index`` (its row in ``records``) are set at fetch
 
 
-def count_low_confidence_inflight(simulator: PipelineSimulator, name: str) -> int:
-    """Unresolved branches currently tagged low-confidence by ``name``."""
+def _count_low_confidence_inflight(simulator: PipelineSimulator, name: str) -> int:
+    """Unresolved branches currently tagged low-confidence by ``name``
+    (the reference engine's per-cycle gate rescan)."""
     count = 0
     for entry in simulator._inflight:
         if entry.is_branch:
@@ -170,29 +167,6 @@ def _forked_history(predictor: BranchPredictor):
     if history is not None and getattr(predictor, "speculative_history", False):
         return history
     return None
-
-
-def _assessment_token(assessment: Assessment) -> int:
-    """The fused loop's int token for an assessment made by an inlined
-    estimator (layout in ``PipelineSimulator._run_fast``)."""
-    inner = assessment.token
-    if not isinstance(inner, Assessment):  # not boosted
-        inner = assessment
-    return (
-        (inner.token or 0) << 2
-        | inner.high_confidence << 1
-        | assessment.high_confidence
-    )
-
-
-def _token_assessment(token: int, boosted: bool, jrs: bool) -> Assessment:
-    """The :class:`Assessment` the inlined estimator's ``estimate``
-    would have returned for ``token`` (inverse of
-    :func:`_assessment_token`)."""
-    inner = Assessment(bool(token & 2), token >> 2 if jrs else None)
-    if boosted:
-        return Assessment(bool(token & 1), inner)
-    return inner
 
 
 @dataclass
@@ -219,10 +193,10 @@ class PipelineSimulator:
     branch (wrong-path included, as in hardware) and resolved in order
     for committed branches only.
 
-    ``fast`` selects the engine ``run()`` takes: ``None`` (default)
-    follows the installed ``REPRO_PIPELINE_FAST`` setting,
-    ``True``/``False`` force the fused engine / the reference loop.
-    ``decoded`` may supply a shared :class:`DecodedProgram` (e.g. the
+    ``fast`` selects the engine this simulator runs for its whole life:
+    ``None`` (default) follows the installed ``REPRO_PIPELINE_FAST``
+    setting, ``True``/``False`` force the fused engine / the reference
+    loop.  ``decoded`` may supply a shared :class:`DecodedProgram` (e.g. the
     per-workload :func:`~repro.pipeline.decode.decoded_run` memo) to
     skip the decode; the reference loop ignores it.
 
@@ -275,10 +249,15 @@ class PipelineSimulator:
             )
         else:
             self._decoded = None
-        self._inflight: Deque[_Inflight] = deque()
-        #: Instructions currently in flight (grouped entries count for
-        #: ``entry.count``); the window check everywhere.
+        #: ``_Inflight`` entries under the reference engine, the fused
+        #: loop's lists under the fused one.
+        self._inflight: Deque = deque()
+        #: Instructions currently in flight (a fused group entry counts
+        #: for its slot [2]); the window check everywhere.
         self._inflight_count = 0
+        #: Fused engine: low-confidence branches in flight by ``gate_on``
+        #: (the reference engine rescans the window instead).
+        self._low_confidence_inflight = 0
         self._cycle = 0
         self._sequence = 0
         self._fetch_stalled_until = 0
@@ -297,6 +276,7 @@ class PipelineSimulator:
         #: repeat access is a guaranteed hit with LRU order unchanged.
         self._icache_line = -1
         self._program_done = False  # halt committed
+        #: The reference engine's hard budget, read by ``_commit_stage``.
         self._max_instructions: Optional[int] = None
         self._quadrants_committed = {
             name: QuadrantCounts() for name in self.estimators
@@ -324,7 +304,13 @@ class PipelineSimulator:
 
     def step_cycle(self) -> None:
         """Advance one cycle of the reference engine: commit/resolve,
-        then fetch."""
+        then fetch.  Only a ``fast=False`` simulator has one: a fused
+        simulator's in-flight entries are the fused loop's."""
+        if self._decoded is not None:
+            raise RuntimeError(
+                "step_cycle() runs the reference engine: build the"
+                " simulator with fast=False to step it"
+            )
         self._commit_stage()
         if not self._program_done:
             self._fetch_stage()
@@ -407,24 +393,26 @@ class PipelineSimulator:
         written back in the ``finally`` block; that is only sound
         because *every* mutator of that state is inlined here.  The
         backend hooks a class overrides are called where the reference
-        engine calls them, and touch only the backend's own state.  The gate counts the
-        low-confidence branches in flight (+1 at fetch, -1 at commit, 0
-        at squash) where the reference engine rescans the window.
+        engine calls them, and touch only the backend's own state.  The
+        gate counts the low-confidence branches in flight (+1 at fetch,
+        -1 at commit, 0 at squash) in ``_low_confidence_inflight``
+        where the reference engine rescans the window.
 
-        Inside this loop, in-flight entries are plain lists (a Python
-        class instantiation costs ~4x a list literal and entries are
-        the hottest allocation), laid out exactly like the
-        ``_Inflight`` slots::
+        In-flight entries are plain lists (a Python class instantiation
+        costs ~4x a list literal and entries are the hottest
+        allocation), laid out like the ``_Inflight`` slots plus a count::
 
             [0]=sequence  [1]=pc         [2]=count       [3]=is_branch
             [4]=is_halt   [5]=prediction [6]=assessments [7]=actual_taken
             [8]=mispredicted [9]=snapshot [10]=ready_cycle
             [11]=perceived_distance
 
-        Slot [11] holds a branch's perceived distance at fetch, which
-        commit counts again (-1 for any other entry).  No slot holds a
-        record index: an entry converted back has ``record_index`` -1,
-        so the reference engine writes no record when it commits it.
+        Slot [2] counts the instructions a grouped entry stands for (1
+        for a branch or a halt).  Slot [11] holds a branch's perceived
+        distance at fetch, which commit counts again (-1 for any other
+        entry).  The entries keep this layout between runs, and a
+        segment snapshot pickles them as they are, with
+        ``_active_fork`` still aliasing its entry.
 
         A speculative-history gshare or McFarling runs inlined, with
         its tables and history in locals, when no estimator is attached
@@ -444,22 +432,15 @@ class PipelineSimulator:
 
         Every other predictor, and any other mix of estimators, takes
         ``Prediction`` records and assessment lists through the
-        protocol calls.
+        protocol calls.  The kinds depend only on the simulator's
+        predictor and estimators, so a resumed run reads the tokens its
+        earlier runs left in flight.
 
-        Any entries still in flight when the loop exits (an early
-        ``max_instructions``/``max_cycles`` stop) are converted back to
-        ``_Inflight`` objects in the ``finally`` block, so external
-        inspection, a later ``step_cycle()`` and a snapshot see the
-        normal representation: an inlined branch gets back the
-        ``Prediction`` and ``Assessment`` objects the protocol calls
-        would have made.  Both conversions keep ``_active_fork``
-        aliased to its queue entry.  ``machine.regs`` is re-hoisted
-        every cycle because misprediction recovery rebinds it, and
-        ``machine.instructions_retired`` is flushed before every
-        snapshot and zeroed after every restore so checkpoints stay
-        exact.
+        ``machine.regs`` is re-hoisted every cycle because misprediction
+        recovery rebinds it, and ``machine.instructions_retired`` is
+        flushed before every snapshot and zeroed after every restore so
+        checkpoints stay exact.
         """
-        self._max_instructions = max_instructions
         tally = self._tally
         stats = self.stats
         machine = self.machine
@@ -471,9 +452,7 @@ class PipelineSimulator:
         names = list(self.estimators)
         gate_slot = -1 if self.gate_on is None else names.index(self.gate_on)
         fork_slot = -1 if self.fork_on is None else names.index(self.fork_on)
-        low_confidence = (
-            count_low_confidence_inflight(self, self.gate_on) if gate_slot >= 0 else 0
-        )
+        low_confidence = self._low_confidence_inflight
         active_fork = self._active_fork
         # 0 = the predictor protocol calls, 1/2 = gshare / McFarling
         # inlined (docstring)
@@ -504,38 +483,6 @@ class PipelineSimulator:
         elif estimator_items:
             # the estimators consume the full Prediction record
             inline_kind = 0
-        # a resumed run (earlier soft stop, step_cycle() calls, or an
-        # unpickled snapshot) holds _Inflight objects; convert them to
-        # the list layout this loop indexes by slot, and an inlined
-        # branch's Prediction and assessment to its tokens (inverse of
-        # the finally block below)
-        queue = self._inflight
-        for position, entry in enumerate(queue):
-            prediction = entry.prediction
-            assessments = entry.assessments or None
-            if inline_kind and entry.is_branch:
-                prediction = (
-                    prediction.taken, prediction.index, prediction.history
-                ) + prediction.counters
-                if estimator_kind:
-                    assessments = _assessment_token(assessments[0][2])
-            converted = [
-                entry.sequence,
-                entry.pc,
-                entry.count,
-                entry.is_branch,
-                entry.is_halt,
-                prediction,
-                assessments,
-                entry.actual_taken,
-                entry.mispredicted,
-                entry.snapshot,
-                entry.ready_cycle,
-                entry.perceived_distance,
-            ]
-            if entry is active_fork:
-                active_fork = converted
-            queue[position] = converted
         # run-local simulator state (flushed in the finally block)
         icache_hits = icache.hits
         icache_misses = icache.misses
@@ -1223,7 +1170,6 @@ class PipelineSimulator:
                 if congestion:
                     congestion -= 1
         finally:
-            self._max_instructions = None
             self._cycle = cycle
             self._precise_counter = precise
             self._perceived_counter = perceived
@@ -1250,6 +1196,7 @@ class PipelineSimulator:
             stats.committed_mispredictions = committed_mispredictions
             if gate_slot >= 0:
                 self.gated_cycles = gated_cycles
+                self._low_confidence_inflight = low_confidence
             if estimator_kind:
                 for counts, c_hc, i_hc, c_lc, i_lc in (
                     (
@@ -1270,40 +1217,6 @@ class PipelineSimulator:
                     estimator_base.branches_since_misprediction = distance
                 if boosted:
                     estimator._lc_run = lc_run
-            # convert surviving list entries back to _Inflight objects
-            # so external inspection / a later step_cycle() see the
-            # normal representation
-            queue = self._inflight
-            for position, entry in enumerate(queue):
-                survivor = _Inflight(entry[0], entry[1], entry[10])
-                survivor.count = entry[2]
-                survivor.is_branch = entry[3]
-                survivor.is_halt = entry[4]
-                if inline_kind and entry[3]:  # an inlined branch
-                    token = entry[5]
-                    # exactly the record the predictor's predict returns
-                    survivor.prediction = Prediction(
-                        token[0], token[1], token[2], token[3:], token[2]
-                    )
-                    if estimator_kind:
-                        survivor.assessments = [(
-                            estimator_name,
-                            estimator,
-                            _token_assessment(
-                                entry[6], boosted, estimator_kind == 1
-                            ),
-                        )]
-                else:
-                    survivor.prediction = entry[5]
-                    if entry[6] is not None:
-                        survivor.assessments = entry[6]
-                survivor.actual_taken = entry[7]
-                survivor.mispredicted = entry[8]
-                survivor.snapshot = entry[9]
-                survivor.perceived_distance = entry[11]
-                if entry is active_fork:
-                    active_fork = survivor
-                queue[position] = survivor
             if fork_slot >= 0:
                 self._active_fork = active_fork
                 self.eager_forks = eager_forks
@@ -1345,19 +1258,6 @@ class PipelineSimulator:
             entry = inflight[0]
             if entry.ready_cycle > cycle:
                 break
-            count = entry.count
-            if count > 1:
-                # grouped plain/memory instructions: drain by count
-                take = width - committed
-                if count <= take:
-                    take = count
-                    inflight.popleft()
-                else:
-                    entry.count = count - take
-                self._inflight_count -= take
-                committed += take
-                stats.committed_instructions += take
-                continue
             inflight.popleft()
             self._inflight_count -= 1
             committed += 1
@@ -1386,8 +1286,7 @@ class PipelineSimulator:
                     preserved = history.value
         self.stats.committed_branches += 1
         self._tally.commit(entry.perceived_distance, entry.mispredicted)
-        if entry.record_index >= 0:
-            self.records.resolve(entry.record_index, self._cycle)
+        self.records.resolve(entry.record_index, self._cycle)
         correct = not entry.mispredicted
         self.predictor.resolve(entry.pc, entry.actual_taken, entry.prediction)
         for name, estimator, assessment in entry.assessments:
@@ -1436,12 +1335,9 @@ class PipelineSimulator:
     # ------------------------------------------------------------------
 
     def _fetch_stage(self) -> None:
-        # this fetch moves I-cache lines under the fused engine's
-        # repeat-line shortcut: make that engine's next access a full one
-        self._icache_line = -1
         if (
             self.gate_on is not None
-            and count_low_confidence_inflight(self, self.gate_on)
+            and _count_low_confidence_inflight(self, self.gate_on)
             >= self.gate_threshold
         ):
             self.gated_cycles += 1

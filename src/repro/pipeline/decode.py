@@ -19,7 +19,9 @@ depends on anything but the program text, so this module performs it
   operands bound (``plain_ops`` mutate the register file directly;
   ``branch_ops`` evaluate the branch condition), eliminating the
   category dispatch and the ``evaluate_alu``/``branch_taken`` if-chains
-  from the hot loop.
+  from the hot loop.  The closures are interned per process: a plain
+  instruction or branch that recurs, at another PC or in another
+  program, reuses its closure.
 
 Two loops step this layout: the pipeline's fused engine
 (:mod:`repro.pipeline.core`) and the functional tracer
@@ -78,6 +80,7 @@ _STATE_SLOTS = (
 )
 
 
+@lru_cache(maxsize=None)
 def _plain_op(
     opcode: Opcode, rd: int, rs1: int, rs2: int, imm: int
 ) -> Optional[Callable]:
@@ -221,6 +224,7 @@ def _plain_op(
     return op
 
 
+@lru_cache(maxsize=None)
 def _branch_op(opcode: Opcode, rs1: int, rs2: int) -> Callable:
     """Specialised condition evaluator for one conditional branch."""
     sign = SIGN_BIT

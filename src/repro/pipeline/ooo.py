@@ -42,11 +42,12 @@ observed at every misprediction recovery is accumulated in
 ``stats.extra`` (see :data:`DEPTH_HISTOGRAM_KEY`) so reports can put
 the two backends' distance distributions side by side.
 
-The backend runs on the two shared engines like any other: the fused
-``run()`` loop by default (on the same per-workload decoded program the
-in-order backend uses) and the reference :meth:`~repro.isa.Machine.step`
-loop under ``fast=False``, ``REPRO_PIPELINE_FAST=0`` or ``step_cycle()``,
-the oracle it must match bit for bit.  The hooks take the fields they
+The backend runs on the two shared engines like any other, each
+simulator on the one it was built with: the fused ``run()`` loop by
+default (on the same per-workload decoded program the in-order backend
+uses) and the reference :meth:`~repro.isa.Machine.step` loop under
+``fast=False`` or ``REPRO_PIPELINE_FAST=0`` (the only engine
+``step_cycle()`` steps), the oracle it must match bit for bit.  The hooks take the fields they
 read (sequence, pc, cycles), not in-flight entries, so both engines'
 entry layouts call the same methods.  Operand shapes come from a per-PC
 table built once per simulator, so dispatch never decodes an

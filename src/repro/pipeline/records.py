@@ -10,7 +10,7 @@ go, so a :class:`~repro.pipeline.core.PipelineResult` carries
 :class:`DistanceCounts` built in O(largest distance), whatever the
 run's length.
 
-Only the reference engine (``step_cycle``, ``fast=False``) also logs
+Only the reference engine (``fast=False``) also logs
 each fetched branch, into a :class:`BranchRecordStore`: append-only
 columnar buffers (one flat python list per field, the
 :class:`~repro.engine.columnar.ColumnarTrace` convention).  That log is
@@ -98,9 +98,9 @@ class BranchRecordStore:
     One python list per :class:`BranchRecord` field, indexed by append
     order.  ``assessments`` stores ``None`` for branches fetched with
     no estimators attached and a plain dict otherwise; views
-    materialise ``None`` as ``{}``.  The log is complete only for a
-    run the reference engine made alone: a branch the fused engine
-    fetched has no record, and one it committed stays unresolved here.
+    materialise ``None`` as ``{}``.  A reference simulator logs every
+    branch it fetched, and resolves each one it committed; a fused
+    simulator's store stays empty.
     """
 
     __slots__ = _STORE_SLOTS + ("_views", "_columns", "_stamp")

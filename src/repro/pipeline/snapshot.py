@@ -20,9 +20,12 @@ artifact.
 The whole simulator is captured as a single pickle so every shared
 reference survives intact (estimator objects are aliased from the
 in-flight entries' assessment tuples; the dual-path simulator's active
-fork aliases its deque entry).  Capture pickles immediately --
-``capture_snapshot`` returns a deep, frozen copy by construction, so
-continuing the live simulator afterwards cannot mutate the checkpoint.
+fork aliases its deque entry).  In-flight entries are pickled in the
+layout of the engine that made them, and a restored simulator resumes
+on that engine: a fused one carries its decoded program.  Capture
+pickles immediately -- ``capture_snapshot`` returns a deep, frozen
+copy by construction, so continuing the live simulator afterwards
+cannot mutate the checkpoint.
 The simulator's ``fast``/``decoded`` machinery cooperates:
 :class:`~repro.pipeline.decode.DecodedProgram` drops its closures on
 pickling and rebuilds them lazily, ``BranchRecordStore`` resets its
@@ -45,7 +48,11 @@ from dataclasses import dataclass
 #: the simulator carries a ``DistanceTally`` and its in-flight entries a
 #: perceived distance, and machine checkpoints are plain tuples; a
 #: ``/3`` payload has neither, so its cache entries read as misses.
-SNAPSHOT_SCHEMA = "pipeline-snapshot/4"
+#: ``/5``: a fused simulator keeps its in-flight entries in the fused
+#: loop's list layout, with its tokens, and carries its gate's running
+#: low-confidence count; a reference simulator still holds ``_Inflight``
+#: entries.
+SNAPSHOT_SCHEMA = "pipeline-snapshot/5"
 
 
 class SnapshotError(RuntimeError):

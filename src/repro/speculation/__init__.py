@@ -11,7 +11,6 @@ from .gating import (
     GatedPipelineSimulator,
     GatingComparison,
     compare_gating,
-    count_low_confidence_inflight,
 )
 from .inversion import (
     InversionResult,
@@ -28,7 +27,6 @@ __all__ = [
     "GatedPipelineSimulator",
     "GatingComparison",
     "compare_gating",
-    "count_low_confidence_inflight",
     "InversionResult",
     "InvertingPredictor",
     "evaluate_inversion",

@@ -27,7 +27,6 @@ from ..isa import Program
 from ..pipeline.backends import create_simulator, normalize_backend
 from ..pipeline.config import PipelineConfig
 from ..pipeline.core import PipelineResult, PipelineSimulator
-from ..pipeline.core import count_low_confidence_inflight  # noqa: F401 - re-exported
 from ..pipeline.decode import DecodedProgram
 from ..pipeline.ooo import OutOfOrderSimulator
 from ..pipeline.records import PipelineStats

@@ -192,3 +192,37 @@ class TestCorpusCache:
             artifact_cache.configure(root=previous[0], enabled=previous[1])
             clear_memoised()
             clear_cache()
+
+    def test_warm_trace_replay_generates_no_program(self, tmp_path, monkeypatch):
+        """A trace-replay run whose traces are cached reads the branch
+        stream only: a fresh process generates no workload program."""
+        from repro.engine import cache as artifact_cache
+        from repro.engine import clear_cache
+        from repro.harness import SMOKE, clear_memoised, run_all
+
+        only = ["fig3", "fig4", "fig5", "boost"]
+        original = generate_program
+        generated = []
+
+        def counting(*args, **kwargs):
+            generated.append(args)
+            return original(*args, **kwargs)
+
+        cache = artifact_cache.get_cache()
+        previous = (cache.root, cache.enabled)
+        artifact_cache.configure(root=tmp_path / "cache", enabled=True)
+        clear_memoised()
+        clear_cache()
+        try:
+            run_all(SMOKE, only=only, jobs=1)  # cold: caches the traces
+            clear_memoised()
+            clear_cache()
+            for name, module in list(sys.modules.items()):
+                if name.startswith("repro") and getattr(module, "generate_program", None) is original:
+                    monkeypatch.setattr(module, "generate_program", counting)
+            run_all(SMOKE, only=only, jobs=1)
+            assert generated == []
+        finally:
+            artifact_cache.configure(root=previous[0], enabled=previous[1])
+            clear_memoised()
+            clear_cache()

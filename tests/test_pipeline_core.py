@@ -218,7 +218,7 @@ class TestEstimatorsInPipeline:
 class TestStepCycleApi:
     def test_manual_stepping_reaches_completion(self):
         program = small_program(iterations=5)
-        simulator = PipelineSimulator(program, GsharePredictor())
+        simulator = PipelineSimulator(program, GsharePredictor(), fast=False)
         for __ in range(200_000):
             if simulator.done:
                 break

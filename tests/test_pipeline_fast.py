@@ -7,10 +7,11 @@ Three groups of guarantees:
   tally) must leave *exactly* the state the reference per-instruction
   engine leaves: stats, distance counts, architectural machine state,
   cache hit/miss counters, estimator quadrants and state -- for every
-  simulator class and estimator, and for runs that switch between the
-  two engines mid-flight.  The reference engine's per-branch
+  simulator class and estimator, and for fused runs broken by soft
+  stops and snapshot round trips.  The reference engine's per-branch
   :class:`~repro.pipeline.records.BranchRecordStore` is the tally's
-  oracle, and the fused engine logs no branch;
+  oracle, and the fused engine logs no branch.  A simulator runs one
+  engine for its whole life: only a reference one steps;
 * **accounting fixes** -- ``max_instructions`` commits exactly N, and a
   congestion window delays exactly one branch (no double charge across
   a fetch group);
@@ -26,7 +27,6 @@ import pytest
 
 from repro import settings
 from repro.confidence import (
-    Assessment,
     BoostedEstimator,
     JRSEstimator,
     MispredictionDistanceEstimator,
@@ -37,7 +37,6 @@ from repro.harness.shard import build_cell_simulator
 from repro.harness.speculation import SPECULATION_ESTIMATORS, SPECULATION_PREDICTOR
 from repro.pipeline import (
     BranchRecordStore,
-    CacheConfig,
     DecodedProgram,
     DistanceCounts,
     OutOfOrderSimulator,
@@ -49,9 +48,7 @@ from repro.pipeline import (
     restore_snapshot,
 )
 from repro.isa import assemble
-from repro.pipeline.core import count_low_confidence_inflight
 from repro.predictors import GsharePredictor, McFarlingPredictor, make_predictor
-from repro.predictors.base import Prediction
 from repro.speculation import (
     EagerOutOfOrderSimulator,
     EagerPipelineSimulator,
@@ -290,77 +287,36 @@ class TestFastSlowIdentity:
         )
         assert_equivalent(reference, reference.run(), shared, shared.run())
 
-    def test_early_stop_then_step_cycle_continues_identically(self):
-        # an early-stopped fused run leaves normal _Inflight entries
-        # (Prediction records included) that the reference engine can
-        # drain to the same final state
+
+class TestOneEnginePerSimulator:
+    @pytest.mark.parametrize("kind", ["inorder", "ooo", "gated/jrs", "eager/jrs"])
+    def test_only_a_reference_simulator_steps(self, kind):
+        # a fused simulator refuses step_cycle() before touching any
+        # state, also mid-run; a fast=False one steps one cycle
         program = small_program()
-        fast_sim = PipelineSimulator(program, GsharePredictor(), fast=True)
-        fast_sim.run(max_instructions=900)
-        while not fast_sim.done:
-            fast_sim.step_cycle()
-        slow_sim = PipelineSimulator(program, GsharePredictor(), fast=False)
-        slow_sim.run()
-        assert fast_sim.machine.regs == slow_sim.machine.regs
-        assert fast_sim.machine.memory == slow_sim.machine.memory
-        assert (
-            fast_sim.stats.committed_instructions
-            == slow_sim.stats.committed_instructions
-        )
-        # every simulator class, on a one-line I-cache where every line
-        # change misses: soft stops of the fused engine interleaved with
-        # one to three reference step_cycle() calls end exactly where
-        # the reference engine alone ends.  A reference fetch that
-        # evicts the fused engine's last line must void its repeat-line
-        # shortcut.  Stepping stays well below the hard budget, which
-        # step_cycle() does not enforce.
-        program = small_program(iterations=15)
-        config = PipelineConfig(
-            icache=CacheConfig(size_words=8, line_words=8, associativity=1)
-        )
-        budget = 3_000
-        for kind in SIMULATOR_KINDS:
-            reference = build_simulator(kind, program, config, fast=False)
-            expected = full_digest(
-                reference, reference.run(max_instructions=budget)
-            )
-            mixed = build_simulator(kind, program, config, fast=True)
-            for round_, stop in enumerate(range(13, budget - 200, 13)):
-                mixed.run(max_instructions=budget, stop_instructions=stop)
-                for __ in range(1 + round_ % 3):
-                    mixed.step_cycle()
-            result = mixed.run(max_instructions=budget)
-            assert full_digest(mixed, result) == expected, kind
+        fused = build_simulator(kind, program, None, fast=True)
+        fused.run(max_instructions=2_000, stop_instructions=500)
 
-    @pytest.mark.parametrize("predictor_name", list(PREDICTORS))
-    def test_run_after_step_cycle_matches_reference(self, predictor_name):
-        # step_cycle() fetches Prediction records, which a fused run
-        # turns into its private tokens for an inlined predictor and
-        # back at a stop: run() after step_cycle(), and run() ->
-        # step_cycle() -> run(), must both end where the reference
-        # engine ends
-        program = workload_program("compress", 10)
-        budget = 3_000
-
-        def build(fast):
-            return PipelineSimulator(
-                program, PREDICTORS[predictor_name](), fast=fast
+        def state(simulator):
+            machine = simulator.machine
+            return (
+                dataclasses.asdict(simulator.stats),
+                simulator.cycle,
+                list(machine.regs),
+                dict(machine.memory),
+                machine.pc,
+                machine.instructions_retired,
             )
 
-        reference = build(False)
-        expected = full_digest(reference, reference.run(max_instructions=budget))
-        for steps in range(100, 400, 21):
-            stepped = build(True)
-            for __ in range(steps):
-                stepped.step_cycle()
-            result = stepped.run(max_instructions=budget)
-            assert full_digest(stepped, result) == expected, steps
-            chained = build(True)
-            chained.run(max_instructions=budget, stop_instructions=4 * steps)
-            for __ in range(steps):
-                chained.step_cycle()
-            result = chained.run(max_instructions=budget)
-            assert full_digest(chained, result) == expected, steps
+        before = state(fused)
+        with pytest.raises(RuntimeError, match="fast=False"):
+            fused.step_cycle()
+        assert state(fused) == before
+        reference = build_simulator(kind, program, None, fast=False)
+        for cycle in range(1, 50):
+            reference.step_cycle()
+            assert reference.cycle == cycle
+        assert reference.stats.fetched_instructions
 
 
 #: The tally matrix's front ends: (simulator prefix, estimator name ->
@@ -404,21 +360,16 @@ class TestDistanceTally:
         )
 
     def run(self, simulator, mode):
-        """``(simulator, result, branches step_cycle() fetched)`` of a
-        ``mode`` run; a stop/resume run ends in an unpickled copy."""
+        """``(simulator, result)`` of a ``mode`` run; a stop/resume run
+        ends in an unpickled copy."""
         budget = self.BUDGET
-        stepped = 0
         if mode == "stop-resume":
             for stop in (300, 900):
                 simulator.run(max_instructions=budget, stop_instructions=stop)
             simulator = restore_snapshot(capture_snapshot(simulator))
-        elif mode == "step-then-run":
-            for __ in range(150):
-                simulator.step_cycle()
-            stepped = simulator.stats.fetched_branches
-        return simulator, simulator.run(max_instructions=budget), stepped
+        return simulator, simulator.run(max_instructions=budget)
 
-    @pytest.mark.parametrize("mode", ["whole", "stop-resume", "step-then-run"])
+    @pytest.mark.parametrize("mode", ["whole", "stop-resume"])
     @pytest.mark.parametrize("setup", list(TALLY_SETUPS))
     @pytest.mark.parametrize("backend", ["inorder", "ooo"])
     @pytest.mark.parametrize(
@@ -427,21 +378,21 @@ class TestDistanceTally:
     def test_fused_tally_matches_the_reference_log(
         self, predictor, backend, setup, mode
     ):
-        reference, expected, __ = self.run(
+        reference, expected = self.run(
             self.build(predictor, backend, setup, False), mode
         )
         assert expected.stats.committed_mispredictions
         assert len(reference.records) == expected.stats.fetched_branches
         assert DistanceCounts.from_store(reference.records) == expected.distances
-        fused, result, stepped = self.run(
+        fused, result = self.run(
             self.build(predictor, backend, setup, True), mode
         )
         assert result.distances == expected.distances
         assert dataclasses.asdict(result.stats) == dataclasses.asdict(
             expected.stats
         )
-        # only step_cycle() logs branches
-        assert len(fused.records) == stepped
+        # only the reference engine logs branches
+        assert len(fused.records) == 0
         # a machine checkpoint is a plain tuple that restores exactly
         machine = fused.machine
         snapshot = machine.snapshot()
@@ -467,39 +418,6 @@ class TestDistanceTally:
             machine.instructions_retired,
         ) == state
         assert machine.snapshot() == snapshot
-
-
-def assessment_fields(assessment):
-    """An assessment's fields with their types (``True == 1``), nested
-    through a boosted estimator's inner assessment."""
-    token = assessment.token
-    if isinstance(token, Assessment):
-        token = assessment_fields(token)
-    else:
-        token = (type(token), token)
-    return type(assessment.high_confidence), assessment.high_confidence, token
-
-
-def inflight_branches(simulator):
-    """Each in-flight branch's sequence, every ``Prediction`` slot and
-    its assessments, with types."""
-    rows = []
-    for entry in simulator._inflight:
-        if not entry.is_branch:
-            continue
-        prediction = entry.prediction
-        assert type(prediction) is Prediction
-        fields = [getattr(prediction, slot) for slot in Prediction.__slots__]
-        assessments = []
-        for name, estimator, assessment in entry.assessments:
-            assert estimator is simulator.estimators[name]
-            assessments.append((name, assessment_fields(assessment)))
-        rows.append((
-            entry.sequence,
-            [(type(value), value) for value in fields],
-            assessments,
-        ))
-    return rows
 
 
 class TestInlinedEstimator:
@@ -528,33 +446,42 @@ class TestInlinedEstimator:
             ),
         ],
     )
-    def test_stops_leave_the_reference_in_flight_branches(self, case):
-        # at every soft stop each branch in flight carries exactly the
-        # Prediction the predictor's predict returned and the assessment
-        # estimate returned, as under the reference engine -- also
-        # after the fused loop resumed from the converted entries (a
-        # stop every few instructions keeps branches in flight across
-        # several stops).  A case is an estimator on the gated and
-        # eager simulators over gshare, or a bare backend/predictor.
+    def test_stops_and_snapshot_resume_identically(self, case):
+        # a fused run that soft-stops every 4 instructions, and goes
+        # through a snapshot round trip at one stop with a branch in
+        # flight (a live fork on the eager simulators), ends where the
+        # reference engine's whole run ends: its in-flight entries keep
+        # the fused layout, tokens and fork alias across runs and
+        # pickles.  A case is an estimator on the gated and eager
+        # simulators over gshare, or a bare backend/predictor.
         program = small_program()
+        budget = 2_000
         if case in ESTIMATORS:
             runs = [(f"{simulator}/{case}", "gshare") for simulator in ("gated", "eager")]
         else:
             runs = [tuple(case.split("/"))]
         for kind, predictor in runs:
-            sides = [
-                build_simulator(kind, program, None, fast, predictor)
-                for fast in (False, True)
-            ]
-            in_flight = 0
-            for stop in range(4, 2_000, 4):
-                rows = []
-                for side in sides:
-                    side.run(max_instructions=2_000, stop_instructions=stop)
-                    rows.append(inflight_branches(side))
-                assert rows[0] == rows[1], (kind, stop)
-                in_flight += len(rows[0])
-            assert in_flight, kind
+            reference = build_simulator(kind, program, None, False, predictor)
+            expected = full_digest(reference, reference.run(max_instructions=budget))
+            fused = build_simulator(kind, program, None, True, predictor)
+            eager = kind.startswith("eager")
+            branch_stops = fork_stops = 0
+            restored = False
+            for stop in range(4, budget, 4):
+                fused.run(max_instructions=budget, stop_instructions=stop)
+                branches = sum(1 for entry in fused._inflight if entry[3])
+                branch_stops += branches > 0
+                fork_stops += fused._active_fork is not None
+                if not restored and branches and (
+                    fused._active_fork is not None or not eager
+                ):
+                    fused = restore_snapshot(capture_snapshot(fused))
+                    restored = True
+            result = fused.run(max_instructions=budget)
+            assert full_digest(fused, result) == expected, kind
+            assert restored and branch_stops, kind
+            if eager:
+                assert fork_stops, kind
 
     @pytest.mark.parametrize("estimator", list(ESTIMATORS))
     def test_snapshot_round_trip_with_low_confidence_in_flight(self, estimator):
@@ -565,7 +492,7 @@ class TestInlinedEstimator:
         paused = build_simulator(kind, program, None, fast=True)
         for stop in range(50, 6_000, 50):
             paused.run(max_instructions=6_000, stop_instructions=stop)
-            if count_low_confidence_inflight(paused, "est"):
+            if paused._low_confidence_inflight:
                 break
         else:
             pytest.fail("no stop had a low-confidence branch in flight")
@@ -627,8 +554,7 @@ target: halt
 
 
 class TestCongestionSingleCharge:
-    @pytest.mark.parametrize("fast", (False, True))
-    def test_one_miss_window_delays_exactly_one_branch(self, fast):
+    def test_one_miss_window_delays_exactly_one_branch(self):
         # fetch_width=2 puts the load + first branch in one fetch
         # group and the second branch in the next cycle's group: the
         # cold-miss congestion window must charge the first branch
@@ -636,7 +562,7 @@ class TestCongestionSingleCharge:
         program = assemble(CONGESTION_PROGRAM)
         config = PipelineConfig(fetch_width=2, commit_width=4, window=16)
         simulator = PipelineSimulator(
-            program, GsharePredictor(), config=config, fast=fast
+            program, GsharePredictor(), config=config, fast=False
         )
         for __ in range(40):
             simulator.step_cycle()
@@ -798,6 +724,26 @@ class TestDecodedProgram:
         assert_equivalent(
             reference, reference.run(), simulator, simulator.run()
         )
+
+    def test_same_instruction_shares_one_closure(self):
+        # closures are interned per process: the same plain instruction
+        # or branch at two PCs, in one program or in two, and in an
+        # unpickled copy, is one function object
+        first = decode_program(assemble(
+            "addi r1, r0, 1\naddi r1, r0, 1\nbne r1, r0, 0\nhalt"
+        ))
+        second = decode_program(assemble(
+            "addi r2, r0, 1\naddi r1, r0, 1\nbne r1, r0, 0\nhalt"
+        ))
+        plain = first.plain_ops[0]
+        assert plain is not None
+        assert first.plain_ops[1] is plain
+        assert second.plain_ops[1] is plain
+        assert second.plain_ops[0] is not plain
+        assert second.branch_ops[2] is first.branch_ops[2]
+        clone = pickle.loads(pickle.dumps(first))
+        assert clone.plain_ops[0] is plain
+        assert clone.branch_ops[2] is first.branch_ops[2]
 
     def test_env_gate_disables_fast_path(self, knobs):
         knobs(pipeline_fast=False)

@@ -4,12 +4,9 @@ import pytest
 
 from repro.confidence import JRSEstimator
 from repro.pipeline import PipelineConfig, PipelineSimulator
+from repro.pipeline.core import _count_low_confidence_inflight
 from repro.predictors import GsharePredictor
-from repro.speculation import (
-    GatedPipelineSimulator,
-    compare_gating,
-    count_low_confidence_inflight,
-)
+from repro.speculation import GatedPipelineSimulator, compare_gating
 from repro.workloads import generate_program, get_profile
 
 
@@ -141,10 +138,11 @@ class TestGating:
             predictor,
             config=PipelineConfig(resolve_stage=25),
             estimators={"jrs": JRSEstimator(threshold=16)},  # always LC
+            fast=False,
         )
         for __ in range(15):
             simulator.step_cycle()
         inflight_branches = sum(1 for e in simulator._inflight if e.is_branch)
         assert (
-            count_low_confidence_inflight(simulator, "jrs") == inflight_branches
+            _count_low_confidence_inflight(simulator, "jrs") == inflight_branches
         )

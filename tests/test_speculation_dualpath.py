@@ -126,6 +126,7 @@ class TestMechanism:
             predictor,
             estimators={"fork": always_lc_factory(predictor)},
             fork_on="fork",
+            fast=False,
         )
         # run manually and check the invariant every cycle
         for __ in range(30_000):
