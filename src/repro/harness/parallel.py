@@ -70,10 +70,10 @@ import tempfile
 import threading
 import time
 import traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import settings
 from ..engine import cache as artifact_cache
@@ -94,6 +94,9 @@ from .experiments import (
 from .shard import segment_count, warm_segment
 from .spec import SPECS
 from .speculation import eager_cell, gating_cell
+
+if TYPE_CHECKING:  # pragma: no cover - the pool class loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
 Journal = Optional[object]  # RunJournal | NullJournal; kwarg convenience
 
@@ -247,6 +250,17 @@ def _init_worker(record: settings.Settings) -> None:
     faults.reset_active_faults()
 
 
+def _process_pool(jobs: int) -> ProcessPoolExecutor:
+    """A pool of ``jobs`` workers, each initialised with this process's
+    settings.  The pool class is imported here, not at module level: it
+    loads ``multiprocessing``, which a serial run never needs."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=(settings.current(),)
+    )
+
+
 def _task_baseline() -> Tuple[CacheStats, MetricsSnapshot]:
     return (
         artifact_cache.get_cache().stats.snapshot(),
@@ -372,11 +386,7 @@ class _Supervisor:
         if self.pool is not None:
             return True
         try:
-            self.pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_init_worker,
-                initargs=(settings.current(),),
-            )
+            self.pool = _process_pool(self.jobs)
         except Exception as error:  # noqa: BLE001 - degrade, never die
             self._pool_failed(error)
             return False

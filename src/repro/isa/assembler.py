@@ -22,6 +22,18 @@ address.
 The synthetic workload generator emits this dialect, so the whole
 workload path (generator -> text -> assembler -> program -> machine) is
 exercised exactly as a user porting their own kernels would exercise it.
+
+Every process assembles the same eight workload programs, whose lines
+repeat heavily, so pass two parses each distinct instruction line that
+names no label once per process: a bounded memo maps the line's text
+to its :class:`Instruction`.  A line that names a label (a branch or
+jump target, ``la``, a label offset in a memory operand) resolves
+against its own program every time, and a line that fails is never
+remembered, so it raises with its own line number wherever it
+recurs.  Parsed instructions are interned, so equal instructions share
+one object across PCs and programs.  A ``.word`` list of numbers is
+parsed with one ``int()`` per value; a list that names a label takes
+the per-token path.
 """
 
 from __future__ import annotations
@@ -49,6 +61,19 @@ _MEM_OPERAND_RE = re.compile(r"^(-?\w+)\((r\d{1,2})\)$")
 
 _OPCODES_BY_NAME = {op.value: op for op in Opcode}
 
+#: Entries each process-wide memo below holds before it starts over.
+_MEMO_LIMIT = 1 << 14
+#: Text of an instruction line that names no label -> its instruction.
+_LINE_MEMO: Dict[str, Instruction] = {}
+#: Every instruction parsed in this process, as its own canonical copy.
+_INTERNED: Dict[Instruction, Instruction] = {}
+
+
+def _remember(memo: dict, key, value) -> None:
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+
 
 def parse_register(token: str, line_no: int) -> int:
     match = _REGISTER_RE.match(token)
@@ -68,15 +93,6 @@ def parse_immediate(token: str, line_no: int) -> int:
 
 
 @dataclass
-class _PendingInstruction:
-    """Instruction text captured in pass one, resolved in pass two."""
-
-    mnemonic: str
-    operands: List[str]
-    line_no: int
-
-
-@dataclass
 class Assembler:
     """Two-pass assembler producing a :class:`Program`.
 
@@ -85,7 +101,8 @@ class Assembler:
     """
 
     name: str = "program"
-    _code: List[_PendingInstruction] = field(default_factory=list)
+    #: (instruction text, line number) captured in pass one.
+    _code: List[Tuple[str, int]] = field(default_factory=list)
     _code_labels: Dict[str, int] = field(default_factory=dict)
     _data_labels: Dict[str, int] = field(default_factory=dict)
     _data: Dict[int, int] = field(default_factory=dict)
@@ -93,10 +110,18 @@ class Assembler:
     #: .word entries naming labels: (word address, label, line) fixups
     #: resolved once all code labels are known (jump tables).
     _data_fixups: List[Tuple[int, str, int]] = field(default_factory=list)
+    #: Set while resolving a line that names a label (never memoised).
+    _names_label: bool = False
 
     def assemble(self, source: str) -> Program:
         self._pass_one(source)
-        instructions = [self._resolve(pending) for pending in self._code]
+        memo = _LINE_MEMO
+        instructions = []
+        for text, line_no in self._code:
+            instruction = memo.get(text)
+            if instruction is None:
+                instruction = self._resolve(text, line_no)
+            instructions.append(instruction)
         for address, label, line_no in self._data_fixups:
             if label in self._code_labels:
                 self._data[address] = self._code_labels[label]
@@ -142,13 +167,7 @@ class Assembler:
                 continue
             if segment != "text":
                 raise AssemblyError("instruction outside .text segment", line_no)
-            mnemonic, __, operand_text = line.partition(" ")
-            operands = [
-                tok.strip() for tok in operand_text.split(",") if tok.strip()
-            ]
-            self._code.append(
-                _PendingInstruction(mnemonic.lower(), operands, line_no)
-            )
+            self._code.append((line, line_no))
 
     def _define_label(self, label: str, segment: str, line_no: int) -> None:
         if label in self._code_labels or label in self._data_labels:
@@ -167,7 +186,17 @@ class Assembler:
         if directive == ".word":
             if segment != "data":
                 raise AssemblyError(".word outside .data segment", line_no)
-            for token in arg_text.split(","):
+            tokens = arg_text.split(",")
+            try:
+                values = [int(token, 0) & 0xFFFFFFFF for token in tokens]
+            except ValueError:  # a label, or a malformed token
+                pass
+            else:
+                cursor = self._data_cursor
+                self._data.update(zip(range(cursor, cursor + len(values)), values))
+                self._data_cursor = cursor + len(values)
+                return segment
+            for token in tokens:
                 token = token.strip()
                 if _LABEL_RE.match(token) and not token.lstrip("-").isdigit():
                     # label reference (e.g. a jump-table entry): fixed up
@@ -193,10 +222,22 @@ class Assembler:
     # pass two: resolve operands and emit instructions
     # ------------------------------------------------------------------
 
-    def _resolve(self, pending: _PendingInstruction) -> Instruction:
-        mnemonic = pending.mnemonic
-        ops = pending.operands
-        line_no = pending.line_no
+    def _resolve(self, text: str, line_no: int) -> Instruction:
+        """Parse one instruction line; memoise it if it names no label."""
+        mnemonic, __, operand_text = text.partition(" ")
+        operands = [tok.strip() for tok in operand_text.split(",") if tok.strip()]
+        self._names_label = False
+        instruction = self._instruction(mnemonic.lower(), operands, line_no)
+        canonical = _INTERNED.get(instruction)
+        if canonical is None:
+            _remember(_INTERNED, instruction, instruction)
+        else:
+            instruction = canonical
+        if not self._names_label:
+            _remember(_LINE_MEMO, text, instruction)
+        return instruction
+
+    def _instruction(self, mnemonic: str, ops: List[str], line_no: int) -> Instruction:
         if mnemonic == "la":  # pseudo-op: load data address
             self._expect(ops, 2, mnemonic, line_no)
             rd = parse_register(ops[0], line_no)
@@ -300,6 +341,7 @@ class Assembler:
 
     def _code_target(self, token: str, line_no: int) -> Tuple[int, Optional[str]]:
         if token in self._code_labels:
+            self._names_label = True
             return self._code_labels[token], token
         if token.lstrip("-").isdigit():
             return int(token), None
@@ -307,6 +349,7 @@ class Assembler:
 
     def _data_address(self, token: str, line_no: int) -> int:
         if token in self._data_labels:
+            self._names_label = True
             return self._data_labels[token]
         raise AssemblyError(f"undefined data label {token!r}", line_no)
 

@@ -848,16 +848,19 @@ class PipelineSimulator:
                             last_line = line
                             # inline Cache.access for the I-side
                             ways = icache_sets[line & icache_set_mask]
-                            if line in ways:
+                            if ways is not None and line in ways:
                                 icache_hits += 1
                                 if ways[-1] != line:
                                     ways.remove(line)
                                     ways.append(line)
                             else:
                                 icache_misses += 1
-                                ways.append(line)
-                                if len(ways) > icache_assoc:
-                                    ways.pop(0)
+                                if ways is None:
+                                    icache_sets[line & icache_set_mask] = [line]
+                                else:
+                                    ways.append(line)
+                                    if len(ways) > icache_assoc:
+                                        ways.pop(0)
                                 fetch_stalled_until = (
                                     cycle + icache_miss_penalty
                                 )
@@ -1085,16 +1088,19 @@ class PipelineSimulator:
                             # inline Cache.access for the D-side
                             dline = address >> dcache_line_shift
                             ways = dcache_sets[dline & dcache_set_mask]
-                            if dline in ways:
+                            if ways is not None and dline in ways:
                                 dcache_hits += 1
                                 if ways[-1] != dline:
                                     ways.remove(dline)
                                     ways.append(dline)
                             else:
                                 dcache_misses += 1
-                                ways.append(dline)
-                                if len(ways) > dcache_assoc:
-                                    ways.pop(0)
+                                if ways is None:
+                                    dcache_sets[dline & dcache_set_mask] = [dline]
+                                else:
+                                    ways.append(dline)
+                                    if len(ways) > dcache_assoc:
+                                        ways.pop(0)
                                 congestion = min(
                                     congestion_cap,
                                     congestion + dcache_miss_penalty,
@@ -1107,16 +1113,19 @@ class PipelineSimulator:
                             address = (regs[rs1s[pc]] + imms[pc]) & WORD_MASK
                             dline = address >> dcache_line_shift
                             ways = dcache_sets[dline & dcache_set_mask]
-                            if dline in ways:
+                            if ways is not None and dline in ways:
                                 dcache_hits += 1
                                 if ways[-1] != dline:
                                     ways.remove(dline)
                                     ways.append(dline)
                             else:
                                 dcache_misses += 1
-                                ways.append(dline)
-                                if len(ways) > dcache_assoc:
-                                    ways.pop(0)
+                                if ways is None:
+                                    dcache_sets[dline & dcache_set_mask] = [dline]
+                                else:
+                                    ways.append(dline)
+                                    if len(ways) > dcache_assoc:
+                                        ways.pop(0)
                                 congestion = min(
                                     congestion_cap,
                                     congestion + dcache_miss_penalty,

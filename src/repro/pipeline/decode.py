@@ -21,7 +21,10 @@ depends on anything but the program text, so this module performs it
   category dispatch and the ``evaluate_alu``/``branch_taken`` if-chains
   from the hot loop.  The closures are interned per process: a plain
   instruction or branch that recurs, at another PC or in another
-  program, reuses its closure.
+  program, reuses its closure,
+* the out-of-order backend's per-PC operand table
+  (:meth:`DecodedProgram.operand_table`) is derived from the same
+  arrays, so every out-of-order simulator of a program shares one.
 
 Two loops step this layout: the pipeline's fused engine
 (:mod:`repro.pipeline.core`) and the functional tracer
@@ -33,7 +36,7 @@ workload in process, and the workload's trace and every simulator of
 it, whatever its backend, share it.  The packed arrays are picklable
 because segment snapshots pickle the simulator together with its
 decoded program; the closures are process-local, so an unpickled
-instance rebuilds them lazily from the arrays.
+instance rebuilds them, and its operand tables, lazily from the arrays.
 
 Executing a plain closure is **exactly** ``Machine.step`` minus the
 bookkeeping the caller batches (``pc`` advance and
@@ -50,9 +53,16 @@ CI report gates check this end to end.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..isa.instructions import SIGN_BIT, WORD_MASK, Instruction, OpCategory, Opcode
+from ..isa.instructions import (
+    LINK_REG,
+    SIGN_BIT,
+    WORD_MASK,
+    Instruction,
+    OpCategory,
+    Opcode,
+)
 from ..isa.program import Program
 
 #: Instruction kinds the fused pipeline loop dispatches on.
@@ -276,6 +286,28 @@ _KIND_BY_CATEGORY = {
 }
 
 
+#: Per category: (register sources read -- none, ``rs1``, or ``rs1``
+#: and ``rs2`` -- and whether ``rd`` is written).  ``jal``'s link write
+#: comes from its kind.
+_CATEGORY_REGISTERS = {
+    OpCategory.ALU_RRR: (2, True),
+    OpCategory.ALU_RRI: (1, True),
+    OpCategory.LUI: (0, True),
+    OpCategory.LOAD: (1, True),
+    OpCategory.STORE: (2, False),
+    OpCategory.BRANCH: (2, False),
+    OpCategory.JUMP: (0, False),
+    OpCategory.JUMP_REGISTER: (1, False),
+    OpCategory.SYSTEM: (0, False),
+}
+_REGISTER_USE = {
+    opcode.value: _CATEGORY_REGISTERS[opcode.category] for opcode in Opcode
+}
+
+#: One row of :meth:`DecodedProgram.operand_table`.
+OperandRow = Tuple[Tuple[int, ...], int, int]
+
+
 def _instruction_kind(instruction: Instruction) -> int:
     opcode = instruction.opcode
     category = opcode.category
@@ -289,7 +321,7 @@ def _instruction_kind(instruction: Instruction) -> int:
 class DecodedProgram:
     """One program's instructions as packed per-PC arrays + closures."""
 
-    __slots__ = _STATE_SLOTS + ("_plain_ops", "_branch_ops")
+    __slots__ = _STATE_SLOTS + ("_plain_ops", "_branch_ops", "_operand_tables")
 
     def __init__(
         self,
@@ -312,6 +344,7 @@ class DecodedProgram:
         self.opcode_names = opcode_names
         self._plain_ops: Optional[List[Optional[Callable]]] = None
         self._branch_ops: Optional[List[Optional[Callable]]] = None
+        self._operand_tables: Optional[Dict[int, List[OperandRow]]] = None
 
     @property
     def plain_ops(self) -> List[Optional[Callable]]:
@@ -349,6 +382,41 @@ class DecodedProgram:
             self._branch_ops = ops
         return ops
 
+    def operand_table(self, memory_latency: int) -> List[OperandRow]:
+        """Per-PC ``(sources without r0, destination or -1, latency)``.
+
+        The out-of-order backend's rename input, built once per
+        ``memory_latency`` (its D-cache hit latency) and shared by every
+        simulator of the program.  ``r0`` reads are always ready and
+        ``r0`` writes are discarded, so neither appears; loads and
+        stores take ``memory_latency`` cycles, everything else one.
+        Equal rows are one tuple.
+        """
+        tables = self._operand_tables
+        if tables is None:
+            tables = self._operand_tables = {}
+        table = tables.get(memory_latency)
+        if table is not None:
+            return table
+        rows: Dict[OperandRow, OperandRow] = {}
+        table = []
+        for name, kind, rd, rs1, rs2 in zip(
+            self.opcode_names, self.kinds, self.rd, self.rs1, self.rs2
+        ):
+            count, writes_rd = _REGISTER_USE[name]
+            sources = (rs1, rs2)[:count]
+            if 0 in sources:
+                sources = tuple([reg for reg in sources if reg])
+            if kind == K_JAL:
+                dest = LINK_REG
+            else:
+                dest = rd if writes_rd and rd else -1
+            latency = memory_latency if kind == K_LOAD or kind == K_STORE else 1
+            row = (sources, dest, latency)
+            table.append(rows.setdefault(row, row))
+        tables[memory_latency] = table
+        return table
+
     def __getstate__(self):
         return {slot: getattr(self, slot) for slot in _STATE_SLOTS}
 
@@ -357,6 +425,7 @@ class DecodedProgram:
             setattr(self, slot, state[slot])
         self._plain_ops = None
         self._branch_ops = None
+        self._operand_tables = None
 
 
 def decode_program(program: Program) -> DecodedProgram:

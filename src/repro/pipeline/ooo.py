@@ -49,11 +49,14 @@ uses) and the reference :meth:`~repro.isa.Machine.step` loop under
 ``fast=False`` or ``REPRO_PIPELINE_FAST=0`` (the only engine
 ``step_cycle()`` steps), the oracle it must match bit for bit.  The hooks take the fields they
 read (sequence, pc, cycles), not in-flight entries, so both engines'
-entry layouts call the same methods.  Operand shapes come from a per-PC
-table built once per simulator, so dispatch never decodes an
-instruction.  All timing state is plain lists/dicts, so the
-whole-simulator pickle snapshots of :mod:`repro.pipeline.snapshot` --
-and therefore segmented runs and ``--resume`` -- work unchanged.
+entry layouts call the same methods.  Operand shapes come from the
+decoded program's per-PC operand table
+(:meth:`~repro.pipeline.decode.DecodedProgram.operand_table`), built
+once per program and shared by every simulator of it on either engine,
+so dispatch never decodes an instruction.  All timing state is plain
+lists/dicts, so the whole-simulator pickle snapshots of
+:mod:`repro.pipeline.snapshot` -- and therefore segmented runs and
+``--resume`` -- work unchanged.
 """
 
 from __future__ import annotations
@@ -64,18 +67,11 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..confidence.base import ConfidenceEstimator
 from ..isa import Program
-from ..isa.instructions import (
-    LINK_REG,
-    NUM_REGISTERS,
-    ZERO_REG,
-    Instruction,
-    OpCategory,
-    Opcode,
-)
+from ..isa.instructions import NUM_REGISTERS
 from ..predictors.base import BranchPredictor
 from .config import PipelineConfig
 from .core import PipelineSimulator
-from .decode import DecodedProgram
+from .decode import DecodedProgram, decode_program
 
 #: Default out-of-order active-list capacity (instructions in flight).
 OOO_WINDOW = 256
@@ -95,7 +91,9 @@ class OutOfOrderSimulator(PipelineSimulator):
     the issue bandwidth and the retire bandwidth; the base
     :class:`~repro.pipeline.config.PipelineConfig` supplies everything
     else (fetch width, caches, penalties).  ``decoded``/``fast`` pick
-    the engine exactly as for the in-order backend.
+    the engine exactly as for the in-order backend; both engines read
+    the operand table off ``decoded`` (decoding ``program`` when none is
+    given).
     """
 
     def __init__(
@@ -128,11 +126,12 @@ class OutOfOrderSimulator(PipelineSimulator):
             fast=fast,
         )
         self.issue_width = issue_width
+        if decoded is None:
+            decoded = self._decoded or decode_program(program)
         #: Per-PC operand shape: (sources without ``r0``, destination
-        #: or -1, execution latency).
-        self._operands = _operand_table(
-            program, self.config.cache_hit_latency
-        )
+        #: or -1, execution latency), shared with every simulator of
+        #: ``decoded``.
+        self._operands = decoded.operand_table(self.config.cache_hit_latency)
         num_phys = NUM_REGISTERS + window
         #: Architectural -> physical register mapping (``r0`` fixed).
         self._rename_map: List[int] = list(range(NUM_REGISTERS))
@@ -227,49 +226,3 @@ class OutOfOrderSimulator(PipelineSimulator):
         slots = self._issue_slots
         for c in [c for c in slots if c < cycle]:
             del slots[c]
-
-
-def _operand_table(
-    program: Program, memory_latency: int
-) -> List[Tuple[Tuple[int, ...], int, int]]:
-    """Per-PC ``(sources without r0, destination or -1, latency)``.
-
-    ``r0`` reads are always ready and ``r0`` writes are discarded, so
-    neither touches the rename state; memory operations take
-    ``memory_latency`` cycles (a D-cache hit), everything else one.
-    """
-    table = []
-    for inst in program.instructions:
-        reads, writes, is_memory = _operand_shape(inst)
-        if ZERO_REG in reads:
-            reads = tuple([reg for reg in reads if reg != ZERO_REG])
-        table.append((
-            reads,
-            -1 if writes == ZERO_REG else writes,
-            memory_latency if is_memory else 1,
-        ))
-    return table
-
-
-def _operand_shape(inst: Instruction) -> Tuple[Tuple[int, ...], int, bool]:
-    """(source regs, destination reg or -1, goes through the D-cache)."""
-    category = inst.opcode.category
-    if category is OpCategory.ALU_RRR:
-        return (inst.rs1, inst.rs2), inst.rd, False
-    if category is OpCategory.ALU_RRI:
-        return (inst.rs1,), inst.rd, False
-    if category is OpCategory.LUI:
-        return (), inst.rd, False
-    if category is OpCategory.LOAD:
-        return (inst.rs1,), inst.rd, True
-    if category is OpCategory.STORE:
-        return (inst.rs1, inst.rs2), -1, True
-    if category is OpCategory.BRANCH:
-        return (inst.rs1, inst.rs2), -1, False
-    if category is OpCategory.JUMP:
-        if inst.opcode is Opcode.JAL:
-            return (), LINK_REG, False
-        return (), -1, False
-    if category is OpCategory.JUMP_REGISTER:
-        return (inst.rs1,), -1, False
-    return (), -1, False  # SYSTEM: halt/nop

@@ -27,8 +27,11 @@ pickles immediately -- ``capture_snapshot`` returns a deep, frozen
 copy by construction, so continuing the live simulator afterwards
 cannot mutate the checkpoint.
 The simulator's ``fast``/``decoded`` machinery cooperates:
-:class:`~repro.pipeline.decode.DecodedProgram` drops its closures on
-pickling and rebuilds them lazily, ``BranchRecordStore`` resets its
+:class:`~repro.pipeline.decode.DecodedProgram` drops its closures and
+out-of-order operand tables on pickling and rebuilds them lazily (an
+out-of-order simulator pickles the table it reads, so a restored one
+keeps its own copy), a cache set the run never touched pickles as
+``None``, ``BranchRecordStore`` resets its
 view and column memos, and the machine's undo-log ``_MISSING``
 sentinel is pickle-stable (see :mod:`repro.isa.machine`).  A snapshot
 is the only place a decoded program is pickled: a restored simulator
@@ -51,8 +54,11 @@ from dataclasses import dataclass
 #: ``/5``: a fused simulator keeps its in-flight entries in the fused
 #: loop's list layout, with its tokens, and carries its gate's running
 #: low-confidence count; a reference simulator still holds ``_Inflight``
-#: entries.
-SNAPSHOT_SCHEMA = "pipeline-snapshot/5"
+#: entries.  ``/6``: a cache set the run never touched is ``None``
+#: rather than an empty list, and an out-of-order simulator's operand
+#: table holds one tuple per distinct row, derived from its decoded
+#: program.
+SNAPSHOT_SCHEMA = "pipeline-snapshot/6"
 
 
 class SnapshotError(RuntimeError):

@@ -37,6 +37,7 @@ programs.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .generator import GuardSpec, WorkloadProfile
@@ -424,8 +425,14 @@ _FACTORIES: Dict[str, Callable[[], WorkloadProfile]] = {
 }
 
 
+@lru_cache(maxsize=None)
 def get_profile(name: str) -> WorkloadProfile:
-    """Return the named benchmark profile (see :data:`SUITE`)."""
+    """Return the named benchmark profile (see :data:`SUITE`).
+
+    Each profile is built once per process and every caller shares it,
+    so never mutate one (its ``guards`` dict included): derive a
+    variant with :func:`dataclasses.replace` instead.
+    """
     try:
         factory = _FACTORIES[name]
     except KeyError:

@@ -2,7 +2,11 @@
 disk-cache integration of the experiment intermediates."""
 
 import inspect
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -268,3 +272,30 @@ class TestReportClock:
         results = run_all(SMOKE, only=["fig1"], jobs=1)
         report = render_report(results, SMOKE)
         assert "generated: 2" in report  # a real timestamp
+
+
+class TestSerialRunImports:
+    def test_serial_run_never_loads_multiprocessing(self, tmp_path):
+        """Only a pool needs ``multiprocessing``: importing the harness
+        and running a serial battery must not pay for loading it."""
+        code = (
+            "import sys\n"
+            "import repro.harness as harness\n"
+            "harness.run_all(harness.SMOKE, only=['tab2', 'fig6',"
+            " 'speculation-gating'], jobs=1)\n"
+            "loaded = sorted(name for name in sys.modules if name == 'multiprocessing'"
+            " or name.startswith(('multiprocessing.', 'concurrent.futures.process')))\n"
+            "assert not loaded, loaded\n"
+        )
+        env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.isa import AssemblyError, Opcode, assemble
+from repro.isa import assembler as assembler_mod
 
 
 class TestBasicAssembly:
@@ -197,3 +198,93 @@ class TestListing:
     def test_listing_limit(self):
         program = assemble("\n".join(["nop"] * 10 + ["halt"]))
         assert "more" in program.listing(limit=3)
+
+
+class TestLineMemo:
+    """Label-free lines are parsed once per process; nothing else leaks."""
+
+    FIRST = """
+        .data
+        buf:   .word 5
+        .text
+        start: beq r1, r0, out
+               la r2, buf
+               lw r3, buf(r2)
+               jal out
+        out:   halt
+    """
+    SECOND = """
+        .data
+        pad:   .space 7
+        buf:   .word 5
+        .text
+        start: nop
+               nop
+               beq r1, r0, out
+               la r2, buf
+               lw r3, buf(r2)
+               jal out
+               nop
+        out:   halt
+    """
+
+    def test_label_lines_resolve_against_their_own_program(self):
+        for __ in range(2):
+            first = assemble(self.FIRST).instructions
+            second = assemble(self.SECOND).instructions
+            assert [(i.opcode, i.imm) for i in first[:4]] == [
+                (Opcode.BEQ, 4),
+                (Opcode.ADDI, 0),
+                (Opcode.LW, 0),
+                (Opcode.JAL, 4),
+            ]
+            assert [(i.opcode, i.imm) for i in second[2:6]] == [
+                (Opcode.BEQ, 7),
+                (Opcode.ADDI, 7),
+                (Opcode.LW, 7),
+                (Opcode.JAL, 7),
+            ]
+
+    def test_equal_instructions_are_one_object(self):
+        first = assemble("addi r1, r1, 1\nli r4, 5\nhalt").instructions
+        second = assemble("nop\naddi r1, r1, 1\naddi r4, r0, 5\nhalt").instructions
+        assert first[0] is second[1]
+        assert first[1] is second[2]
+        assert first[2] is second[3]
+
+    def test_bad_line_raises_with_its_own_line_number(self):
+        for line_no in (1, 3, 2):
+            source = "\n".join(["nop"] * (line_no - 1) + ["add r1, r2, r99", "halt"])
+            with pytest.raises(AssemblyError, match=f"^line {line_no}: register r99"):
+                assemble(source)
+
+    def test_remembered_line_is_still_checked_in_context(self):
+        assemble("addi r1, r1, 1\nj 0")
+        with pytest.raises(AssemblyError, match="^line 3: instruction outside .text"):
+            assemble("halt\n.data\naddi r1, r1, 1")
+        assemble("j out\nout: halt")
+        with pytest.raises(AssemblyError, match="^line 2: undefined code label 'out'"):
+            assemble("nop\nj out")
+
+    def test_memo_is_bounded(self):
+        count = assembler_mod._MEMO_LIMIT + 10
+        source = "\n".join(f"addi r1, r1, {value}" for value in range(count))
+        program = assemble(source + "\nhalt")
+        assert [i.imm for i in program.instructions[:-1]] == list(range(count))
+        assert len(assembler_mod._LINE_MEMO) <= assembler_mod._MEMO_LIMIT
+        assert len(assembler_mod._INTERNED) <= assembler_mod._MEMO_LIMIT
+
+
+class TestWordLists:
+    def test_numbers_in_every_base_and_sign(self):
+        program = assemble(".data\nt: .word 7, 0x10, -1, 0b11 , 1_000\n.text\nhalt")
+        assert program.data == {0: 7, 1: 16, 2: 0xFFFFFFFF, 3: 3, 4: 1000}
+
+    def test_a_list_naming_a_label_takes_the_token_path(self):
+        program = assemble(".data\nt: .word 3, f, -2\n.text\nnop\nf: halt")
+        assert program.data == {0: 3, 1: 1, 2: 0xFFFFFFFE}
+
+    @pytest.mark.parametrize("words", ["010", "1, , 2", "1, 2x", ""])
+    def test_malformed_values_keep_their_error(self, words):
+        with pytest.raises(AssemblyError, match="^line 2: expected immediate"):
+            assemble(f".data\nt: .word {words}\n.text\nhalt")

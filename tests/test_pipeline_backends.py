@@ -26,6 +26,7 @@ contract behind the report's figure 8/9 extension.
 
 import dataclasses
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -33,16 +34,25 @@ from hypothesis import strategies as st
 
 from repro.confidence import JRSEstimator, MispredictionDistanceEstimator
 from repro.engine import workload_program
-from repro.isa import Machine
-from repro.isa.instructions import NUM_REGISTERS
+from repro.isa import Machine, Program
+from repro.isa.instructions import (
+    LINK_REG,
+    NUM_REGISTERS,
+    Instruction,
+    OpCategory,
+    Opcode,
+)
 from repro.pipeline import (
     BACKEND_NAMES,
     DEFAULT_BACKEND,
     DEPTH_HISTOGRAM_KEY,
     DistanceCounts,
     OutOfOrderSimulator,
+    PipelineConfig,
     PipelineSimulator,
     create_simulator,
+    decode_program,
+    decoded_run,
     normalize_backend,
 )
 from repro.predictors import make_predictor
@@ -112,6 +122,103 @@ class TestBackendRegistry:
     def test_speculation_simulator_maps_cover_all_backends(self):
         assert set(GATED_SIMULATORS) == set(BACKEND_NAMES)
         assert set(EAGER_SIMULATORS) == set(BACKEND_NAMES)
+
+
+# ----------------------------------------------------------------------
+# the out-of-order operand table
+# ----------------------------------------------------------------------
+
+
+def expected_operand_row(instruction, memory_latency):
+    """(sources without r0, destination or -1, latency) of one
+    instruction, read off its opcode category."""
+    category = instruction.opcode.category
+    rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
+    sources = {
+        OpCategory.ALU_RRR: (rs1, rs2),
+        OpCategory.ALU_RRI: (rs1,),
+        OpCategory.LOAD: (rs1,),
+        OpCategory.STORE: (rs1, rs2),
+        OpCategory.BRANCH: (rs1, rs2),
+        OpCategory.JUMP_REGISTER: (rs1,),
+    }.get(category, ())
+    writes_rd = category in (
+        OpCategory.ALU_RRR,
+        OpCategory.ALU_RRI,
+        OpCategory.LUI,
+        OpCategory.LOAD,
+    )
+    if instruction.opcode is Opcode.JAL:
+        dest = LINK_REG
+    else:
+        dest = rd if writes_rd and rd != 0 else -1
+    memory = category in (OpCategory.LOAD, OpCategory.STORE)
+    return (
+        tuple(reg for reg in sources if reg != 0),
+        dest,
+        memory_latency if memory else 1,
+    )
+
+
+def every_opcode_program():
+    """Each opcode with r0 in every operand slot, then with random
+    registers in every slot, fields its form ignores included."""
+    rng = random.Random(7)
+    instructions = []
+    for opcode in Opcode:
+        if opcode is Opcode.HALT:
+            continue
+        instructions.append(Instruction(opcode))
+        for __ in range(4):
+            rd, rs1, rs2 = (rng.randrange(NUM_REGISTERS) for __ in range(3))
+            instructions.append(Instruction(opcode, rd=rd, rs1=rs1, rs2=rs2, imm=1))
+    instructions.append(Instruction(Opcode.HALT, rd=3, rs1=4, rs2=5))
+    return Program(instructions=instructions)
+
+
+class TestOperandTable:
+    @pytest.mark.parametrize("memory_latency", [1, 2, 5])
+    def test_table_equals_the_per_instruction_derivation(self, memory_latency):
+        program = every_opcode_program()
+        expected = [
+            expected_operand_row(instruction, memory_latency)
+            for instruction in program.instructions
+        ]
+        assert decode_program(program).operand_table(memory_latency) == expected
+        config = PipelineConfig(cache_hit_latency=memory_latency)
+        for fast in (True, False):
+            simulator = OutOfOrderSimulator(
+                program, make_predictor("gshare"), config=config, fast=fast
+            )
+            assert simulator._operands == expected
+
+    def test_simulators_of_a_workload_share_one_table(self):
+        from repro.harness.shard import build_cell_simulator
+
+        decoded = decoded_run("compress", 5)
+        program = workload_program("compress", 5)
+        simulators = [
+            build_cell_simulator("compress", name, 5, "ooo")
+            for name in ("gshare", "mcfarling")
+        ] + [
+            create_simulator(
+                program,
+                make_predictor("gshare"),
+                backend="ooo",
+                decoded=decoded,
+                fast=False,
+            )
+            for __ in range(2)
+        ]
+        table = decoded.operand_table(PipelineConfig().cache_hit_latency)
+        assert all(simulator._operands is table for simulator in simulators)
+
+    def test_pickling_drops_the_table(self):
+        decoded = decode_program(workload_program("compress", 5))
+        table = decoded.operand_table(2)
+        restored = pickle.loads(pickle.dumps(decoded))
+        assert restored._operand_tables is None
+        assert restored.operand_table(2) == table
 
 
 # ----------------------------------------------------------------------

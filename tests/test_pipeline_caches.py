@@ -1,5 +1,7 @@
 """Tests for the set-associative LRU caches."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,9 +68,58 @@ class TestCacheBasics:
         cache.access(0)
         cache.access(16)
         assert cache.contains(0)
-        before = [list(ways) for ways in cache._sets]
+        before = [list(ways or ()) for ways in cache._sets]
         cache.contains(0)
-        assert [list(ways) for ways in cache._sets] == before
+        assert [list(ways or ()) for ways in cache._sets] == before
+
+
+class ListPerSetCache:
+    """Reference model: every set an eagerly allocated LRU list."""
+
+    def __init__(self, config):
+        self.config = config
+        self.sets = [[] for __ in range(config.num_sets)]
+        self.hits = self.misses = 0
+
+    def access(self, address):
+        line = address // self.config.line_words
+        ways = self.sets[line % self.config.num_sets]
+        if line in ways:
+            self.hits += 1
+            ways.remove(line)
+            ways.append(line)
+            return True
+        self.misses += 1
+        ways.append(line)
+        if len(ways) > self.config.associativity:
+            ways.pop(0)
+        return False
+
+
+class TestSetsOnFirstUse:
+    def test_fresh_cache_holds_no_set_list(self):
+        cache = Cache(CacheConfig(size_words=1024))
+        assert cache._sets == [None] * cache.config.num_sets
+        assert not cache.contains(0)
+        assert cache._sets == [None] * cache.config.num_sets
+        cache.access(5)
+        allocated = [ways for ways in cache._sets if ways is not None]
+        assert allocated == [[5 // cache.config.line_words]]
+
+    @pytest.mark.parametrize("associativity", [1, 2, 4])
+    def test_matches_eagerly_allocated_sets(self, associativity):
+        config = CacheConfig(size_words=256, line_words=4, associativity=associativity)
+        cache, reference = Cache(config), ListPerSetCache(config)
+        rng = random.Random(associativity)
+        for __ in range(3000):
+            address = rng.randrange(2048)
+            assert cache.access(address) == reference.access(address)
+            probe = rng.randrange(2048)
+            line = probe // config.line_words
+            expected = line in reference.sets[line % config.num_sets]
+            assert cache.contains(probe) == expected
+        assert (cache.hits, cache.misses) == (reference.hits, reference.misses)
+        assert [ways or [] for ways in cache._sets] == reference.sets
 
 
 class TestConfigValidation:
@@ -98,7 +149,7 @@ def test_sets_never_exceed_associativity(addresses):
     cache = Cache(CacheConfig(size_words=128, line_words=4, associativity=2))
     for address in addresses:
         cache.access(address)
-        assert all(len(ways) <= 2 for ways in cache._sets)
+        assert all(len(ways or ()) <= 2 for ways in cache._sets)
 
 
 @settings(max_examples=40, deadline=None)

@@ -275,7 +275,7 @@ class TestPoolLevelDegradation:
             def __init__(self, *args, **kwargs):
                 raise OSError("no processes for you")
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(parallel_mod, "_process_pool", NoPool)
         path = tmp_path / "nopool.jsonl"
         with RunJournal(path) as journal:
             results = run_all(SMOKE, only=["fig1", "tab3"], jobs=2, journal=journal)
