@@ -10,12 +10,15 @@ branches resolve, and how squash recovery restores machine state.
 Backends plug in by subclassing :class:`PipelineSimulator` and
 overriding the timing hooks it changes among ``_dispatch``,
 ``_retire_entry`` and ``_rollback`` (their docstrings there define the
-surface).  Both engines -- the fused ``run()`` loop and the reference
-one -- call the hooks at the same points with the same arguments: a
-backend that overrides ``_dispatch`` gets one in-flight entry per
-instruction from both, and only one that does not (the in-order one)
-has its non-branch instructions grouped by the fused engine.  Two ship
-with the repository:
+surface).  Only the reference engine calls the hooks.  The fused
+``run()`` loop carries each shipped backend's timing model inline
+instead: it groups the in-order backend's non-branch instructions and
+gives the out-of-order one an entry per instruction.  Building a class
+whose hooks are neither backend's for the fused engine raises
+``TypeError`` (it runs with ``fast=False``).  A new backend therefore
+adds its model to both engines: the hooks, which are its oracle, and
+an inline copy in ``PipelineSimulator._run_fast``, which the
+fused-vs-reference tests hold to them.  Two ship with the repository:
 
 ``inorder``
     :class:`~repro.pipeline.core.PipelineSimulator` itself -- the

@@ -51,12 +51,13 @@ class.  A simulator picks one when it is built (``fast=``, else
   counter is bumped arithmetically), and non-branch instructions
   fetched in the same cycle share one grouped in-flight entry that
   commit drains by count.  It logs no branch, so its per-branch cost
-  is the tally's two increments at fetch and two at commit.  A backend
-  that overrides ``_dispatch`` (the out-of-order one) times every
-  instruction itself, so for it the loop emits one entry per
-  instruction and dispatches each where the reference engine does.
-  Its in-flight entries keep the loop's list layout between runs and
-  in segment snapshots, so it has no ``step_cycle()``.
+  is the tally's two increments at fetch and two at commit.  It calls
+  no backend hook: it carries both timing models inline, the in-order
+  one and the out-of-order one of
+  :class:`~repro.pipeline.ooo.OutOfOrderSimulator`, which times every
+  instruction and so gets one entry per instruction.  Its in-flight
+  entries keep the loop's list layout between runs and in segment
+  snapshots, so it has no ``step_cycle()``.
 
 The byte-identity tests and the CI golden report legs compare the two
 engines end to end.
@@ -66,10 +67,12 @@ two speculation-control decisions, fetch gating (``gate_on``) and
 dual-path forking (``fork_on``) -- is state of this class that both
 engines read; the gated and eager simulators of
 :mod:`repro.speculation` only validate and set it.  The execution model
-behind the front end is pluggable through three backend hooks,
-``_dispatch``, ``_retire_entry`` and ``_rollback`` (their docstrings
-below define the surface).
-This class is itself the ``inorder`` backend;
+behind the front end is a backend.  The reference engine calls its
+three hooks, ``_dispatch``, ``_retire_entry`` and ``_rollback`` (their
+docstrings below define the surface); the fused engine carries each
+shipped backend's model inline instead, and refuses (``TypeError``) a
+class whose hooks are neither backend's, so a new backend adds its
+model to both engines.  This class is itself the ``inorder`` backend;
 :class:`repro.pipeline.ooo.OutOfOrderSimulator` swaps an R10K-style
 out-of-order window in behind the same front end.
 """
@@ -94,6 +97,7 @@ from .caches import Cache
 from .config import PipelineConfig
 from .decode import (
     K_BRANCH,
+    K_HALT,
     K_JAL,
     K_JR,
     K_JUMP,
@@ -158,6 +162,32 @@ def _count_low_confidence_inflight(simulator: PipelineSimulator, name: str) -> i
                         count += 1
                     break
     return count
+
+
+#: ``stats.extra`` key of the out-of-order backend's {window depth ->
+#: mispredict count} histogram, recorded at every misprediction
+#: recovery (both engines write it).
+DEPTH_HISTOGRAM_KEY = "ooo_mispredict_window_depth"
+
+#: The backend hooks: the reference engine's timing surface.
+_BACKEND_HOOKS = ("_dispatch", "_retire_entry", "_rollback")
+
+
+def _carries_ooo_timing(cls) -> bool:
+    """Whether the fused loop times ``cls`` with the out-of-order model
+    (its hooks are :class:`~repro.pipeline.ooo.OutOfOrderSimulator`'s)
+    or the in-order one (the no-ops here).  The loop carries those two
+    models inline and calls no hook, so any other hooks raise."""
+    from .ooo import OutOfOrderSimulator  # ooo.py imports this module
+
+    hooks = [getattr(cls, name) for name in _BACKEND_HOOKS]
+    for model, ooo in ((PipelineSimulator, False), (OutOfOrderSimulator, True)):
+        if hooks == [getattr(model, name) for name in _BACKEND_HOOKS]:
+            return ooo
+    raise TypeError(
+        f"{cls.__name__} overrides a backend hook with a timing model the"
+        " fused engine does not carry: build it with fast=False"
+    )
 
 
 def _forked_history(predictor: BranchPredictor):
@@ -244,6 +274,7 @@ class PipelineSimulator:
         if fast is None:
             fast = settings.current().pipeline_fast
         if fast:
+            _carries_ooo_timing(type(self))  # TypeError for uncarried hooks
             self._decoded = decoded if decoded is not None else decode_program(
                 program
             )
@@ -362,13 +393,6 @@ class PipelineSimulator:
             self._max_instructions = None
         return self.result()
 
-    def _hook(self, name: str):
-        """This simulator's bound backend hook ``name``, or ``None``
-        when its class keeps the in-order no-op."""
-        if getattr(type(self), name) is getattr(PipelineSimulator, name):
-            return None
-        return getattr(self, name)
-
     def _run_fast(
         self,
         max_cycles: int,
@@ -392,8 +416,6 @@ class PipelineSimulator:
         counters, the gating and fork state -- lives in locals and is
         written back in the ``finally`` block; that is only sound
         because *every* mutator of that state is inlined here.  The
-        backend hooks a class overrides are called where the reference
-        engine calls them, and touch only the backend's own state.  The
         gate counts the low-confidence branches in flight (+1 at fetch,
         -1 at commit, 0 at squash) in ``_low_confidence_inflight``
         where the reference engine rescans the window.
@@ -435,6 +457,19 @@ class PipelineSimulator:
         protocol calls.  The kinds depend only on the simulator's
         predictor and estimators, so a resumed run reads the tokens its
         earlier runs left in flight.
+
+        The loop calls no backend hook; it carries the timing model of
+        each backend the class can have (:func:`_carries_ooo_timing`).
+        The in-order one is the ``resolve_stage`` ready cycle above.
+        The out-of-order one renames, claims an issue slot, retires and
+        rolls back exactly as ``OutOfOrderSimulator``'s ``_dispatch``,
+        ``_retire_entry`` and ``_rollback`` do (the reference engine's
+        oracle), on aliases of that simulator's own rename and issue
+        containers, which it changes in place.  It times every
+        instruction, so it gets one entry per instruction: a plain run
+        appends and dispatches each instruction as it executes, and no
+        entry is grouped.  Only the rare issue-ledger prune stays a call,
+        to the same ``_prune_issue_slots`` both engines share.
 
         ``machine.regs`` is re-hoisted every cycle because misprediction
         recovery rebinds it, and ``machine.instructions_retired`` is
@@ -516,15 +551,8 @@ class PipelineSimulator:
         try:
             config = self.config
             decoded = self._decoded
-            # backend hooks this class overrides (None: in-order no-op)
-            dispatch = self._hook("_dispatch")
-            retire = self._hook("_retire_entry")
-            rollback = self._hook("_rollback")
             kinds = decoded.kinds
             run_len = decoded.run_len
-            if dispatch is not None:
-                # the backend times every instruction: one entry each
-                run_len = [1 if length else 0 for length in run_len]
             plain_ops = decoded.plain_ops
             branch_ops = decoded.branch_ops
             imms = decoded.imm
@@ -552,6 +580,23 @@ class PipelineSimulator:
             window = config.window
             resolve_stage = config.resolve_stage
             mispredict_penalty = config.mispredict_penalty
+            # the out-of-order timing model, inlined (docstring): the
+            # simulator's own rename and issue containers, changed in place
+            ooo = _carries_ooo_timing(type(self))
+            if ooo:
+                operands = self._operands
+                rename_map = self._rename_map
+                phys_ready = self._phys_ready
+                free_regs = self._free_regs
+                free_popleft = free_regs.popleft
+                free_append = free_regs.append
+                rename_of = self._rename_of
+                rename_pop = rename_of.pop
+                issue_slots = self._issue_slots
+                issue_claimed = issue_slots.get
+                issue_width = self.issue_width
+                prune_at = 4 * window
+                prune = self._prune_issue_slots
             gate_threshold = self.gate_threshold
             fork_switch_penalty = self.fork_switch_penalty
             fork_history = _forked_history(predictor) if fork_slot >= 0 else None
@@ -648,8 +693,11 @@ class PipelineSimulator:
                         inflight_count -= 1
                         committed += 1
                         committed_instructions += 1
-                        if retire is not None:
-                            retire(entry[0])
+                        if ooo:
+                            # inline OutOfOrderSimulator._retire_entry
+                            info = rename_pop(entry[0], None)
+                            if info is not None:
+                                free_append(info[2])
                         if entry[4]:  # is_halt
                             program_done = True
                             break
@@ -796,11 +844,20 @@ class PipelineSimulator:
                                 break
                             # inline _recover_from; pending retired are
                             # all wrong-path, the restore discards them
-                            if rollback is not None:
-                                rollback(
-                                    inflight_count,
-                                    [younger[0] for younger in reversed(inflight)],
+                            if ooo:
+                                # inline OutOfOrderSimulator._rollback
+                                depths = stats.extra.setdefault(
+                                    DEPTH_HISTOGRAM_KEY, {}
                                 )
+                                depths[inflight_count] = (
+                                    depths.get(inflight_count, 0) + 1
+                                )
+                                for younger in reversed(inflight):
+                                    info = rename_pop(younger[0], None)
+                                    if info is not None:
+                                        rename_map[info[0]] = info[2]
+                                        free_regs.appendleft(info[1])
+                                issue_slots.clear()
                             machine.restore(entry[9])
                             retired = 0
                             squashed_instructions += inflight_count
@@ -881,16 +938,53 @@ class PipelineSimulator:
                             if pc + run > line_end:
                                 run = line_end - pc
                             end = pc + run
+                            icache_hits += run - 1
+                            retired += run
+                            fetched += run
+                            inflight_count += run
+                            if ooo:
+                                # one entry per instruction, each renamed
+                                # and issued as it executes
+                                while pc < end:
+                                    op = plain_ops[pc]
+                                    if op is not None:
+                                        op(regs)
+                                    # inline OutOfOrderSimulator._dispatch
+                                    sources, dest, latency = operands[pc]
+                                    issue = cycle + 1
+                                    for reg in sources:
+                                        reg_ready = phys_ready[rename_map[reg]]
+                                        if reg_ready > issue:
+                                            issue = reg_ready
+                                    claimed = issue_claimed(issue, 0)
+                                    while claimed >= issue_width:
+                                        issue += 1
+                                        claimed = issue_claimed(issue, 0)
+                                    issue_slots[issue] = claimed + 1
+                                    done = issue + latency
+                                    if dest >= 0:
+                                        new_phys = free_popleft()
+                                        rename_of[sequence] = (
+                                            dest, new_phys, rename_map[dest]
+                                        )
+                                        rename_map[dest] = new_phys
+                                        phys_ready[new_phys] = done
+                                    if len(issue_slots) > prune_at:
+                                        prune(cycle)
+                                    inflight_append([
+                                        sequence, pc, 1, False, False, None,
+                                        None, False, False, None,
+                                        done if done > ready else ready, -1,
+                                    ])
+                                    sequence += 1
+                                    pc += 1
+                                continue
                             index = pc
                             while index < end:
                                 op = plain_ops[index]
                                 if op is not None:
                                     op(regs)
                                 index += 1
-                            icache_hits += run - 1
-                            retired += run
-                            fetched += run
-                            inflight_count += run
                             if group is not None:
                                 group[2] += run  # count
                             else:
@@ -899,11 +993,6 @@ class PipelineSimulator:
                                     None, False, False, None, ready, -1,
                                 ]
                                 inflight_append(group)
-                                if dispatch is not None:
-                                    group[10] = dispatch(
-                                        sequence, pc, ready, cycle
-                                    )
-                                    group = None
                             sequence += run
                             pc = end
                             continue
@@ -1027,10 +1116,25 @@ class PipelineSimulator:
                             else:
                                 entry_assessments = None
                                 fork = False
-                            if dispatch is not None:
-                                branch_ready = dispatch(
-                                    sequence, pc, branch_ready, cycle
-                                )
+                            if ooo:
+                                # inline OutOfOrderSimulator._dispatch (a
+                                # branch writes no register)
+                                sources, __, latency = operands[pc]
+                                issue = cycle + 1
+                                for reg in sources:
+                                    reg_ready = phys_ready[rename_map[reg]]
+                                    if reg_ready > issue:
+                                        issue = reg_ready
+                                claimed = issue_claimed(issue, 0)
+                                while claimed >= issue_width:
+                                    issue += 1
+                                    claimed = issue_claimed(issue, 0)
+                                issue_slots[issue] = claimed + 1
+                                done = issue + latency
+                                if len(issue_slots) > prune_at:
+                                    prune(cycle)
+                                if done > branch_ready:
+                                    branch_ready = done
                             entry = [
                                 sequence, pc, 1, True, False, prediction,
                                 entry_assessments, taken, mispredicted,
@@ -1139,40 +1243,53 @@ class PipelineSimulator:
                             next_pc = imms[pc]
                         elif kind == K_JR:
                             next_pc = regs[rs1s[pc]]
-                        else:  # K_HALT
+                        else:  # K_HALT: its own entry ends the fetch group
                             machine.halted = True
-                            retired += 1
-                            fetched += 1
-                            inflight_count += 1
-                            inflight_append([
-                                sequence, pc, 1, False, True, None,
-                                None, False, False, None,
-                                ready if dispatch is None
-                                else dispatch(sequence, pc, ready, cycle),
-                                -1,
-                            ])
-                            sequence += 1
-                            pc = pc + 1
+                            next_pc = pc + 1
                             group = None
-                            break
                         retired += 1
                         fetched += 1
                         inflight_count += 1
-                        if group is not None:
+                        if ooo:
+                            # inline OutOfOrderSimulator._dispatch
+                            sources, dest, latency = operands[pc]
+                            issue = cycle + 1
+                            for reg in sources:
+                                reg_ready = phys_ready[rename_map[reg]]
+                                if reg_ready > issue:
+                                    issue = reg_ready
+                            claimed = issue_claimed(issue, 0)
+                            while claimed >= issue_width:
+                                issue += 1
+                                claimed = issue_claimed(issue, 0)
+                            issue_slots[issue] = claimed + 1
+                            done = issue + latency
+                            if dest >= 0:
+                                new_phys = free_popleft()
+                                rename_of[sequence] = (
+                                    dest, new_phys, rename_map[dest]
+                                )
+                                rename_map[dest] = new_phys
+                                phys_ready[new_phys] = done
+                            if len(issue_slots) > prune_at:
+                                prune(cycle)
+                            inflight_append([
+                                sequence, pc, 1, False, kind == K_HALT, None,
+                                None, False, False, None,
+                                done if done > ready else ready, -1,
+                            ])
+                        elif group is not None:
                             group[2] += 1  # count
                         else:
                             group = [
-                                sequence, pc, 1, False, False, None,
+                                sequence, pc, 1, False, kind == K_HALT, None,
                                 None, False, False, None, ready, -1,
                             ]
                             inflight_append(group)
-                            if dispatch is not None:
-                                group[10] = dispatch(
-                                    sequence, pc, ready, cycle
-                                )
-                                group = None
                         sequence += 1
                         pc = next_pc
+                        if kind == K_HALT:
+                            break
                     machine.pc = pc
                     fetched_instructions += fetched
                 cycle += 1
@@ -1493,7 +1610,8 @@ class PipelineSimulator:
         self.machine.pc = target if prediction.taken else pc + 1
 
     # ------------------------------------------------------------------
-    # backend hooks (both engines; the in-order backend's are no-ops)
+    # backend hooks (the reference engine's; the in-order ones are
+    # no-ops, and the fused engine carries both backends' models inline)
     # ------------------------------------------------------------------
 
     def _dispatch(self, sequence: int, pc: int, ready_cycle: int, cycle: int) -> int:
@@ -1501,15 +1619,13 @@ class PipelineSimulator:
         window at fetch ``cycle``, after branch prediction and
         recording; return its ready (commit) cycle, never below the
         front end's ``ready_cycle``.  An override should read only its
-        arguments and its own state (the fused engine keeps the front
-        end's in locals).  The in-order backend keeps ``ready_cycle``,
-        which lets the fused engine group entries and skip the call."""
+        arguments and its own state.  The in-order backend keeps
+        ``ready_cycle``, which lets the fused engine group entries."""
         return ready_cycle
 
     def _retire_entry(self, sequence: int) -> None:
         """Backend hook: instruction ``sequence`` left the window at
-        commit, before halt/branch handling (grouped in-order drains
-        never call it)."""
+        commit, before halt/branch handling."""
 
     def _rollback(self, depth: int, squashed: Sequence[int]) -> None:
         """Backend hook: a resolving misprediction squashes the

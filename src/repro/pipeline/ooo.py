@@ -14,8 +14,8 @@ out-of-order execution model, through the three backend hooks
   ``NUM_REGISTERS + window`` (so the free list can never run dry while
   the active list bounds in-flight work); ``r0`` is never renamed,
 * **active list**: the in-flight deque itself, bounded by the
-  configurable ``window`` (instructions, not groups -- because this
-  backend overrides ``_dispatch``, both engines give it one entry per
+  configurable ``window`` (instructions, not groups -- this backend
+  times every instruction, so both engines give it one entry per
   instruction), with each entry's previous mapping kept for in-order
   release at retire,
 * **issue queue**: every dispatched instruction computes its wakeup
@@ -42,15 +42,18 @@ observed at every misprediction recovery is accumulated in
 ``stats.extra`` (see :data:`DEPTH_HISTOGRAM_KEY`) so reports can put
 the two backends' distance distributions side by side.
 
-The backend runs on the two shared engines like any other, each
-simulator on the one it was built with: the fused ``run()`` loop by
-default (on the same per-workload decoded program the in-order backend
-uses) and the reference :meth:`~repro.isa.Machine.step` loop under
-``fast=False`` or ``REPRO_PIPELINE_FAST=0`` (the only engine
-``step_cycle()`` steps), the oracle it must match bit for bit.  The hooks take the fields they
-read (sequence, pc, cycles), not in-flight entries, so both engines'
-entry layouts call the same methods.  Operand shapes come from the
-decoded program's per-PC operand table
+The backend runs on the two shared engines, each simulator on the one
+it was built with: the fused ``run()`` loop by default (on the same
+per-workload decoded program the in-order backend uses) and the
+reference :meth:`~repro.isa.Machine.step` loop under ``fast=False`` or
+``REPRO_PIPELINE_FAST=0`` (the only engine ``step_cycle()`` steps).
+Only the reference engine calls the hooks below: they are this model's
+oracle.  The fused loop carries an inline copy of the model in
+:meth:`~repro.pipeline.core.PipelineSimulator._run_fast`, on the same
+state, and the fused-vs-reference tests hold it to the hooks bit for
+bit, as the predictors' ``predict``/``resolve`` are held to their
+inlined copies.  A change to the model changes both.  Operand shapes
+come from the decoded program's per-PC operand table
 (:meth:`~repro.pipeline.decode.DecodedProgram.operand_table`), built
 once per program and shared by every simulator of it on either engine,
 so dispatch never decodes an instruction.  All timing state is plain
@@ -70,7 +73,7 @@ from ..isa import Program
 from ..isa.instructions import NUM_REGISTERS
 from ..predictors.base import BranchPredictor
 from .config import PipelineConfig
-from .core import PipelineSimulator
+from .core import DEPTH_HISTOGRAM_KEY, PipelineSimulator
 from .decode import DecodedProgram, decode_program
 
 #: Default out-of-order active-list capacity (instructions in flight).
@@ -79,9 +82,6 @@ OOO_WINDOW = 256
 OOO_ISSUE_WIDTH = 8
 #: Default retire bandwidth (instructions leaving the window per cycle).
 OOO_COMMIT_WIDTH = 8
-#: ``stats.extra`` key holding the {window depth -> mispredict count}
-#: histogram recorded at every misprediction recovery.
-DEPTH_HISTOGRAM_KEY = "ooo_mispredict_window_depth"
 
 
 class OutOfOrderSimulator(PipelineSimulator):
@@ -146,7 +146,7 @@ class OutOfOrderSimulator(PipelineSimulator):
         self._issue_slots: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # backend hooks
+    # backend hooks (the reference engine's; _run_fast inlines them)
     # ------------------------------------------------------------------
 
     def _dispatch(self, sequence: int, pc: int, ready_cycle: int, cycle: int) -> int:
@@ -222,7 +222,8 @@ class OutOfOrderSimulator(PipelineSimulator):
     # ------------------------------------------------------------------
 
     def _prune_issue_slots(self, cycle: int) -> None:
-        """Drop spent (< ``cycle``) entries from the issue-port ledger."""
+        """Drop spent (< ``cycle``) entries from the issue-port ledger
+        (both engines call it)."""
         slots = self._issue_slots
         for c in [c for c in slots if c < cycle]:
             del slots[c]

@@ -11,8 +11,9 @@ Two nets, matching the frontend/backend split:
   predictors and estimator attachments;
 * the **out-of-order** backend (plain, gated and eager) must be
   bit-identical between the fused engine and the reference loop --
-  the same digest plus the rename state and the window-depth
-  histogram -- and self-consistent: the same cell run whole, run
+  the same digest plus the whole timing state (rename, physical-register
+  ready cycles, issue-port ledger) and the window-depth histogram --
+  and self-consistent: the same cell run whole, run
   segmented (paused at arbitrary instruction stops), and
   pickled/unpickled at every boundary must be indistinguishable on
   either fetch engine, and its committed architectural state must
@@ -122,6 +123,46 @@ class TestBackendRegistry:
     def test_speculation_simulator_maps_cover_all_backends(self):
         assert set(GATED_SIMULATORS) == set(BACKEND_NAMES)
         assert set(EAGER_SIMULATORS) == set(BACKEND_NAMES)
+
+
+def toy_backend(base, hook):
+    """A subclass of ``base`` whose ``hook`` counts its calls: a timing
+    model of its own, as far as the fused engine can tell."""
+
+    def counting(self, *args):
+        self.toy_calls += 1
+        return getattr(base, hook)(self, *args)
+
+    return type(f"Toy{base.__name__}", (base,), {hook: counting, "toy_calls": 0})
+
+
+class TestUncarriedTimingModel:
+    """The fused loop carries the in-order and out-of-order timing
+    models inline and calls no backend hook, so it refuses a class with
+    other hooks; the reference engine, which calls them, runs it."""
+
+    @pytest.mark.parametrize(
+        "base, hook",
+        [
+            (PipelineSimulator, "_dispatch"),
+            (OutOfOrderSimulator, "_retire_entry"),
+            (OutOfOrderSimulator, "_rollback"),
+        ],
+    )
+    def test_fused_engine_refuses_and_reference_runs(self, base, hook, knobs):
+        knobs(pipeline_fast=True)  # what fast=None follows
+        toy = toy_backend(base, hook)
+        program = workload_program("compress", 30)
+        for fast in (True, None):
+            with pytest.raises(TypeError, match="fast=False"):
+                toy(program, make_predictor("gshare"), fast=fast)
+        simulator = toy(program, make_predictor("gshare"), fast=False)
+        result = simulator.run(max_instructions=2000)
+        assert simulator.toy_calls
+        reference = base(program, make_predictor("gshare"), fast=False)
+        assert _digest(simulator, result) == _digest(
+            reference, reference.run(max_instructions=2000)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -349,12 +390,16 @@ def ooo_simulators(draw):
 
 
 def _ooo_state(simulator, result):
-    """The digest plus the rename state and the depth histogram."""
+    """The digest plus the whole timing state (rename map, free list,
+    in-flight writers, physical-register ready cycles, issue-port
+    ledger) and the depth histogram."""
     return (
         _digest(simulator, result),
         list(simulator._rename_map),
         list(simulator._free_regs),
         dict(simulator._rename_of),
+        list(simulator._phys_ready),
+        dict(simulator._issue_slots),
         dict(result.stats.extra.get(DEPTH_HISTOGRAM_KEY, {})),
     )
 
@@ -371,7 +416,7 @@ def test_ooo_fast_and_reference_identical(
 ):
     """Random program x predictor x OoO simulator: the pre-decoded fast
     fetch and the reference loop leave identical stats, distance
-    counts, quadrants, machine state, rename state and depth histogram
+    counts, quadrants, machine state, timing state and depth histogram
     (the reference loop's branch log recounting to those counts), and
     both equal the golden functional machine."""
     simulator_class, kwargs, with_estimators = simulator_spec
@@ -544,6 +589,32 @@ class TestDepthHistogram:
         result = simulator.run(max_instructions=4000)
         assert result.stats.committed_mispredictions > 0
         assert DEPTH_HISTOGRAM_KEY not in result.stats.extra
+
+
+def test_issue_ledger_prune_identical_on_both_engines(monkeypatch):
+    """The default 256-entry window never lets the issue-port ledger
+    outgrow its prune bound (four windows of cycles) in the battery's
+    cells; an 8-entry window with one issue port does, so both engines
+    must prune it, and end in the same timing state."""
+    prunes = {False: 0, True: 0}
+    prune = OutOfOrderSimulator._prune_issue_slots
+
+    def counting_prune(simulator, cycle):
+        prunes[simulator._decoded is not None] += 1
+        prune(simulator, cycle)
+
+    monkeypatch.setattr(OutOfOrderSimulator, "_prune_issue_slots", counting_prune)
+    program = workload_program("compress", 30)
+    states = []
+    for fast in (False, True):
+        simulator = OutOfOrderSimulator(
+            program, make_predictor("gshare"), fast=fast, window=8, issue_width=1
+        )
+        result = simulator.run(max_instructions=3000)
+        assert result.stats.committed_instructions == 3000
+        states.append(_ooo_state(simulator, result))
+    assert prunes[False] and prunes[True] == prunes[False]
+    assert states[0] == states[1]
 
 
 class TestSpeculationMixins:

@@ -148,7 +148,9 @@ def build_simulator(kind, program, config, fast, predictor="gshare"):
 def full_digest(simulator, result):
     """Everything a run leaves behind but the reference engine's log:
     stats, distance counts, machine and cache state, quadrants,
-    estimator state, gating/fork counters, rename state."""
+    estimator state, gating/fork counters, and the out-of-order timing
+    state (rename map, free list, in-flight writers, physical-register
+    ready cycles and the issue-port ledger)."""
     machine = simulator.machine
     digest = {
         "stats": dataclasses.asdict(result.stats),
@@ -183,6 +185,8 @@ def full_digest(simulator, result):
             list(simulator._rename_map),
             list(simulator._free_regs),
             dict(simulator._rename_of),
+            list(simulator._phys_ready),
+            dict(simulator._issue_slots),
         )
     return digest
 
