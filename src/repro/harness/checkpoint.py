@@ -75,24 +75,39 @@ def checkpoint_key(cache: artifact_cache.ArtifactCache, experiment_id: str, scal
 def store_checkpoint(
     experiment_id: str, scale: Scale, result: ExperimentResult
 ) -> None:
-    """Persist one finished experiment's result (no-op when cache off)."""
+    """Persist one finished experiment's result (no-op when cache off,
+    or when the cache already holds a checkpoint under its key: the key
+    covers every input, so a warm rerun writes nothing)."""
     cache = artifact_cache.get_cache()
     if not cache.enabled:
         return
-    cache.store(checkpoint_key(cache, experiment_id, scale), result)
+    key = checkpoint_key(cache, experiment_id, scale)
+    if cache.path_for(key).exists():
+        return
+    cache.store(key, result)
     REGISTRY.count("supervisor.checkpoints_stored")
 
 
 def load_checkpoint(
     experiment_id: str, scale: Scale
 ) -> Tuple[bool, Optional[ExperimentResult]]:
-    """``(hit, result)`` for a previously checkpointed experiment."""
+    """``(hit, result)`` for a previously checkpointed experiment.
+
+    An entry that does not unpickle to an :class:`ExperimentResult` is
+    dropped, as :meth:`~repro.engine.cache.ArtifactCache.load` drops a
+    corrupt one, so the re-run's :func:`store_checkpoint` replaces it.
+    """
     cache = artifact_cache.get_cache()
     if not cache.enabled:
         return False, None
-    hit, value = cache.load(checkpoint_key(cache, experiment_id, scale))
+    key = checkpoint_key(cache, experiment_id, scale)
+    hit, value = cache.load(key)
     if hit and not isinstance(value, ExperimentResult):
         # a poisoned entry must not masquerade as a result
+        try:
+            cache.path_for(key).unlink()
+        except OSError:
+            pass
         return False, None
     if hit:
         REGISTRY.count("supervisor.checkpoints_loaded")

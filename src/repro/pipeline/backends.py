@@ -9,8 +9,8 @@ branches resolve, and how squash recovery restores machine state.
 
 Backends plug in by subclassing :class:`PipelineSimulator` and
 overriding the timing hooks it changes among ``_dispatch``,
-``_retire_entry`` and ``_rollback`` (their docstrings there define the
-surface).  Only the reference engine calls the hooks.  The fused
+``_checkpoint`` and ``_rollback`` (their docstrings there define the
+surface).  No hook runs at retire.  Only the reference engine calls the hooks.  The fused
 ``run()`` loop carries each shipped backend's timing model inline
 instead: it groups the in-order backend's non-branch instructions and
 gives the out-of-order one an entry per instruction.  Building a class
@@ -28,8 +28,10 @@ fused-vs-reference tests hold to them.  Two ship with the repository:
 
 ``ooo``
     :class:`~repro.pipeline.ooo.OutOfOrderSimulator` -- the R10K-style
-    out-of-order core (register rename + active list, issue queue,
-    configurable in-flight window, squash-on-mispredict).
+    out-of-order core (one ready cycle per architectural register,
+    active list, issue queue, configurable in-flight window, and a
+    checkpoint of the ready table per mispredicted branch, restored at
+    its squash).
 
 The backend name travels with :class:`~repro.harness.experiments.Scale`
 through the CLI (``--backend``), the artifact cache keys, the warm-up

@@ -68,7 +68,7 @@ dual-path forking (``fork_on``) -- is state of this class that both
 engines read; the gated and eager simulators of
 :mod:`repro.speculation` only validate and set it.  The execution model
 behind the front end is a backend.  The reference engine calls its
-three hooks, ``_dispatch``, ``_retire_entry`` and ``_rollback`` (their
+three hooks, ``_dispatch``, ``_checkpoint`` and ``_rollback`` (their
 docstrings below define the surface); the fused engine carries each
 shipped backend's model inline instead, and refuses (``TypeError``) a
 class whose hooks are neither backend's, so a new backend adds its
@@ -81,7 +81,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from .. import settings
 from ..confidence.base import ConfidenceEstimator
@@ -130,6 +130,7 @@ class _Inflight:
         "actual_taken",
         "mispredicted",
         "snapshot",
+        "checkpoint",
         "ready_cycle",
         "perceived_distance",
         "record_index",
@@ -147,7 +148,8 @@ class _Inflight:
         self.snapshot = None
         self.ready_cycle = ready_cycle
         # a branch's ``perceived_distance`` (counted again at commit) and
-        # ``record_index`` (its row in ``records``) are set at fetch
+        # ``record_index`` (its row in ``records``) are set at fetch, and
+        # a ``checkpoint`` (the backend's) next to its ``snapshot``
 
 
 def _count_low_confidence_inflight(simulator: PipelineSimulator, name: str) -> int:
@@ -170,7 +172,7 @@ def _count_low_confidence_inflight(simulator: PipelineSimulator, name: str) -> i
 DEPTH_HISTOGRAM_KEY = "ooo_mispredict_window_depth"
 
 #: The backend hooks: the reference engine's timing surface.
-_BACKEND_HOOKS = ("_dispatch", "_retire_entry", "_rollback")
+_BACKEND_HOOKS = ("_dispatch", "_checkpoint", "_rollback")
 
 
 def _carries_ooo_timing(cls) -> bool:
@@ -430,11 +432,13 @@ class PipelineSimulator:
             [11]=perceived_distance
 
         Slot [2] counts the instructions a grouped entry stands for (1
-        for a branch or a halt).  Slot [11] holds a branch's perceived
-        distance at fetch, which commit counts again (-1 for any other
-        entry).  The entries keep this layout between runs, and a
-        segment snapshot pickles them as they are, with
-        ``_active_fork`` still aliasing its entry.
+        for a branch or a halt).  Slot [9] holds a mispredicted branch's
+        machine snapshot, which the out-of-order backend pairs with a
+        copy of its register ready table, ``(snapshot, table)``.  Slot
+        [11] holds a branch's perceived distance at fetch, which commit
+        counts again (-1 for any other entry).  The entries keep this
+        layout between runs, and a segment snapshot pickles them as
+        they are, with ``_active_fork`` still aliasing its entry.
 
         A speculative-history gshare or McFarling runs inlined, with
         its tables and history in locals, when no estimator is attached
@@ -461,11 +465,13 @@ class PipelineSimulator:
         The loop calls no backend hook; it carries the timing model of
         each backend the class can have (:func:`_carries_ooo_timing`).
         The in-order one is the ``resolve_stage`` ready cycle above.
-        The out-of-order one renames, claims an issue slot, retires and
-        rolls back exactly as ``OutOfOrderSimulator``'s ``_dispatch``,
-        ``_retire_entry`` and ``_rollback`` do (the reference engine's
-        oracle), on aliases of that simulator's own rename and issue
-        containers, which it changes in place.  It times every
+        The out-of-order one reads and writes the register ready table,
+        claims an issue slot, checkpoints the table and restores it
+        exactly as ``OutOfOrderSimulator``'s ``_dispatch``,
+        ``_checkpoint`` and ``_rollback`` do (the reference engine's
+        oracle), on aliases of that simulator's own table and issue
+        ledger, which it changes in place.  It does nothing at retire
+        and walks no squashed entry at recovery.  It times every
         instruction, so it gets one entry per instruction: a plain run
         appends and dispatches each instruction as it executes, and no
         entry is grouped.  Only the rare issue-ledger prune stays a call,
@@ -581,17 +587,11 @@ class PipelineSimulator:
             resolve_stage = config.resolve_stage
             mispredict_penalty = config.mispredict_penalty
             # the out-of-order timing model, inlined (docstring): the
-            # simulator's own rename and issue containers, changed in place
+            # simulator's own ready table and issue ledger, changed in place
             ooo = _carries_ooo_timing(type(self))
             if ooo:
                 operands = self._operands
-                rename_map = self._rename_map
-                phys_ready = self._phys_ready
-                free_regs = self._free_regs
-                free_popleft = free_regs.popleft
-                free_append = free_regs.append
-                rename_of = self._rename_of
-                rename_pop = rename_of.pop
+                reg_ready = self._reg_ready
                 issue_slots = self._issue_slots
                 issue_claimed = issue_slots.get
                 issue_width = self.issue_width
@@ -693,11 +693,6 @@ class PipelineSimulator:
                         inflight_count -= 1
                         committed += 1
                         committed_instructions += 1
-                        if ooo:
-                            # inline OutOfOrderSimulator._retire_entry
-                            info = rename_pop(entry[0], None)
-                            if info is not None:
-                                free_append(info[2])
                         if entry[4]:  # is_halt
                             program_done = True
                             break
@@ -852,13 +847,12 @@ class PipelineSimulator:
                                 depths[inflight_count] = (
                                     depths.get(inflight_count, 0) + 1
                                 )
-                                for younger in reversed(inflight):
-                                    info = rename_pop(younger[0], None)
-                                    if info is not None:
-                                        rename_map[info[0]] = info[2]
-                                        free_regs.appendleft(info[1])
+                                snapshot, checkpoint = entry[9]
+                                reg_ready[:] = checkpoint
                                 issue_slots.clear()
-                            machine.restore(entry[9])
+                            else:
+                                snapshot = entry[9]
+                            machine.restore(snapshot)
                             retired = 0
                             squashed_instructions += inflight_count
                             inflight.clear()
@@ -953,9 +947,9 @@ class PipelineSimulator:
                                     sources, dest, latency = operands[pc]
                                     issue = cycle + 1
                                     for reg in sources:
-                                        reg_ready = phys_ready[rename_map[reg]]
-                                        if reg_ready > issue:
-                                            issue = reg_ready
+                                        at = reg_ready[reg]
+                                        if at > issue:
+                                            issue = at
                                     claimed = issue_claimed(issue, 0)
                                     while claimed >= issue_width:
                                         issue += 1
@@ -963,12 +957,7 @@ class PipelineSimulator:
                                     issue_slots[issue] = claimed + 1
                                     done = issue + latency
                                     if dest >= 0:
-                                        new_phys = free_popleft()
-                                        rename_of[sequence] = (
-                                            dest, new_phys, rename_map[dest]
-                                        )
-                                        rename_map[dest] = new_phys
-                                        phys_ready[new_phys] = done
+                                        reg_ready[dest] = done
                                     if len(issue_slots) > prune_at:
                                         prune(cycle)
                                     inflight_append([
@@ -1122,9 +1111,9 @@ class PipelineSimulator:
                                 sources, __, latency = operands[pc]
                                 issue = cycle + 1
                                 for reg in sources:
-                                    reg_ready = phys_ready[rename_map[reg]]
-                                    if reg_ready > issue:
-                                        issue = reg_ready
+                                    at = reg_ready[reg]
+                                    if at > issue:
+                                        issue = at
                                 claimed = issue_claimed(issue, 0)
                                 while claimed >= issue_width:
                                     issue += 1
@@ -1181,7 +1170,11 @@ class PipelineSimulator:
                                 machine.instructions_retired += retired
                                 retired = 0
                                 machine.pc = actual_next
-                                entry[9] = machine.snapshot()
+                                if ooo:
+                                    # inline OutOfOrderSimulator._checkpoint
+                                    entry[9] = (machine.snapshot(), reg_ready[:])
+                                else:
+                                    entry[9] = machine.snapshot()
                                 pc = target if predicted_taken else pc + 1
                                 break
                             precise += 1
@@ -1255,9 +1248,9 @@ class PipelineSimulator:
                             sources, dest, latency = operands[pc]
                             issue = cycle + 1
                             for reg in sources:
-                                reg_ready = phys_ready[rename_map[reg]]
-                                if reg_ready > issue:
-                                    issue = reg_ready
+                                at = reg_ready[reg]
+                                if at > issue:
+                                    issue = at
                             claimed = issue_claimed(issue, 0)
                             while claimed >= issue_width:
                                 issue += 1
@@ -1265,12 +1258,7 @@ class PipelineSimulator:
                             issue_slots[issue] = claimed + 1
                             done = issue + latency
                             if dest >= 0:
-                                new_phys = free_popleft()
-                                rename_of[sequence] = (
-                                    dest, new_phys, rename_map[dest]
-                                )
-                                rename_map[dest] = new_phys
-                                phys_ready[new_phys] = done
+                                reg_ready[dest] = done
                             if len(issue_slots) > prune_at:
                                 prune(cycle)
                             inflight_append([
@@ -1388,7 +1376,6 @@ class PipelineSimulator:
             self._inflight_count -= 1
             committed += 1
             stats.committed_instructions += 1
-            self._retire_entry(entry.sequence)
             if entry.is_halt:
                 self._program_done = True
                 return
@@ -1440,10 +1427,7 @@ class PipelineSimulator:
 
     def _recover_from(self, entry: _Inflight) -> None:
         """Squash younger work and restart fetch on the correct path."""
-        self._rollback(
-            self._inflight_count,
-            [younger.sequence for younger in reversed(self._inflight)],
-        )
+        self._rollback(self._inflight_count, entry.checkpoint)
         self.machine.restore(entry.snapshot)
         self.stats.squashed_instructions += self._inflight_count
         self._inflight.clear()
@@ -1520,9 +1504,7 @@ class PipelineSimulator:
                 self._fetch_branch(entry, result.taken, inst.imm)
             elif result.halted:
                 entry.is_halt = True
-            entry.ready_cycle = self._dispatch(
-                entry.sequence, pc, entry.ready_cycle, self._cycle
-            )
+            entry.ready_cycle = self._dispatch(pc, entry.ready_cycle, self._cycle)
             if entry.mispredicted or entry.is_halt:
                 break  # fetch group ends at a front-end redirect or halt
 
@@ -1606,6 +1588,7 @@ class PipelineSimulator:
         # state right after the branch went its *actual* way: the
         # recovery point if/when this branch resolves
         entry.snapshot = self.machine.snapshot()
+        entry.checkpoint = self._checkpoint()
         # redirect the front end down the predicted (wrong) path
         self.machine.pc = target if prediction.taken else pc + 1
 
@@ -1614,21 +1597,24 @@ class PipelineSimulator:
     # no-ops, and the fused engine carries both backends' models inline)
     # ------------------------------------------------------------------
 
-    def _dispatch(self, sequence: int, pc: int, ready_cycle: int, cycle: int) -> int:
-        """Backend hook: instruction ``sequence`` at ``pc`` entered the
-        window at fetch ``cycle``, after branch prediction and
-        recording; return its ready (commit) cycle, never below the
-        front end's ``ready_cycle``.  An override should read only its
-        arguments and its own state.  The in-order backend keeps
-        ``ready_cycle``, which lets the fused engine group entries."""
+    def _dispatch(self, pc: int, ready_cycle: int, cycle: int) -> int:
+        """Backend hook: the instruction at ``pc`` entered the window at
+        fetch ``cycle``, after branch prediction and recording; return
+        its ready (commit) cycle, never below the front end's
+        ``ready_cycle``.  An override should read only its arguments and
+        its own state.  The in-order backend keeps ``ready_cycle``,
+        which lets the fused engine group entries."""
         return ready_cycle
 
-    def _retire_entry(self, sequence: int) -> None:
-        """Backend hook: instruction ``sequence`` left the window at
-        commit, before halt/branch handling."""
+    def _checkpoint(self) -> object:
+        """Backend hook: the timing state a mispredicted branch keeps
+        next to its machine snapshot, taken at its fetch (before its
+        ``_dispatch``) and handed back to ``_rollback``.  The in-order
+        backend keeps none."""
+        return None
 
-    def _rollback(self, depth: int, squashed: Sequence[int]) -> None:
+    def _rollback(self, depth: int, checkpoint: object) -> None:
         """Backend hook: a resolving misprediction squashes the
-        ``depth`` instructions in flight, whose sequences ``squashed``
-        lists youngest first; called before the machine snapshot is
-        restored."""
+        ``depth`` instructions in flight; ``checkpoint`` is what
+        ``_checkpoint`` returned at the branch's fetch.  Called before
+        the machine snapshot is restored."""

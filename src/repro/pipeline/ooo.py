@@ -7,31 +7,32 @@ branch prediction + confidence tagging, wrong-path fetch until
 resolution, fetch gating and dual-path forking -- and replaces the
 fixed 5-stage *back end* timing with a MIPS R10000-flavoured
 out-of-order execution model, through the three backend hooks
-(``_dispatch``, ``_retire_entry``, ``_rollback``):
+(``_dispatch``, ``_checkpoint``, ``_rollback``):
 
-* **register rename**: a 32-entry rename map carries architectural ->
-  physical mappings over a physical register file sized
-  ``NUM_REGISTERS + window`` (so the free list can never run dry while
-  the active list bounds in-flight work); ``r0`` is never renamed,
+* **register ready table**: one ready cycle per architectural register
+  (``r0`` never written).  Renaming only ever served timing, and a
+  writer's new physical register takes its completion cycle, so the
+  table holds exactly what the rename map's current physical registers
+  would: no physical register file, free list or per-writer record,
 * **active list**: the in-flight deque itself, bounded by the
   configurable ``window`` (instructions, not groups -- this backend
   times every instruction, so both engines give it one entry per
-  instruction), with each entry's previous mapping kept for in-order
-  release at retire,
+  instruction); retiring from it takes no backend work,
 * **issue queue**: every dispatched instruction computes its wakeup
-  cycle from its source operands' physical-register ready cycles, then
-  claims the first issue slot at or after wakeup with free bandwidth
-  (``issue_width`` per cycle, oldest first -- dispatch order *is* age
-  order),
+  cycle from its source operands' ready cycles, then claims the first
+  issue slot at or after wakeup with free bandwidth (``issue_width``
+  per cycle, oldest first -- dispatch order *is* age order), and
+  writes its completion cycle into its destination's entry,
 * **in-order wide commit**: the inherited commit stage already retires
   from the head of the window when the head's ``ready_cycle`` has
   passed, up to ``commit_width`` per cycle, so completion out of order
   never commits out of order,
-* **squash on mispredict**: the shared recovery hands the squashed
-  instructions to ``_rollback`` youngest -> oldest, which undoes their
-  rename-map updates and returns their freshly allocated physical
-  registers (the R10K's exception-rollback walk, applied to branches)
-  before the front end restores the machine snapshot.
+* **branch checkpoints**: a mispredicted branch keeps a copy of the
+  table next to the machine snapshot it already takes (the R10000's
+  branch-stack checkpoint); its recovery restores that copy and clears
+  the issue ledger, so no squashed instruction is walked.  A branch
+  writes no register, so the copy equals the table after its dispatch
+  on either engine.
 
 Because branches now *resolve at their data-dependent completion
 cycle* rather than a fixed ``resolve_stage`` after fetch, wrong-path
@@ -64,9 +65,8 @@ lists/dicts, so the whole-simulator pickle snapshots of
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import replace
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from ..confidence.base import ConfidenceEstimator
 from ..isa import Program
@@ -132,16 +132,9 @@ class OutOfOrderSimulator(PipelineSimulator):
         #: or -1, execution latency), shared with every simulator of
         #: ``decoded``.
         self._operands = decoded.operand_table(self.config.cache_hit_latency)
-        num_phys = NUM_REGISTERS + window
-        #: Architectural -> physical register mapping (``r0`` fixed).
-        self._rename_map: List[int] = list(range(NUM_REGISTERS))
-        #: Cycle at which each physical register's value is available.
-        self._phys_ready: List[int] = [0] * num_phys
-        #: Physical registers not bound by the map or an active entry.
-        self._free_regs: Deque[int] = deque(range(NUM_REGISTERS, num_phys))
-        #: sequence -> (arch reg, new phys, previous phys) for every
-        #: in-flight register writer (the active-list rename columns).
-        self._rename_of: Dict[int, Tuple[int, int, int]] = {}
+        #: Cycle at which each architectural register's value is
+        #: available: the completion cycle of its youngest writer.
+        self._reg_ready: List[int] = [0] * NUM_REGISTERS
         #: cycle -> instructions issued that cycle (issue-port ledger).
         self._issue_slots: Dict[int, int] = {}
 
@@ -149,18 +142,16 @@ class OutOfOrderSimulator(PipelineSimulator):
     # backend hooks (the reference engine's; _run_fast inlines them)
     # ------------------------------------------------------------------
 
-    def _dispatch(self, sequence: int, pc: int, ready_cycle: int, cycle: int) -> int:
-        """Rename + enqueue one fetched instruction; return its
-        completion cycle (never earlier than the front end's
-        ``ready_cycle``)."""
+    def _dispatch(self, pc: int, ready_cycle: int, cycle: int) -> int:
+        """Enqueue one fetched instruction; return its completion cycle
+        (never earlier than the front end's ``ready_cycle``)."""
         sources, dest, latency = self._operands[pc]
-        rename_map = self._rename_map
-        phys_ready = self._phys_ready
+        reg_ready = self._reg_ready
         # wakeup: earliest cycle every source operand is available
         # (dispatch itself takes the cycle after fetch)
         wakeup = cycle + 1
         for reg in sources:
-            ready = phys_ready[rename_map[reg]]
+            ready = reg_ready[reg]
             if ready > wakeup:
                 wakeup = ready
         # claim the first issue slot with spare bandwidth; dispatch
@@ -175,42 +166,28 @@ class OutOfOrderSimulator(PipelineSimulator):
         slots[issue] = claimed + 1
         complete = issue + latency
         if dest >= 0:
-            new_phys = self._free_regs.popleft()
-            self._rename_of[sequence] = (dest, new_phys, rename_map[dest])
-            rename_map[dest] = new_phys
-            phys_ready[new_phys] = complete
+            reg_ready[dest] = complete
         if len(slots) > 4 * self.config.window:
             self._prune_issue_slots(cycle)
         # the front end's ready cycle (resolve depth + any congestion
         # charge) is the floor; data dependences can only delay it
         return complete if complete > ready_cycle else ready_cycle
 
-    def _retire_entry(self, sequence: int) -> None:
-        """Free the retiring writer's previous physical register."""
-        info = self._rename_of.pop(sequence, None)
-        if info is not None:
-            self._free_regs.append(info[2])
+    def _checkpoint(self) -> List[int]:
+        """A copy of the register ready table, kept by a mispredicted
+        branch next to its machine snapshot."""
+        return self._reg_ready[:]
 
-    def _rollback(self, depth: int, squashed: Sequence[int]) -> None:
-        """Record the window depth, then roll the rename state back.
+    def _rollback(self, depth: int, checkpoint: List[int]) -> None:
+        """Record the window depth, then restore the branch's checkpoint.
 
-        The squashed instructions are walked youngest -> oldest (the
-        R10K exception-rollback walk): each squashed writer's map entry
-        is restored to its previous mapping and its freshly allocated
-        physical register is returned to the free list, leaving the
-        rename state exactly as the mispredicted branch saw it.
+        Every squashed writer is younger than the branch, so the table
+        the branch saw is the table after the squash: no squashed
+        instruction is walked.
         """
         histogram = self.stats.extra.setdefault(DEPTH_HISTOGRAM_KEY, {})
         histogram[depth] = histogram.get(depth, 0) + 1
-        rename_map = self._rename_map
-        rename_of = self._rename_of
-        for sequence in squashed:
-            info = rename_of.pop(sequence, None)
-            if info is None:
-                continue
-            arch, new_phys, old_phys = info
-            rename_map[arch] = old_phys
-            self._free_regs.appendleft(new_phys)
+        self._reg_ready[:] = checkpoint
         # squashed instructions release their claimed issue ports.  A
         # committed instruction issued before it completed (so before
         # this cycle), every later claim is squashed work, and later

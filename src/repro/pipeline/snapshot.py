@@ -57,8 +57,11 @@ from dataclasses import dataclass
 #: entries.  ``/6``: a cache set the run never touched is ``None``
 #: rather than an empty list, and an out-of-order simulator's operand
 #: table holds one tuple per distinct row, derived from its decoded
-#: program.
-SNAPSHOT_SCHEMA = "pipeline-snapshot/6"
+#: program.  ``/7``: an out-of-order simulator times by one ready cycle
+#: per architectural register, with no physical register file, free
+#: list or per-writer records, and its mispredicted branches in flight
+#: keep a copy of that table next to their machine snapshot.
+SNAPSHOT_SCHEMA = "pipeline-snapshot/7"
 
 
 class SnapshotError(RuntimeError):

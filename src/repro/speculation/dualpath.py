@@ -92,7 +92,7 @@ class EagerOutOfOrderSimulator(EagerPipelineSimulator, OutOfOrderSimulator):
     """Selective dual-path front end over the out-of-order backend.
 
     The fork settings and the OoO backend hooks
-    (``_dispatch``/``_retire_entry``/``_rollback``) are disjoint, so
+    (``_dispatch``/``_checkpoint``/``_rollback``) are disjoint, so
     cooperative inheritance composes them.
     """
 

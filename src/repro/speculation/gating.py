@@ -82,7 +82,7 @@ class GatedOutOfOrderSimulator(GatedPipelineSimulator, OutOfOrderSimulator):
     """Gated front end over the out-of-order backend.
 
     The gate settings and the OoO backend hooks
-    (``_dispatch``/``_retire_entry``/``_rollback``) are disjoint, so
+    (``_dispatch``/``_checkpoint``/``_rollback``) are disjoint, so
     plain cooperative inheritance composes them.
     """
 

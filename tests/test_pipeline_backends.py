@@ -11,8 +11,8 @@ Two nets, matching the frontend/backend split:
   predictors and estimator attachments;
 * the **out-of-order** backend (plain, gated and eager) must be
   bit-identical between the fused engine and the reference loop --
-  the same digest plus the whole timing state (rename, physical-register
-  ready cycles, issue-port ledger) and the window-depth histogram --
+  the same digest plus the whole timing state (register ready table,
+  issue-port ledger) and the window-depth histogram --
   and self-consistent: the same cell run whole, run
   segmented (paused at arbitrary instruction stops), and
   pickled/unpickled at every boundary must be indistinguishable on
@@ -20,14 +20,18 @@ Two nets, matching the frontend/backend split:
   equal the golden functional machine.
 
 Plus unit coverage for the registry surface itself
-(:func:`normalize_backend` / :func:`create_simulator`), the OoO rename
-free-list conservation invariant, and the window-depth histogram
-contract behind the report's figure 8/9 extension.
+(:func:`normalize_backend` / :func:`create_simulator`), the register
+ready table held in lockstep to the physical-register rename model it
+replaced (:class:`RenameModel`), known-answer OoO programs, and the
+window-depth histogram contract behind the report's figure 8/9
+extension.
 """
 
 import dataclasses
 import pickle
 import random
+from collections import deque
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +39,7 @@ from hypothesis import strategies as st
 
 from repro.confidence import JRSEstimator, MispredictionDistanceEstimator
 from repro.engine import workload_program
-from repro.isa import Machine, Program
+from repro.isa import Machine, Program, assemble
 from repro.isa.instructions import (
     LINK_REG,
     NUM_REGISTERS,
@@ -45,6 +49,7 @@ from repro.isa.instructions import (
 )
 from repro.pipeline import (
     BACKEND_NAMES,
+    CacheConfig,
     DEFAULT_BACKEND,
     DEPTH_HISTOGRAM_KEY,
     DistanceCounts,
@@ -145,7 +150,7 @@ class TestUncarriedTimingModel:
         "base, hook",
         [
             (PipelineSimulator, "_dispatch"),
-            (OutOfOrderSimulator, "_retire_entry"),
+            (OutOfOrderSimulator, "_checkpoint"),
             (OutOfOrderSimulator, "_rollback"),
         ],
     )
@@ -390,15 +395,11 @@ def ooo_simulators(draw):
 
 
 def _ooo_state(simulator, result):
-    """The digest plus the whole timing state (rename map, free list,
-    in-flight writers, physical-register ready cycles, issue-port
-    ledger) and the depth histogram."""
+    """The digest plus the whole timing state (register ready table,
+    issue-port ledger) and the depth histogram."""
     return (
         _digest(simulator, result),
-        list(simulator._rename_map),
-        list(simulator._free_regs),
-        dict(simulator._rename_of),
-        list(simulator._phys_ready),
+        list(simulator._reg_ready),
         dict(simulator._issue_slots),
         dict(result.stats.extra.get(DEPTH_HISTOGRAM_KEY, {})),
     )
@@ -543,28 +544,309 @@ def test_ooo_whole_segmented_and_pickled_identical(
     )
 
 
-@settings(max_examples=10, deadline=None)
-@given(workload_profiles(), pipeline_configs())
-def test_ooo_rename_free_list_conserved(profile, config):
-    """After a completed run every physical register is accounted for:
-    32 unique map entries + a full free list, no leaked writers."""
-    program = generate_program(profile)
+class RenameModel:
+    """The physical-register rename model the register ready table
+    replaced: an architectural -> physical map over ``NUM_REGISTERS +
+    window`` ready cycles, a free list, and one ``(arch, new, previous)``
+    record per in-flight writer, freed at retire and walked youngest
+    first at a squash."""
+
+    def __init__(self, window):
+        self.size = NUM_REGISTERS + window
+        self.rename_map = list(range(NUM_REGISTERS))
+        self.phys_ready = [0] * self.size
+        self.free = deque(range(NUM_REGISTERS, self.size))
+        self.writers = {}
+
+    def dispatch(self, sequence, dest, complete):
+        if dest >= 0:
+            assert self.free, "a writer found the free list empty"
+            new = self.free.popleft()
+            self.writers[sequence] = (dest, new, self.rename_map[dest])
+            self.rename_map[dest] = new
+            self.phys_ready[new] = complete
+
+    def retire(self, sequence):
+        record = self.writers.pop(sequence, None)
+        if record is not None:
+            self.free.append(record[2])
+
+    def rollback(self, squashed):
+        for sequence in squashed:
+            record = self.writers.pop(sequence, None)
+            if record is not None:
+                arch, new, previous = record
+                self.rename_map[arch] = previous
+                self.free.appendleft(new)
+
+    def table(self):
+        return [self.phys_ready[phys] for phys in self.rename_map]
+
+    def check_conserved(self):
+        """Every physical register is mapped, held by one in-flight
+        writer as its previous mapping, or free, and only one of them."""
+        mapped = set(self.rename_map)
+        held = {previous for __, __, previous in self.writers.values()}
+        free = set(self.free)
+        assert len(mapped) == NUM_REGISTERS
+        assert len(held) == len(self.writers)
+        assert len(free) == len(self.free)
+        assert not (mapped & held or mapped & free or held & free)
+        assert mapped | held | free == set(range(self.size))
+
+
+def lockstep_rename_model(simulator):
+    """Wrap a reference-engine OoO ``simulator`` so a
+    :class:`RenameModel` follows its dispatches, commits and recoveries.
+
+    The dispatch wrapper computes the issue cycle from the model's own
+    ready cycles and the simulator's issue ledger, and checks the
+    simulator's ready cycle against it.  A recovery squashes the
+    entries in flight and must land the model on the branch's
+    checkpoint."""
+    model = RenameModel(simulator.config.window)
+    dispatch = simulator._dispatch
+    commit_stage = simulator._commit_stage
+    rollback = simulator._rollback
+
+    def dispatch_in_lockstep(pc, ready_cycle, cycle):
+        sources, dest, latency = simulator._operands[pc]
+        issue = max(
+            [cycle + 1]
+            + [model.phys_ready[model.rename_map[reg]] for reg in sources]
+        )
+        while simulator._issue_slots.get(issue, 0) >= simulator.issue_width:
+            issue += 1
+        ready = dispatch(pc, ready_cycle, cycle)
+        assert ready == max(issue + latency, ready_cycle)
+        model.dispatch(simulator._inflight[-1].sequence, dest, issue + latency)
+        return ready
+
+    def commit_in_lockstep():
+        # retiring and squashing touch disjoint writers and opposite
+        # ends of the free list, so their order within a stage is moot
+        heads = [
+            entry.sequence
+            for entry in islice(simulator._inflight, simulator.config.commit_width)
+        ]
+        before = simulator.stats.committed_instructions
+        commit_stage()
+        for sequence in heads[: simulator.stats.committed_instructions - before]:
+            model.retire(sequence)
+
+    def rollback_in_lockstep(depth, checkpoint):
+        assert depth == len(simulator._inflight)
+        model.rollback([entry.sequence for entry in reversed(simulator._inflight)])
+        assert model.table() == checkpoint
+        rollback(depth, checkpoint)
+
+    simulator._dispatch = dispatch_in_lockstep
+    simulator._commit_stage = commit_in_lockstep
+    simulator._rollback = rollback_in_lockstep
+    return model
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    workload_profiles(),
+    pipeline_configs(),
+    st.integers(min_value=8, max_value=256),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+)
+def test_ready_table_follows_the_rename_model(
+    profile, config, window, issue_width, commit_width
+):
+    """After every cycle the register ready table equals the ready
+    cycles of the rename map's physical registers, the free list holds
+    one register per window slot no writer occupies (so a writer never
+    finds it empty), and at the end every physical register is
+    accounted for and no writer is left."""
     simulator = OutOfOrderSimulator(
-        program,
+        generate_program(profile),
         make_predictor("gshare"),
         config=config,
-        window=32,
-        issue_width=2,
-        commit_width=2,
+        fast=False,
+        window=window,
+        issue_width=issue_width,
+        commit_width=commit_width,
     )
-    simulator.run()
-    assert simulator._rename_of == {}  # every writer retired or squashed
-    mapped = set(simulator._rename_map)
-    free = set(simulator._free_regs)
-    assert len(mapped) == NUM_REGISTERS
-    assert len(free) == len(simulator._free_regs)  # no duplicates
-    assert not (mapped & free)
-    assert mapped | free == set(range(NUM_REGISTERS + 32))
+    model = lockstep_rename_model(simulator)
+    while not simulator.done:
+        simulator.step_cycle()
+        assert model.table() == simulator._reg_ready
+        assert len(model.free) == simulator.config.window - len(model.writers)
+    model.check_conserved()
+    assert model.writers == {}  # every writer retired or squashed
+
+
+# ----------------------------------------------------------------------
+# known-answer out-of-order programs
+# ----------------------------------------------------------------------
+
+#: One 64-word I-cache line holds each program below, so fetch misses
+#: once, at cycle 0, and starts at cycle 10; the other defaults stay:
+#: fetch 4 a cycle, resolve depth 3 (an instruction fetched at cycle f
+#: commits no earlier than f + 3), a 3-cycle mispredict penalty and a
+#: 2-cycle cache hit.  Dispatch takes the cycle after fetch, so an
+#: instruction fetched at f issues at f + 1 at the earliest.
+KNOWN_ANSWER_CONFIG = PipelineConfig(
+    icache=CacheConfig(size_words=1024, line_words=64, miss_penalty=10)
+)
+
+
+class _CommitLog(deque):
+    """An in-flight window that logs the pc of every entry leaving its
+    head: both engines commit through ``popleft`` and squash through
+    ``clear``."""
+
+    def __init__(self):
+        super().__init__()
+        self.pcs = []
+
+    def popleft(self):
+        entry = super().popleft()
+        self.pcs.append(entry[1] if isinstance(entry, list) else entry.pc)
+        return entry
+
+
+def known_answer_run(source, fast, config=KNOWN_ANSWER_CONFIG, **geometry):
+    """Run ``source`` to its halt one cycle per ``run()`` call; return
+    the simulator and its ``(commit cycle, pc)`` list in commit order."""
+    simulator = OutOfOrderSimulator(
+        assemble(source), make_predictor("gshare"), config=config, fast=fast,
+        **geometry,
+    )
+    log = simulator._inflight = _CommitLog()
+    commits = []
+    while not simulator.done:
+        cycle = simulator.cycle
+        assert cycle < 100, "runaway known-answer program"
+        seen = len(log.pcs)
+        simulator.run(max_cycles=cycle + 1)
+        commits += [(cycle, pc) for pc in log.pcs[seen:]]
+    return simulator, commits
+
+
+def addi_chain(dependent):
+    """16 ``addi``s, each reading the one before it or none, then halt."""
+    lines = [
+        f"addi r1, r1, {k}" if dependent else f"addi r{k + 1}, r0, {k}"
+        for k in range(16)
+    ]
+    return "\n".join(lines + ["halt"])
+
+
+#: The mispredicted branch: a fresh gshare predicts ``bne`` not taken,
+#: so fetch runs down the fall-through with four register writers (one
+#: of them the branch's own source) and a halt, until the branch
+#: resolves and fetch restarts at ``good``.
+MISPREDICT_SOURCE = """
+        addi r1, r0, 5
+        bne r1, r0, good
+        addi r2, r0, 1
+        addi r3, r0, 2
+        addi r1, r0, 9
+        halt
+good:   addi r4, r1, 1
+        halt
+"""
+
+
+@pytest.mark.parametrize("fast", (False, True), ids=("reference", "fused"))
+class TestKnownAnswerPrograms:
+    """Cycle counts, commit cycles and depth histograms derived by hand
+    from the model (each docstring shows the derivation), on both
+    engines."""
+
+    def test_dependent_chain(self, fast):
+        """addi k issues at 11 + k, each a cycle after the one it reads,
+        and completes at 12 + k; fetch groups of four at cycles 10-13
+        floor commits at 13-16.  The halt (fetched at 14, issued at 15)
+        commits behind addi 15 at 27."""
+        simulator, commits = known_answer_run(addi_chain(True), fast)
+        expected = [(13, 0), (13, 1)] + [(12 + k, k) for k in range(2, 16)]
+        assert commits == expected + [(27, 16)]
+        assert simulator.stats.cycles == 28
+        assert DEPTH_HISTOGRAM_KEY not in simulator.stats.extra
+
+    def test_independent_addis_eight_wide(self, fast):
+        """Each fetch group of four issues together at the cycle after
+        its fetch and completes a cycle later, before the resolve depth
+        lets it commit: the groups commit at 13, 14, 15 and 16, and the
+        halt at 17."""
+        simulator, commits = known_answer_run(
+            addi_chain(False), fast, issue_width=8
+        )
+        assert commits == [(13 + k // 4, k) for k in range(16)] + [(17, 16)]
+        assert simulator.stats.cycles == 18
+        assert DEPTH_HISTOGRAM_KEY not in simulator.stats.extra
+
+    def test_independent_addis_one_wide(self, fast):
+        """One issue port serialises what the operands do not: addi k
+        issues at 11 + k and completes at 12 + k, and the halt takes
+        the first free port, cycle 27, so it completes and commits at
+        28."""
+        simulator, commits = known_answer_run(
+            addi_chain(False), fast, issue_width=1
+        )
+        expected = [(13, 0), (13, 1)] + [(12 + k, k) for k in range(2, 16)]
+        assert commits == expected + [(28, 16)]
+        assert simulator.stats.cycles == 29
+        assert DEPTH_HISTOGRAM_KEY not in simulator.stats.extra
+
+    @pytest.mark.parametrize("latency", (1, 2, 5))
+    def test_load_use_pair(self, fast, latency):
+        """The load issues at 11 and completes at 11 + latency, when its
+        user issues; the user completes at 12 + latency.  Both commit no
+        earlier than 13 (fetched at 10); the halt commits with the
+        user."""
+        config = dataclasses.replace(
+            KNOWN_ANSWER_CONFIG, cache_hit_latency=latency
+        )
+        simulator, commits = known_answer_run(
+            "lw r1, 0(r0)\naddi r2, r1, 1\nhalt", fast, config=config
+        )
+        load_at = max(11 + latency, 13)
+        use_at = max(12 + latency, 13)
+        assert commits == [(load_at, 0), (use_at, 1), (use_at, 2)]
+        assert simulator.stats.cycles == use_at + 1
+        assert DEPTH_HISTOGRAM_KEY not in simulator.stats.extra
+
+    def test_mispredicted_branch(self, fast):
+        """At 10 the first addi (complete 12) and the branch (issued at
+        12 on its source, complete 13) are fetched, and fetch follows
+        the wrong path; at 11 four wrong-path entries.  At 13 both
+        commit and the branch's recovery squashes four entries (depth
+        4); fetch restarts at 13 + 1 + 3 = 17, and ``good`` and its halt
+        commit at 20."""
+        simulator, commits = known_answer_run(MISPREDICT_SOURCE, fast)
+        assert commits == [(13, 0), (13, 1), (20, 6), (20, 7)]
+        assert simulator.stats.cycles == 21
+        assert simulator.stats.squashed_instructions == 4
+        assert simulator.stats.extra[DEPTH_HISTOGRAM_KEY] == {4: 1}
+        assert simulator.machine.regs[4] == 6
+
+
+@pytest.mark.parametrize("fast", (False, True), ids=("reference", "fused"))
+def test_recovery_restores_the_ready_table(fast):
+    """The wrong path's writers move the table; the recovery at cycle
+    13 puts it back to what the branch saw at its fetch (cycle 10)."""
+    simulator = OutOfOrderSimulator(
+        assemble(MISPREDICT_SOURCE),
+        make_predictor("gshare"),
+        config=KNOWN_ANSWER_CONFIG,
+        fast=fast,
+    )
+    simulator.run(max_cycles=11)
+    at_fetch = list(simulator._reg_ready)
+    assert at_fetch == [0, 12] + [0] * 30
+    simulator.run(max_cycles=12)
+    assert simulator._reg_ready[1:4] == [13, 13, 13]
+    simulator.run(max_cycles=14)
+    assert simulator.stats.committed_mispredictions == 1
+    assert simulator._reg_ready == at_fetch
+    assert simulator._issue_slots == {}
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.harness.shard import build_cell_simulator
 from repro.harness.speculation import SPECULATION_ESTIMATORS, SPECULATION_PREDICTOR
 from repro.pipeline import (
     BranchRecordStore,
+    DEPTH_HISTOGRAM_KEY,
     DecodedProgram,
     DistanceCounts,
     OutOfOrderSimulator,
@@ -149,8 +150,8 @@ def full_digest(simulator, result):
     """Everything a run leaves behind but the reference engine's log:
     stats, distance counts, machine and cache state, quadrants,
     estimator state, gating/fork counters, and the out-of-order timing
-    state (rename map, free list, in-flight writers, physical-register
-    ready cycles and the issue-port ledger)."""
+    state (register ready table and issue-port ledger) with its
+    window-depth histogram."""
     machine = simulator.machine
     digest = {
         "stats": dataclasses.asdict(result.stats),
@@ -181,12 +182,10 @@ def full_digest(simulator, result):
         ),
     }
     if isinstance(simulator, OutOfOrderSimulator):
-        digest["rename"] = (
-            list(simulator._rename_map),
-            list(simulator._free_regs),
-            dict(simulator._rename_of),
-            list(simulator._phys_ready),
+        digest["timing"] = (
+            list(simulator._reg_ready),
             dict(simulator._issue_slots),
+            dict(result.stats.extra.get(DEPTH_HISTOGRAM_KEY, {})),
         )
     return digest
 

@@ -347,6 +347,43 @@ class TestCheckpoints:
         hit, value = load_checkpoint("fig1", SMOKE)
         assert not hit and value is None
 
+    def test_warm_rerun_writes_nothing(self, isolated_cache):
+        """A checkpoint key covers every input of its result, so a warm
+        rerun finds each one stored and rewrites none."""
+        first = run_all(SMOKE, only=["fig1", "tab3"], jobs=1)
+        clear_memoised()
+        writes = isolated_cache.stats.writes
+        again = run_all(SMOKE, only=["fig1", "tab3"], jobs=1)
+        assert isolated_cache.stats.writes == writes
+        for experiment_id in ("fig1", "tab3"):
+            assert again[experiment_id].to_text() == first[experiment_id].to_text()
+
+    def test_poisoned_checkpoint_is_rewritten(self, isolated_cache, tmp_path):
+        """Loading a poisoned checkpoint drops it, so the experiment's
+        re-run under ``--resume`` stores a real one in its place."""
+        from repro.harness.checkpoint import checkpoint_key
+
+        path = tmp_path / "first.jsonl"
+        with RunJournal(path) as journal:
+            first = run_all(SMOKE, only=["fig1"], jobs=1, journal=journal)
+        key = checkpoint_key(isolated_cache, "fig1", SMOKE)
+        isolated_cache.store(key, {"not": "a result"})
+        clear_memoised()
+        resumed_path = tmp_path / "resumed.jsonl"
+        with RunJournal(resumed_path) as journal:
+            resumed = run_all(
+                SMOKE, only=["fig1"], jobs=1, journal=journal, resume=path
+            )
+        started = [
+            e["experiment"]
+            for e in read_journal(resumed_path)
+            if e["event"] == "experiment_started"
+        ]
+        assert started == ["fig1"]  # the poisoned checkpoint was not used
+        assert resumed["fig1"].to_text() == first["fig1"].to_text()
+        hit, value = load_checkpoint("fig1", SMOKE)
+        assert hit and value.to_text() == first["fig1"].to_text()
+
 
 class TestBudgetInvalidation:
     """Satellite regression: the simulation budgets are folded into
